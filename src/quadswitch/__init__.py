@@ -23,12 +23,13 @@ from .srg import Graph, NotStronglyRegular, SrgParams, build_gamma, expected_par
 from .switching import (
     NotSwitchingSet,
     SearchExhausted,
+    Switch,
     SwitchCertificate,
     SwitchConfig,
     SwitchingError,
     T_formula,
     build_S,
-    find_external_line,
+    build_switch,
     find_second_tangent_space,
     find_singular_subspace,
     find_tangent_space,
@@ -46,9 +47,11 @@ from .codes import (
     weight_distribution,
 )
 from .distinguish import (
+    Family,
     FamilyReport,
     GraphSignature,
     are_isomorphic,
+    build_family,
     classify_family,
     signature,
 )

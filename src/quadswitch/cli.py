@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -38,14 +39,6 @@ def _params_dict(p: SrgParams) -> dict:
         "f": p.f,
         "g": p.g,
     }
-
-
-def expected_gamma_weight_distribution(n: int, kind: str) -> dict[int, int]:
-    """Closed-form weight enumerator of the unswitched graph's code."""
-    h = 1 << ((n - 1) // 2)
-    if kind == ELLIPTIC:
-        return {0: 1, 1 << (n - 1): (1 << n) - h - 1, (1 << (n - 1)) + h: (1 << n) + h}
-    return {0: 1, (1 << (n - 1)) - h: (1 << n) - h, 1 << (n - 1): (1 << n) + h - 1}
 
 
 class _Runner:
@@ -83,32 +76,31 @@ def _code_report(graph) -> dict:
     }
 
 
-def _switch_pipeline(n: int, kind: str, t: int, variant: str, choice: int, runner: _Runner):
-    form = canonical_form(n, kind)
+def _requested_switch(args, runner: _Runner):
+    """The base graph and the switch at the requested flag (and only that flag)."""
+    form = canonical_form(args.n, args.kind)
     gamma = runner.time("build_gamma", lambda: build_gamma(form))
-    cfg = runner.time("find_flag", lambda: switching.make_config(form, t, variant, choice))
-    s = switching.build_S(cfg)
-    cert = switching.validate_switching_set(gamma, s)
-    switched = switching.gm_switch(gamma, s)
-    t_set = switching.T_formula(cfg)
-    return form, gamma, cfg, s, cert, switched, t_set
+    cfg = runner.time(
+        "find_flag", lambda: switching.make_config(form, args.t, args.variant, args.seed_choice)
+    )
+    return gamma, switching.build_switch(gamma, cfg)
 
 
-def _switch_report(gamma, cfg, s, cert, t_set) -> dict:
-    ok_t = t_set == cert.half_class
+def _switch_report(sw: switching.Switch) -> dict:
+    cfg, cert = sw.config, sw.certificate
     return {
         "alpha_basis": list(cfg.alpha.basis),
         "pi_basis": list(cfg.pi.basis),
         "pi2_basis": list(cfg.pi2.basis) if cfg.pi2 is not None else None,
-        "s_size": len(s),
+        "s_size": len(sw.s),
         "induced_degree": cert.induced_degree,
         "class_sizes": {
             "none": len(cert.none_class),
             "half": len(cert.half_class),
             "all": len(cert.all_class),
         },
-        "t_size": len(t_set),
-        "t_formula_equals_half_class": ok_t,
+        "t_size": len(sw.t_set),
+        "t_formula_equals_half_class": sw.t_set == cert.half_class,
     }
 
 
@@ -127,35 +119,30 @@ def cmd_construct(args, runner: _Runner) -> dict:
 
 
 def cmd_switch(args, runner: _Runner) -> dict:
-    _, gamma, cfg, s, cert, switched, t_set = _switch_pipeline(
-        args.n, args.kind, args.t, args.variant, args.seed_choice, runner
-    )
-    report = {"switching": _switch_report(gamma, cfg, s, cert, t_set)}
-    runner.check("t_formula_equals_half_class", t_set == cert.half_class)
+    gamma, sw = _requested_switch(args, runner)
+    report = {"switching": _switch_report(sw)}
+    runner.check("t_formula_equals_half_class", sw.t_set == sw.certificate.half_class)
     if args.verify:
         base = verify_srg(gamma)
-        swp = runner.time("verify_srg", lambda: verify_srg(switched))
+        swp = runner.time("verify_srg", lambda: verify_srg(sw.graph))
         report["srg"] = _params_dict(swp)
         runner.check("switched_srg_parameters_unchanged", swp == base)
     if args.code:
-        report["code"] = runner.time("code", lambda: _code_report(switched))
+        report["code"] = runner.time("code", lambda: _code_report(sw.graph))
     if args.export_graph:
-        graph6.write_files(switched, args.export_graph)
+        graph6.write_files(sw.graph, args.export_graph)
         report["exported"] = args.export_graph
     return report
 
 
 def cmd_code(args, runner: _Runner) -> dict:
-    form = canonical_form(args.n, args.kind)
-    gamma = runner.time("build_gamma", lambda: build_gamma(form))
     if args.t is None:
-        graph = gamma
+        graph = runner.time("build_gamma", lambda: build_gamma(canonical_form(args.n, args.kind)))
     else:
-        cfg = switching.make_config(form, args.t, args.variant, args.seed_choice)
-        graph = switching.gm_switch(gamma, switching.build_S(cfg))
+        graph = _requested_switch(args, runner)[1].graph
     report = {"code": runner.time("code", lambda: _code_report(graph))}
     if args.t is None:
-        expected = expected_gamma_weight_distribution(args.n, args.kind)
+        expected = codes.expected_gamma_weight_distribution(args.n, args.kind)
         got = dict((w, c) for w, c in report["code"]["weight_distribution"])
         runner.check("weight_distribution_matches_table", got == expected)
     return report
@@ -195,7 +182,8 @@ def _family_report_dict(rep: distinguish.FamilyReport) -> dict:
 
 
 def cmd_classify_family(args, runner: _Runner) -> dict:
-    rep = runner.time("classify", lambda: distinguish.classify_family(args.n, args.kind))
+    family = runner.time("build_family", lambda: distinguish.build_family(args.n, args.kind))
+    rep = runner.time("classify", lambda: distinguish.classify_family(family))
     runner.check("all_pairs_separated", all(p.distinct for p in rep.pairs))
     if args.n == 5:
         runner.check(
@@ -208,89 +196,78 @@ def cmd_classify_family(args, runner: _Runner) -> dict:
 def verify_all(n: int, runner: _Runner) -> dict:
     """Every check the library makes at one projective dimension."""
     report: dict = {"n": n}
+    families = {
+        kind: runner.time(f"build_family_{kind}", lambda k=kind: distinguish.build_family(n, k))
+        for kind in (ELLIPTIC, HYPERBOLIC)
+    }
 
     sizes = {}
-    for nn, kind in ((n - 1, PARABOLIC), (n, ELLIPTIC), (n, HYPERBOLIC)):
-        form = canonical_form(nn, kind)
+    for form in [canonical_form(n - 1, PARABOLIC)] + [f.form for f in families.values()]:
         got = form.zero_mask.bit_count()
-        sizes[f"{kind}_{nn}"] = got
-        runner.check(f"quadric_size_{kind}_n{nn}", got == quadric_size(nn, kind))
+        sizes[f"{form.kind}_{form.n}"] = got
+        runner.check(f"quadric_size_{form.kind}_n{form.n}", got == quadric_size(form.n, form.kind))
     report["quadric_sizes"] = sizes
 
     report["srg"] = {}
-    gammas = {}
-    for kind in (ELLIPTIC, HYPERBOLIC):
-        form = canonical_form(n, kind)
-        gamma = runner.time(f"build_gamma_{kind}", lambda f=form: build_gamma(f))
-        gammas[kind] = (form, gamma)
-        params = verify_srg(gamma)
+    base_params = {}
+    for kind, family in families.items():
+        params = base_params[kind] = verify_srg(family.members[0].graph)
         report["srg"][kind] = _params_dict(params)
         runner.check(f"srg_{kind}", params == expected_params(n, kind))
 
     if n == 5:
         lines = {}
-        for kind, (form, _) in gammas.items():
+        for kind, family in families.items():
             sign = 1 if kind == ELLIPTIC else -1
             want = (1 << (n - 2)) + sign * (1 << ((n - 3) // 2))
+            form = family.form
             counts = {count_external_lines_through(form, x) for x in nonquadric_points(form)}
             lines[kind] = sorted(counts)
             runner.check(f"external_lines_{kind}", counts == {want})
         report["external_lines_per_point"] = lines
 
     report["switches"] = {}
-    for kind, (form, gamma) in gammas.items():
-        base = verify_srg(gamma)
-        base_code = codes.code_from_graph(gamma)
-        for variant in ("t", "tt"):
-            for t in switching.legal_t_range(n, kind, variant):
-                tag = f"{kind}_{variant}{t}"
-                cfg = switching.make_config(form, t, variant)
-                s = switching.build_S(cfg)
-                cert = switching.validate_switching_set(gamma, s)
-                t_set = switching.T_formula(cfg)
-                switched = switching.gm_switch(gamma, s)
-                entry = _switch_report(gamma, cfg, s, cert, t_set)
-                runner.check(f"t_formula_{tag}", t_set == cert.half_class)
-                runner.check(
-                    f"induced_degree_{tag}",
-                    cert.induced_degree == (0 if variant == "t" else 1 << (t + 1)),
-                )
-                runner.check(f"s_size_{tag}", len(s) == 1 << (t + 1 + (variant == "tt")))
-                runner.check(
-                    f"t_size_{tag}",
-                    len(t_set) == switching.expected_T_size(n, kind, t, variant),
-                )
-                runner.check(f"switched_srg_{tag}", verify_srg(switched) == base)
+    for kind, family in families.items():
+        gamma = family.members[0]
+        for m in family.members[1:]:
+            sw, t, variant, code, words = m.switch, m.t, m.variant, m.code, m.words
+            tag = f"{kind}_{variant}{t}"
+            entry = _switch_report(sw)
+            runner.check(f"t_formula_{tag}", entry["t_formula_equals_half_class"])
+            runner.check(
+                f"induced_degree_{tag}",
+                sw.certificate.induced_degree == (0 if variant == "t" else 1 << (t + 1)),
+            )
+            runner.check(f"s_size_{tag}", len(sw.s) == 1 << (t + 1 + (variant == "tt")))
+            runner.check(
+                f"t_size_{tag}",
+                len(sw.t_set) == switching.expected_T_size(n, kind, t, variant),
+            )
+            runner.check(f"switched_srg_{tag}", verify_srg(sw.graph) == base_params[kind])
 
-                code = codes.code_from_graph(switched)
-                words = codes.min_weight_codewords(code)
-                v_s = 0
-                for i in s:
-                    v_s |= 1 << i
-                v_t = 0
-                for i in t_set:
-                    v_t |= 1 << i
-                entry["code"] = {
-                    "dimension": code.dim,
-                    "min_weight": words[0].bit_count(),
-                    "min_word_count": len(words),
-                }
-                runner.check(f"code_dim_{tag}", code.dim == n + 3)
-                runner.check(
-                    f"code_min_weight_{tag}",
-                    words[0].bit_count() == (1 << (t + 1 + (variant == "tt"))),
-                )
-                runner.check(f"v_s_is_min_word_{tag}", v_s in words)
-                runner.check(f"v_s_in_switched_code_{tag}", codes.contains(code, v_s))
-                runner.check(f"v_t_in_switched_code_{tag}", codes.contains(code, v_t))
-                runner.check(f"v_t_not_in_base_code_{tag}", not codes.contains(base_code, v_t))
-                joined = codes.from_vectors(gamma.v, list(gamma.rows) + [v_s, v_t])
-                runner.check(f"switched_code_is_augmented_base_{tag}", joined.basis == code.basis)
-                report["switches"][tag] = entry
+            v_s = sum(1 << i for i in sw.s)
+            v_t = sum(1 << i for i in sw.t_set)
+            entry["code"] = {
+                "dimension": code.dim,
+                "min_weight": words[0].bit_count(),
+                "min_word_count": len(words),
+            }
+            runner.check(f"code_dim_{tag}", code.dim == n + 3)
+            runner.check(
+                f"code_min_weight_{tag}",
+                words[0].bit_count() == (1 << (t + 1 + (variant == "tt"))),
+            )
+            runner.check(f"v_s_is_min_word_{tag}", v_s in words)
+            runner.check(f"v_s_in_switched_code_{tag}", codes.contains(code, v_s))
+            runner.check(f"v_t_in_switched_code_{tag}", codes.contains(code, v_t))
+            runner.check(f"v_t_not_in_base_code_{tag}", not codes.contains(gamma.code, v_t))
+            joined = codes.from_vectors(gamma.graph.v, gamma.code.basis + (v_s, v_t))
+            runner.check(f"switched_code_is_augmented_base_{tag}", joined.basis == code.basis)
+            report["switches"][tag] = entry
 
     report["codes"] = {}
-    for kind, (form, gamma) in gammas.items():
-        code = codes.code_from_graph(gamma)
+    for kind, family in families.items():
+        code = family.members[0].code
         dist = codes.weight_distribution(code)
         report["codes"][kind] = {
             "dimension": code.dim,
@@ -299,12 +276,12 @@ def verify_all(n: int, runner: _Runner) -> dict:
         runner.check(f"gamma_code_dim_{kind}", code.dim == n + 1)
         runner.check(
             f"gamma_weight_distribution_{kind}",
-            dist == expected_gamma_weight_distribution(n, kind),
+            dist == codes.expected_gamma_weight_distribution(n, kind),
         )
 
     report["families"] = {}
-    for kind in (ELLIPTIC, HYPERBOLIC):
-        rep = runner.time(f"classify_{kind}", lambda k=kind: distinguish.classify_family(n, k))
+    for kind, family in families.items():
+        rep = runner.time(f"classify_{kind}", lambda f=family: distinguish.classify_family(f))
         report["families"][kind] = _family_report_dict(rep)
         runner.check(f"family_all_pairs_separated_{kind}", all(p.distinct for p in rep.pairs))
         expected_members = 1 + len(switching.legal_t_range(n, kind, "t")) + len(
@@ -368,6 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritable(path) -> bool:
+    """True when a file cannot be created at path: its directory is missing,
+    or the path itself is a directory."""
+    return bool(path) and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     runner = _Runner()
@@ -381,17 +364,23 @@ def main(argv=None) -> int:
             "seed_choice": getattr(args, "seed_choice", None),
         }
     }
+    out = getattr(args, "out", None)
+
     def emit() -> None:
         text = json.dumps(report, indent=2, sort_keys=True)
         print(text)
-        if getattr(args, "out", None):
-            with open(args.out, "w", encoding="ascii") as fh:
+        if out and not _unwritable(out):
+            with open(out, "w", encoding="ascii") as fh:
                 fh.write(text)
                 fh.write("\n")
 
     try:
+        # refuse unwritable outputs before any work, not after the report is printed
+        for flag, path in (("--out", out), ("--export-graph", getattr(args, "export_graph", None))):
+            if _unwritable(path):
+                raise OSError(f"{flag}: cannot create {path!r}: no such directory, or a directory itself")
         report.update(args.fn(args, runner))
-    except (GeometryError, switching.SwitchingError, codes.CodeError, NotStronglyRegular) as exc:
+    except (GeometryError, switching.SwitchingError, codes.CodeError, NotStronglyRegular, OSError) as exc:
         report["error"] = str(exc)
         report["checks"] = runner.checks
         emit()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2geom import echelonize
+from .gf2geom import ELLIPTIC, echelonize
 from .srg import Graph
 
 ENUMERATION_GUARD = 24  # 2^24 codewords is the largest exact sweep we allow
@@ -82,11 +82,6 @@ def weight_distribution(code: BinaryCode) -> dict[int, int]:
     return dict(sorted(dist.items()))
 
 
-def min_weight(code: BinaryCode) -> int:
-    """Smallest weight of a nonzero codeword."""
-    return min(w.bit_count() for w in iter_codewords(code) if w)
-
-
 def min_weight_codewords(code: BinaryCode) -> list[int]:
     """All nonzero codewords of minimum weight, sorted."""
     if code.dim == 0:
@@ -103,6 +98,14 @@ def min_weight_codewords(code: BinaryCode) -> list[int]:
         elif wt == best:
             words.append(w)
     return sorted(words)
+
+
+def expected_gamma_weight_distribution(n: int, kind: str) -> dict[int, int]:
+    """Closed-form weight enumerator of the unswitched quadric graph's code."""
+    h = 1 << ((n - 1) // 2)
+    if kind == ELLIPTIC:
+        return {0: 1, 1 << (n - 1): (1 << n) - h - 1, (1 << (n - 1)) + h: (1 << n) + h}
+    return {0: 1, (1 << (n - 1)) - h: (1 << n) - h, 1 << (n - 1): (1 << n) + h - 1}
 
 
 def characteristic_vector(g: Graph, points) -> int:

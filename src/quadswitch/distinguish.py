@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .codes import code_from_graph, min_weight_codewords, support
-from .gf2geom import GeometryError, canonical_form
+from .codes import BinaryCode, code_from_graph, min_weight_codewords, support
+from .gf2geom import GeometryError, QuadraticForm, canonical_form
 from .srg import Graph, build_gamma
-from .switching import build_S, gm_switch, legal_t_range, make_config
+from .switching import Switch, build_switch, legal_t_range, make_config
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -34,10 +34,9 @@ class GraphSignature:
     min_word_profiles: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def signature(g: Graph) -> GraphSignature:
-    """Signature from the code: rank, minimum weight, min-word support shapes."""
-    code = code_from_graph(g)
-    words = min_weight_codewords(code)
+def signature(g: Graph, code: BinaryCode, words) -> GraphSignature:
+    """Signature from the graph's code and that code's minimum-weight words:
+    rank, minimum weight, min-word support shapes."""
     profiles = []
     for w in words:
         supp = support(w)
@@ -177,11 +176,24 @@ def are_isomorphic(g1: Graph, g2: Graph, budget: int = DEFAULT_NODE_BUDGET) -> b
 
 @dataclass(frozen=True)
 class FamilyMember:
+    """One graph of a family with its code data, each computed once."""
+
     name: str
     t: int  # 0 for the unswitched graph
     variant: str  # "", "t" or "tt"
     graph: Graph
+    code: BinaryCode
+    words: tuple[int, ...]  # the minimum-weight codewords, sorted
     sig: GraphSignature
+    switch: Optional[Switch]  # None for the unswitched graph
+
+
+@dataclass(frozen=True)
+class Family:
+    """The quadric graph of one (n, kind) and every legal switch of it."""
+
+    form: QuadraticForm
+    members: tuple[FamilyMember, ...]  # the unswitched graph first
 
 
 @dataclass(frozen=True)
@@ -218,27 +230,31 @@ def _separating_invariant(a: GraphSignature, b: GraphSignature) -> str:
     return "none"
 
 
-def build_family(n: int, kind: str) -> list[FamilyMember]:
-    """The unswitched graph plus every legal switch of both shapes."""
-    form = canonical_form(n, kind)
-    members: list[FamilyMember] = []
-    base = build_gamma(form)
-    members.append(FamilyMember("gamma", 0, "", base, signature(base)))
-    for variant in ("t", "tt"):
-        for t in legal_t_range(n, kind, variant):
-            cfg = make_config(form, t, variant)
-            switched = gm_switch(base, build_S(cfg))
-            name = f"gamma_{variant}{t}"
-            members.append(FamilyMember(name, t, variant, switched, signature(switched)))
-    return members
+def _member(name: str, t: int, variant: str, graph: Graph, switch: Optional[Switch]) -> FamilyMember:
+    code = code_from_graph(graph)
+    words = tuple(min_weight_codewords(code))
+    return FamilyMember(name, t, variant, graph, code, words, signature(graph, code, words), switch)
 
 
-def classify_family(n: int, kind: str, cross_check: Optional[bool] = None) -> FamilyReport:
-    """Partition the family by signature; cross-check pairs with the exact
-    tester (by default only at n = 5, where it is fast)."""
+def build_family(n: int, kind: str) -> Family:
+    """The unswitched graph plus every legal switch of both shapes, first flag each."""
     if n % 2 == 0 or not 5 <= n <= 9:
         raise GeometryError(f"families are classified for odd n in [5, 9], got {n}")
-    members = build_family(n, kind)
+    form = canonical_form(n, kind)
+    gamma = build_gamma(form)
+    members = [_member("gamma", 0, "", gamma, None)]
+    for variant in ("t", "tt"):
+        for t in legal_t_range(n, kind, variant):
+            sw = build_switch(gamma, make_config(form, t, variant))
+            members.append(_member(f"gamma_{variant}{t}", t, variant, sw.graph, sw))
+    return Family(form, tuple(members))
+
+
+def classify_family(family: Family, cross_check: Optional[bool] = None) -> FamilyReport:
+    """Partition the family by signature; cross-check pairs with the exact
+    tester (by default only at n = 5, where it is fast)."""
+    n, kind = family.form.n, family.form.kind
+    members = family.members
     if cross_check is None:
         cross_check = n == 5
 
@@ -278,7 +294,7 @@ def classify_family(n: int, kind: str, cross_check: Optional[bool] = None) -> Fa
     return FamilyReport(
         n=n,
         kind=kind,
-        members=tuple(members),
+        members=members,
         pairs=tuple(pairs),
         distinct_count=distinct,
         claimed_switched=claimed,

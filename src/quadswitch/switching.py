@@ -18,7 +18,6 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .gf2geom import (
-    GeometryError,
     HYPERBOLIC,
     QuadraticForm,
     Subspace,
@@ -165,7 +164,7 @@ def find_second_tangent_space(
 
 @dataclass(frozen=True)
 class SwitchConfig:
-    """A validated switching flag (alpha, Pi[, Pi']) for one quadric."""
+    """A switching flag (alpha, Pi[, Pi']) for one quadric, checked on construction."""
 
     form: QuadraticForm
     t: int
@@ -173,15 +172,11 @@ class SwitchConfig:
     pi: Subspace
     pi2: Optional[Subspace] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         form, t = self.form, self.t
         n = form.n
-        if not 0 < t <= (n - 3) // 2:
-            raise SwitchingError(f"t={t} outside 0 < t <= (n-3)/2 for n={n}")
-        if self.pi2 is not None and form.kind == HYPERBOLIC and t > (n - 5) // 2:
-            raise SwitchingError(
-                f"t={t} outside 0 < t <= (n-5)/2 for the two-space construction on hyperbolic quadrics"
-            )
+        if t not in legal_t_range(n, form.kind, self.variant):
+            raise SwitchingError(f"t={t} outside the legal range of variant {self.variant} for n={n}")
         if self.alpha.projective_dim != t:
             raise SwitchingError("alpha has the wrong dimension")
         if not all(form.contains(p) for p in self.alpha.points()):
@@ -222,35 +217,37 @@ def legal_t_range(n: int, kind: str, variant: str) -> range:
     raise SwitchingError(f"unknown variant {variant!r}")
 
 
-def iter_configs(form: QuadraticForm, t: int, variant: str) -> Iterator[SwitchConfig]:
-    """All switching flags for (t, variant) in nested lexicographic order."""
+def iter_flags(
+    form: QuadraticForm, t: int, variant: str
+) -> Iterator[tuple[Subspace, Subspace, Optional[Subspace]]]:
+    """All switching flags (alpha, Pi, Pi' or None) for (t, variant) in nested
+    lexicographic order.  Plain tuples, so flags skipped over cost no validation."""
     for alpha in iter_singular_subspaces(form, t):
         for pi in iter_tangent_spaces(form, alpha):
             if variant == "t":
-                yield SwitchConfig(form, t, alpha, pi)
+                yield alpha, pi, None
             else:
                 for pi2 in iter_second_tangent_spaces(form, alpha, pi):
-                    yield SwitchConfig(form, t, alpha, pi, pi2)
+                    yield alpha, pi, pi2
 
 
 def make_config(form: QuadraticForm, t: int, variant: str, choice: int = 0) -> SwitchConfig:
     """The choice-th switching flag, after checking the existence bounds."""
-    if variant not in ("t", "tt"):
-        raise SwitchingError(f"unknown variant {variant!r}")
     if t not in legal_t_range(form.n, form.kind, "t"):
         raise SearchExhausted(
             f"no flag: t={t} outside the existence range 0 < t <= (n-3)/2 for n={form.n}"
         )
-    if variant == "tt" and t not in legal_t_range(form.n, form.kind, "tt"):
+    if t not in legal_t_range(form.n, form.kind, variant):
         raise SearchExhausted(
             f"no second tangent space (pi2) exists: t={t} exceeds (n-5)/2 = "
             f"{(form.n - 5) // 2} for hyperbolic quadrics"
         )
-    cfg = next(islice(iter_configs(form, t, variant), choice, None), None)
-    if cfg is None:
+    if choice < 0:
+        raise SwitchingError(f"the flag choice must be >= 0, got {choice}")
+    flag = next(islice(iter_flags(form, t, variant), choice, None), None)
+    if flag is None:
         raise SearchExhausted(f"fewer than {choice + 1} flags exist for t={t}, variant {variant}")
-    cfg.validate()
-    return cfg
+    return SwitchConfig(form, t, *flag)
 
 
 # --- switching sets and the switch ---------------------------------------------
@@ -262,13 +259,19 @@ def _vertex_index(form: QuadraticForm) -> dict[int, int]:
 
 def build_S(config: SwitchConfig) -> frozenset[int]:
     """The switching set as vertex indices of the canonical quadric graph."""
-    config.validate()
     idx = _vertex_index(config.form)
     pts = set(config.pi.points())
     if config.pi2 is not None:
         pts |= set(config.pi2.points())
     pts -= set(config.alpha.points())
     return frozenset(idx[p] for p in pts)
+
+
+def _mask(vertices) -> int:
+    mask = 0
+    for i in vertices:
+        mask |= 1 << i
+    return mask
 
 
 @dataclass(frozen=True)
@@ -291,9 +294,7 @@ def validate_switching_set(g: Graph, s_vertices) -> SwitchCertificate:
         raise SwitchingError("switching set must have even size")
     if any(not 0 <= i < g.v for i in s):
         raise SwitchingError("switching set contains a non-vertex")
-    smask = 0
-    for i in s:
-        smask |= 1 << i
+    smask = _mask(s)
 
     by_degree: dict[int, int] = {}
     for i in sorted(s):
@@ -326,15 +327,10 @@ def validate_switching_set(g: Graph, s_vertices) -> SwitchCertificate:
     return SwitchCertificate(s, frozenset(none_c), frozenset(half_c), frozenset(all_c), induced)
 
 
-def gm_switch(g: Graph, s_vertices) -> Graph:
+def _complement_edges(g: Graph, cert: SwitchCertificate) -> Graph:
     """Complement the edges between S and its half-class; everything else stays."""
-    cert = validate_switching_set(g, s_vertices)
-    smask = 0
-    for i in cert.s_vertices:
-        smask |= 1 << i
-    hmask = 0
-    for i in cert.half_class:
-        hmask |= 1 << i
+    smask = _mask(cert.s_vertices)
+    hmask = _mask(cert.half_class)
     rows = list(g.rows)
     for i in cert.half_class:
         rows[i] ^= smask
@@ -343,11 +339,15 @@ def gm_switch(g: Graph, s_vertices) -> Graph:
     return Graph(g.labels, tuple(rows))
 
 
+def gm_switch(g: Graph, s_vertices) -> Graph:
+    """Validate S on the graph, then complement the edges between S and its half-class."""
+    return _complement_edges(g, validate_switching_set(g, s_vertices))
+
+
 def T_formula(config: SwitchConfig) -> frozenset[int]:
     """The closed-form half-class: vertices off alpha-perp, plus, for the
     two-space construction, the non-quadric part of (Pi-perp symdiff
     Pi'-perp) outside S."""
-    config.validate()
     form = config.form
     labels = nonquadric_points(form)
     a_perp = perp(form, config.alpha).point_mask()
@@ -374,42 +374,28 @@ def expected_T_size(n: int, kind: str, t: int, variant: str) -> int:
     return (1 << n) + sign * (1 << ((n - 1) // 2)) - (1 << (n - t - 2)) - (1 << (t + 2))
 
 
-def find_external_line(
-    form: QuadraticForm, avoid: Subspace, through: Optional[int] = None
-) -> tuple[int, int, int]:
-    """Lex-least external line avoiding a subspace (or tangent to it at `through`).
+@dataclass(frozen=True)
+class Switch:
+    """One Godsil-McKay switch of the canonical quadric graph: the flag, the
+    certificate that S is a switching set, the switched graph and the
+    closed-form T-set.  Make it with build_switch, which checks S once."""
 
-    Without `through`: all three points must avoid the subspace.  With
-    `through`: the line passes through that (non-quadric) point and meets
-    the subspace in no other point.
+    config: SwitchConfig
+    certificate: SwitchCertificate
+    graph: Graph
+    t_set: frozenset[int]
+
+    @property
+    def s(self) -> frozenset[int]:
+        return self.certificate.s_vertices
+
+
+def build_switch(gamma: Graph, config: SwitchConfig) -> Switch:
+    """Switch the canonical graph of config.form at the flag's switching set.
+
+    Raises NotSwitchingSet (with a witness) if S fails the none/half/all
+    partition on gamma; T_formula is reported, not asserted, against the
+    certificate's half-class.
     """
-    if avoid.n != form.n:
-        raise GeometryError("subspace and form live in different spaces")
-    zeros = form.zero_mask
-    amask = avoid.point_mask()
-    limit = 1 << (form.n + 1)
-
-    def ok(p: int) -> bool:
-        return not (zeros >> p) & 1 and not (amask >> p) & 1
-
-    if through is None:
-        for a in range(1, limit):
-            if not ok(a):
-                continue
-            for b in range(a + 1, limit):
-                if not ok(b):
-                    continue
-                c = a ^ b
-                if c > b and ok(c):
-                    return (a, b, c)
-        raise SearchExhausted("no external line avoids the given subspace")
-
-    if form.contains(through):
-        raise SwitchingError("the anchor point lies on the quadric")
-    for y in range(1, limit):
-        if y == through or not ok(y):
-            continue
-        z = through ^ y
-        if z > y and ok(z):
-            return tuple(sorted((through, y, z)))  # type: ignore[return-value]
-    raise SearchExhausted("no external line is tangent to the subspace at the given point")
+    cert = validate_switching_set(gamma, build_S(config))
+    return Switch(config, cert, _complement_edges(gamma, cert), T_formula(config))

@@ -2,9 +2,11 @@
 
 import pytest
 
+from quadswitch.codes import code_from_graph, min_weight_codewords
+from quadswitch.distinguish import signature
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form
 from quadswitch.srg import build_gamma
-from quadswitch.switching import build_S, gm_switch, legal_t_range, make_config
+from quadswitch.switching import build_switch, legal_t_range, make_config
 
 _FORMS = {}
 _GAMMAS = {}
@@ -26,13 +28,17 @@ def gamma(n, kind):
 
 
 def switch_case(n, kind, t, variant):
-    """(config, S, switched graph) for one legal switching request."""
+    """The Switch record (config, certificate, graph, T) of one legal request."""
     key = (n, kind, t, variant)
     if key not in _SWITCHED:
-        cfg = make_config(form(n, kind), t, variant)
-        s = build_S(cfg)
-        _SWITCHED[key] = (cfg, s, gm_switch(gamma(n, kind), s))
+        _SWITCHED[key] = build_switch(gamma(n, kind), make_config(form(n, kind), t, variant))
     return _SWITCHED[key]
+
+
+def graph_signature(g):
+    """The code signature of a graph, its code and minimum words computed here."""
+    code = code_from_graph(g)
+    return signature(g, code, min_weight_codewords(code))
 
 
 def legal_cases(ns=(5, 7)):

@@ -12,10 +12,11 @@ from quadswitch import cli
 from quadswitch.codes import (
     code_from_graph,
     contains,
+    expected_gamma_weight_distribution,
     min_weight_codewords,
     weight_distribution,
 )
-from quadswitch.distinguish import are_isomorphic, classify_family, relabel, signature
+from quadswitch.distinguish import are_isomorphic, build_family, classify_family, relabel
 from quadswitch.gf2geom import (
     ELLIPTIC,
     HYPERBOLIC,
@@ -27,9 +28,8 @@ from quadswitch.gf2geom import (
     quadric_size,
 )
 from quadswitch.srg import expected_params, verify_srg
-from quadswitch.switching import T_formula, validate_switching_set
 
-from conftest import form, gamma, legal_cases, switch_case
+from conftest import form, gamma, graph_signature, legal_cases, switch_case
 
 
 def test_criterion_1_quadric_sizes():
@@ -60,17 +60,16 @@ def test_criterion_3_external_line_counts():
 
 def test_criterion_4_switching_validity():
     for n, kind, t, variant in legal_cases():
-        cfg, s, _ = switch_case(n, kind, t, variant)
-        cert = validate_switching_set(gamma(n, kind), s)
+        sw = switch_case(n, kind, t, variant)
         want_induced = 0 if variant == "t" else 1 << (t + 1)
-        assert cert.induced_degree == want_induced, (n, kind, t, variant)
-        assert T_formula(cfg) == cert.half_class, (n, kind, t, variant)
+        assert sw.certificate.induced_degree == want_induced, (n, kind, t, variant)
+        assert sw.t_set == sw.certificate.half_class, (n, kind, t, variant)
     print("PASS criterion 4: switching sets valid, induced degrees right, T formula = half class")
 
 
 def test_criterion_5_switched_graphs_are_srg():
     for n, kind, t, variant in legal_cases():
-        _, _, switched = switch_case(n, kind, t, variant)
+        switched = switch_case(n, kind, t, variant).graph
         assert verify_srg(switched) == expected_params(n, kind), (n, kind, t, variant)
     print("PASS criterion 5: every switched graph is an SRG with unchanged parameters")
 
@@ -79,7 +78,7 @@ def test_criterion_6_gamma_weight_distributions():
     for n in (5, 7, 9):
         for kind in (ELLIPTIC, HYPERBOLIC):
             dist = weight_distribution(code_from_graph(gamma(n, kind)))
-            assert dist == cli.expected_gamma_weight_distribution(n, kind), (n, kind)
+            assert dist == expected_gamma_weight_distribution(n, kind), (n, kind)
     print("PASS criterion 6: weight distributions match the closed-form tables, n in {5,7,9}")
 
 
@@ -88,7 +87,8 @@ def test_criterion_7_switched_codes():
     # uniqueness of the minimum word is a theorem for n >= 7 and it holds
     # for the single-space construction at n = 5 too
     for n, kind, t, variant in legal_cases():
-        _, s, switched = switch_case(n, kind, t, variant)
+        sw = switch_case(n, kind, t, variant)
+        s, switched = sw.s, sw.graph
         code = code_from_graph(switched)
         words = min_weight_codewords(code)
         v_s = sum(1 << i for i in s)
@@ -106,7 +106,8 @@ def test_criterion_7_minimum_word_uniqueness_boundary():
     # at n=5, elliptic, double construction there are exactly four minimum
     # words (weight 8); v^S is the one whose support induces a 4-regular
     # subgraph.  Pinned so any change in this boundary behaviour is loud.
-    _, s, switched = switch_case(5, ELLIPTIC, 1, "tt")
+    sw = switch_case(5, ELLIPTIC, 1, "tt")
+    s, switched = sw.s, sw.graph
     words = min_weight_codewords(code_from_graph(switched))
     v_s = sum(1 << i for i in s)
     assert len(words) == 4
@@ -119,11 +120,11 @@ def test_criterion_7_minimum_word_uniqueness_boundary():
 
 def test_criterion_8_membership_lemmas():
     for n, kind, t, variant in legal_cases():
-        cfg, s, switched = switch_case(n, kind, t, variant)
+        sw = switch_case(n, kind, t, variant)
         base_code = code_from_graph(gamma(n, kind))
-        sw_code = code_from_graph(switched)
-        v_s = sum(1 << i for i in s)
-        v_t = sum(1 << i for i in T_formula(cfg))
+        sw_code = code_from_graph(sw.graph)
+        v_s = sum(1 << i for i in sw.s)
+        v_t = sum(1 << i for i in sw.t_set)
         assert contains(sw_code, v_s), (n, kind, t, variant)
         assert contains(sw_code, v_t), (n, kind, t, variant)
         assert not contains(base_code, v_t), (n, kind, t, variant)
@@ -139,12 +140,12 @@ def test_criterion_9_family_counts():
     }
     allowed = {"2-rank", "min weight", "min-word support profile"}
     for (n, kind), want in expected.items():
-        rep = classify_family(n, kind, cross_check=False)
+        rep = classify_family(build_family(n, kind), cross_check=False)
         assert rep.distinct_count == want, (n, kind)
         for pair in rep.pairs:
             assert pair.distinct, (n, kind, pair)
             assert pair.invariant in allowed, (n, kind, pair)
-    hyp = classify_family(7, HYPERBOLIC, cross_check=False)
+    hyp = classify_family(build_family(7, HYPERBOLIC), cross_check=False)
     assert hyp.claimed_switched == 5 and hyp.computed_switched == 3
     assert hyp.claim_discrepancy
     print(
@@ -157,7 +158,7 @@ def test_criterion_10_isomorphism_cross_checks():
     rng = random.Random(2024)
     slowest = 0.0
     for kind in (ELLIPTIC, HYPERBOLIC):
-        rep = classify_family(5, kind, cross_check=False)
+        rep = classify_family(build_family(5, kind), cross_check=False)
         graphs = {m.name: m.graph for m in rep.members}
         sigs = {m.name: m.sig for m in rep.members}
         for pair in rep.pairs:
@@ -172,7 +173,7 @@ def test_criterion_10_isomorphism_cross_checks():
                 t0 = time.perf_counter()
                 assert are_isomorphic(g, relabel(g, perm)), name
                 slowest = max(slowest, time.perf_counter() - t0)
-                assert signature(relabel(g, perm)) == sigs[name]
+                assert graph_signature(relabel(g, perm)) == sigs[name]
     assert slowest < 10.0
     print(
         f"PASS criterion 10: exact tester confirms every separation and 10 relabellings "

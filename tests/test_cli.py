@@ -97,6 +97,37 @@ def test_out_flag_writes_report(tmp_path, capsys):
     assert target.read_text().strip() == out.strip()
 
 
+def test_negative_seed_choice_is_a_json_error(capsys):
+    code, out, err = run_cli(
+        capsys, "switch", "--n", "5", "--kind", "elliptic", "--t", "1", "--seed-choice", "-1",
+    )
+    assert code == 1
+    assert "flag choice" in json.loads(out)["error"]
+    assert "flag choice" in err
+
+
+def test_export_graph_into_missing_directory_is_a_json_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "gamma.g6"
+    code, out, _ = run_cli(
+        capsys, "construct", "--n", "5", "--kind", "elliptic", "--export-graph", str(target),
+    )
+    assert code == 1
+    assert "--export-graph" in json.loads(out)["error"]
+    assert not target.parent.exists()
+
+
+def test_out_into_missing_directory_fails_before_any_work(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, _ = run_cli(
+        capsys, "verify-all", "--n", "5", "--out", str(target),
+    )
+    assert code == 1
+    rep = json.loads(out)
+    assert "--out" in rep["error"]
+    assert rep["checks"] == {}  # refused up front, not after the run
+    assert not target.parent.exists()
+
+
 def test_export_graph_round_trip(tmp_path, capsys):
     target = tmp_path / "gamma.g6"
     code, _, _ = run_cli(

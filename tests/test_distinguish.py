@@ -11,11 +11,12 @@ from quadswitch.distinguish import (
     build_family,
     classify_family,
     relabel,
-    signature,
 )
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, canonical_form
 from quadswitch.srg import Graph, build_gamma
 from quadswitch.switching import build_S, gm_switch, make_config
+
+from conftest import graph_signature
 
 E5 = canonical_form(5, ELLIPTIC)
 H5 = canonical_form(5, HYPERBOLIC)
@@ -50,20 +51,20 @@ def random_graph(rng, v, p):
 
 
 def test_signature_gamma_n5_elliptic():
-    sig = signature(build_gamma(E5))
+    sig = graph_signature(build_gamma(E5))
     assert sig.two_rank == 6
     assert sig.min_weight == 16
 
 
 def test_signature_single_switch_n5_elliptic():
-    sig = signature(switched(E5, 1, "t"))
+    sig = graph_signature(switched(E5, 1, "t"))
     assert sig.two_rank == 8
     assert sig.min_weight == 4
     assert sig.min_word_profiles == ((4, (0, 0, 0, 0)),)
 
 
 def test_signature_double_switch_n5_elliptic():
-    sig = signature(switched(E5, 1, "tt"))
+    sig = graph_signature(switched(E5, 1, "tt"))
     assert sig.two_rank == 8
     assert sig.min_weight == 8
     # v^S induces the 4-regular support; three companion minimum words with
@@ -75,11 +76,11 @@ def test_signature_double_switch_n5_elliptic():
 def test_signature_invariant_under_relabelling():
     rng = random.Random(11)
     for g in (build_gamma(H5), switched(E5, 1, "t")):
-        sig = signature(g)
+        sig = graph_signature(g)
         for _ in range(10):
             perm = list(range(g.v))
             rng.shuffle(perm)
-            assert signature(relabel(g, perm)) == sig
+            assert graph_signature(relabel(g, perm)) == sig
 
 
 # --- exact isomorphism ------------------------------------------------------------
@@ -102,7 +103,7 @@ def test_self_isomorphic():
 def test_every_family_member_self_isomorphic():
     for n in (5, 7):
         for kind in (ELLIPTIC, HYPERBOLIC):
-            for m in build_family(n, kind):
+            for m in build_family(n, kind).members:
                 assert are_isomorphic(m.graph, m.graph), (n, kind, m.name)
 
 
@@ -143,7 +144,9 @@ def test_relabel_rejects_non_permutation():
 
 
 def test_family_n5_elliptic():
-    rep = classify_family(5, ELLIPTIC)
+    family = build_family(5, ELLIPTIC)
+    rep = classify_family(family)
+    assert rep.members is family.members  # classified as built, not rebuilt
     assert rep.distinct_count == 3
     assert len(rep.members) == 3
     assert all(p.distinct for p in rep.pairs)
@@ -156,7 +159,7 @@ def test_family_n5_elliptic():
 
 
 def test_family_n5_hyperbolic_flags_claim():
-    rep = classify_family(5, HYPERBOLIC)
+    rep = classify_family(build_family(5, HYPERBOLIC))
     assert rep.distinct_count == 2
     assert rep.computed_switched == 1
     assert rep.claimed_switched == 3  # published n-2; the enumerated family is smaller
@@ -164,7 +167,7 @@ def test_family_n5_hyperbolic_flags_claim():
 
 
 def test_family_n7_elliptic():
-    rep = classify_family(7, ELLIPTIC)
+    rep = classify_family(build_family(7, ELLIPTIC))
     assert rep.distinct_count == 5
     assert {m.name for m in rep.members} == {
         "gamma",
@@ -181,7 +184,7 @@ def test_family_n7_elliptic():
 
 
 def test_family_n7_hyperbolic():
-    rep = classify_family(7, HYPERBOLIC)
+    rep = classify_family(build_family(7, HYPERBOLIC))
     assert rep.distinct_count == 4
     assert rep.computed_switched == 3
     assert rep.claimed_switched == 5
@@ -191,15 +194,15 @@ def test_family_n7_hyperbolic():
 
 def test_family_rejects_out_of_range():
     with pytest.raises(GeometryError):
-        classify_family(6, ELLIPTIC)
+        build_family(6, ELLIPTIC)
     with pytest.raises(GeometryError):
-        classify_family(11, ELLIPTIC)
+        build_family(11, ELLIPTIC)
 
 
 def test_family_members_share_parameters():
     from quadswitch.srg import verify_srg
 
-    members = build_family(5, ELLIPTIC)
+    members = build_family(5, ELLIPTIC).members
     params = {verify_srg(m.graph).basic() for m in members}
     assert params == {(36, 20, 10, 12)}
 

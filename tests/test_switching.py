@@ -12,7 +12,7 @@ from quadswitch.gf2geom import (
     span,
     whole_space,
 )
-from quadswitch.srg import build_gamma, verify_srg
+from quadswitch.srg import Graph, build_gamma, verify_srg
 from quadswitch.switching import (
     NotSwitchingSet,
     SearchExhausted,
@@ -20,13 +20,13 @@ from quadswitch.switching import (
     SwitchingError,
     T_formula,
     build_S,
+    build_switch,
     expected_T_size,
-    find_external_line,
     find_second_tangent_space,
     find_singular_subspace,
     find_tangent_space,
     gm_switch,
-    iter_configs,
+    iter_flags,
     legal_t_range,
     make_config,
     validate_switching_set,
@@ -182,22 +182,23 @@ def test_build_S_sizes():
 
 
 def test_config_validation_rejects_bad_configs():
+    # a SwitchConfig checks itself on construction
     cfg = make_config(E5, 1, "t")
     not_singular = span(5, [1, 2])  # generic line, not inside the quadric
     with pytest.raises(SwitchingError):
-        SwitchConfig(E5, 1, not_singular, cfg.pi).validate()
+        SwitchConfig(E5, 1, not_singular, cfg.pi)
     with pytest.raises(SwitchingError):
-        SwitchConfig(E5, 1, cfg.alpha, whole_space(5)).validate()
+        SwitchConfig(E5, 1, cfg.alpha, whole_space(5))
     with pytest.raises(SwitchingError):
-        SwitchConfig(E5, 2, cfg.alpha, cfg.pi).validate()
+        SwitchConfig(E5, 2, cfg.alpha, cfg.pi)
     with pytest.raises(SwitchingError):
-        SwitchConfig(E5, 1, cfg.alpha, cfg.pi, cfg.pi).validate()
+        SwitchConfig(E5, 1, cfg.alpha, cfg.pi, cfg.pi)
     good = make_config(E5, 1, "tt")
-    good.validate()
+    assert SwitchConfig(E5, 1, good.alpha, good.pi, good.pi2) == good
     # hyperbolic double construction is out of range at n=5
     cfg_h = make_config(H5, 1, "t")
     with pytest.raises(SwitchingError):
-        SwitchConfig(H5, 1, cfg_h.alpha, cfg_h.pi, cfg_h.pi).validate()
+        SwitchConfig(H5, 1, cfg_h.alpha, cfg_h.pi, cfg_h.pi)
 
 
 def test_make_config_bounds():
@@ -209,11 +210,13 @@ def test_make_config_bounds():
 
 
 def test_make_config_choice_indexes_flags():
-    flags = list(iter_configs(E5, 1, "t"))
+    flags = list(iter_flags(E5, 1, "t"))
     assert len(flags) > 1
-    assert make_config(E5, 1, "t", choice=1) == flags[1]
+    assert make_config(E5, 1, "t", choice=1) == SwitchConfig(E5, 1, *flags[1])
     with pytest.raises(SearchExhausted):
         make_config(E5, 1, "t", choice=len(flags))
+    with pytest.raises(SwitchingError):
+        make_config(E5, 1, "t", choice=-1)
 
 
 # --- validation of switching sets ------------------------------------------------------
@@ -355,42 +358,35 @@ def test_S_inside_alpha_perp_off_quadric():
             assert not form.contains(labels[i])
 
 
-# --- external line searches -------------------------------------------------------------
+# --- the Switch record against the reference path ---------------------------------------
 
 
-def test_external_line_avoiding_alpha_perp():
-    cfg = make_config(E5, 1, "t")
-    ap = perp(E5, cfg.alpha)
-    line = find_external_line(E5, ap)
-    assert len(set(line)) == 3 and line[0] ^ line[1] == line[2]
-    for p in line:
-        assert not E5.contains(p) and not ap.contains(p)
-    # lex-least: no smaller qualifying line exists
-    for cand in all_lines(5):
-        if cand >= tuple(sorted(line)):
-            break
-        assert any(E5.contains(p) or ap.contains(p) for p in cand)
+@pytest.mark.parametrize("n,kind,t,variant", list(legal_cases()))
+def test_switch_record_matches_reference_path(n, kind, t, variant):
+    form = canonical_form(n, kind)
+    g = build_gamma(form)
+    cfg = make_config(form, t, variant)
+    sw = build_switch(g, cfg)
+    s = build_S(cfg)
+    assert sw.config == cfg
+    assert sw.s == s
+    assert sw.certificate == validate_switching_set(g, s)
+    assert sw.graph == gm_switch(g, s)
+    assert sw.t_set == T_formula(cfg)
 
 
-def test_external_line_tangent_at_point():
-    cfg = make_config(E5, 1, "t")
-    ap = perp(E5, cfg.alpha)
-    labels = nonquadric_points(E5)
-    x = labels[min(build_S(cfg))]
-    line = find_external_line(E5, ap, through=x)
-    assert x in line
-    for p in line:
-        assert not E5.contains(p)
-        if p != x:
-            assert not ap.contains(p)
-
-
-def test_external_line_avoid_everything_fails():
-    with pytest.raises(SearchExhausted):
-        find_external_line(E5, whole_space(5))
-
-
-def test_external_line_rejects_quadric_anchor():
-    cfg = make_config(E5, 1, "t")
-    with pytest.raises(SwitchingError):
-        find_external_line(E5, perp(E5, cfg.alpha), through=min(quadric_points(E5)))
+@pytest.mark.parametrize("kind,variant", [(ELLIPTIC, "t"), (ELLIPTIC, "tt"), (HYPERBOLIC, "t")])
+def test_switch_record_rejects_flipped_edge(kind, variant):
+    # corrupt gamma by one S x T edge (both directions): S is no longer a switching set
+    form = canonical_form(5, kind)
+    g = build_gamma(form)
+    cfg = make_config(form, 1, variant)
+    sw = build_switch(g, cfg)
+    i, j = min(sw.s), min(sw.t_set)
+    rows = list(g.rows)
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
+    with pytest.raises(NotSwitchingSet) as exc:
+        build_switch(Graph(g.labels, tuple(rows)), cfg)
+    # the T-end of the flipped edge now sees half of S plus or minus one
+    assert exc.value.witness[0] == j
