@@ -19,7 +19,15 @@ from .gf2geom import (
     quadric_size,
     span,
 )
-from .srg import Graph, NotStronglyRegular, SrgParams, build_gamma, expected_params, verify_srg
+from .srg import (
+    Graph,
+    NotStronglyRegular,
+    SrgParams,
+    build_gamma,
+    expected_params,
+    verify_srg,
+    verify_srg_near,
+)
 from .switching import (
     NotSwitchingSet,
     SearchExhausted,

@@ -7,6 +7,8 @@ groups, each group offset by 63 into printable ASCII.
 
 from __future__ import annotations
 
+import binascii
+
 from .srg import Graph
 
 
@@ -35,24 +37,43 @@ def _decode_size(data: bytes) -> tuple[int, int]:
     return v, 4
 
 
+# graph6 packs bits 6 to a character as base64 does, with chr(63 + value) in
+# place of the base64 alphabet, so binascii does the packing in C
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_ALPHABET = bytes(range(63, 127))
+_TO_GRAPH6 = bytes.maketrans(_BASE64, _ALPHABET)
+_TO_BASE64 = bytes.maketrans(_ALPHABET, _BASE64)
+# Bits per base64 call: a multiple of 24 (4 characters), so every call but
+# the last ends on a whole group, and small enough that the bit string of a
+# graph with thousands of vertices never exists at once.
+_CHUNK_BITS = 24 * 1366
+
+
+def _pack(bits: str) -> bytes:
+    """graph6 characters of a '0'/'1' string whose length is a multiple of 24."""
+    raw = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    return binascii.b2a_base64(raw, newline=False).translate(_TO_GRAPH6)
+
+
 def encode(g: Graph) -> bytes:
     """graph6 bytes of the adjacency structure (labels are not encoded)."""
     v = g.v
-    out = bytearray(_encode_size(v))
-    group = 0
-    nbits = 0
+    out = [_encode_size(v)]
+    pending: list[str] = []
+    held = 0
     for j in range(1, v):
-        col = g.rows[j]
-        for i in range(j):
-            group = (group << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(group + 63)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append((group << (6 - nbits)) + 63)
-    return bytes(out)
+        # column j: x_0j, x_1j, ..., x_(j-1)j
+        pending.append(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1])
+        held += j
+        if held >= _CHUNK_BITS:
+            bits = "".join(pending)
+            cut = held - held % 24
+            out.append(_pack(bits[:cut]))
+            pending = [bits[cut:]]
+            held -= cut
+    if held:
+        out.append(_pack("".join(pending) + "0" * (-held % 24))[: (held + 5) // 6])
+    return b"".join(out)
 
 
 def decode(data: bytes, labels=None) -> Graph:
@@ -63,19 +84,18 @@ def decode(data: bytes, labels=None) -> Graph:
     body = data[pos:]
     if len(body) != need:
         raise Graph6Error(f"body has {len(body)} groups, expected {need}")
-    for ch in body:
-        if not 63 <= ch <= 126:
-            raise Graph6Error(f"byte {ch} outside the graph6 alphabet")
-    rows = [0] * v
-    bitpos = 0
-    for j in range(1, v):
-        for i in range(j):
-            ch = body[bitpos // 6] - 63
-            bit = (ch >> (5 - bitpos % 6)) & 1
-            bitpos += 1
-            if bit:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    stray = body.translate(None, _ALPHABET)
+    if stray:
+        raise Graph6Error(f"byte {stray[0]} outside the graph6 alphabet")
+    raw = binascii.a2b_base64(body.translate(_TO_BASE64) + b"A" * (-len(body) % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    # column j (x_0j .. x_(j-1)j) starts at bit j(j-1)/2
+    starts = [j * (j - 1) // 2 for j in range(v)]
+    rows = []
+    for i in range(v):
+        above = "".join(bits[starts[j] + i] for j in range(v - 1, i, -1))
+        below = bits[starts[i] : starts[i] + i][::-1]
+        rows.append(int(above + "0" + below, 2))
     if labels is None:
         labels = tuple(range(1, v + 1))
     else:

@@ -5,6 +5,19 @@ adjacent iff the line joining them is external (all three of x, y, x+y off
 the quadric).  Adjacency rows are bit-packed ints, so common-neighbour
 counts are popcounts of row ANDs and the whole strong-regularity identity
 A^2 = kI + lam*A + mu*(J - I - A) is checked exactly over the integers.
+
+Rows are built whole: with N the mask of the points off the quadric (bit p
+for point p), the neighbours of x are N & (N translated by x), where the
+translation moves bit p to bit p^x by one block swap per set bit of x; the
+label bits of that point-indexed row are then gathered into vertex order.
+
+verify_srg checks all v(v-1)/2 pairs and is the reference.  A graph that
+differs from an already verified one only in the rows and columns of a small
+vertex set, such as a Godsil-McKay switch at S, is checked by
+verify_srg_near: the rows of that set in full, and the pairs of all other
+rows through the exact identity for how their common-neighbour counts move,
+once per pair of classes of vertices that meet the set alike.  It reaches
+the same decision as verify_srg.
 """
 
 from __future__ import annotations
@@ -12,6 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .gf2geom import PARABOLIC, GeometryError, QuadraticForm, nonquadric_points
 
@@ -73,6 +87,19 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({i},{j})")
 
 
+def _translate(mask: int, x: int, halves: list[int]) -> int:
+    """Move bit p of a point-indexed mask to bit p^x: one block swap per set
+    bit b of x, exchanging the 2^b-wide blocks that differ in coordinate b."""
+    b = 0
+    while x:
+        if x & 1:
+            width, low = 1 << b, halves[b]
+            mask = ((mask & low) << width) | ((mask >> width) & low)
+        x >>= 1
+        b += 1
+    return mask
+
+
 def build_gamma(form: QuadraticForm) -> Graph:
     """Graph on the non-quadric points, adjacency = joining line is external."""
     if form.kind == PARABOLIC or form.n % 2 == 0 or form.n < 5:
@@ -80,16 +107,20 @@ def build_gamma(form: QuadraticForm) -> Graph:
             "the external-line graph needs an elliptic or hyperbolic quadric with odd n >= 5"
         )
     labels = nonquadric_points(form)
-    index = {p: i for i, p in enumerate(labels)}
-    zeros = form.zero_mask
-    v = len(labels)
-    rows = [0] * v
-    for i in range(v):
-        x = labels[i]
-        for j in range(i + 1, v):
-            if not (zeros >> (x ^ labels[j])) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    size = 1 << (form.n + 1)  # bit positions 0 .. 2^(n+1)-1, one per vector
+    ones = (1 << size) - 1
+    # halves[b]: the positions whose coordinate b is 0
+    halves = [ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(form.n + 1)]
+    off = ones & ~form.zero_mask & ~1  # N: the points off the quadric
+    # format(row, spec)[size - 1 - p] is bit p, so this picks the label bits of
+    # a point-indexed row, highest vertex first: a vertex-indexed row in binary
+    gather = itemgetter(*[size - 1 - p for p in reversed(labels)])
+    spec = f"0{size}b"
+    rows = [
+        # y is a neighbour of x iff y and x^y are both off the quadric
+        int("".join(gather(format(off & _translate(off, x, halves), spec))), 2)
+        for x in labels
+    ]
     return Graph(tuple(labels), tuple(rows))
 
 
@@ -180,6 +211,81 @@ def verify_srg(g: Graph) -> SrgParams:
         if 1 + f + gg != v or k + f * r + gg * s != 0:
             raise NotStronglyRegular("spectral multiplicities are inconsistent")
     return SrgParams(v, k, lam, mu, r, s, f, gg)
+
+
+def _wrong_count(rows, i: int, j: int, lam: int, mu: int):
+    """The error for a pair i < j whose common-neighbour count is not lam/mu.
+    Adjacency is read from the lower-indexed row, as verify_srg reads it."""
+    common = (rows[i] & rows[j]).bit_count()
+    if (rows[i] >> j) & 1:
+        what, want = "adjacent", lam
+    else:
+        what, want = "non-adjacent", mu
+    return NotStronglyRegular(
+        f"{what} pair ({i},{j}) has {common} common neighbours, expected {want}",
+        witness=(i, j),
+    )
+
+
+def verify_srg_near(g: Graph, base: Graph, base_params: SrgParams, changed) -> SrgParams:
+    """Exact check that g is strongly regular with base_params, where base is a
+    graph that verify_srg accepted with those parameters and g differs from it
+    mainly in the rows of the vertex set `changed` (for a switch: its S).
+
+    Rows of `changed` are checked in full.  A row outside `changed` that
+    differs from base off the changed columns is added to `changed` first, so
+    every other row i equals base there, and for i, j outside `changed`
+
+        |r'_i & r'_j| = |r_i & r_j| - |p_i & p_j| + |p'_i & p'_j|
+
+    where r, r' are the rows in base and g and p, p' those rows restricted
+    to `changed`; likewise deg'(i) = deg(i) - |p_i| + |p'_i|.  So g keeps the
+    counts of base exactly when |p_i| = |p'_i| and |p_i & p_j| = |p'_i & p'_j|,
+    which is checked once per class of vertices sharing (p, p') and once per
+    pair of classes.  This is the same decision as verify_srg(g) ==
+    base_params.  Raises NotStronglyRegular with a vertex or pair whose count
+    is wrong in g.
+    """
+    v = g.v
+    if v != base.v or v != base_params.v:
+        raise NotStronglyRegular(f"{v} vertices, but the base graph has {base.v}")
+    k, lam, mu = base_params.k, base_params.lam, base_params.mu
+    rows, base_rows = g.rows, base.rows
+    cmask = 0
+    for i in changed:
+        cmask |= 1 << i
+    rest = ~cmask
+    for i in range(v):
+        if (rows[i] ^ base_rows[i]) & rest:
+            cmask |= 1 << i
+
+    full = {i for i in range(v) if (cmask >> i) & 1}
+    for i in sorted(full):
+        ri = rows[i]
+        if ri.bit_count() != k:
+            raise NotStronglyRegular(f"deg({i}) = {ri.bit_count()}, expected {k}", witness=i)
+        for j in range(i):
+            if j not in full and (ri & rows[j]).bit_count() != (lam if (rows[j] >> i) & 1 else mu):
+                raise _wrong_count(rows, j, i, lam, mu)
+        for j in range(i + 1, v):
+            if (ri & rows[j]).bit_count() != (lam if (ri >> j) & 1 else mu):
+                raise _wrong_count(rows, i, j, lam, mu)
+
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i in range(v):
+        if i not in full:
+            classes.setdefault((base_rows[i] & cmask, rows[i] & cmask), []).append(i)
+    keyed = list(classes.items())
+    for a, ((p, q), members) in enumerate(keyed):
+        if p.bit_count() != q.bit_count():
+            i = members[0]
+            raise NotStronglyRegular(f"deg({i}) = {rows[i].bit_count()}, expected {k}", witness=i)
+        # a class meets itself only through two distinct members
+        for (pb, qb), others in keyed[a if len(members) > 1 else a + 1 :]:
+            if (p & pb).bit_count() != (q & qb).bit_count():
+                i, j = sorted((members[0], others[-1]))
+                raise _wrong_count(rows, i, j, lam, mu)
+    return base_params
 
 
 def expected_params(n: int, kind: str) -> SrgParams:

@@ -94,23 +94,36 @@ def _coset_off_quadric(form: QuadraticForm, x: int, space_vectors: list[int]) ->
     return all(not (zeros >> (x ^ s)) & 1 for s in space_vectors)
 
 
-def iter_tangent_spaces(form: QuadraticForm, alpha: Subspace) -> Iterator[Subspace]:
-    """(t+1)-spaces through alpha meeting the quadric in exactly alpha, lex order.
+def _perp_off_quadric(form: QuadraticForm, alpha: Subspace) -> list[int]:
+    """The points of alpha-perp off the quadric, where every extension point lies."""
+    return [x for x in perp(form, alpha).points() if not form.contains(x)]
 
-    Any such space lies in alpha-perp, so only extension points there are tried.
-    """
+
+def _extensions(
+    form: QuadraticForm, alpha: Subspace, candidates: list[int], space: Subspace
+) -> Iterator[Subspace]:
+    """The spaces <alpha, x>, one per coset x + alpha, for the candidates x
+    whose whole coset x + <space> avoids the quadric, in candidate order.
+    That coset holds alpha when x lies in `space`, so such x are skipped too."""
     avec = [0] + alpha.points()
+    svec = [0] + space.points()
     seen: set[frozenset[int]] = set()
-    for x in perp(form, alpha).points():
-        if form.contains(x):
-            continue
-        if not _coset_off_quadric(form, x, avec):
+    for x in candidates:
+        if not _coset_off_quadric(form, x, svec):
             continue
         coset = frozenset(x ^ a for a in avec)
         if coset in seen:
             continue
         seen.add(coset)
         yield span(form.n, list(alpha.basis) + [x])
+
+
+def iter_tangent_spaces(form: QuadraticForm, alpha: Subspace) -> Iterator[Subspace]:
+    """(t+1)-spaces through alpha meeting the quadric in exactly alpha, lex order.
+
+    Any such space lies in alpha-perp, so only extension points there are tried.
+    """
+    yield from _extensions(form, alpha, _perp_off_quadric(form, alpha), alpha)
 
 
 def find_tangent_space(form: QuadraticForm, alpha: Subspace, index: int = 0) -> Subspace:
@@ -132,19 +145,7 @@ def iter_second_tangent_spaces(
     points of Pi' \\ alpha are non-orthogonal to points of Pi \\ alpha), and
     the whole affine coset x + <Pi> must avoid the quadric.
     """
-    avec = [0] + alpha.points()
-    pivec = [0] + pi.points()
-    seen: set[frozenset[int]] = set()
-    for x in perp(form, alpha).points():
-        if form.contains(x) or pi.contains(x):
-            continue
-        if not _coset_off_quadric(form, x, pivec):
-            continue
-        coset = frozenset(x ^ a for a in avec)
-        if coset in seen:
-            continue
-        seen.add(coset)
-        yield span(form.n, list(alpha.basis) + [x])
+    yield from _extensions(form, alpha, _perp_off_quadric(form, alpha), pi)
 
 
 def find_second_tangent_space(
@@ -223,11 +224,12 @@ def iter_flags(
     """All switching flags (alpha, Pi, Pi' or None) for (t, variant) in nested
     lexicographic order.  Plain tuples, so flags skipped over cost no validation."""
     for alpha in iter_singular_subspaces(form, t):
-        for pi in iter_tangent_spaces(form, alpha):
+        candidates = _perp_off_quadric(form, alpha)  # shared by every Pi and Pi' under alpha
+        for pi in _extensions(form, alpha, candidates, alpha):
             if variant == "t":
                 yield alpha, pi, None
             else:
-                for pi2 in iter_second_tangent_spaces(form, alpha, pi):
+                for pi2 in _extensions(form, alpha, candidates, pi):
                     yield alpha, pi, pi2
 
 

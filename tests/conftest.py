@@ -1,7 +1,5 @@
 """Shared builders, cached so the acceptance suite reuses heavy objects."""
 
-import pytest
-
 from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.distinguish import signature
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form
@@ -47,8 +45,3 @@ def legal_cases(ns=(5, 7)):
             for variant in ("t", "tt"):
                 for t in legal_t_range(n, kind, variant):
                     yield n, kind, t, variant
-
-
-@pytest.fixture(scope="session")
-def builders():
-    return form, gamma, switch_case

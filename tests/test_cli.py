@@ -6,10 +6,11 @@ import random
 import networkx as nx
 import pytest
 
+from conftest import switch_case
 from quadswitch import graph6
 from quadswitch.cli import main
-from quadswitch.gf2geom import ELLIPTIC, canonical_form
-from quadswitch.srg import Graph, build_gamma
+from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form
+from quadswitch.srg import Graph, build_gamma, expected_params
 
 
 def run_cli(capsys, *argv):
@@ -155,9 +156,27 @@ def random_graph(rng, v, p):
     return Graph(tuple(range(1, v + 1)), tuple(rows))
 
 
+def bit_loop_encode(g):
+    """Oracle: graph6 one bit at a time, column-wise over the upper triangle."""
+    v = g.v
+    size = [v] if v <= 62 else [63, v >> 12, (v >> 6) & 63, v & 63]
+    out = bytearray(x + 63 for x in size)
+    group = nbits = 0
+    for j in range(1, v):
+        for i in range(j):
+            group = (group << 1) | ((g.rows[j] >> i) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(group + 63)
+                group = nbits = 0
+    if nbits:
+        out.append((group << (6 - nbits)) + 63)
+    return bytes(out)
+
+
 def test_graph6_matches_networkx_encoder():
     rng = random.Random(23)
-    for v in (1, 2, 5, 30, 63, 70):
+    for v in [*range(71), 258]:
         g = random_graph(rng, v, 0.35)
         nxg = nx.Graph()
         nxg.add_nodes_from(range(v))
@@ -165,7 +184,9 @@ def test_graph6_matches_networkx_encoder():
             for j in g.neighbors(i):
                 if j > i:
                     nxg.add_edge(i, j)
-        assert graph6.encode(g) == nx.to_graph6_bytes(nxg, header=False).strip()
+        data = graph6.encode(g)
+        assert data == nx.to_graph6_bytes(nxg, header=False).strip(), v
+        assert data == bit_loop_encode(g), v
 
 
 def test_graph6_round_trip_random():
@@ -176,8 +197,43 @@ def test_graph6_round_trip_random():
         assert graph6.decode(graph6.encode(g)).rows == g.rows
 
 
+def test_graph6_round_trip_gamma_n9():
+    g = build_gamma(canonical_form(9, ELLIPTIC))
+    assert graph6.decode(graph6.encode(g), g.labels) == g
+
+
+def test_graph6_round_trip_four_byte_size_prefix():
+    g = random_graph(random.Random(31), 100, 0.5)
+    data = graph6.encode(g)
+    assert data[0] == 126 and len(data) == 4 + (100 * 99 // 2 + 5) // 6
+    assert graph6.decode(data).rows == g.rows
+
+
 def test_graph6_rejects_garbage():
     with pytest.raises(graph6.Graph6Error):
         graph6.decode(b"")
     with pytest.raises(graph6.Graph6Error):
         graph6.decode(b"D")  # five vertices but no body groups
+    with pytest.raises(graph6.Graph6Error):
+        graph6.decode(b"~?")  # truncated four-byte size prefix
+    with pytest.raises(graph6.Graph6Error, match="alphabet"):
+        graph6.decode(b"D?\x7f")  # right length, byte 127 is not a graph6 character
+
+
+# --- a switched graph at n = 11 (v = 2016), end to end -------------------------------
+
+
+def test_switch_n11_verify_code_export(tmp_path, capsys):
+    target = tmp_path / "switched.g6"
+    code, out, _ = run_cli(
+        capsys, "switch", "--n", "11", "--kind", "hyperbolic", "--t", "1",
+        "--verify", "--code", "--export-graph", str(target),
+    )
+    assert code == 0
+    rep = json.loads(out)
+    p = expected_params(11, HYPERBOLIC)
+    assert rep["srg"] == {
+        "v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu, "r": p.r, "s": p.s, "f": p.f, "g": p.g,
+    }
+    assert rep["code"]["dimension"] == 14
+    assert graph6.read_files(str(target)) == switch_case(11, HYPERBOLIC, 1, "t").graph

@@ -1,8 +1,18 @@
 """Graph construction and exact strong-regularity verification."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, PARABOLIC, GeometryError, canonical_form
+from conftest import gamma, legal_cases, switch_case
+from quadswitch.gf2geom import (
+    ELLIPTIC,
+    HYPERBOLIC,
+    PARABOLIC,
+    GeometryError,
+    canonical_form,
+    nonquadric_points,
+)
 from quadswitch.srg import (
     Graph,
     NotStronglyRegular,
@@ -10,6 +20,7 @@ from quadswitch.srg import (
     build_gamma,
     expected_params,
     verify_srg,
+    verify_srg_near,
 )
 
 
@@ -146,3 +157,186 @@ def test_expected_params_rejects_bad_requests():
         expected_params(6, ELLIPTIC)
     with pytest.raises(GeometryError):
         expected_params(5, PARABOLIC)
+
+
+# --- gamma rows by translation against the pairwise definition -----------------------
+
+
+def pairwise_gamma(form):
+    """Oracle: x ~ y iff x^y is off the quadric, one pair at a time."""
+    labels = nonquadric_points(form)
+    zeros = form.zero_mask
+    rows = [0] * len(labels)
+    for i, x in enumerate(labels):
+        for j in range(i + 1, len(labels)):
+            if not (zeros >> (x ^ labels[j])) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(tuple(labels), tuple(rows))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_build_gamma_matches_pairwise_definition(n, kind):
+    form = canonical_form(n, kind)
+    assert build_gamma(form) == pairwise_gamma(form)
+
+
+# --- the incremental check of a switched graph against verify_srg --------------------
+
+
+def flip(g, i, j):
+    """g with the pair {i, j} toggled between edge and non-edge."""
+    rows = list(g.rows)
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
+    return Graph(g.labels, tuple(rows))
+
+
+def assert_real_witness(g, params, exc):
+    """The witness of a rejection is a vertex or pair whose count is wrong in g."""
+    w = exc.witness
+    if isinstance(w, int):
+        assert g.degree(w) != params.k
+    else:
+        i, j = w
+        want = params.lam if g.adjacent(i, j) else params.mu
+        assert common_neighbours_oracle(g, i, j) != want
+
+
+def near_outcome(g, base, params, changed):
+    """verify_srg_near's answer, params or None; a rejection must carry a real witness."""
+    try:
+        return verify_srg_near(g, base, params, changed)
+    except NotStronglyRegular as exc:
+        assert_real_witness(g, params, exc)
+        return None
+
+
+def reference_outcome(g, params):
+    """What verify_srg decides, in verify_srg_near's terms: params or None."""
+    try:
+        got = verify_srg(g)
+    except NotStronglyRegular:
+        return None
+    return params if got == params else None
+
+
+@pytest.mark.parametrize(
+    "n,kind,t,variant", list(legal_cases((5, 7))) + list(legal_cases((9,)))
+)
+def test_verify_srg_near_matches_verify_srg(n, kind, t, variant):
+    base = gamma(n, kind)
+    sw = switch_case(n, kind, t, variant)
+    params = verify_srg(base)
+    assert verify_srg_near(sw.graph, base, params, sw.s) == verify_srg(sw.graph) == params
+
+
+def test_verify_srg_near_exact_whatever_the_changed_set():
+    # `changed` only steers the work: rows outside it that differ join it
+    base = gamma(7, ELLIPTIC)
+    sw = switch_case(7, ELLIPTIC, 1, "tt")
+    params = verify_srg(base)
+    for changed in (sw.s, sw.t_set, (), range(base.v), sw.s | {0, 5}):
+        assert verify_srg_near(sw.graph, base, params, changed) == params
+    assert verify_srg_near(base, base, params, ()) == params
+
+
+@pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "tt"), (7, HYPERBOLIC, 2, "t")])
+@pytest.mark.parametrize("where", ["s_x_t", "outside_s", "inside_s"])
+def test_both_checks_reject_a_flipped_edge(n, kind, t, variant, where):
+    base = gamma(n, kind)
+    sw = switch_case(n, kind, t, variant)
+    params = verify_srg(base)
+    s = sorted(sw.s)
+    if where == "s_x_t":
+        i, j = s[0], min(sw.t_set)
+    elif where == "outside_s":  # breaks the precondition that g equals base off S
+        outside = [x for x in range(base.v) if x not in sw.s]
+        i, j = outside[0], outside[-1]
+    else:
+        i, j = s[0], s[1]
+    bad = flip(sw.graph, i, j)
+    with pytest.raises(NotStronglyRegular):
+        verify_srg(bad)
+    with pytest.raises(NotStronglyRegular) as exc:
+        verify_srg_near(bad, base, params, sw.s)
+    assert_real_witness(bad, params, exc.value)
+
+
+def test_verify_srg_near_rejects_a_degree_preserving_swap_outside_s():
+    # a-b, c-d become a-c, b-d: every degree stays k, so only pair counts can tell
+    base = gamma(5, ELLIPTIC)
+    sw = switch_case(5, ELLIPTIC, 1, "t")
+    params = verify_srg(base)
+    g = sw.graph
+    outside = [x for x in range(g.v) if x not in sw.s]
+    a, b, c, d = next(
+        (a, b, c, d)
+        for a in outside
+        for b in g.neighbors(a)
+        for c in outside
+        for d in g.neighbors(c)
+        if len({a, b, c, d}) == 4
+        and b not in sw.s
+        and d not in sw.s
+        and not g.adjacent(a, c)
+        and not g.adjacent(b, d)
+    )
+    bad = flip(flip(flip(flip(g, a, b), c, d), a, c), b, d)
+    assert all(bad.degree(i) == params.k for i in range(bad.v))
+    assert near_outcome(bad, base, params, sw.s) is None
+    assert reference_outcome(bad, params) is None
+
+
+def test_verify_srg_near_agrees_on_one_sided_edits_through_s():
+    # row x alone trades a neighbour in S for a non-neighbour in S: rows of S
+    # and every degree stay as they were, so only the pair counts of vertices
+    # outside S (the per-class check) can tell
+    base = gamma(5, ELLIPTIC)
+    sw = switch_case(5, ELLIPTIC, 1, "tt")
+    params = verify_srg(base)
+    g = sw.graph
+    for x in range(g.v):
+        if x in sw.s:
+            continue
+        for s1 in sw.s:
+            for s2 in sw.s:
+                if g.adjacent(x, s1) and not g.adjacent(x, s2):
+                    rows = list(g.rows)
+                    rows[x] ^= (1 << s1) | (1 << s2)
+                    bad = Graph(g.labels, tuple(rows))
+                    assert near_outcome(bad, base, params, sw.s) == reference_outcome(bad, params)
+
+
+def test_verify_srg_near_checks_pairs_below_a_changed_row():
+    # the last vertex trades a neighbour for a non-neighbour in its own row
+    # only: every partner of it has a lower index and lies outside `changed`
+    base = gamma(5, HYPERBOLIC)
+    params = verify_srg(base)
+    last = base.v - 1
+    y = base.neighbors(last)[0]
+    y2 = next(j for j in range(last) if not base.adjacent(last, j))
+    rows = list(base.rows)
+    rows[last] ^= (1 << y) | (1 << y2)
+    bad = Graph(base.labels, tuple(rows))
+    assert near_outcome(bad, base, params, {last}) is None
+    assert reference_outcome(bad, params) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 35), st.integers(0, 35))
+def test_random_flipped_edge_is_rejected_by_both(i, j):
+    assume(i != j)
+    base = gamma(5, ELLIPTIC)
+    sw = switch_case(5, ELLIPTIC, 1, "tt")
+    params = verify_srg(base)
+    bad = flip(sw.graph, i, j)
+    assert near_outcome(bad, base, params, sw.s) is None
+    assert reference_outcome(bad, params) is None
+
+
+def test_verify_srg_near_rejects_a_vertex_count_mismatch():
+    base = gamma(5, ELLIPTIC)
+    with pytest.raises(NotStronglyRegular):
+        verify_srg_near(gamma(5, HYPERBOLIC), base, verify_srg(base), ())
