@@ -388,7 +388,15 @@ def main(argv=None) -> int:
             if _unwritable(path):
                 raise OSError(f"{flag}: cannot create {path!r}: no such directory, or a directory itself")
         report.update(args.fn(args, runner))
-    except (GeometryError, switching.SwitchingError, codes.CodeError, NotStronglyRegular, OSError) as exc:
+    except (
+        GeometryError,
+        switching.SwitchingError,
+        codes.CodeError,
+        NotStronglyRegular,
+        distinguish.IsomorphismBudgetExceeded,
+        distinguish.IsomorphismTooLarge,
+        OSError,
+    ) as exc:
         report["error"] = str(exc)
         report["checks"] = runner.checks
         emit()

@@ -3,13 +3,22 @@
 The primary separator is a code-based signature: 2-rank, minimum weight,
 and the multiset of (weight, induced degree sequence on the support) over
 the minimum-weight codewords.  All three survive vertex relabelling, so
-differing signatures certify non-isomorphism.  A colour-refinement /
-individualization backtracking tester gives exact yes/no answers on small
-graphs as an independent cross-check.
+differing signatures certify non-isomorphism.
+
+The exact tester `are_isomorphic` is an independent cross-check.  It first
+compares the pair profiles of the two graphs: for every vertex pair x, y,
+its adjacency and the sorted numbers |N(x) & N(y) & N(z)| over all z.
+Godsil-McKay switches keep v, k, lambda, mu and the spectrum, so colour
+refinement cannot tell them apart, but the profile (a multiset of triple
+intersection numbers) does, and a differing profile certifies
+non-isomorphism with no search.  Only when the profiles are equal does a
+colour-refinement / individualization backtracking search run, and every
+"yes" it gives comes from an explicit mapping.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,10 +28,15 @@ from .srg import Graph, build_gamma
 from .switching import Switch, build_switch, legal_t_range, make_config
 
 DEFAULT_NODE_BUDGET = 10_000_000
+MAX_EXACT_VERTICES = 600
 
 
 class IsomorphismBudgetExceeded(RuntimeError):
     """Backtracking gave up before reaching a decision (never a wrong answer)."""
+
+
+class IsomorphismTooLarge(ValueError):
+    """The graphs exceed the vertex cap of the exact tester; nothing was decided."""
 
 
 @dataclass(frozen=True)
@@ -158,15 +172,34 @@ class _IsoSearch:
         return True
 
 
+def _pair_profile(g: Graph) -> Counter:
+    """Multiset over vertex pairs x < y of (A_xy, sorted |r_x & r_y & r_z| over all z).
+
+    Relabelling permutes the pairs and, within a pair, the z, so the multiset
+    is an isomorphism invariant; it costs v^3/2 popcounts.
+    """
+    rows = g.rows
+    profile: Counter = Counter()
+    for x, rx in enumerate(rows):
+        for y in range(x + 1, g.v):
+            common = rx & rows[y]
+            counts = tuple(sorted(map(int.bit_count, map(common.__and__, rows))))
+            profile[(rx >> y) & 1, counts] += 1
+    return profile
+
+
 def are_isomorphic(g1: Graph, g2: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Exact isomorphism decision by refinement + individualization."""
-    if max(g1.v, g2.v) > 600:
-        raise ValueError("exact testing is capped at 600 vertices")
+    """Exact isomorphism decision: pair profiles first, then refinement +
+    individualization when the profiles agree."""
+    if max(g1.v, g2.v) > MAX_EXACT_VERTICES:
+        raise IsomorphismTooLarge(f"exact testing is capped at {MAX_EXACT_VERTICES} vertices")
     if g1.v != g2.v:
         return False
     if g1.edge_count() != g2.edge_count():
         return False
     if sorted(r.bit_count() for r in g1.rows) != sorted(r.bit_count() for r in g2.rows):
+        return False
+    if _pair_profile(g1) != _pair_profile(g2):
         return False
     return _IsoSearch(g1, g2, budget).run()
 

@@ -53,30 +53,29 @@ def iter_singular_subspaces(form: QuadraticForm, t: int) -> Iterator[Subspace]:
 
     A subspace lies in the quadric iff its basis points are singular and
     pairwise orthogonal under the polarization, so the search extends
-    increasing chains of such points, backtracking when stuck.
+    increasing chains of such points, backtracking when stuck.  A chain is
+    extended by q only when q is the least point of its coset q + <chain>,
+    i.e. q holds none of the chain's top bits.  The chains are then exactly
+    the reduced echelon bases in increasing order, so each space is reached
+    once, through its lexicographically first chain.
     """
     if t < 0:
         raise SwitchingError(f"t must be >= 0, got {t}")
     qpts = [p for p in range(1, 1 << (form.n + 1)) if form.contains(p)]
-    seen: set[Subspace] = set()
 
-    def extend(chain: list[int], spanned: set[int]) -> Iterator[Subspace]:
+    def extend(chain: list[int], pivots: int) -> Iterator[Subspace]:
         if len(chain) == t + 1:
-            sub = span(form.n, chain)
-            if sub not in seen:
-                seen.add(sub)
-                yield sub
+            yield span(form.n, chain)
             return
         floor = chain[-1] if chain else 0
         for q in qpts:
-            if q <= floor or q in spanned:
+            if q <= floor or q & pivots:
                 continue
             if any(bilinear(form, q, c) for c in chain):
                 continue
-            new_span = spanned | {q ^ s for s in spanned} | {q}
-            yield from extend(chain + [q], new_span)
+            yield from extend(chain + [q], pivots | (1 << (q.bit_length() - 1)))
 
-    yield from extend([], set())
+    yield from extend([], 0)
 
 
 def find_singular_subspace(form: QuadraticForm, t: int, index: int = 0) -> Subspace:

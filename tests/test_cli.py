@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from conftest import switch_case
-from quadswitch import graph6
+from quadswitch import distinguish, graph6
 from quadswitch.cli import main
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form
 from quadswitch.srg import Graph, build_gamma, expected_params
@@ -105,6 +105,24 @@ def test_negative_seed_choice_is_a_json_error(capsys):
     assert code == 1
     assert "flag choice" in json.loads(out)["error"]
     assert "flag choice" in err
+
+
+@pytest.mark.parametrize("failure", ["budget", "cap"])
+def test_undecided_isomorphism_is_a_json_error(monkeypatch, capsys, failure):
+    real = distinguish.are_isomorphic
+    big = Graph(tuple(range(1, 602)), (0,) * 601)
+
+    def undecided(a, b):
+        if failure == "budget":
+            return real(a, a, budget=1)  # a self-match needs more than one node
+        return real(big, big)
+
+    monkeypatch.setattr(distinguish, "are_isomorphic", undecided)
+    code, out, err = run_cli(capsys, "classify-family", "--n", "5", "--kind", "elliptic")
+    assert code == 1
+    message = "1 search nodes" if failure == "budget" else "capped at 600 vertices"
+    assert message in json.loads(out)["error"]
+    assert message in err
 
 
 def test_export_graph_into_missing_directory_is_a_json_error(tmp_path, capsys):

@@ -4,9 +4,12 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadswitch.distinguish import (
     IsomorphismBudgetExceeded,
+    _pair_profile,
     are_isomorphic,
     build_family,
     classify_family,
@@ -128,10 +131,83 @@ def test_agrees_with_networkx_on_random_graphs():
 
 
 def test_budget_exhaustion_raises():
+    # an isomorphic pair has equal pair profiles, so it always reaches the
+    # search, which needs 108 nodes for this relabelling
     g1 = switched(E5, 1, "t")
-    g2 = switched(E5, 1, "tt")
+    perm = list(range(g1.v))
+    random.Random(1).shuffle(perm)
     with pytest.raises(IsomorphismBudgetExceeded):
-        are_isomorphic(g1, g2, budget=1)
+        are_isomorphic(g1, relabel(g1, perm), budget=1)
+    # the non-isomorphic pair is settled by the pair profile before any node
+    assert are_isomorphic(g1, switched(E5, 1, "tt"), budget=1) is False
+
+
+# --- the pair profile -------------------------------------------------------------
+
+
+def family_pairs(n):
+    for kind in (ELLIPTIC, HYPERBOLIC):
+        members = build_family(n, kind).members
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                yield kind, a, b
+
+
+def test_pair_profile_settles_n5_family_pairs_without_search():
+    # budget=0 raises at the first search node, so False means no search ran
+    pairs = list(family_pairs(5))
+    assert len(pairs) == 4
+    for kind, a, b in pairs:
+        assert are_isomorphic(a.graph, b.graph, budget=0) is False, (kind, a.name, b.name)
+
+
+def test_pair_profile_settles_n7_family_pairs_without_search():
+    pairs = list(family_pairs(7))
+    assert len(pairs) == 16
+    for kind, a, b in pairs:
+        assert are_isomorphic(a.graph, b.graph, budget=0) is False, (kind, a.name, b.name)
+
+
+def z4_cayley_graph(connection):
+    """Cayley graph on Z4 x Z4 for a connection set closed under negation."""
+    elems = [(a, b) for a in range(4) for b in range(4)]
+    rows = [0] * 16
+    for i, (a, b) in enumerate(elems):
+        for j, (c, d) in enumerate(elems):
+            if ((c - a) % 4, (d - b) % 4) in connection:
+                rows[i] |= 1 << j
+    return Graph(tuple(range(1, 17)), tuple(rows))
+
+
+def test_equal_profiles_fall_back_to_the_search():
+    # the 4x4 rook's graph and the Shrikhande graph are both SRG(16, 6, 2, 2)
+    # with equal pair profiles; only the search can tell them apart
+    rook = z4_cayley_graph({(1, 0), (3, 0), (2, 0), (0, 1), (0, 3), (0, 2)})
+    shrikhande = z4_cayley_graph({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+    assert _pair_profile(rook) == _pair_profile(shrikhande)
+    with pytest.raises(IsomorphismBudgetExceeded):
+        are_isomorphic(rook, shrikhande, budget=0)
+    assert are_isomorphic(rook, shrikhande) is False
+    assert not nx.is_isomorphic(to_nx(rook), to_nx(shrikhande))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.randoms(use_true_random=False))
+def test_pair_profile_invariant_under_relabelling(v, rng):
+    g = random_graph(rng, v, rng.random())
+    perm = list(range(v))
+    rng.shuffle(perm)
+    assert _pair_profile(relabel(g, perm)) == _pair_profile(g)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_pair_profile_invariant_on_n5_family(rng):
+    for kind in (ELLIPTIC, HYPERBOLIC):
+        for m in build_family(5, kind).members:
+            perm = list(range(m.graph.v))
+            rng.shuffle(perm)
+            assert _pair_profile(relabel(m.graph, perm)) == _pair_profile(m.graph), m.name
 
 
 def test_relabel_rejects_non_permutation():

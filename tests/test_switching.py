@@ -1,10 +1,13 @@
 """Switching-set construction, validation, the switch, and the T-sets."""
 
+from itertools import islice
+
 import pytest
 
 from quadswitch.gf2geom import (
     ELLIPTIC,
     HYPERBOLIC,
+    bilinear,
     canonical_form,
     nonquadric_points,
     perp,
@@ -27,6 +30,7 @@ from quadswitch.switching import (
     find_tangent_space,
     gm_switch,
     iter_flags,
+    iter_singular_subspaces,
     legal_t_range,
     make_config,
     validate_switching_set,
@@ -105,6 +109,70 @@ def test_singular_search_is_deterministic():
 def test_singular_search_rejects_negative_t():
     with pytest.raises(SwitchingError):
         find_singular_subspace(E5, -1)
+
+
+def reference_singular_subspaces(form, t):
+    """The earlier search: every increasing chain of pairwise orthogonal
+    singular points, each span yielded the first time it is reached."""
+    qpts = [p for p in range(1, 1 << (form.n + 1)) if form.contains(p)]
+    seen = set()
+
+    def extend(chain, spanned):
+        if len(chain) == t + 1:
+            sub = span(form.n, chain)
+            if sub not in seen:
+                seen.add(sub)
+                yield sub
+            return
+        floor = chain[-1] if chain else 0
+        for q in qpts:
+            if q <= floor or q in spanned:
+                continue
+            if any(bilinear(form, q, c) for c in chain):
+                continue
+            yield from extend(chain + [q], spanned | {q ^ s for s in spanned} | {q})
+
+    yield from extend([], set())
+
+
+def polar_rank(n, kind):
+    """(r, e): the rank of the polar space and the e of its count formula."""
+    return ((n + 1) // 2, 0) if kind == HYPERBOLIC else ((n - 1) // 2, 2)
+
+
+def singular_space_count(n, kind, t):
+    """[r, t+1]_2 * prod_{i=0}^{t} (2^(r-i-1+e) + 1), zero when t >= r."""
+    r, e = polar_rank(n, kind)
+    if t + 1 > r:
+        return 0
+    count = 1
+    for i in range(t + 1):
+        count = count * ((1 << (r - i)) - 1) // ((1 << (i + 1)) - 1)
+        count *= (1 << (r - i - 1 + e)) + 1
+    return count
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_singular_space_counts_match_closed_form(n, kind):
+    r, _ = polar_rank(n, kind)
+    for t in range(r + 1):
+        spaces = list(iter_singular_subspaces(canonical_form(n, kind), t))
+        assert len(spaces) == singular_space_count(n, kind, t), (n, kind, t)
+        assert len(set(spaces)) == len(spaces)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_singular_search_matches_reference_order(n, kind):
+    form = canonical_form(n, kind)
+    r, _ = polar_rank(n, kind)
+    for t in range(r):
+        # the reference regenerates each space once per chain, which takes
+        # seconds from t = 2 at n = 7, so only a prefix is compared there
+        limit = None if n == 5 or t <= 1 else 100
+        want = list(islice(reference_singular_subspaces(form, t), limit))
+        assert list(islice(iter_singular_subspaces(form, t), limit)) == want, (n, kind, t)
 
 
 # --- tangent space search ----------------------------------------------------------
