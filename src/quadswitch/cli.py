@@ -130,7 +130,7 @@ def cmd_switch(args, runner: _Runner) -> dict:
     report = {"switching": _switch_report(sw)}
     runner.check("t_formula_equals_half_class", sw.t_set == sw.certificate.half_class)
     if args.verify:
-        base = verify_srg(gamma)
+        base = runner.time("verify_srg_base", lambda: verify_srg(gamma))
         swp = runner.time("verify_srg", lambda: verify_srg_near(sw.graph, gamma, base, sw.s))
         report["srg"] = _params_dict(swp)
         runner.check("switched_srg_parameters_unchanged", swp == base)
@@ -399,6 +399,7 @@ def main(argv=None) -> int:
     ) as exc:
         report["error"] = str(exc)
         report["checks"] = runner.checks
+        report["timings"] = runner.timings
         emit()
         print(f"error: {exc}", file=sys.stderr)
         return 1

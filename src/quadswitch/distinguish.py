@@ -190,9 +190,12 @@ def _pair_profile(g: Graph) -> Counter:
 
 def are_isomorphic(g1: Graph, g2: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Exact isomorphism decision: pair profiles first, then refinement +
-    individualization when the profiles agree."""
+    individualization when the profiles agree.  Graphs with equal rows are
+    isomorphic through the identity, with no profile or search."""
     if max(g1.v, g2.v) > MAX_EXACT_VERTICES:
         raise IsomorphismTooLarge(f"exact testing is capped at {MAX_EXACT_VERTICES} vertices")
+    if g1.rows == g2.rows:
+        return True
     if g1.v != g2.v:
         return False
     if g1.edge_count() != g2.edge_count():

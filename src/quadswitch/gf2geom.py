@@ -202,13 +202,23 @@ def bilinear(form: QuadraticForm, x: int, y: int) -> int:
     return form.evaluate(x ^ y) ^ form.evaluate(x) ^ form.evaluate(y)
 
 
-def _gram_apply(form: QuadraticForm, y: int) -> int:
-    """Constraint mask m with bit i = B(e_i, y); then B(x,y) = parity(x & m)."""
+def polar_vector(form: QuadraticForm, y: int) -> int:
+    """The vector m with bit i = B(e_i, y), so that B(x,y) = parity(x & m)."""
     m = 0
     for i, g in enumerate(form.gram):
         if (g & y).bit_count() & 1:
             m |= 1 << i
     return m
+
+
+def coordinate_masks(n: int) -> tuple[int, ...]:
+    """Point-indexed masks over F_2^{n+1}, bit p standing for the vector p.
+
+    Entry b has the bits of the vectors whose coordinate b is 0; shifted up
+    by 2^b it has those whose coordinate b is 1.
+    """
+    ones = (1 << (1 << (n + 1))) - 1
+    return tuple(ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n + 1))
 
 
 # --- subspaces ---------------------------------------------------------------
@@ -319,7 +329,7 @@ def perp(form: QuadraticForm, u: Subspace) -> Subspace:
         raise GeometryError("parabolic forms induce a degenerate polarity; no perp")
     if u.n != form.n:
         raise GeometryError("subspace and form live in different spaces")
-    constraints = [_gram_apply(form, b) for b in u.basis]
+    constraints = [polar_vector(form, b) for b in u.basis]
     return Subspace(form.n, kernel(constraints, form.n + 1))
 
 

@@ -27,7 +27,13 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .gf2geom import PARABOLIC, GeometryError, QuadraticForm, nonquadric_points
+from .gf2geom import (
+    PARABOLIC,
+    GeometryError,
+    QuadraticForm,
+    coordinate_masks,
+    nonquadric_points,
+)
 
 
 class NotStronglyRegular(ValueError):
@@ -87,7 +93,7 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({i},{j})")
 
 
-def _translate(mask: int, x: int, halves: list[int]) -> int:
+def _translate(mask: int, x: int, halves: tuple[int, ...]) -> int:
     """Move bit p of a point-indexed mask to bit p^x: one block swap per set
     bit b of x, exchanging the 2^b-wide blocks that differ in coordinate b."""
     b = 0
@@ -108,10 +114,8 @@ def build_gamma(form: QuadraticForm) -> Graph:
         )
     labels = nonquadric_points(form)
     size = 1 << (form.n + 1)  # bit positions 0 .. 2^(n+1)-1, one per vector
-    ones = (1 << size) - 1
-    # halves[b]: the positions whose coordinate b is 0
-    halves = [ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(form.n + 1)]
-    off = ones & ~form.zero_mask & ~1  # N: the points off the quadric
+    halves = coordinate_masks(form.n)
+    off = ((1 << size) - 1) & ~form.zero_mask & ~1  # N: the points off the quadric
     # format(row, spec)[size - 1 - p] is bit p, so this picks the label bits of
     # a point-indexed row, highest vertex first: a vertex-indexed row in binary
     gather = itemgetter(*[size - 1 - p for p in reversed(labels)])

@@ -9,6 +9,23 @@ polarity (the T-sets), which is checked against brute-force counting.
 All searches are deterministic: candidates are scanned in increasing point
 order, so the "first" flag is reproducible, and an index argument exposes
 the k-th flag in the same order.
+
+The flag searches work on point masks, ints in which bit p stands for the
+point p.  They rest on two identities of Q(x+y) = Q(x) + Q(y) + B(x,y):
+
+* For x in alpha-perp and a in alpha, Q(x+a) = Q(x).  So each coset
+  x + alpha with x in alpha-perp off the quadric avoids the quadric, and
+  the tangent spaces Pi through alpha are the spaces <alpha, y>, one per
+  pivot-free candidate y: a point of alpha-perp off the quadric holding
+  none of alpha's pivot bits, which is the least point of its coset.
+* For x, y in alpha-perp off the quadric and a in alpha, Q(x+y+a) = B(x,y).
+  So <alpha, x> is a valid Pi' for Pi = <alpha, y> exactly when x is a
+  pivot-free candidate with B(x,y) = 1.
+
+The singular t-spaces are walked as chains carrying two masks, alpha-perp
+(an AND of hyperplanes) and the pivot-free points, so the flags under one
+alpha are counted by one popcount (or one per Pi for the two-space
+construction), and make_config skips them without building anything.
 """
 
 from __future__ import annotations
@@ -21,9 +38,10 @@ from .gf2geom import (
     HYPERBOLIC,
     QuadraticForm,
     Subspace,
-    bilinear,
+    coordinate_masks,
     nonquadric_points,
     perp,
+    polar_vector,
     span,
 )
 from .srg import Graph
@@ -48,6 +66,105 @@ class NotSwitchingSet(SwitchingError):
 # --- deterministic searches for (alpha, Pi, Pi') flags ------------------------
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bit positions of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _PointMasks:
+    """Point masks (bit p for point p) of one form, made per search."""
+
+    def __init__(self, form: QuadraticForm):
+        self.form = form
+        self.halves = coordinate_masks(form.n)
+        self.ones = (1 << (1 << (form.n + 1))) - 1
+        self.off = self.ones & ~form.zero_mask & ~1  # the points off the quadric
+        self._nonorth: dict[int, int] = {}
+
+    def nonorth(self, y: int) -> int:
+        """The points x with B(x, y) = 1: odd parity against y's polar vector."""
+        mask = self._nonorth.get(y)
+        if mask is None:
+            m, mask = polar_vector(self.form, y), 0
+            for b, half in enumerate(self.halves):
+                if m >> b & 1:
+                    mask ^= half << (1 << b)  # the vectors whose coordinate b is 1
+            self._nonorth[y] = mask
+        return mask
+
+    def candidates(self, alpha: Subspace) -> int:
+        """The pivot-free points of alpha-perp off the quadric."""
+        perp, free = self.ones, self.ones
+        for b in alpha.basis:  # reduced echelon: the pivots are the top bits
+            perp &= ~self.nonorth(b)
+            free &= self.halves[b.bit_length() - 1]
+        return self.off & perp & free
+
+    def singular_chains(self, t: int) -> Iterator[tuple[list[int], int]]:
+        """(chain, candidates) for each singular t-space in lexicographic order:
+        its basis as an increasing chain, and the pivot-free points of its
+        perp off the quadric."""
+        if t < 0:
+            raise SwitchingError(f"t must be >= 0, got {t}")
+        zeros, halves, off = self.form.zero_mask, self.halves, self.off
+
+        def extend(chain: list[int], perp: int, free: int):
+            above = -(2 << chain[-1]) if chain else -2  # the points past the last one
+            for q in _bits(zeros & perp & free & above):
+                q_perp, q_free = perp & ~self.nonorth(q), free & halves[q.bit_length() - 1]
+                if len(chain) == t:
+                    yield chain + [q], off & q_perp & q_free
+                else:
+                    yield from extend(chain + [q], q_perp, q_free)
+
+        return extend([], self.ones, self.ones)
+
+    def flag_groups(self, t: int, variant: str) -> Iterator[tuple[list[int], Optional[int], int]]:
+        """(chain, y, points) in flag order: the Pi points under each singular
+        space (y None), or for tt the Pi' points of each Pi = <alpha, y>."""
+        for chain, cand in self.singular_chains(t):
+            if variant == "t":
+                yield chain, None, cand
+            else:
+                for y in _bits(cand):
+                    yield chain, y, cand & self.nonorth(y)
+
+
+def _check_singular(form: QuadraticForm, alpha: Subspace) -> None:
+    if alpha.n != form.n:
+        raise SwitchingError("alpha and the form live in different spaces")
+    if not all(form.contains(p) for p in alpha.points()):
+        raise SwitchingError("alpha is not contained in the quadric")
+
+
+def _check_tangent(form: QuadraticForm, alpha: Subspace, sub: Subspace, name: str) -> None:
+    if sub.n != form.n or sub.projective_dim != alpha.projective_dim + 1:
+        raise SwitchingError(f"{name} has the wrong dimension")
+    if not alpha.is_subspace_of(sub):
+        raise SwitchingError(f"{name} does not contain alpha")
+    on_q = [p for p in sub.points() if form.contains(p)]
+    if sorted(on_q) != alpha.points():
+        raise SwitchingError(f"{name} meets the quadric beyond alpha")
+
+
+def _extend(alpha: Subspace, x: int) -> Subspace:
+    """The space <alpha, x>."""
+    return span(alpha.n, [*alpha.basis, x])
+
+
+def _flag(
+    n: int, chain: list[int], y: Optional[int], x: int
+) -> tuple[Subspace, Subspace, Optional[Subspace]]:
+    """The flag (alpha, Pi, Pi' or None) that point x of a flag group picks."""
+    alpha = Subspace(n, tuple(reversed(chain)))
+    if y is None:
+        return alpha, _extend(alpha, x), None
+    return alpha, _extend(alpha, y), _extend(alpha, x)
+
+
 def iter_singular_subspaces(form: QuadraticForm, t: int) -> Iterator[Subspace]:
     """Projective t-spaces inside the quadric, in lexicographic order.
 
@@ -59,23 +176,8 @@ def iter_singular_subspaces(form: QuadraticForm, t: int) -> Iterator[Subspace]:
     the reduced echelon bases in increasing order, so each space is reached
     once, through its lexicographically first chain.
     """
-    if t < 0:
-        raise SwitchingError(f"t must be >= 0, got {t}")
-    qpts = [p for p in range(1, 1 << (form.n + 1)) if form.contains(p)]
-
-    def extend(chain: list[int], pivots: int) -> Iterator[Subspace]:
-        if len(chain) == t + 1:
-            yield span(form.n, chain)
-            return
-        floor = chain[-1] if chain else 0
-        for q in qpts:
-            if q <= floor or q & pivots:
-                continue
-            if any(bilinear(form, q, c) for c in chain):
-                continue
-            yield from extend(chain + [q], pivots | (1 << (q.bit_length() - 1)))
-
-    yield from extend([], 0)
+    chains = _PointMasks(form).singular_chains(t)
+    return (Subspace(form.n, tuple(reversed(chain))) for chain, _ in chains)
 
 
 def find_singular_subspace(form: QuadraticForm, t: int, index: int = 0) -> Subspace:
@@ -88,41 +190,14 @@ def find_singular_subspace(form: QuadraticForm, t: int, index: int = 0) -> Subsp
     return sub
 
 
-def _coset_off_quadric(form: QuadraticForm, x: int, space_vectors: list[int]) -> bool:
-    zeros = form.zero_mask
-    return all(not (zeros >> (x ^ s)) & 1 for s in space_vectors)
-
-
-def _perp_off_quadric(form: QuadraticForm, alpha: Subspace) -> list[int]:
-    """The points of alpha-perp off the quadric, where every extension point lies."""
-    return [x for x in perp(form, alpha).points() if not form.contains(x)]
-
-
-def _extensions(
-    form: QuadraticForm, alpha: Subspace, candidates: list[int], space: Subspace
-) -> Iterator[Subspace]:
-    """The spaces <alpha, x>, one per coset x + alpha, for the candidates x
-    whose whole coset x + <space> avoids the quadric, in candidate order.
-    That coset holds alpha when x lies in `space`, so such x are skipped too."""
-    avec = [0] + alpha.points()
-    svec = [0] + space.points()
-    seen: set[frozenset[int]] = set()
-    for x in candidates:
-        if not _coset_off_quadric(form, x, svec):
-            continue
-        coset = frozenset(x ^ a for a in avec)
-        if coset in seen:
-            continue
-        seen.add(coset)
-        yield span(form.n, list(alpha.basis) + [x])
-
-
 def iter_tangent_spaces(form: QuadraticForm, alpha: Subspace) -> Iterator[Subspace]:
     """(t+1)-spaces through alpha meeting the quadric in exactly alpha, lex order.
 
-    Any such space lies in alpha-perp, so only extension points there are tried.
+    They are the spaces <alpha, y> for the pivot-free points y of alpha-perp
+    off the quadric, one per coset y + alpha, in the order of y.
     """
-    yield from _extensions(form, alpha, _perp_off_quadric(form, alpha), alpha)
+    _check_singular(form, alpha)
+    return (_extend(alpha, y) for y in _bits(_PointMasks(form).candidates(alpha)))
 
 
 def find_tangent_space(form: QuadraticForm, alpha: Subspace, index: int = 0) -> Subspace:
@@ -140,11 +215,14 @@ def iter_second_tangent_spaces(
 ) -> Iterator[Subspace]:
     """Partners Pi' of Pi: span(Pi, Pi') still meets the quadric in exactly alpha.
 
-    Valid extension points again lie in alpha-perp (never in Pi-perp, since
-    points of Pi' \\ alpha are non-orthogonal to points of Pi \\ alpha), and
-    the whole affine coset x + <Pi> must avoid the quadric.
+    With Pi = <alpha, y>, they are the spaces <alpha, x> for the pivot-free
+    points x of alpha-perp off the quadric with B(x, y) = 1, in the order of x.
     """
-    yield from _extensions(form, alpha, _perp_off_quadric(form, alpha), pi)
+    _check_singular(form, alpha)
+    _check_tangent(form, alpha, pi, "pi")
+    y = next(p for p in pi.points() if not alpha.contains(p))
+    masks = _PointMasks(form)
+    return (_extend(alpha, x) for x in _bits(masks.candidates(alpha) & masks.nonorth(y)))
 
 
 def find_second_tangent_space(
@@ -179,11 +257,10 @@ class SwitchConfig:
             raise SwitchingError(f"t={t} outside the legal range of variant {self.variant} for n={n}")
         if self.alpha.projective_dim != t:
             raise SwitchingError("alpha has the wrong dimension")
-        if not all(form.contains(p) for p in self.alpha.points()):
-            raise SwitchingError("alpha is not contained in the quadric")
-        self._check_tangent(self.pi, "pi")
+        _check_singular(form, self.alpha)
+        _check_tangent(form, self.alpha, self.pi, "pi")
         if self.pi2 is not None:
-            self._check_tangent(self.pi2, "pi2")
+            _check_tangent(form, self.alpha, self.pi2, "pi2")
             if self.pi2 == self.pi:
                 raise SwitchingError("pi2 must differ from pi")
             joint = span(form.n, list(self.pi.basis) + list(self.pi2.basis))
@@ -192,15 +269,6 @@ class SwitchConfig:
             on_q = [p for p in joint.points() if form.contains(p)]
             if sorted(on_q) != self.alpha.points():
                 raise SwitchingError("span(pi, pi2) meets the quadric beyond alpha")
-
-    def _check_tangent(self, sub: Subspace, name: str) -> None:
-        if sub.projective_dim != self.t + 1:
-            raise SwitchingError(f"{name} has the wrong dimension")
-        if not self.alpha.is_subspace_of(sub):
-            raise SwitchingError(f"{name} does not contain alpha")
-        on_q = [p for p in sub.points() if self.form.contains(p)]
-        if sorted(on_q) != self.alpha.points():
-            raise SwitchingError(f"{name} meets the quadric beyond alpha")
 
     @property
     def variant(self) -> str:
@@ -222,18 +290,18 @@ def iter_flags(
 ) -> Iterator[tuple[Subspace, Subspace, Optional[Subspace]]]:
     """All switching flags (alpha, Pi, Pi' or None) for (t, variant) in nested
     lexicographic order.  Plain tuples, so flags skipped over cost no validation."""
-    for alpha in iter_singular_subspaces(form, t):
-        candidates = _perp_off_quadric(form, alpha)  # shared by every Pi and Pi' under alpha
-        for pi in _extensions(form, alpha, candidates, alpha):
-            if variant == "t":
-                yield alpha, pi, None
-            else:
-                for pi2 in _extensions(form, alpha, candidates, pi):
-                    yield alpha, pi, pi2
+    for chain, y, points in _PointMasks(form).flag_groups(t, variant):
+        for x in _bits(points):
+            yield _flag(form.n, chain, y, x)
 
 
 def make_config(form: QuadraticForm, t: int, variant: str, choice: int = 0) -> SwitchConfig:
-    """The choice-th switching flag, after checking the existence bounds."""
+    """The choice-th switching flag, after checking the existence bounds.
+
+    The walk counts the flags under each singular space (one popcount per
+    alpha, or per Pi for variant tt) and skips them whole; subspaces are
+    made only for the chosen flag.
+    """
     if t not in legal_t_range(form.n, form.kind, "t"):
         raise SearchExhausted(
             f"no flag: t={t} outside the existence range 0 < t <= (n-3)/2 for n={form.n}"
@@ -245,10 +313,14 @@ def make_config(form: QuadraticForm, t: int, variant: str, choice: int = 0) -> S
         )
     if choice < 0:
         raise SwitchingError(f"the flag choice must be >= 0, got {choice}")
-    flag = next(islice(iter_flags(form, t, variant), choice, None), None)
-    if flag is None:
-        raise SearchExhausted(f"fewer than {choice + 1} flags exist for t={t}, variant {variant}")
-    return SwitchConfig(form, t, *flag)
+    left = choice
+    for chain, y, points in _PointMasks(form).flag_groups(t, variant):
+        count = points.bit_count()
+        if left < count:
+            x = next(islice(_bits(points), left, None))
+            return SwitchConfig(form, t, *_flag(form.n, chain, y, x))
+        left -= count
+    raise SearchExhausted(f"fewer than {choice + 1} flags exist for t={t}, variant {variant}")
 
 
 # --- switching sets and the switch ---------------------------------------------

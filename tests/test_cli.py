@@ -98,6 +98,29 @@ def test_out_flag_writes_report(tmp_path, capsys):
     assert target.read_text().strip() == out.strip()
 
 
+def test_switch_verify_times_the_base_check(capsys):
+    code, out, _ = run_cli(
+        capsys, "switch", "--n", "5", "--kind", "elliptic", "--t", "1", "--verify",
+    )
+    assert code == 0
+    assert {"build_gamma", "find_flag", "verify_srg_base", "verify_srg"} <= set(
+        json.loads(out)["timings"]
+    )
+
+
+def test_error_report_keeps_timings(capsys):
+    # one past the last of the 64260 flags: gamma is built, then the search runs out
+    code, out, _ = run_cli(
+        capsys, "switch", "--n", "7", "--kind", "elliptic", "--t", "1", "--variant", "tt",
+        "--seed-choice", "64260",
+    )
+    assert code == 1
+    rep = json.loads(out)
+    assert "fewer than 64261 flags" in rep["error"]
+    assert rep["checks"] == {}
+    assert "build_gamma" in rep["timings"]
+
+
 def test_negative_seed_choice_is_a_json_error(capsys):
     code, out, err = run_cli(
         capsys, "switch", "--n", "5", "--kind", "elliptic", "--t", "1", "--seed-choice", "-1",
@@ -114,7 +137,11 @@ def test_undecided_isomorphism_is_a_json_error(monkeypatch, capsys, failure):
 
     def undecided(a, b):
         if failure == "budget":
-            return real(a, a, budget=1)  # a self-match needs more than one node
+            # a relabelled copy has the profile of a, so it reaches the search,
+            # and a match needs more than one node
+            perm = list(range(a.v))
+            random.Random(1).shuffle(perm)
+            return real(a, distinguish.relabel(a, perm), budget=1)
         return real(big, big)
 
     monkeypatch.setattr(distinguish, "are_isomorphic", undecided)

@@ -104,10 +104,18 @@ def test_self_isomorphic():
 
 
 def test_every_family_member_self_isomorphic():
+    # equal rows are answered by the identity; a relabelled copy of each
+    # n = 5 member keeps a "yes" that has to come from the search covered
+    rng = random.Random(13)
     for n in (5, 7):
         for kind in (ELLIPTIC, HYPERBOLIC):
             for m in build_family(n, kind).members:
                 assert are_isomorphic(m.graph, m.graph), (n, kind, m.name)
+                if n == 5:
+                    for _ in range(2):
+                        perm = list(range(m.graph.v))
+                        rng.shuffle(perm)
+                        assert are_isomorphic(m.graph, relabel(m.graph, perm)), (kind, m.name)
 
 
 def test_switched_graphs_not_isomorphic_n5():

@@ -1,8 +1,11 @@
 """Switching-set construction, validation, the switch, and the T-sets."""
 
+from functools import lru_cache
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadswitch.gf2geom import (
     ELLIPTIC,
@@ -30,7 +33,9 @@ from quadswitch.switching import (
     find_tangent_space,
     gm_switch,
     iter_flags,
+    iter_second_tangent_spaces,
     iter_singular_subspaces,
+    iter_tangent_spaces,
     legal_t_range,
     make_config,
     validate_switching_set,
@@ -135,6 +140,27 @@ def reference_singular_subspaces(form, t):
     yield from extend([], set())
 
 
+def greedy_singular_subspaces(form, t):
+    """The point-by-point walk that the mask walk replaced: increasing chains
+    of pairwise orthogonal singular points, each holding none of the chain's
+    top bits."""
+    qpts = [p for p in range(1, 1 << (form.n + 1)) if form.contains(p)]
+
+    def extend(chain, pivots):
+        if len(chain) == t + 1:
+            yield span(form.n, chain)
+            return
+        floor = chain[-1] if chain else 0
+        for q in qpts:
+            if q <= floor or q & pivots:
+                continue
+            if any(bilinear(form, q, c) for c in chain):
+                continue
+            yield from extend(chain + [q], pivots | (1 << (q.bit_length() - 1)))
+
+    yield from extend([], 0)
+
+
 def polar_rank(n, kind):
     """(r, e): the rank of the polar space and the e of its count formula."""
     return ((n + 1) // 2, 0) if kind == HYPERBOLIC else ((n - 1) // 2, 2)
@@ -173,6 +199,16 @@ def test_singular_search_matches_reference_order(n, kind):
         limit = None if n == 5 or t <= 1 else 100
         want = list(islice(reference_singular_subspaces(form, t), limit))
         assert list(islice(iter_singular_subspaces(form, t), limit)) == want, (n, kind, t)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_singular_search_matches_greedy_walk(n, kind):
+    form = canonical_form(n, kind)
+    r, _ = polar_rank(n, kind)
+    for t in range(r):
+        want = list(greedy_singular_subspaces(form, t))
+        assert list(iter_singular_subspaces(form, t)) == want, (n, kind, t)
 
 
 # --- tangent space search ----------------------------------------------------------
@@ -238,6 +274,159 @@ def test_second_tangent_space_n5_hyperbolic_not_found():
         find_second_tangent_space(H5, alpha, pi)
     # the unpruned oracle agrees that nothing exists
     assert brute_force_tangent_spaces(H5, alpha, pi) == []
+
+
+# --- the flag walk against the point-by-point walk it replaced ----------------------
+
+
+def reference_extensions(form, alpha, space):
+    """The spaces <alpha, x>, one per coset x + alpha, for the points x of
+    alpha-perp off the quadric whose whole coset x + <space> avoids the
+    quadric, in the order of x."""
+    zeros = form.zero_mask
+    candidates = [x for x in perp(form, alpha).points() if not form.contains(x)]
+    svec = [0] + space.points()
+    avec = [0] + alpha.points()
+    seen = set()
+    for x in candidates:
+        if not all(not (zeros >> (x ^ s)) & 1 for s in svec):
+            continue
+        coset = frozenset(x ^ a for a in avec)
+        if coset in seen:
+            continue
+        seen.add(coset)
+        yield span(form.n, list(alpha.basis) + [x])
+
+
+def reference_flags(form, t, variant, alphas=None):
+    """Every flag (alpha, Pi, Pi' or None) in the walk's nested order."""
+    for alpha in alphas if alphas is not None else greedy_singular_subspaces(form, t):
+        for pi in reference_extensions(form, alpha, alpha):
+            if variant == "t":
+                yield alpha, pi, None
+            else:
+                for pi2 in reference_extensions(form, alpha, pi):
+                    yield alpha, pi, pi2
+
+
+@lru_cache(maxsize=None)
+def reference_flag_prefix(n, kind, t, variant, limit=2000):
+    """The first `limit` reference flags: all of them when fewer exist."""
+    return tuple(islice(reference_flags(canonical_form(n, kind), t, variant), limit))
+
+
+def reference_last_flag(form, t, variant):
+    """The reference walk's last flag, from the last singular space that has one."""
+    for alpha in reversed(list(greedy_singular_subspaces(form, t))):
+        flags = list(reference_flags(form, t, variant, alphas=[alpha]))
+        if flags:
+            return flags[-1]
+    return None
+
+
+FLAG_COUNTS = {
+    (5, ELLIPTIC, 1, "t"): 135,
+    (5, ELLIPTIC, 1, "tt"): 270,
+    (5, HYPERBOLIC, 1, "t"): 105,
+    (7, ELLIPTIC, 1, "t"): 10710,
+    (7, ELLIPTIC, 2, "t"): 2295,
+    (7, ELLIPTIC, 1, "tt"): 64260,
+    (7, ELLIPTIC, 2, "tt"): 4590,
+    (7, HYPERBOLIC, 1, "t"): 9450,
+    (7, HYPERBOLIC, 2, "t"): 2025,
+    (7, HYPERBOLIC, 1, "tt"): 18900,
+}
+
+
+def test_flag_counts_cover_every_legal_case():
+    assert sorted(FLAG_COUNTS) == sorted(legal_cases())
+
+
+@pytest.mark.parametrize("n,kind,t,variant", list(legal_cases(ns=(5,))))
+def test_every_flag_matches_reference_n5(n, kind, t, variant):
+    form = canonical_form(n, kind)
+    flags = reference_flag_prefix(n, kind, t, variant)
+    assert len(flags) == FLAG_COUNTS[n, kind, t, variant]
+    assert list(iter_flags(form, t, variant)) == list(flags)
+    for k, flag in enumerate(flags):
+        assert make_config(form, t, variant, k) == SwitchConfig(form, t, *flag), k
+
+
+@pytest.mark.parametrize("n,kind,t,variant", list(legal_cases(ns=(7,))))
+def test_first_flags_match_reference_n7(n, kind, t, variant):
+    form = canonical_form(n, kind)
+    flags = reference_flag_prefix(n, kind, t, variant)
+    assert len(flags) == 2000
+    assert list(islice(iter_flags(form, t, variant), 2000)) == list(flags)
+    for k in list(range(0, 2000, 97)) + [1999]:
+        assert make_config(form, t, variant, k) == SwitchConfig(form, t, *flags[k]), k
+
+
+@pytest.mark.parametrize("n,kind,t,variant", list(FLAG_COUNTS))
+def test_flag_count_and_last_flag(n, kind, t, variant):
+    form = canonical_form(n, kind)
+    count = FLAG_COUNTS[n, kind, t, variant]
+    assert sum(1 for _ in iter_flags(form, t, variant)) == count
+    last = reference_last_flag(form, t, variant)
+    assert make_config(form, t, variant, count - 1) == SwitchConfig(form, t, *last)
+    with pytest.raises(SearchExhausted):
+        make_config(form, t, variant, count)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(list(legal_cases())), k=st.integers(0, 2100))
+def test_make_config_is_the_reference_kth_flag(case, k):
+    n, kind, t, variant = case
+    form = canonical_form(n, kind)
+    flags = reference_flag_prefix(n, kind, t, variant)
+    if k < len(flags):
+        assert make_config(form, t, variant, k) == SwitchConfig(form, t, *flags[k])
+    elif len(flags) < 2000:  # the prefix holds every flag, so k is past the end
+        with pytest.raises(SearchExhausted):
+            make_config(form, t, variant, k)
+
+
+@pytest.mark.parametrize(
+    "n,kind,t", [(5, ELLIPTIC, 1), (5, HYPERBOLIC, 1), (7, ELLIPTIC, 2), (7, HYPERBOLIC, 1)]
+)
+def test_tangent_iterators_match_reference(n, kind, t):
+    form = canonical_form(n, kind)
+    alphas = list(greedy_singular_subspaces(form, t))
+    if n == 7:
+        alphas = alphas[:3] + alphas[-3:]
+    for alpha in alphas:
+        pis = list(reference_extensions(form, alpha, alpha))
+        assert list(iter_tangent_spaces(form, alpha)) == pis
+        for pi in pis:
+            want = list(reference_extensions(form, alpha, pi))
+            assert list(iter_second_tangent_spaces(form, alpha, pi)) == want
+
+
+def test_tangent_iterators_check_their_inputs_first():
+    cfg = make_config(E5, 1, "tt")
+    alpha, pi = cfg.alpha, cfg.pi
+    not_singular = span(5, [1, 2])  # a line off the quadric
+    outside = next(p for p in sorted(quadric_points(E5)) if not alpha.contains(p))
+    other = next(a for a in iter_singular_subspaces(E5, 1) if a != alpha)
+    bad_pis = {
+        "meets the quadric beyond alpha": span(5, list(alpha.basis) + [outside]),
+        "does not contain alpha": find_tangent_space(E5, other),
+        "wrong dimension": whole_space(5),
+    }
+    # the calls raise before any space is asked for
+    with pytest.raises(SwitchingError, match="not contained in the quadric"):
+        iter_tangent_spaces(E5, not_singular)
+    with pytest.raises(SwitchingError, match="not contained in the quadric"):
+        iter_second_tangent_spaces(E5, not_singular, pi)
+    with pytest.raises(SwitchingError, match="not contained in the quadric"):
+        find_tangent_space(E5, not_singular)
+    with pytest.raises(SwitchingError, match="different spaces"):
+        iter_tangent_spaces(canonical_form(7, ELLIPTIC), alpha)
+    for message, bad in bad_pis.items():
+        with pytest.raises(SwitchingError, match=message):
+            iter_second_tangent_spaces(E5, alpha, bad)
+        with pytest.raises(SwitchingError, match=message):
+            find_second_tangent_space(E5, alpha, bad)
 
 
 # --- configurations and S ------------------------------------------------------------
