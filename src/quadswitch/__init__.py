@@ -24,6 +24,8 @@ from .srg import (
     NotStronglyRegular,
     SrgParams,
     build_gamma,
+    build_gamma_rows,
+    certify_gamma,
     expected_params,
     verify_srg,
     verify_srg_near,

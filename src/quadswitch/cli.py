@@ -29,8 +29,9 @@ from .srg import (
     NotStronglyRegular,
     SrgParams,
     build_gamma,
+    build_gamma_rows,
+    certify_gamma,
     expected_params,
-    verify_srg,
     verify_srg_near,
 )
 
@@ -83,14 +84,25 @@ def _code_report(graph) -> dict:
     }
 
 
-def _requested_switch(args, runner: _Runner):
-    """The base graph and the switch at the requested flag (and only that flag)."""
+def _base_graph(form, runner: _Runner, verify_timing):
+    """The quadric graph, and its parameters from certify_gamma timed as
+    verify_timing (None: no check, and None for the parameters).  The point
+    rows the certificate reads live only inside this call."""
+    if verify_timing is None:
+        return runner.time("build_gamma", lambda: build_gamma(form)), None
+    gamma, point_rows = runner.time("build_gamma", lambda: build_gamma_rows(form))
+    return gamma, runner.time(verify_timing, lambda: certify_gamma(form, gamma, point_rows))
+
+
+def _requested_switch(args, runner: _Runner, verify: bool = False):
+    """The base graph, its parameters when verify is set (else None), and the
+    switch at the requested flag (and only that flag)."""
     form = canonical_form(args.n, args.kind)
-    gamma = runner.time("build_gamma", lambda: build_gamma(form))
+    gamma, base = _base_graph(form, runner, "verify_srg_base" if verify else None)
     cfg = runner.time(
         "find_flag", lambda: switching.make_config(form, args.t, args.variant, args.seed_choice)
     )
-    return gamma, switching.build_switch(gamma, cfg)
+    return gamma, base, switching.build_switch(gamma, cfg)
 
 
 def _switch_report(sw: switching.Switch) -> dict:
@@ -113,10 +125,9 @@ def _switch_report(sw: switching.Switch) -> dict:
 
 def cmd_construct(args, runner: _Runner) -> dict:
     form = canonical_form(args.n, args.kind)
-    gamma = runner.time("build_gamma", lambda: build_gamma(form))
+    gamma, params = _base_graph(form, runner, "verify_srg" if args.verify else None)
     report: dict = {"graph": {"vertices": gamma.v, "edges": gamma.edge_count()}}
     if args.verify:
-        params = runner.time("verify_srg", lambda: verify_srg(gamma))
         report["srg"] = _params_dict(params)
         runner.check("srg_matches_expected", params == expected_params(args.n, args.kind))
     if args.export_graph:
@@ -126,11 +137,10 @@ def cmd_construct(args, runner: _Runner) -> dict:
 
 
 def cmd_switch(args, runner: _Runner) -> dict:
-    gamma, sw = _requested_switch(args, runner)
+    gamma, base, sw = _requested_switch(args, runner, args.verify)
     report = {"switching": _switch_report(sw)}
     runner.check("t_formula_equals_half_class", sw.t_set == sw.certificate.half_class)
     if args.verify:
-        base = runner.time("verify_srg_base", lambda: verify_srg(gamma))
         swp = runner.time("verify_srg", lambda: verify_srg_near(sw.graph, gamma, base, sw.s))
         report["srg"] = _params_dict(swp)
         runner.check("switched_srg_parameters_unchanged", swp == base)
@@ -146,7 +156,7 @@ def cmd_code(args, runner: _Runner) -> dict:
     if args.t is None:
         graph = runner.time("build_gamma", lambda: build_gamma(canonical_form(args.n, args.kind)))
     else:
-        graph = _requested_switch(args, runner)[1].graph
+        graph = _requested_switch(args, runner)[2].graph
     report = {"code": runner.time("code", lambda: _code_report(graph))}
     if args.t is None:
         expected = codes.expected_gamma_weight_distribution(args.n, args.kind)
@@ -216,11 +226,9 @@ def verify_all(n: int, runner: _Runner) -> dict:
     report["quadric_sizes"] = sizes
 
     report["srg"] = {}
-    base_params = {}
     for kind, family in families.items():
-        params = base_params[kind] = verify_srg(family.members[0].graph)
-        report["srg"][kind] = _params_dict(params)
-        runner.check(f"srg_{kind}", params == expected_params(n, kind))
+        report["srg"][kind] = _params_dict(family.params)
+        runner.check(f"srg_{kind}", family.params == expected_params(n, kind))
 
     if n == 5:
         lines = {}
@@ -250,8 +258,8 @@ def verify_all(n: int, runner: _Runner) -> dict:
                 f"t_size_{tag}",
                 len(sw.t_set) == switching.expected_T_size(n, kind, t, variant),
             )
-            switched = verify_srg_near(sw.graph, gamma.graph, base_params[kind], sw.s)
-            runner.check(f"switched_srg_{tag}", switched == base_params[kind])
+            switched = verify_srg_near(sw.graph, gamma.graph, family.params, sw.s)
+            runner.check(f"switched_srg_{tag}", switched == family.params)
 
             v_s = sum(1 << i for i in sw.s)
             v_t = sum(1 << i for i in sw.t_set)

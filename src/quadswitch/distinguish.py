@@ -24,7 +24,7 @@ from typing import Optional
 
 from .codes import BinaryCode, code_from_graph, min_weight_codewords, support
 from .gf2geom import GeometryError, QuadraticForm, canonical_form
-from .srg import Graph, build_gamma
+from .srg import Graph, SrgParams, build_gamma_rows, certify_gamma
 from .switching import Switch, build_switch, legal_t_range, make_config
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -230,6 +230,7 @@ class Family:
 
     form: QuadraticForm
     members: tuple[FamilyMember, ...]  # the unswitched graph first
+    params: SrgParams  # of the unswitched graph, from certify_gamma
 
 
 @dataclass(frozen=True)
@@ -273,17 +274,20 @@ def _member(name: str, t: int, variant: str, graph: Graph, switch: Optional[Swit
 
 
 def build_family(n: int, kind: str) -> Family:
-    """The unswitched graph plus every legal switch of both shapes, first flag each."""
+    """The unswitched graph, certified strongly regular, plus every legal
+    switch of both shapes, first flag each."""
     if n % 2 == 0 or not 5 <= n <= 9:
         raise GeometryError(f"families are classified for odd n in [5, 9], got {n}")
     form = canonical_form(n, kind)
-    gamma = build_gamma(form)
+    gamma, point_rows = build_gamma_rows(form)
+    params = certify_gamma(form, gamma, point_rows)
+    del point_rows  # only the certificate reads them; keep them out of the family's peak
     members = [_member("gamma", 0, "", gamma, None)]
     for variant in ("t", "tt"):
         for t in legal_t_range(n, kind, variant):
             sw = build_switch(gamma, make_config(form, t, variant))
             members.append(_member(f"gamma_{variant}{t}", t, variant, sw.graph, sw))
-    return Family(form, tuple(members))
+    return Family(form, tuple(members), params)
 
 
 def classify_family(family: Family, cross_check: Optional[bool] = None) -> FamilyReport:

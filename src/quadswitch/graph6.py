@@ -77,7 +77,8 @@ def encode(g: Graph) -> bytes:
 
 
 def decode(data: bytes, labels=None) -> Graph:
-    """Graph from graph6 bytes; labels default to 1..v."""
+    """Graph from graph6 bytes; labels default to 1..v and must be strictly
+    increasing, as Graph.index_of relies on."""
     data = data.strip()
     v, pos = _decode_size(data)
     need = (v * (v - 1) // 2 + 5) // 6
@@ -102,6 +103,8 @@ def decode(data: bytes, labels=None) -> Graph:
         labels = tuple(labels)
         if len(labels) != v:
             raise Graph6Error("label count does not match the vertex count")
+        if any(a >= b for a, b in zip(labels, labels[1:])):
+            raise Graph6Error("labels must be strictly increasing")
     return Graph(labels, tuple(rows))
 
 
@@ -116,12 +119,14 @@ def write_files(g: Graph, path: str) -> None:
 
 
 def read_files(path: str) -> Graph:
-    """Inverse of write_files."""
+    """Inverse of write_files; line i of the .labels file must be "i point"."""
     with open(path, "rb") as fh:
         data = fh.read()
     labels = []
     with open(path + ".labels", "r", encoding="ascii") as fh:
-        for line in fh:
-            _, p = line.split()
-            labels.append(int(p))
+        for i, line in enumerate(fh):
+            fields = line.split()
+            if len(fields) != 2 or fields[0] != str(i):
+                raise Graph6Error(f"{path}.labels line {i + 1} is not '{i} <point>': {line!r}")
+            labels.append(int(fields[1]))
     return decode(data, labels)

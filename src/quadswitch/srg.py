@@ -11,18 +11,43 @@ for point p), the neighbours of x are N & (N translated by x), where the
 translation moves bit p to bit p^x by one block swap per set bit of x; the
 label bits of that point-indexed row are then gathered into vertex order.
 
-verify_srg checks all v(v-1)/2 pairs and is the reference.  A graph that
-differs from an already verified one only in the rows and columns of a small
-vertex set, such as a Godsil-McKay switch at S, is checked by
-verify_srg_near: the rows of that set in full, and the pairs of all other
-rows through the exact identity for how their common-neighbour counts move,
-once per pair of classes of vertices that meet the set alike.  It reaches
-the same decision as verify_srg.
+verify_srg checks all v(v-1)/2 pairs and is the reference.  The quadric
+graph itself is checked by certify_gamma from the point-indexed rows that
+build_gamma_rows computes, in three steps:
+
+  1. reflections: for nonsingular r the map x -> x + B(x,r) r preserves Q,
+     so it is an automorphism.  On point masks it is
+     (M & ~H_r) | translate(M & H_r, r), H_r the points with B(x,r) = 1.
+     Each reflection used must map the vertex mask to itself and the row
+     of every vertex x to the row of its image.
+  2. transitivity: an orbit walk from vertex 0 under those reflections
+     covers the vertex mask.  Reflections are chosen greedily, each the
+     lightest that still enlarges the orbit.  They generate the orthogonal
+     group of Q, which is transitive on the nonsingular points, so the
+     walk succeeds after a few of them (n+1 or n+2 here).
+  3. one vertex: the degree of vertex 0 and the counts of its v-1 pairs
+     give k, lambda and mu, followed by verify_srg's closing identity and
+     spectral checks.
+
+By step 2 any pair {x, y} is carried by a product of checked automorphisms
+onto a pair through vertex 0, and by step 1 that product keeps both the
+adjacency and the common-neighbour count.  So step 3 covers every pair and
+the result is exactly verify_srg's.  Nothing rests on the group theory:
+if the reflections fail to give transitivity, or a check fails, verify_srg
+decides, and a rejection carries a vertex or pair whose count is wrong.
+
+A graph that differs from an already verified one only in the rows and
+columns of a small vertex set, such as a Godsil-McKay switch at S, is
+checked by verify_srg_near: the rows of that set in full, and the pairs of
+all other rows through the exact identity for how their common-neighbour
+counts move, once per pair of classes of vertices that meet the set alike.
+It reaches the same decision as verify_srg.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -33,6 +58,7 @@ from .gf2geom import (
     QuadraticForm,
     coordinate_masks,
     nonquadric_points,
+    polar_vector,
 )
 
 
@@ -106,8 +132,10 @@ def _translate(mask: int, x: int, halves: tuple[int, ...]) -> int:
     return mask
 
 
-def build_gamma(form: QuadraticForm) -> Graph:
-    """Graph on the non-quadric points, adjacency = joining line is external."""
+def build_gamma_rows(form: QuadraticForm) -> tuple[Graph, tuple[int, ...]]:
+    """The quadric graph and its rows indexed by point: entry i of the second
+    value has bit p set iff the point p is a neighbour of vertex i.
+    build_gamma keeps only the graph; certify_gamma reads both."""
     if form.kind == PARABOLIC or form.n % 2 == 0 or form.n < 5:
         raise GeometryError(
             "the external-line graph needs an elliptic or hyperbolic quadric with odd n >= 5"
@@ -116,16 +144,19 @@ def build_gamma(form: QuadraticForm) -> Graph:
     size = 1 << (form.n + 1)  # bit positions 0 .. 2^(n+1)-1, one per vector
     halves = coordinate_masks(form.n)
     off = ((1 << size) - 1) & ~form.zero_mask & ~1  # N: the points off the quadric
+    # y is a neighbour of x iff y and x^y are both off the quadric
+    point_rows = tuple(off & _translate(off, x, halves) for x in labels)
     # format(row, spec)[size - 1 - p] is bit p, so this picks the label bits of
     # a point-indexed row, highest vertex first: a vertex-indexed row in binary
     gather = itemgetter(*[size - 1 - p for p in reversed(labels)])
     spec = f"0{size}b"
-    rows = [
-        # y is a neighbour of x iff y and x^y are both off the quadric
-        int("".join(gather(format(off & _translate(off, x, halves), spec))), 2)
-        for x in labels
-    ]
-    return Graph(tuple(labels), tuple(rows))
+    rows = tuple(int("".join(gather(format(row, spec))), 2) for row in point_rows)
+    return Graph(tuple(labels), rows), point_rows
+
+
+def build_gamma(form: QuadraticForm) -> Graph:
+    """Graph on the non-quadric points, adjacency = joining line is external."""
+    return build_gamma_rows(form)[0]
 
 
 @dataclass(frozen=True)
@@ -206,6 +237,13 @@ def verify_srg(g: Graph) -> SrgParams:
                         f"non-adjacent pair ({i},{j}) has {common} common neighbours, expected {mu}",
                         witness=(i, j),
                     )
+    return _srg_params(v, k, lam, mu)
+
+
+def _srg_params(v: int, k: int, lam, mu) -> SrgParams:
+    """The parameters once every pair count is known to be lam or mu: the
+    feasibility identity and the spectrum, which verify_srg and certify_gamma
+    both end with."""
     if lam is None or mu is None:
         raise NotStronglyRegular("graph is disconnected from one of the pair classes")
     if k * (k - lam - 1) != (v - k - 1) * mu:
@@ -215,6 +253,137 @@ def verify_srg(g: Graph) -> SrgParams:
         if 1 + f + gg != v or k + f * r + gg * s != 0:
             raise NotStronglyRegular("spectral multiplicities are inconsistent")
     return SrgParams(v, k, lam, mu, r, s, f, gg)
+
+
+class _NotCertified(Exception):
+    """The reflection certificate could not be completed; verify_srg decides."""
+
+
+def _reflection(form: QuadraticForm, r: int, halves: tuple[int, ...]):
+    """The map x -> x + B(x,r) r on points, as (r, H, swaps): H is the mask of
+    the points x with B(x,r) = 1 and swaps are the block swaps of a
+    translation by r (see _translate).  B(r,r) = 0, so x and x^r lie in H
+    together and the map is an involution of the points, for any r."""
+    m = polar_vector(form, r)
+    h = 0
+    for b, low in enumerate(halves):
+        if (m >> b) & 1:
+            h ^= low << (1 << b)  # the points whose coordinate b is 1
+    return r, h, tuple((1 << b, low) for b, low in enumerate(halves) if (r >> b) & 1)
+
+
+def _reflect(mask: int, reflection) -> int:
+    """Image of a point mask: the points of H move by r, the others stay."""
+    _, h, swaps = reflection
+    moved = mask & h
+    for width, low in swaps:
+        moved = ((moved & low) << width) | ((moved >> width) & low)
+    return (mask & ~h) | moved
+
+
+def _orbit(orbit: int, reflections) -> int:
+    """Point mask of the union of the orbits of a point mask's points under
+    the group the reflections generate."""
+    while True:
+        grown = orbit
+        for reflection in reflections:
+            grown |= _reflect(grown, reflection)
+        if grown == orbit:
+            return orbit
+        orbit = grown
+
+
+def _transitive_reflections(form: QuadraticForm, labels, vmask: int, halves) -> list:
+    """Reflections in vertices until the orbit of the first vertex is the
+    vertex mask: each time the lightest one that enlarges the orbit, since a
+    light one moves a row in few block swaps.  Stops early when none does."""
+    reflection_in = functools.cache(lambda r: _reflection(form, r, halves))
+    lightest_first = sorted(labels, key=int.bit_count)
+    chosen: list = []
+    orbit = 1 << labels[0]
+    while orbit != vmask:
+        candidates = map(reflection_in, lightest_first)
+        reflection = next((c for c in candidates if _reflect(orbit, c) != orbit), None)
+        if reflection is None:
+            break
+        chosen.append(reflection)
+        orbit = _orbit(orbit, chosen)
+    return chosen
+
+
+def _certificate(g: Graph, point_rows, vmask: int, reflections, size: int) -> SrgParams:
+    """The parameters of g from the three checks of the module docstring, or
+    _NotCertified; point_rows[i] is row i of g indexed by point and vmask the
+    mask of g's vertices, both over `size` points."""
+    labels, v = g.labels, g.v
+    spec, top = f"0{size}b", size - 1
+    row_of = dict(zip(labels, point_rows))
+    for reflection in reflections:
+        r, h, swaps = reflection
+        if _reflect(vmask, reflection) != vmask:
+            raise _NotCertified(f"the reflection in {r} moves a vertex off the vertex set")
+        moves = format(h, spec)
+        for x, row in row_of.items():
+            fixed = moves[top - x] == "0"
+            if not fixed and x > x ^ r:
+                continue  # x and x^r swap, and the reflection is an involution: x^r covers both
+            part = row & h
+            moved = part
+            for width, low in swaps:
+                moved = ((moved & low) << width) | ((moved >> width) & low)
+            if fixed:
+                if moved != part:  # x is fixed, so its row must be
+                    raise _NotCertified(f"the reflection in {r} moves the row of {x}")
+            elif (row ^ part) | moved != row_of[x ^ r]:
+                raise _NotCertified(f"the reflection in {r} maps the row of {x} wrongly")
+    if _orbit(1 << labels[0], reflections) != vmask:
+        raise _NotCertified("the reflections are not transitive on the vertices")
+
+    first = point_rows[0]
+    k = first.bit_count()
+    if first & ~vmask or k == 0 or k == v - 1:
+        raise _NotCertified("the first row leaves the vertex set or is empty or full")
+    adjacent = format(first, spec)
+    lam = mu = None
+    for y, row in zip(labels[1:], point_rows[1:]):
+        common = (first & row).bit_count()
+        if adjacent[top - y] == "1":
+            if lam is None:
+                lam = common
+            elif common != lam:
+                raise _NotCertified(f"pair of {labels[0]} and {y} breaks lambda")
+        elif mu is None:
+            mu = common
+        elif common != mu:
+            raise _NotCertified(f"pair of {labels[0]} and {y} breaks mu")
+    return _srg_params(v, k, lam, mu)
+
+
+def certify_gamma(form: QuadraticForm, g: Graph, point_rows) -> SrgParams:
+    """Exact strong-regularity check of the quadric graph g of form, given
+    its rows by point as build_gamma_rows returns them beside g.
+
+    Returns exactly what verify_srg(g) returns, from a few reflections, an
+    orbit walk and the pairs through vertex 0 (see the module docstring).
+    When that certificate cannot be completed, verify_srg(g) itself decides,
+    so a rejection carries a vertex or pair whose count is really wrong.
+    """
+    size, labels = 1 << (form.n + 1), g.labels
+    try:
+        # vertices and points must match one to one
+        if g.v < 2 or len(point_rows) != g.v or labels[0] < 0 or labels[-1] >= size:
+            raise _NotCertified("the graph does not fit the points of the form")
+        if any(a >= b for a, b in zip(labels, labels[1:])):
+            raise _NotCertified("the labels are not strictly increasing")
+        bits = ["0"] * size
+        for x in labels:
+            bits[size - 1 - x] = "1"
+        vmask = int("".join(bits), 2)
+        halves = coordinate_masks(form.n)
+        reflections = _transitive_reflections(form, labels, vmask, halves)
+        return _certificate(g, point_rows, vmask, reflections, size)
+    except _NotCertified:
+        return verify_srg(g)
 
 
 def _wrong_count(rows, i: int, j: int, lam: int, mu: int):

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from conftest import switch_case
-from quadswitch import distinguish, graph6
+from quadswitch import distinguish, graph6, srg
 from quadswitch.cli import main
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form
 from quadswitch.srg import Graph, build_gamma, expected_params
@@ -96,6 +96,33 @@ def test_out_flag_writes_report(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text().strip() == out.strip()
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_construct_verify_n11(capsys, kind):
+    code, out, _ = run_cli(capsys, "construct", "--n", "11", "--kind", kind, "--verify")
+    assert code == 0
+    p = expected_params(11, kind)
+    assert json.loads(out)["srg"] == {
+        "v": p.v, "k": p.k, "lambda": p.lam, "mu": p.mu, "r": p.r, "s": p.s, "f": p.f, "g": p.g,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("switch", "--n", "9", "--kind", "hyperbolic", "--t", "3", "--verify"),
+        ("verify-all", "--n", "5"),
+    ],
+)
+def test_base_graphs_are_certified_without_the_pair_check(monkeypatch, capsys, argv):
+    def refuse(g):
+        raise AssertionError("verify_srg ran on a base graph")
+
+    monkeypatch.setattr(srg, "verify_srg", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert all(json.loads(out)["checks"].values())
 
 
 def test_switch_verify_times_the_base_check(capsys):
@@ -263,6 +290,27 @@ def test_graph6_rejects_garbage():
         graph6.decode(b"~?")  # truncated four-byte size prefix
     with pytest.raises(graph6.Graph6Error, match="alphabet"):
         graph6.decode(b"D?\x7f")  # right length, byte 127 is not a graph6 character
+
+
+def test_graph6_decode_rejects_labels_out_of_order():
+    data = graph6.encode(Graph((1, 2, 3), (0b110, 0b001, 0b001)))
+    assert graph6.decode(data, [1, 3, 5]).index_of(3) == 1
+    for labels in ([3, 1, 1], [1, 1, 2], [2, 1, 3]):
+        with pytest.raises(graph6.Graph6Error, match="strictly increasing"):
+            graph6.decode(data, labels)
+
+
+def test_graph6_read_files_checks_the_index_column(tmp_path):
+    g = build_gamma(canonical_form(5, ELLIPTIC))
+    target = str(tmp_path / "gamma.g6")
+    graph6.write_files(g, target)
+    sidecar = (tmp_path / "gamma.g6.labels").read_text().splitlines()
+    sidecar[1], sidecar[2] = sidecar[2], sidecar[1]  # the points in order, the indices not
+    (tmp_path / "gamma.g6.labels").write_text(
+        "\n".join(f"{line.split()[0]} {p}" for line, p in zip(sidecar, g.labels)) + "\n"
+    )
+    with pytest.raises(graph6.Graph6Error, match="line 2"):
+        graph6.read_files(target)
 
 
 # --- a switched graph at n = 11 (v = 2016), end to end -------------------------------

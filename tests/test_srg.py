@@ -4,13 +4,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import gamma, legal_cases, switch_case
+from conftest import form, gamma, legal_cases, switch_case
+from quadswitch import srg
 from quadswitch.gf2geom import (
     ELLIPTIC,
     HYPERBOLIC,
     PARABOLIC,
     GeometryError,
+    bilinear,
     canonical_form,
+    coordinate_masks,
     nonquadric_points,
 )
 from quadswitch.srg import (
@@ -18,6 +21,8 @@ from quadswitch.srg import (
     NotStronglyRegular,
     SrgParams,
     build_gamma,
+    build_gamma_rows,
+    certify_gamma,
     expected_params,
     verify_srg,
     verify_srg_near,
@@ -340,3 +345,214 @@ def test_verify_srg_near_rejects_a_vertex_count_mismatch():
     base = gamma(5, ELLIPTIC)
     with pytest.raises(NotStronglyRegular):
         verify_srg_near(gamma(5, HYPERBOLIC), base, verify_srg(base), ())
+
+
+# --- the reflection certificate of the quadric graph ---------------------------------
+
+
+def assert_real_srg_witness(g, params, exc):
+    """verify_srg's witness: two vertices of unequal degree, or a pair whose
+    common-neighbour count is not the one params give its adjacency."""
+    i, j = exc.witness
+    if "not regular" in str(exc):
+        assert g.degree(i) != g.degree(j)
+    else:
+        want = params.lam if g.adjacent(i, j) else params.mu
+        assert common_neighbours_oracle(g, i, j) != want
+
+
+def refuse_pair_check(g):
+    raise AssertionError("the certificate fell back to verify_srg")
+
+
+def certificate_case(n, kind):
+    """Form, graph, point rows, vertex mask, the chosen reflections and the point count."""
+    f = form(n, kind)
+    g, rows = build_gamma_rows(f)
+    vmask = sum(1 << x for x in g.labels)
+    reflections = srg._transitive_reflections(f, g.labels, vmask, coordinate_masks(n))
+    return f, g, rows, vmask, reflections, 1 << (n + 1)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_certify_gamma_matches_verify_srg(monkeypatch, n, kind):
+    f = form(n, kind)
+    g, rows = build_gamma_rows(f)
+    assert g == gamma(n, kind)
+    with monkeypatch.context() as m:
+        m.setattr(srg, "verify_srg", refuse_pair_check)
+        got = certify_gamma(f, g, rows)
+    assert got == verify_srg(g) == expected_params(n, kind)
+
+
+def test_build_gamma_rows_are_the_point_rows():
+    f = form(7, HYPERBOLIC)
+    g, rows = build_gamma_rows(f)
+    for i, row in enumerate(rows):
+        assert [y for y in g.labels if (row >> y) & 1] == [g.labels[j] for j in g.neighbors(i)]
+    assert not any(row & ~sum(1 << x for x in g.labels) for row in rows)
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_reflection_moves_points_as_defined(kind):
+    # x -> x + B(x,r) r on point masks; it keeps B always, and Q exactly
+    # when r is off the quadric
+    f = form(5, kind)
+    halves = coordinate_masks(5)
+    points = range(1, 64)
+    for r in points:
+        reflection = srg._reflection(f, r, halves)
+        image = {x: srg._reflect(1 << x, reflection).bit_length() - 1 for x in points}
+        assert all(image[x] == (x ^ r if bilinear(f, x, r) else x) for x in points)
+        assert all(bilinear(f, image[x], image[y]) == bilinear(f, x, y) for x in points for y in points)
+        keeps_q = srg._reflect(f.zero_mask, reflection) == f.zero_mask
+        assert keeps_q == (not f.contains(r))
+
+
+@pytest.mark.parametrize("n,kind", [(5, HYPERBOLIC), (7, ELLIPTIC)])
+def test_certificate_rejects_a_singular_reflection(monkeypatch, n, kind):
+    f, g, rows, vmask, good, size = certificate_case(n, kind)
+    assert srg._certificate(g, rows, vmask, good, size) == expected_params(n, kind)
+    r = next(p for p in range(1, size) if f.contains(p))
+    bad = srg._reflection(f, r, coordinate_masks(n))
+    assert srg._reflect(bad[1], bad) == bad[1]  # still a permutation of the points
+    with pytest.raises(srg._NotCertified, match="off the vertex set"):
+        srg._certificate(g, rows, vmask, [bad, *good], size)
+    calls = []
+    monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: [bad, *good])
+    monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
+    assert certify_gamma(f, g, rows) == expected_params(n, kind)
+    assert calls == [g]
+
+
+@pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
+def test_certificate_needs_a_transitive_set(monkeypatch, n, kind):
+    f, g, rows, vmask, good, size = certificate_case(n, kind)
+    with pytest.raises(srg._NotCertified, match="not transitive"):
+        srg._certificate(g, rows, vmask, good[:-1], size)
+    calls = []
+    monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: good[:-1])
+    monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
+    assert certify_gamma(f, g, rows) == expected_params(n, kind)
+    assert calls == [g]
+
+
+@pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
+@pytest.mark.parametrize("edit", ["symmetric_flip", "one_row"])
+def test_certificate_rejects_a_corrupted_row(n, kind, edit):
+    f, g, rows, vmask, good, size = certificate_case(n, kind)
+    params = expected_params(n, kind)
+    rows, vrows = list(rows), list(g.rows)
+    last = g.v - 1
+    if edit == "symmetric_flip":
+        i, j = 3, last
+        rows[i] ^= 1 << g.labels[j]
+        rows[j] ^= 1 << g.labels[i]
+        vrows[i] ^= 1 << j
+        vrows[j] ^= 1 << i
+    else:  # the last row alone trades a neighbour for a non-neighbour: degrees stay k
+        a = g.neighbors(last)[-1]
+        b = next(j for j in range(last - 1, 0, -1) if not g.adjacent(last, j))
+        rows[last] ^= (1 << g.labels[a]) | (1 << g.labels[b])
+        vrows[last] ^= (1 << a) | (1 << b)
+    bad = Graph(g.labels, tuple(vrows))
+    with pytest.raises(srg._NotCertified, match="row of"):
+        srg._certificate(bad, rows, vmask, good, size)
+    with pytest.raises(NotStronglyRegular) as exc:
+        certify_gamma(f, bad, rows)
+    assert_real_srg_witness(bad, params, exc.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(5, ELLIPTIC), (5, HYPERBOLIC), (7, ELLIPTIC), (7, HYPERBOLIC)]), st.data())
+def test_flipped_pair_is_rejected_by_every_checker(case, data):
+    n, kind = case
+    f = form(n, kind)
+    g, rows = build_gamma_rows(f)
+    i = data.draw(st.integers(0, g.v - 1))
+    j = data.draw(st.integers(0, g.v - 1))
+    assume(i != j)
+    params = expected_params(n, kind)
+    bad = flip(g, i, j)
+    bad_rows = list(rows)
+    bad_rows[i] ^= 1 << g.labels[j]
+    bad_rows[j] ^= 1 << g.labels[i]
+    for check in (verify_srg, lambda b: certify_gamma(f, b, bad_rows)):
+        with pytest.raises(NotStronglyRegular) as exc:
+            check(bad)
+        assert_real_srg_witness(bad, params, exc.value)
+    with pytest.raises(NotStronglyRegular) as exc:
+        verify_srg_near(bad, g, params, (i,))
+    assert_real_witness(bad, params, exc.value)
+
+
+@pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
+def test_each_reflection_checks_fixed_and_moved_rows(n, kind):
+    # one reflection alone: a row it fixes and a row it moves, each with one
+    # point of H_r toggled, fail the row step before the orbit step is reached
+    f, g, rows, vmask, good, size = certificate_case(n, kind)
+    first = good[0]
+    r, h, _ = first
+    fixed = next(i for i, x in enumerate(g.labels) if not (h >> x) & 1)
+    moved = next(i for i, x in enumerate(g.labels) if (h >> x) & 1 and x < x ^ r)
+    y = next(p for p in g.labels if (h >> p) & 1)
+    for i, message in ((fixed, "moves the row"), (moved, "maps the row")):
+        bad = list(rows)
+        bad[i] ^= 1 << y
+        with pytest.raises(srg._NotCertified, match=message):
+            srg._certificate(g, bad, vmask, [first], size)
+
+
+def test_certificate_ignores_no_point_outside_the_vertex_set():
+    # point 0 added to every row is fixed by every reflection, so the rows stay
+    # equivariant; the graph (which has no vertex 0) is untouched
+    f, g, rows, vmask, good, size = certificate_case(5, ELLIPTIC)
+    with_zero = [row | 1 for row in rows]
+    with pytest.raises(srg._NotCertified, match="first row"):
+        srg._certificate(g, with_zero, vmask, good, size)
+    assert certify_gamma(f, g, with_zero) == verify_srg(g) == expected_params(5, ELLIPTIC)
+
+
+@pytest.mark.parametrize("connection,broken", [((1, 2, 3, 4), "lambda"), ((1, 2), "mu")])
+def test_certificate_checks_every_pair_through_the_first_vertex(connection, broken):
+    # a Cayley graph on F_2^4 with the translations as "reflections" (H = all
+    # points): every row check and the orbit walk pass, but the vertex
+    # stabiliser is trivial, so only the pair counts through point 0 can tell
+    size = 16
+    rows = tuple(sum(1 << (x ^ d) for d in connection) for x in range(size))
+    g = Graph(tuple(range(size)), rows)
+    everything = (1 << size) - 1
+    translations = [(r, everything, ((r, low),)) for r, low in zip((1, 2, 4, 8), coordinate_masks(3))]
+    with pytest.raises(srg._NotCertified, match=broken):
+        srg._certificate(g, rows, everything, translations, size)
+    with pytest.raises(NotStronglyRegular):
+        verify_srg(g)
+
+
+def test_certify_gamma_needs_distinct_labels(monkeypatch):
+    # a twin of the last vertex: the points cover the vertex set, but two
+    # vertices share one, so the certificate must not run
+    f, g, rows, _, _, _ = certificate_case(5, HYPERBOLIC)
+    last = g.v - 1
+    twin = Graph(g.labels + g.labels[-1:], g.rows + (g.rows[last],))
+    calls = []
+    monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
+    with pytest.raises(NotStronglyRegular) as exc:
+        certify_gamma(f, twin, rows + rows[-1:])
+    assert calls == [twin]
+    assert exc.value.witness is not None
+
+
+def test_certify_gamma_falls_back_on_graphs_it_cannot_place():
+    # a graph whose labels lie beyond the form's points, or whose point rows
+    # are missing, goes to verify_srg whole
+    c5 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    assert certify_gamma(form(5, ELLIPTIC), c5, ()) == verify_srg(c5)
+    far = Graph(tuple(range(100, 105)), c5.rows)
+    assert certify_gamma(form(5, ELLIPTIC), far, (0,) * 5) == verify_srg(far)
+    f = form(5, ELLIPTIC)
+    g, rows = build_gamma_rows(f)
+    for shift in (64, 128):  # the last vertex moved past the 64 points of PG(5,2)
+        beyond = Graph(g.labels[:-1] + (g.labels[-1] + shift,), g.rows)
+        assert certify_gamma(f, beyond, rows) == verify_srg(beyond)
