@@ -280,7 +280,7 @@ def build_family(n: int, kind: str) -> Family:
         raise GeometryError(f"families are classified for odd n in [5, 9], got {n}")
     form = canonical_form(n, kind)
     gamma, point_rows = build_gamma_rows(form)
-    params = certify_gamma(form, gamma, point_rows)
+    params = certify_gamma(form, point_rows)
     del point_rows  # only the certificate reads them; keep them out of the family's peak
     members = [_member("gamma", 0, "", gamma, None)]
     for variant in ("t", "tt"):

@@ -11,11 +11,16 @@ rows strictly decreasing), so equal subspaces compare equal structurally.
 A quadratic form is an upper-triangular coefficient matrix over GF(2);
 Q(x) = sum a_ij x_i x_j, and the polarization B(x,y) = Q(x^y)+Q(x)+Q(y)
 is the symplectic form that drives the polarity.
+
+Sets of points are point masks, ints with bit p for the point p;
+PointMasks(form) holds those of one form and the maps between them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from operator import itemgetter
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -219,6 +224,57 @@ def coordinate_masks(n: int) -> tuple[int, ...]:
     """
     ones = (1 << (1 << (n + 1))) - 1
     return tuple(ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n + 1))
+
+
+class PointMasks:
+    """The point masks of one form."""
+
+    def __init__(self, form: QuadraticForm):
+        self.form = form
+        self.halves = coordinate_masks(form.n)
+        self.ones = (1 << (1 << (form.n + 1))) - 1
+        self.off = self.ones & ~form.zero_mask & ~1  # the points off the quadric
+        self._nonorth: dict[int, int] = {}
+
+    @functools.cached_property
+    def labels(self) -> tuple[int, ...]:
+        """The points off the quadric in order, one per vertex."""
+        return tuple(nonquadric_points(self.form))
+
+    @functools.cached_property
+    def _gather(self):
+        # format(mask, spec)[size - 1 - p] is bit p, so this picks the label bits
+        # of a mask, highest vertex first: a vertex-indexed mask in binary
+        size = 1 << (self.form.n + 1)
+        return itemgetter(*[size - 1 - p for p in reversed(self.labels)]), f"0{size}b"
+
+    def vertices(self, mask: int) -> int:
+        """The mask in vertex order: bit i for the point labels[i]."""
+        gather, spec = self._gather
+        return int("".join(gather(format(mask & self.ones, spec))), 2)
+
+    def nonorth(self, y: int) -> int:
+        """The points x with B(x, y) = 1: odd parity against y's polar vector."""
+        mask = self._nonorth.get(y)
+        if mask is None:
+            m, mask = polar_vector(self.form, y), 0
+            for b, half in enumerate(self.halves):
+                if m >> b & 1:
+                    mask ^= half << (1 << b)  # the vectors whose coordinate b is 1
+            self._nonorth[y] = mask
+        return mask
+
+    def translate(self, mask: int, x: int) -> int:
+        """Move bit p to bit p^x: one block swap per set bit b of x, exchanging
+        the 2^b-wide blocks that differ in coordinate b."""
+        b = 0
+        while x:
+            if x & 1:
+                width, low = 1 << b, self.halves[b]
+                mask = ((mask & low) << width) | ((mask >> width) & low)
+            x >>= 1
+            b += 1
+        return mask
 
 
 # --- subspaces ---------------------------------------------------------------

@@ -128,5 +128,7 @@ def read_files(path: str) -> Graph:
             fields = line.split()
             if len(fields) != 2 or fields[0] != str(i):
                 raise Graph6Error(f"{path}.labels line {i + 1} is not '{i} <point>': {line!r}")
+            if not fields[1].isdigit() or int(fields[1]) == 0:
+                raise Graph6Error(f"{path}.labels line {i + 1} names no point: {line!r}")
             labels.append(int(fields[1]))
     return decode(data, labels)

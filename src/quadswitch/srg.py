@@ -6,10 +6,9 @@ the quadric).  Adjacency rows are bit-packed ints, so common-neighbour
 counts are popcounts of row ANDs and the whole strong-regularity identity
 A^2 = kI + lam*A + mu*(J - I - A) is checked exactly over the integers.
 
-Rows are built whole: with N the mask of the points off the quadric (bit p
-for point p), the neighbours of x are N & (N translated by x), where the
-translation moves bit p to bit p^x by one block swap per set bit of x; the
-label bits of that point-indexed row are then gathered into vertex order.
+Rows are built whole on point masks (see gf2geom): with N the points off
+the quadric, the neighbours of x are N & translate(N, x), gathered into
+vertex order.
 
 verify_srg checks all v(v-1)/2 pairs and is the reference.  The quadric
 graph itself is checked by certify_gamma from the point-indexed rows that
@@ -17,7 +16,7 @@ build_gamma_rows computes, in three steps:
 
   1. reflections: for nonsingular r the map x -> x + B(x,r) r preserves Q,
      so it is an automorphism.  On point masks it is
-     (M & ~H_r) | translate(M & H_r, r), H_r the points with B(x,r) = 1.
+     (M & ~H_r) | translate(M & H_r, r), H_r = nonorth(r).
      Each reflection used must map the vertex mask to itself and the row
      of every vertex x to the row of its image.
   2. transitivity: an orbit walk from vertex 0 under those reflections
@@ -47,19 +46,10 @@ It reaches the same decision as verify_srg.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .gf2geom import (
-    PARABOLIC,
-    GeometryError,
-    QuadraticForm,
-    coordinate_masks,
-    nonquadric_points,
-    polar_vector,
-)
+from .gf2geom import PARABOLIC, GeometryError, PointMasks, QuadraticForm
 
 
 class NotStronglyRegular(ValueError):
@@ -119,39 +109,19 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({i},{j})")
 
 
-def _translate(mask: int, x: int, halves: tuple[int, ...]) -> int:
-    """Move bit p of a point-indexed mask to bit p^x: one block swap per set
-    bit b of x, exchanging the 2^b-wide blocks that differ in coordinate b."""
-    b = 0
-    while x:
-        if x & 1:
-            width, low = 1 << b, halves[b]
-            mask = ((mask & low) << width) | ((mask >> width) & low)
-        x >>= 1
-        b += 1
-    return mask
-
-
 def build_gamma_rows(form: QuadraticForm) -> tuple[Graph, tuple[int, ...]]:
     """The quadric graph and its rows indexed by point: entry i of the second
     value has bit p set iff the point p is a neighbour of vertex i.
-    build_gamma keeps only the graph; certify_gamma reads both."""
+    build_gamma keeps only the graph; certify_gamma reads the point rows."""
     if form.kind == PARABOLIC or form.n % 2 == 0 or form.n < 5:
         raise GeometryError(
             "the external-line graph needs an elliptic or hyperbolic quadric with odd n >= 5"
         )
-    labels = nonquadric_points(form)
-    size = 1 << (form.n + 1)  # bit positions 0 .. 2^(n+1)-1, one per vector
-    halves = coordinate_masks(form.n)
-    off = ((1 << size) - 1) & ~form.zero_mask & ~1  # N: the points off the quadric
+    masks = PointMasks(form)
+    off = masks.off
     # y is a neighbour of x iff y and x^y are both off the quadric
-    point_rows = tuple(off & _translate(off, x, halves) for x in labels)
-    # format(row, spec)[size - 1 - p] is bit p, so this picks the label bits of
-    # a point-indexed row, highest vertex first: a vertex-indexed row in binary
-    gather = itemgetter(*[size - 1 - p for p in reversed(labels)])
-    spec = f"0{size}b"
-    rows = tuple(int("".join(gather(format(row, spec))), 2) for row in point_rows)
-    return Graph(tuple(labels), rows), point_rows
+    point_rows = tuple(off & masks.translate(off, x) for x in masks.labels)
+    return Graph(masks.labels, tuple(map(masks.vertices, point_rows))), point_rows
 
 
 def build_gamma(form: QuadraticForm) -> Graph:
@@ -259,69 +229,59 @@ class _NotCertified(Exception):
     """The reflection certificate could not be completed; verify_srg decides."""
 
 
-def _reflection(form: QuadraticForm, r: int, halves: tuple[int, ...]):
-    """The map x -> x + B(x,r) r on points, as (r, H, swaps): H is the mask of
-    the points x with B(x,r) = 1 and swaps are the block swaps of a
-    translation by r (see _translate).  B(r,r) = 0, so x and x^r lie in H
-    together and the map is an involution of the points, for any r."""
-    m = polar_vector(form, r)
-    h = 0
-    for b, low in enumerate(halves):
-        if (m >> b) & 1:
-            h ^= low << (1 << b)  # the points whose coordinate b is 1
-    return r, h, tuple((1 << b, low) for b, low in enumerate(halves) if (r >> b) & 1)
+def _reflection(masks: PointMasks, r: int):
+    """The map x -> x + B(x,r) r as (r, H), H the points it moves.  As
+    B(r,r) = 0, x and x^r lie in H together: the map is an involution."""
+    return r, masks.nonorth(r)
 
 
-def _reflect(mask: int, reflection) -> int:
+def _reflect(masks: PointMasks, mask: int, reflection) -> int:
     """Image of a point mask: the points of H move by r, the others stay."""
-    _, h, swaps = reflection
-    moved = mask & h
-    for width, low in swaps:
-        moved = ((moved & low) << width) | ((moved >> width) & low)
-    return (mask & ~h) | moved
+    r, h = reflection
+    return (mask & ~h) | masks.translate(mask & h, r)
 
 
-def _orbit(orbit: int, reflections) -> int:
+def _orbit(masks: PointMasks, orbit: int, reflections) -> int:
     """Point mask of the union of the orbits of a point mask's points under
     the group the reflections generate."""
     while True:
         grown = orbit
         for reflection in reflections:
-            grown |= _reflect(grown, reflection)
+            grown |= _reflect(masks, grown, reflection)
         if grown == orbit:
             return orbit
         orbit = grown
 
 
-def _transitive_reflections(form: QuadraticForm, labels, vmask: int, halves) -> list:
-    """Reflections in vertices until the orbit of the first vertex is the
-    vertex mask: each time the lightest one that enlarges the orbit, since a
-    light one moves a row in few block swaps.  Stops early when none does."""
-    reflection_in = functools.cache(lambda r: _reflection(form, r, halves))
-    lightest_first = sorted(labels, key=int.bit_count)
+def _transitive_reflections(masks: PointMasks) -> list:
+    """Reflections in vertices until the orbit of the first vertex is
+    masks.off: each time the lightest one that enlarges the orbit, as it moves
+    a row in few block swaps.  Stops early when none does."""
+    lightest_first = sorted(masks.labels, key=int.bit_count)
     chosen: list = []
-    orbit = 1 << labels[0]
-    while orbit != vmask:
-        candidates = map(reflection_in, lightest_first)
-        reflection = next((c for c in candidates if _reflect(orbit, c) != orbit), None)
+    orbit = 1 << masks.labels[0]
+    while orbit != masks.off:
+        candidates = (_reflection(masks, r) for r in lightest_first)
+        reflection = next((c for c in candidates if _reflect(masks, orbit, c) != orbit), None)
         if reflection is None:
             break
         chosen.append(reflection)
-        orbit = _orbit(orbit, chosen)
+        orbit = _orbit(masks, orbit, chosen)
     return chosen
 
 
-def _certificate(g: Graph, point_rows, vmask: int, reflections, size: int) -> SrgParams:
-    """The parameters of g from the three checks of the module docstring, or
-    _NotCertified; point_rows[i] is row i of g indexed by point and vmask the
-    mask of g's vertices, both over `size` points."""
-    labels, v = g.labels, g.v
+def _certificate(masks: PointMasks, point_rows, reflections) -> SrgParams:
+    """The parameters of the graph on masks.labels with these point rows,
+    from the three checks of the module docstring, or _NotCertified."""
+    labels, vmask, v = masks.labels, masks.off, len(masks.labels)
+    size = 1 << len(masks.halves)
     spec, top = f"0{size}b", size - 1
     row_of = dict(zip(labels, point_rows))
     for reflection in reflections:
-        r, h, swaps = reflection
-        if _reflect(vmask, reflection) != vmask:
+        r, h = reflection
+        if _reflect(masks, vmask, reflection) != vmask:
             raise _NotCertified(f"the reflection in {r} moves a vertex off the vertex set")
+        swaps = [(1 << b, low) for b, low in enumerate(masks.halves) if (r >> b) & 1]
         moves = format(h, spec)
         for x, row in row_of.items():
             fixed = moves[top - x] == "0"
@@ -336,7 +296,7 @@ def _certificate(g: Graph, point_rows, vmask: int, reflections, size: int) -> Sr
                     raise _NotCertified(f"the reflection in {r} moves the row of {x}")
             elif (row ^ part) | moved != row_of[x ^ r]:
                 raise _NotCertified(f"the reflection in {r} maps the row of {x} wrongly")
-    if _orbit(1 << labels[0], reflections) != vmask:
+    if _orbit(masks, 1 << labels[0], reflections) != vmask:
         raise _NotCertified("the reflections are not transitive on the vertices")
 
     first = point_rows[0]
@@ -359,31 +319,22 @@ def _certificate(g: Graph, point_rows, vmask: int, reflections, size: int) -> Sr
     return _srg_params(v, k, lam, mu)
 
 
-def certify_gamma(form: QuadraticForm, g: Graph, point_rows) -> SrgParams:
-    """Exact strong-regularity check of the quadric graph g of form, given
-    its rows by point as build_gamma_rows returns them beside g.
+def certify_gamma(form: QuadraticForm, point_rows) -> SrgParams:
+    """Exact strong-regularity check of the quadric graph of form from its
+    point rows, as build_gamma_rows returns them.
 
-    Returns exactly what verify_srg(g) returns, from a few reflections, an
-    orbit walk and the pairs through vertex 0 (see the module docstring).
-    When that certificate cannot be completed, verify_srg(g) itself decides,
-    so a rejection carries a vertex or pair whose count is really wrong.
+    Returns what verify_srg returns for the graph the rows describe, by the
+    certificate of the module docstring, or else from verify_srg itself.
+    Raises GeometryError unless there is one row per vertex.
     """
-    size, labels = 1 << (form.n + 1), g.labels
+    masks = PointMasks(form)
+    v = len(masks.labels)
+    if len(point_rows) != v:
+        raise GeometryError(f"{len(point_rows)} point rows for the {v} vertices of the form")
     try:
-        # vertices and points must match one to one
-        if g.v < 2 or len(point_rows) != g.v or labels[0] < 0 or labels[-1] >= size:
-            raise _NotCertified("the graph does not fit the points of the form")
-        if any(a >= b for a, b in zip(labels, labels[1:])):
-            raise _NotCertified("the labels are not strictly increasing")
-        bits = ["0"] * size
-        for x in labels:
-            bits[size - 1 - x] = "1"
-        vmask = int("".join(bits), 2)
-        halves = coordinate_masks(form.n)
-        reflections = _transitive_reflections(form, labels, vmask, halves)
-        return _certificate(g, point_rows, vmask, reflections, size)
+        return _certificate(masks, point_rows, _transitive_reflections(masks))
     except _NotCertified:
-        return verify_srg(g)
+        return verify_srg(Graph(masks.labels, tuple(map(masks.vertices, point_rows))))
 
 
 def _wrong_count(rows, i: int, j: int, lam: int, mu: int):

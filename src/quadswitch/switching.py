@@ -10,8 +10,8 @@ All searches are deterministic: candidates are scanned in increasing point
 order, so the "first" flag is reproducible, and an index argument exposes
 the k-th flag in the same order.
 
-The flag searches work on point masks, ints in which bit p stands for the
-point p.  They rest on two identities of Q(x+y) = Q(x) + Q(y) + B(x,y):
+The flag searches work on point masks (see gf2geom).  They rest on two
+identities of Q(x+y) = Q(x) + Q(y) + B(x,y):
 
 * For x in alpha-perp and a in alpha, Q(x+a) = Q(x).  So each coset
   x + alpha with x in alpha-perp off the quadric avoids the quadric, and
@@ -34,16 +34,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .gf2geom import (
-    HYPERBOLIC,
-    QuadraticForm,
-    Subspace,
-    coordinate_masks,
-    nonquadric_points,
-    perp,
-    polar_vector,
-    span,
-)
+from .gf2geom import HYPERBOLIC, PointMasks, QuadraticForm, Subspace, perp, span
 from .srg import Graph
 
 
@@ -74,26 +65,8 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class _PointMasks:
-    """Point masks (bit p for point p) of one form, made per search."""
-
-    def __init__(self, form: QuadraticForm):
-        self.form = form
-        self.halves = coordinate_masks(form.n)
-        self.ones = (1 << (1 << (form.n + 1))) - 1
-        self.off = self.ones & ~form.zero_mask & ~1  # the points off the quadric
-        self._nonorth: dict[int, int] = {}
-
-    def nonorth(self, y: int) -> int:
-        """The points x with B(x, y) = 1: odd parity against y's polar vector."""
-        mask = self._nonorth.get(y)
-        if mask is None:
-            m, mask = polar_vector(self.form, y), 0
-            for b, half in enumerate(self.halves):
-                if m >> b & 1:
-                    mask ^= half << (1 << b)  # the vectors whose coordinate b is 1
-            self._nonorth[y] = mask
-        return mask
+class _PointMasks(PointMasks):
+    """The flag walk on the point masks of one form, made per search."""
 
     def candidates(self, alpha: Subspace) -> int:
         """The pivot-free points of alpha-perp off the quadric."""
@@ -180,14 +153,24 @@ def iter_singular_subspaces(form: QuadraticForm, t: int) -> Iterator[Subspace]:
     return (Subspace(form.n, tuple(reversed(chain))) for chain, _ in chains)
 
 
+def _nth(items: Iterator, index: int, message: str):
+    """The index-th item; SwitchingError for a negative index, and
+    SearchExhausted(message) past the end."""
+    if index < 0:
+        raise SwitchingError(f"the index must be >= 0, got {index}")
+    item = next(islice(items, index, None), None)
+    if item is None:
+        raise SearchExhausted(message)
+    return item
+
+
 def find_singular_subspace(form: QuadraticForm, t: int, index: int = 0) -> Subspace:
     """The index-th (lex order) t-space contained in the quadric."""
-    sub = next(islice(iter_singular_subspaces(form, t), index, None), None)
-    if sub is None:
-        raise SearchExhausted(
-            f"no singular {t}-space #{index} in the {form.kind} quadric of PG({form.n},2)"
-        )
-    return sub
+    return _nth(
+        iter_singular_subspaces(form, t),
+        index,
+        f"no singular {t}-space #{index} in the {form.kind} quadric of PG({form.n},2)",
+    )
 
 
 def iter_tangent_spaces(form: QuadraticForm, alpha: Subspace) -> Iterator[Subspace]:
@@ -202,12 +185,11 @@ def iter_tangent_spaces(form: QuadraticForm, alpha: Subspace) -> Iterator[Subspa
 
 def find_tangent_space(form: QuadraticForm, alpha: Subspace, index: int = 0) -> Subspace:
     """The index-th (t+1)-space meeting the quadric in exactly alpha."""
-    sub = next(islice(iter_tangent_spaces(form, alpha), index, None), None)
-    if sub is None:
-        raise SearchExhausted(
-            f"no tangent space #{index} through the given {alpha.projective_dim}-space"
-        )
-    return sub
+    return _nth(
+        iter_tangent_spaces(form, alpha),
+        index,
+        f"no tangent space #{index} through the given {alpha.projective_dim}-space",
+    )
 
 
 def iter_second_tangent_spaces(
@@ -229,12 +211,11 @@ def find_second_tangent_space(
     form: QuadraticForm, alpha: Subspace, pi: Subspace, index: int = 0
 ) -> Subspace:
     """The index-th valid partner Pi', or a not-found error if none exists."""
-    sub = next(islice(iter_second_tangent_spaces(form, alpha, pi), index, None), None)
-    if sub is None:
-        raise SearchExhausted(
-            f"no second tangent space (pi2) #{index}: the span condition has no solution here"
-        )
-    return sub
+    return _nth(
+        iter_second_tangent_spaces(form, alpha, pi),
+        index,
+        f"no second tangent space (pi2) #{index}: the span condition has no solution here",
+    )
 
 
 # --- configurations ------------------------------------------------------------
@@ -326,18 +307,24 @@ def make_config(form: QuadraticForm, t: int, variant: str, choice: int = 0) -> S
 # --- switching sets and the switch ---------------------------------------------
 
 
-def _vertex_index(form: QuadraticForm) -> dict[int, int]:
-    return {p: i for i, p in enumerate(nonquadric_points(form))}
+def _s_points(config: SwitchConfig) -> int:
+    """The point mask of S: Pi, or Pi u Pi', without alpha."""
+    pts = config.pi.point_mask()
+    if config.pi2 is not None:
+        pts |= config.pi2.point_mask()
+    return pts & ~config.alpha.point_mask()
+
+
+def _vertex_set(form: QuadraticForm, points: int) -> frozenset[int]:
+    """The vertices of the canonical quadric graph among a mask's points."""
+    # copied from a set, the frozenset's table fits its length: half of what
+    # growing it bit by bit leaves (64 KiB for T at n = 11)
+    return frozenset(set(_bits(PointMasks(form).vertices(points))))
 
 
 def build_S(config: SwitchConfig) -> frozenset[int]:
     """The switching set as vertex indices of the canonical quadric graph."""
-    idx = _vertex_index(config.form)
-    pts = set(config.pi.points())
-    if config.pi2 is not None:
-        pts |= set(config.pi2.points())
-    pts -= set(config.alpha.points())
-    return frozenset(idx[p] for p in pts)
+    return _vertex_set(config.form, _s_points(config))
 
 
 def _mask(vertices) -> int:
@@ -422,20 +409,11 @@ def T_formula(config: SwitchConfig) -> frozenset[int]:
     two-space construction, the non-quadric part of (Pi-perp symdiff
     Pi'-perp) outside S."""
     form = config.form
-    labels = nonquadric_points(form)
-    a_perp = perp(form, config.alpha).point_mask()
-    out = {i for i, p in enumerate(labels) if not (a_perp >> p) & 1}
+    out = ~perp(form, config.alpha).point_mask()
     if config.pi2 is not None:
         sym = perp(form, config.pi).point_mask() ^ perp(form, config.pi2).point_mask()
-        s_points = (set(config.pi.points()) | set(config.pi2.points())) - set(
-            config.alpha.points()
-        )
-        out |= {
-            i
-            for i, p in enumerate(labels)
-            if (sym >> p) & 1 and p not in s_points
-        }
-    return frozenset(out)
+        out |= sym & ~_s_points(config)
+    return _vertex_set(form, out)
 
 
 def expected_T_size(n: int, kind: str, t: int, variant: str) -> int:

@@ -74,6 +74,17 @@ def test_classify_family_n5(capsys):
     assert invariants[("gamma_t1", "gamma_tt1")] == "min weight"
 
 
+def test_classify_family_reports_the_cross_check_it_ran(capsys, monkeypatch):
+    # whether pairs are cross-checked is classify_family's choice; the report
+    # follows it rather than restating it
+    code, out, _ = run_cli(capsys, "classify-family", "--n", "5", "--kind", "hyperbolic")
+    assert code == 0 and json.loads(out)["checks"]["cross_check_agrees"] is True
+    classify = distinguish.classify_family
+    monkeypatch.setattr(distinguish, "classify_family", lambda family: classify(family, cross_check=False))
+    code, out, _ = run_cli(capsys, "classify-family", "--n", "5", "--kind", "hyperbolic")
+    assert code == 0 and json.loads(out)["checks"] == {"all_pairs_separated": True}
+
+
 def strip_timings(text):
     rep = json.loads(text)
     rep.pop("timings", None)
@@ -310,6 +321,18 @@ def test_graph6_read_files_checks_the_index_column(tmp_path):
         "\n".join(f"{line.split()[0]} {p}" for line, p in zip(sidecar, g.labels)) + "\n"
     )
     with pytest.raises(graph6.Graph6Error, match="line 2"):
+        graph6.read_files(target)
+
+
+@pytest.mark.parametrize("point", ["x1", "-5", "0"])
+def test_graph6_read_files_checks_the_point_column(tmp_path, point):
+    g = build_gamma(canonical_form(5, ELLIPTIC))
+    target = str(tmp_path / "gamma.g6")
+    graph6.write_files(g, target)
+    sidecar = (tmp_path / "gamma.g6.labels").read_text().splitlines()
+    sidecar[0] = f"0 {point}"
+    (tmp_path / "gamma.g6.labels").write_text("\n".join(sidecar) + "\n")
+    with pytest.raises(graph6.Graph6Error, match="line 1 names no point"):
         graph6.read_files(target)
 
 

@@ -14,6 +14,7 @@ from quadswitch.gf2geom import (
     HYPERBOLIC,
     PARABOLIC,
     GeometryError,
+    PointMasks,
     QuadraticForm,
     SECANT,
     Subspace,
@@ -406,3 +407,36 @@ def test_subspace_point_count_matches_vdim():
 def test_subspace_rejects_non_echelon_basis():
     with pytest.raises(GeometryError):
         Subspace(5, (3, 1))  # reducible pair: 3 ^ 1 = 2 has a fresh pivot
+
+
+# --- point masks -------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([(5, ELLIPTIC), (5, HYPERBOLIC), (7, ELLIPTIC), (7, HYPERBOLIC)]), data=st.data())
+def test_point_masks_vertices_reads_the_label_bits(case, data):
+    f = canonical_form(*case)
+    masks = PointMasks(f)
+    labels = nonquadric_points(f)
+    assert masks.labels == tuple(labels)
+    assert masks.off == sum(1 << p for p in labels)
+    mask = data.draw(st.integers(0, masks.ones))
+    assert masks.vertices(mask) == sum(1 << i for i, p in enumerate(labels) if (mask >> p) & 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([5, 7]), data=st.data())
+def test_point_masks_translate_moves_each_point(n, data):
+    masks = PointMasks(canonical_form(n, ELLIPTIC))
+    mask = data.draw(st.integers(0, masks.ones))
+    x = data.draw(st.integers(0, (1 << (n + 1)) - 1))
+    want = sum(1 << (p ^ x) for p in range(1 << (n + 1)) if (mask >> p) & 1)
+    assert masks.translate(mask, x) == want
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_point_masks_nonorth_is_the_hyperplane(kind):
+    f = canonical_form(5, kind)
+    masks = PointMasks(f)
+    for y in range(1, 64):
+        assert masks.nonorth(y) == sum(1 << x for x in range(1, 64) if bilinear(f, x, y))

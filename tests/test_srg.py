@@ -12,8 +12,8 @@ from quadswitch.gf2geom import (
     PARABOLIC,
     GeometryError,
     bilinear,
+    PointMasks,
     canonical_form,
-    coordinate_masks,
     nonquadric_points,
 )
 from quadswitch.srg import (
@@ -366,12 +366,12 @@ def refuse_pair_check(g):
 
 
 def certificate_case(n, kind):
-    """Form, graph, point rows, vertex mask, the chosen reflections and the point count."""
+    """Form, graph, point rows, point masks, the chosen reflections and the point count."""
     f = form(n, kind)
     g, rows = build_gamma_rows(f)
-    vmask = sum(1 << x for x in g.labels)
-    reflections = srg._transitive_reflections(f, g.labels, vmask, coordinate_masks(n))
-    return f, g, rows, vmask, reflections, 1 << (n + 1)
+    masks = PointMasks(f)
+    assert masks.off == sum(1 << x for x in g.labels)
+    return f, g, rows, masks, srg._transitive_reflections(masks), 1 << (n + 1)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
@@ -382,7 +382,7 @@ def test_certify_gamma_matches_verify_srg(monkeypatch, n, kind):
     assert g == gamma(n, kind)
     with monkeypatch.context() as m:
         m.setattr(srg, "verify_srg", refuse_pair_check)
-        got = certify_gamma(f, g, rows)
+        got = certify_gamma(f, rows)
     assert got == verify_srg(g) == expected_params(n, kind)
 
 
@@ -399,49 +399,49 @@ def test_reflection_moves_points_as_defined(kind):
     # x -> x + B(x,r) r on point masks; it keeps B always, and Q exactly
     # when r is off the quadric
     f = form(5, kind)
-    halves = coordinate_masks(5)
+    masks = PointMasks(f)
     points = range(1, 64)
     for r in points:
-        reflection = srg._reflection(f, r, halves)
-        image = {x: srg._reflect(1 << x, reflection).bit_length() - 1 for x in points}
+        reflection = srg._reflection(masks, r)
+        image = {x: srg._reflect(masks, 1 << x, reflection).bit_length() - 1 for x in points}
         assert all(image[x] == (x ^ r if bilinear(f, x, r) else x) for x in points)
         assert all(bilinear(f, image[x], image[y]) == bilinear(f, x, y) for x in points for y in points)
-        keeps_q = srg._reflect(f.zero_mask, reflection) == f.zero_mask
+        keeps_q = srg._reflect(masks, f.zero_mask, reflection) == f.zero_mask
         assert keeps_q == (not f.contains(r))
 
 
 @pytest.mark.parametrize("n,kind", [(5, HYPERBOLIC), (7, ELLIPTIC)])
 def test_certificate_rejects_a_singular_reflection(monkeypatch, n, kind):
-    f, g, rows, vmask, good, size = certificate_case(n, kind)
-    assert srg._certificate(g, rows, vmask, good, size) == expected_params(n, kind)
+    f, g, rows, masks, good, size = certificate_case(n, kind)
+    assert srg._certificate(masks, rows, good) == expected_params(n, kind)
     r = next(p for p in range(1, size) if f.contains(p))
-    bad = srg._reflection(f, r, coordinate_masks(n))
-    assert srg._reflect(bad[1], bad) == bad[1]  # still a permutation of the points
+    bad = srg._reflection(masks, r)
+    assert srg._reflect(masks, bad[1], bad) == bad[1]  # still a permutation of the points
     with pytest.raises(srg._NotCertified, match="off the vertex set"):
-        srg._certificate(g, rows, vmask, [bad, *good], size)
+        srg._certificate(masks, rows, [bad, *good])
     calls = []
     monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: [bad, *good])
     monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
-    assert certify_gamma(f, g, rows) == expected_params(n, kind)
+    assert certify_gamma(f, rows) == expected_params(n, kind)
     assert calls == [g]
 
 
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 def test_certificate_needs_a_transitive_set(monkeypatch, n, kind):
-    f, g, rows, vmask, good, size = certificate_case(n, kind)
+    f, g, rows, masks, good, size = certificate_case(n, kind)
     with pytest.raises(srg._NotCertified, match="not transitive"):
-        srg._certificate(g, rows, vmask, good[:-1], size)
+        srg._certificate(masks, rows, good[:-1])
     calls = []
     monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: good[:-1])
     monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
-    assert certify_gamma(f, g, rows) == expected_params(n, kind)
+    assert certify_gamma(f, rows) == expected_params(n, kind)
     assert calls == [g]
 
 
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 @pytest.mark.parametrize("edit", ["symmetric_flip", "one_row"])
 def test_certificate_rejects_a_corrupted_row(n, kind, edit):
-    f, g, rows, vmask, good, size = certificate_case(n, kind)
+    f, g, rows, masks, good, size = certificate_case(n, kind)
     params = expected_params(n, kind)
     rows, vrows = list(rows), list(g.rows)
     last = g.v - 1
@@ -458,9 +458,9 @@ def test_certificate_rejects_a_corrupted_row(n, kind, edit):
         vrows[last] ^= (1 << a) | (1 << b)
     bad = Graph(g.labels, tuple(vrows))
     with pytest.raises(srg._NotCertified, match="row of"):
-        srg._certificate(bad, rows, vmask, good, size)
+        srg._certificate(masks, rows, good)
     with pytest.raises(NotStronglyRegular) as exc:
-        certify_gamma(f, bad, rows)
+        certify_gamma(f, rows)
     assert_real_srg_witness(bad, params, exc.value)
 
 
@@ -478,7 +478,7 @@ def test_flipped_pair_is_rejected_by_every_checker(case, data):
     bad_rows = list(rows)
     bad_rows[i] ^= 1 << g.labels[j]
     bad_rows[j] ^= 1 << g.labels[i]
-    for check in (verify_srg, lambda b: certify_gamma(f, b, bad_rows)):
+    for check in (verify_srg, lambda b: certify_gamma(f, bad_rows)):
         with pytest.raises(NotStronglyRegular) as exc:
             check(bad)
         assert_real_srg_witness(bad, params, exc.value)
@@ -491,9 +491,9 @@ def test_flipped_pair_is_rejected_by_every_checker(case, data):
 def test_each_reflection_checks_fixed_and_moved_rows(n, kind):
     # one reflection alone: a row it fixes and a row it moves, each with one
     # point of H_r toggled, fail the row step before the orbit step is reached
-    f, g, rows, vmask, good, size = certificate_case(n, kind)
+    f, g, rows, masks, good, size = certificate_case(n, kind)
     first = good[0]
-    r, h, _ = first
+    r, h = first
     fixed = next(i for i, x in enumerate(g.labels) if not (h >> x) & 1)
     moved = next(i for i, x in enumerate(g.labels) if (h >> x) & 1 and x < x ^ r)
     y = next(p for p in g.labels if (h >> p) & 1)
@@ -501,17 +501,28 @@ def test_each_reflection_checks_fixed_and_moved_rows(n, kind):
         bad = list(rows)
         bad[i] ^= 1 << y
         with pytest.raises(srg._NotCertified, match=message):
-            srg._certificate(g, bad, vmask, [first], size)
+            srg._certificate(masks, bad, [first])
 
 
 def test_certificate_ignores_no_point_outside_the_vertex_set():
     # point 0 added to every row is fixed by every reflection, so the rows stay
     # equivariant; the graph (which has no vertex 0) is untouched
-    f, g, rows, vmask, good, size = certificate_case(5, ELLIPTIC)
+    f, g, rows, masks, good, size = certificate_case(5, ELLIPTIC)
     with_zero = [row | 1 for row in rows]
     with pytest.raises(srg._NotCertified, match="first row"):
-        srg._certificate(g, with_zero, vmask, good, size)
-    assert certify_gamma(f, g, with_zero) == verify_srg(g) == expected_params(5, ELLIPTIC)
+        srg._certificate(masks, with_zero, good)
+    assert certify_gamma(f, with_zero) == verify_srg(g) == expected_params(5, ELLIPTIC)
+
+
+@pytest.mark.parametrize("stray", [1, 1 << 64], ids=["point 0", "past the points"])
+def test_certify_gamma_falls_back_on_the_graph_its_rows_describe(monkeypatch, stray):
+    # a bit off the vertex set in every row forces the fallback; verify_srg
+    # must then see the graph the rows describe, which is gamma
+    f, g, rows, masks, good, size = certificate_case(5, HYPERBOLIC)
+    seen = []
+    monkeypatch.setattr(srg, "verify_srg", lambda h: seen.append(h) or verify_srg(h))
+    assert certify_gamma(f, [row | stray for row in rows]) == expected_params(5, HYPERBOLIC)
+    assert seen == [build_gamma(f)]
 
 
 @pytest.mark.parametrize("connection,broken", [((1, 2, 3, 4), "lambda"), ((1, 2), "mu")])
@@ -523,36 +534,18 @@ def test_certificate_checks_every_pair_through_the_first_vertex(connection, brok
     rows = tuple(sum(1 << (x ^ d) for d in connection) for x in range(size))
     g = Graph(tuple(range(size)), rows)
     everything = (1 << size) - 1
-    translations = [(r, everything, ((r, low),)) for r, low in zip((1, 2, 4, 8), coordinate_masks(3))]
+    masks = PointMasks(form(3, HYPERBOLIC))  # the masks of F_2^4 ...
+    masks.off, masks.labels = everything, g.labels  # ... with every vector a vertex, 0 included
+    translations = [(r, everything) for r in (1, 2, 4, 8)]
     with pytest.raises(srg._NotCertified, match=broken):
-        srg._certificate(g, rows, everything, translations, size)
+        srg._certificate(masks, rows, translations)
     with pytest.raises(NotStronglyRegular):
         verify_srg(g)
 
 
-def test_certify_gamma_needs_distinct_labels(monkeypatch):
-    # a twin of the last vertex: the points cover the vertex set, but two
-    # vertices share one, so the certificate must not run
-    f, g, rows, _, _, _ = certificate_case(5, HYPERBOLIC)
-    last = g.v - 1
-    twin = Graph(g.labels + g.labels[-1:], g.rows + (g.rows[last],))
-    calls = []
-    monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
-    with pytest.raises(NotStronglyRegular) as exc:
-        certify_gamma(f, twin, rows + rows[-1:])
-    assert calls == [twin]
-    assert exc.value.witness is not None
-
-
-def test_certify_gamma_falls_back_on_graphs_it_cannot_place():
-    # a graph whose labels lie beyond the form's points, or whose point rows
-    # are missing, goes to verify_srg whole
-    c5 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert certify_gamma(form(5, ELLIPTIC), c5, ()) == verify_srg(c5)
-    far = Graph(tuple(range(100, 105)), c5.rows)
-    assert certify_gamma(form(5, ELLIPTIC), far, (0,) * 5) == verify_srg(far)
+def test_certify_gamma_needs_one_row_per_vertex():
     f = form(5, ELLIPTIC)
-    g, rows = build_gamma_rows(f)
-    for shift in (64, 128):  # the last vertex moved past the 64 points of PG(5,2)
-        beyond = Graph(g.labels[:-1] + (g.labels[-1] + shift,), g.rows)
-        assert certify_gamma(f, beyond, rows) == verify_srg(beyond)
+    rows = build_gamma_rows(f)[1]
+    for wrong in ((), rows[:-1], rows + rows[-1:]):
+        with pytest.raises(GeometryError, match="36 vertices"):
+            certify_gamma(f, wrong)

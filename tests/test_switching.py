@@ -116,6 +116,22 @@ def test_singular_search_rejects_negative_t():
         find_singular_subspace(E5, -1)
 
 
+def test_singular_search_rejects_a_negative_index():
+    with pytest.raises(SwitchingError, match="must be >= 0"):
+        find_singular_subspace(E5, 1, -1)
+
+
+def test_tangent_search_rejects_a_negative_index():
+    with pytest.raises(SwitchingError, match="must be >= 0"):
+        find_tangent_space(E5, find_singular_subspace(E5, 1), -1)
+
+
+def test_second_tangent_search_rejects_a_negative_index():
+    cfg = make_config(E5, 1, "tt")
+    with pytest.raises(SwitchingError, match="must be >= 0"):
+        find_second_tangent_space(E5, cfg.alpha, cfg.pi, -1)
+
+
 def reference_singular_subspaces(form, t):
     """The earlier search: every increasing chain of pairwise orthogonal
     singular points, each span yielded the first time it is reached."""
@@ -430,6 +446,39 @@ def test_tangent_iterators_check_their_inputs_first():
 
 
 # --- configurations and S ------------------------------------------------------------
+
+
+def reference_build_S(config):
+    """The previous build_S: the points of S, mapped through a point -> vertex dict."""
+    idx = {p: i for i, p in enumerate(nonquadric_points(config.form))}
+    pts = set(config.pi.points())
+    if config.pi2 is not None:
+        pts |= set(config.pi2.points())
+    pts -= set(config.alpha.points())
+    return frozenset(idx[p] for p in pts)
+
+
+def reference_T_formula(config):
+    """The previous T_formula: the closed form tested vertex by vertex."""
+    form = config.form
+    labels = nonquadric_points(form)
+    a_perp = perp(form, config.alpha).point_mask()
+    out = {i for i, p in enumerate(labels) if not (a_perp >> p) & 1}
+    if config.pi2 is not None:
+        sym = perp(form, config.pi).point_mask() ^ perp(form, config.pi2).point_mask()
+        s_points = (set(config.pi.points()) | set(config.pi2.points())) - set(config.alpha.points())
+        out |= {i for i, p in enumerate(labels) if (sym >> p) & 1 and p not in s_points}
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("n,kind,t,variant", list(legal_cases()))
+def test_build_S_and_T_formula_match_the_point_list_reference(n, kind, t, variant):
+    # every flag at n = 5, every 97th at n = 7
+    form = canonical_form(n, kind)
+    for flag in islice(iter_flags(form, t, variant), 0, None, 1 if n == 5 else 97):
+        cfg = SwitchConfig(form, t, *flag)
+        assert build_S(cfg) == reference_build_S(cfg)
+        assert T_formula(cfg) == reference_T_formula(cfg)
 
 
 def test_build_S_sizes():
