@@ -9,6 +9,7 @@ sidecar mapping vertex index to point integer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -74,12 +75,12 @@ class _Runner:
 def _code_report(graph) -> dict:
     code = codes.code_from_graph(graph)
     dist = codes.weight_distribution(code)
-    words = codes.min_weight_codewords(code)
+    min_weight = min(w for w in dist if w)
     return {
         "dimension": code.dim,
         "length": code.length,
-        "min_weight": words[0].bit_count(),
-        "min_word_count": len(words),
+        "min_weight": min_weight,
+        "min_word_count": dist[min_weight],
         "weight_distribution": [[w, c] for w, c in sorted(dist.items())],
     }
 
@@ -380,41 +381,42 @@ def main(argv=None) -> int:
             "seed_choice": getattr(args, "seed_choice", None),
         }
     }
-    out = getattr(args, "out", None)
-
-    def emit() -> None:
-        text = json.dumps(report, indent=2, sort_keys=True)
-        print(text)
-        if out and not _unwritable(out):
-            with open(out, "w", encoding="ascii") as fh:
-                fh.write(text)
-                fh.write("\n")
-
-    try:
-        # refuse unwritable outputs before any work, not after the report is printed
-        for flag, path in (("--out", out), ("--export-graph", getattr(args, "export_graph", None))):
-            if _unwritable(path):
-                raise OSError(f"{flag}: cannot create {path!r}: no such directory, or a directory itself")
-        report.update(args.fn(args, runner))
-    except (
-        GeometryError,
-        switching.SwitchingError,
-        codes.CodeError,
-        NotStronglyRegular,
-        distinguish.IsomorphismBudgetExceeded,
-        distinguish.IsomorphismTooLarge,
-        OSError,
-    ) as exc:
-        report["error"] = str(exc)
+    error = None
+    with contextlib.ExitStack() as stack:
+        out_file = None
+        try:
+            # refuse unwritable outputs before any work, not after the report is printed
+            if args.out:
+                try:
+                    out_file = stack.enter_context(open(args.out, "w", encoding="ascii"))
+                except OSError as exc:
+                    raise OSError(f"--out: cannot create {args.out!r}: {exc.strerror}") from exc
+            export = getattr(args, "export_graph", None)
+            if _unwritable(export):
+                raise OSError(
+                    f"--export-graph: cannot create {export!r}: no such directory, or a directory itself"
+                )
+            report.update(args.fn(args, runner))
+        except (
+            GeometryError,
+            switching.SwitchingError,
+            codes.CodeError,
+            NotStronglyRegular,
+            distinguish.IsomorphismBudgetExceeded,
+            distinguish.IsomorphismTooLarge,
+            OSError,
+        ) as exc:
+            report["error"] = error = str(exc)
         report["checks"] = runner.checks
         report["timings"] = runner.timings
-        emit()
-        print(f"error: {exc}", file=sys.stderr)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        print(text)
+        if out_file is not None:
+            out_file.write(text)
+            out_file.write("\n")
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 1
-
-    report["checks"] = runner.checks
-    report["timings"] = runner.timings
-    emit()
     failures = runner.failures
     if failures:
         print("failed checks: " + ", ".join(failures), file=sys.stderr)

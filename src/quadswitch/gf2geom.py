@@ -12,8 +12,9 @@ A quadratic form is an upper-triangular coefficient matrix over GF(2);
 Q(x) = sum a_ij x_i x_j, and the polarization B(x,y) = Q(x^y)+Q(x)+Q(y)
 is the symplectic form that drives the polarity.
 
-Sets of points are point masks, ints with bit p for the point p;
-PointMasks(form) holds those of one form and the maps between them.
+Sets of points are point masks, ints with bit p for the point p.  Each
+form holds its own, Q's built monomial by monomial from coordinate masks,
+with the gather into vertex order, translations and hyperplanes B(x,y) = 1.
 """
 
 from __future__ import annotations
@@ -68,15 +69,14 @@ def quadric_size(n: int, kind: str) -> int:
 
 
 class QuadraticForm:
-    """Non-singular quadratic form on PG(n,2).
+    """Non-singular quadratic form on PG(n,2), with its point masks.
 
     rows[i] holds the coefficients a_ij for j >= i (bit j set iff the
     monomial X_i X_j is present, with a_ii on the diagonal bit).
-    Immutable once built; the zero set and the symmetrized Gram matrix are
-    precomputed because membership tests dominate everything downstream.
+    Immutable once built.  The symmetrized Gram matrix and the point masks
+    halves, ones, off and zero_mask are precomputed; the labels, the gather
+    into vertex order and the hyperplane masks are made on first use and kept.
     """
-
-    __slots__ = ("n", "kind", "rows", "zero_mask", "gram")
 
     def __init__(self, n: int, kind: str, rows: tuple[int, ...]):
         if kind not in KINDS:
@@ -95,36 +95,29 @@ class QuadraticForm:
         self.kind = kind
         self.rows = tuple(rows)
 
-        # Gram matrix of the polarization: gram[i] bit j = B(e_i, e_j).
-        gram = [0] * (n + 1)
+        self.halves = coordinate_masks(n)
+        self.ones = (1 << (1 << (n + 1))) - 1
+        one = [half << (1 << b) for b, half in enumerate(self.halves)]  # coordinate b is 1
+        # one pass over the monomials X_i X_j gives the mask of Q (the points
+        # off the quadric) and the Gram matrix of the polarization, gram[i]
+        # bit j = B(e_i, e_j)
+        q, gram = 0, [0] * (n + 1)
         for i in range(n + 1):
-            for j in range(i + 1, n + 1):
+            for j in range(i, n + 1):
                 if (rows[i] >> j) & 1:
-                    gram[i] |= 1 << j
-                    gram[j] |= 1 << i
+                    q ^= one[i] & one[j]
+                    if j != i:
+                        gram[i] |= 1 << j
+                        gram[j] |= 1 << i
         self.gram = tuple(gram)
-
-        zeros = 0
-        for p in range(1, 1 << (n + 1)):
-            if self._evaluate(p) == 0:
-                zeros |= 1 << p
-        self.zero_mask = zeros
-        if zeros.bit_count() != quadric_size(n, kind):
+        self.off = q
+        self.zero_mask = self.ones & ~q & ~1  # the vector 0 is no point
+        self._nonorth: dict[int, int] = {}
+        if self.zero_mask.bit_count() != quadric_size(n, kind):
             raise GeometryError(
-                f"form has {zeros.bit_count()} zeros, a non-singular {kind} "
+                f"form has {self.zero_mask.bit_count()} zeros, a non-singular {kind} "
                 f"quadric in PG({n},2) must have {quadric_size(n, kind)}"
             )
-
-    def _evaluate(self, x: int) -> int:
-        acc = 0
-        y = x
-        i = 0
-        while y:
-            if y & 1:
-                acc ^= (self.rows[i] & x).bit_count()
-            y >>= 1
-            i += 1
-        return acc & 1
 
     def evaluate(self, x: int) -> int:
         """Q(x) over GF(2)."""
@@ -139,6 +132,45 @@ class QuadraticForm:
     def _check_point(self, x: int) -> None:
         if not 1 <= x < (1 << (self.n + 1)):
             raise GeometryError(f"{x} is not a point of PG({self.n},2)")
+
+    @functools.cached_property
+    def labels(self) -> tuple[int, ...]:
+        """The points off the quadric in order, one per vertex."""
+        bits = format(self.off, "b")[::-1]  # bits[p] is bit p
+        return tuple(p for p, bit in enumerate(bits) if bit == "1")
+
+    @functools.cached_property
+    def _gather(self):
+        # format(mask, spec)[size - 1 - p] is bit p, so this picks the label bits
+        # of a mask, highest vertex first: a vertex-indexed mask in binary
+        size = 1 << (self.n + 1)
+        return itemgetter(*[size - 1 - p for p in reversed(self.labels)]), f"0{size}b"
+
+    def vertices(self, mask: int) -> int:
+        """The mask in vertex order: bit i for the point labels[i]."""
+        gather, spec = self._gather
+        return int("".join(gather(format(mask & self.ones, spec))), 2)
+
+    def nonorth(self, y: int) -> int:
+        """The points x with B(x, y) = 1: odd parity against y's polar vector."""
+        mask = self._nonorth.get(y)
+        if mask is None:
+            m, mask = polar_vector(self, y), 0
+            for b, half in enumerate(self.halves):
+                if m >> b & 1:
+                    mask ^= half << (1 << b)  # the vectors whose coordinate b is 1
+            self._nonorth[y] = mask
+        return mask
+
+    def translate(self, mask: int, x: int) -> int:
+        """Move bit p to bit p^x: one block swap per set bit b of x, exchanging
+        the 2^b-wide blocks that differ in coordinate b."""
+        while x:
+            b = (x & -x).bit_length() - 1
+            width, low = 1 << b, self.halves[b]
+            mask = ((mask & low) << width) | ((mask >> width) & low)
+            x &= x - 1
+        return mask
 
     def __eq__(self, other) -> bool:
         return (
@@ -188,14 +220,12 @@ def canonical_form(n: int, kind: str) -> QuadraticForm:
 
 def quadric_points(form: QuadraticForm) -> set[int]:
     """The zero set of the form as a set of points."""
-    m = form.zero_mask
-    return {p for p in range(1, 1 << (form.n + 1)) if (m >> p) & 1}
+    return set(range(1, 1 << (form.n + 1))).difference(form.labels)
 
 
 def nonquadric_points(form: QuadraticForm) -> list[int]:
     """Points off the quadric in canonical order."""
-    m = form.zero_mask
-    return [p for p in range(1, 1 << (form.n + 1)) if not (m >> p) & 1]
+    return list(form.labels)
 
 
 def bilinear(form: QuadraticForm, x: int, y: int) -> int:
@@ -224,57 +254,6 @@ def coordinate_masks(n: int) -> tuple[int, ...]:
     """
     ones = (1 << (1 << (n + 1))) - 1
     return tuple(ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n + 1))
-
-
-class PointMasks:
-    """The point masks of one form."""
-
-    def __init__(self, form: QuadraticForm):
-        self.form = form
-        self.halves = coordinate_masks(form.n)
-        self.ones = (1 << (1 << (form.n + 1))) - 1
-        self.off = self.ones & ~form.zero_mask & ~1  # the points off the quadric
-        self._nonorth: dict[int, int] = {}
-
-    @functools.cached_property
-    def labels(self) -> tuple[int, ...]:
-        """The points off the quadric in order, one per vertex."""
-        return tuple(nonquadric_points(self.form))
-
-    @functools.cached_property
-    def _gather(self):
-        # format(mask, spec)[size - 1 - p] is bit p, so this picks the label bits
-        # of a mask, highest vertex first: a vertex-indexed mask in binary
-        size = 1 << (self.form.n + 1)
-        return itemgetter(*[size - 1 - p for p in reversed(self.labels)]), f"0{size}b"
-
-    def vertices(self, mask: int) -> int:
-        """The mask in vertex order: bit i for the point labels[i]."""
-        gather, spec = self._gather
-        return int("".join(gather(format(mask & self.ones, spec))), 2)
-
-    def nonorth(self, y: int) -> int:
-        """The points x with B(x, y) = 1: odd parity against y's polar vector."""
-        mask = self._nonorth.get(y)
-        if mask is None:
-            m, mask = polar_vector(self.form, y), 0
-            for b, half in enumerate(self.halves):
-                if m >> b & 1:
-                    mask ^= half << (1 << b)  # the vectors whose coordinate b is 1
-            self._nonorth[y] = mask
-        return mask
-
-    def translate(self, mask: int, x: int) -> int:
-        """Move bit p to bit p^x: one block swap per set bit b of x, exchanging
-        the 2^b-wide blocks that differ in coordinate b."""
-        b = 0
-        while x:
-            if x & 1:
-                width, low = 1 << b, self.halves[b]
-                mask = ((mask & low) << width) | ((mask >> width) & low)
-            x >>= 1
-            b += 1
-        return mask
 
 
 # --- subspaces ---------------------------------------------------------------

@@ -29,6 +29,8 @@ def _encode_size(v: int) -> bytes:
 def _decode_size(data: bytes) -> tuple[int, int]:
     if not data:
         raise Graph6Error("empty graph6 data")
+    if any(not 63 <= b <= 126 for b in data[: 4 if data[0] == 126 else 1]):
+        raise Graph6Error("size byte outside 63..126")
     if data[0] != 126:
         return data[0] - 63, 1
     if len(data) < 4 or data[1] == 126:
@@ -123,12 +125,15 @@ def read_files(path: str) -> Graph:
     with open(path, "rb") as fh:
         data = fh.read()
     labels = []
-    with open(path + ".labels", "r", encoding="ascii") as fh:
-        for i, line in enumerate(fh):
-            fields = line.split()
-            if len(fields) != 2 or fields[0] != str(i):
-                raise Graph6Error(f"{path}.labels line {i + 1} is not '{i} <point>': {line!r}")
-            if not fields[1].isdigit() or int(fields[1]) == 0:
-                raise Graph6Error(f"{path}.labels line {i + 1} names no point: {line!r}")
-            labels.append(int(fields[1]))
+    try:
+        with open(path + ".labels", "r", encoding="ascii") as fh:
+            for i, line in enumerate(fh):
+                fields = line.split()
+                if len(fields) != 2 or fields[0] != str(i):
+                    raise Graph6Error(f"{path}.labels line {i + 1} is not '{i} <point>': {line!r}")
+                if not fields[1].isdigit() or int(fields[1]) == 0:
+                    raise Graph6Error(f"{path}.labels line {i + 1} names no point: {line!r}")
+                labels.append(int(fields[1]))
+    except UnicodeDecodeError as exc:
+        raise Graph6Error(f"{path}.labels is not ASCII: {exc}") from exc
     return decode(data, labels)

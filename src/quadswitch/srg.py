@@ -6,9 +6,9 @@ the quadric).  Adjacency rows are bit-packed ints, so common-neighbour
 counts are popcounts of row ANDs and the whole strong-regularity identity
 A^2 = kI + lam*A + mu*(J - I - A) is checked exactly over the integers.
 
-Rows are built whole on point masks (see gf2geom): with N the points off
-the quadric, the neighbours of x are N & translate(N, x), gathered into
-vertex order.
+Rows are built whole on the form's point masks (see gf2geom): with N the
+points off the quadric, the neighbours of x are N & translate(N, x),
+gathered into vertex order.
 
 verify_srg checks all v(v-1)/2 pairs and is the reference.  The quadric
 graph itself is checked by certify_gamma from the point-indexed rows that
@@ -49,7 +49,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .gf2geom import PARABOLIC, GeometryError, PointMasks, QuadraticForm
+from .gf2geom import PARABOLIC, GeometryError, QuadraticForm
 
 
 class NotStronglyRegular(ValueError):
@@ -117,11 +117,10 @@ def build_gamma_rows(form: QuadraticForm) -> tuple[Graph, tuple[int, ...]]:
         raise GeometryError(
             "the external-line graph needs an elliptic or hyperbolic quadric with odd n >= 5"
         )
-    masks = PointMasks(form)
-    off = masks.off
+    off = form.off
     # y is a neighbour of x iff y and x^y are both off the quadric
-    point_rows = tuple(off & masks.translate(off, x) for x in masks.labels)
-    return Graph(masks.labels, tuple(map(masks.vertices, point_rows))), point_rows
+    point_rows = tuple(off & form.translate(off, x) for x in form.labels)
+    return Graph(form.labels, tuple(map(form.vertices, point_rows))), point_rows
 
 
 def build_gamma(form: QuadraticForm) -> Graph:
@@ -229,59 +228,59 @@ class _NotCertified(Exception):
     """The reflection certificate could not be completed; verify_srg decides."""
 
 
-def _reflection(masks: PointMasks, r: int):
+def _reflection(form: QuadraticForm, r: int):
     """The map x -> x + B(x,r) r as (r, H), H the points it moves.  As
     B(r,r) = 0, x and x^r lie in H together: the map is an involution."""
-    return r, masks.nonorth(r)
+    return r, form.nonorth(r)
 
 
-def _reflect(masks: PointMasks, mask: int, reflection) -> int:
+def _reflect(form: QuadraticForm, mask: int, reflection) -> int:
     """Image of a point mask: the points of H move by r, the others stay."""
     r, h = reflection
-    return (mask & ~h) | masks.translate(mask & h, r)
+    return (mask & ~h) | form.translate(mask & h, r)
 
 
-def _orbit(masks: PointMasks, orbit: int, reflections) -> int:
+def _orbit(form: QuadraticForm, orbit: int, reflections) -> int:
     """Point mask of the union of the orbits of a point mask's points under
     the group the reflections generate."""
     while True:
         grown = orbit
         for reflection in reflections:
-            grown |= _reflect(masks, grown, reflection)
+            grown |= _reflect(form, grown, reflection)
         if grown == orbit:
             return orbit
         orbit = grown
 
 
-def _transitive_reflections(masks: PointMasks) -> list:
+def _transitive_reflections(form: QuadraticForm) -> list:
     """Reflections in vertices until the orbit of the first vertex is
-    masks.off: each time the lightest one that enlarges the orbit, as it moves
+    form.off: each time the lightest one that enlarges the orbit, as it moves
     a row in few block swaps.  Stops early when none does."""
-    lightest_first = sorted(masks.labels, key=int.bit_count)
+    lightest_first = sorted(form.labels, key=int.bit_count)
     chosen: list = []
-    orbit = 1 << masks.labels[0]
-    while orbit != masks.off:
-        candidates = (_reflection(masks, r) for r in lightest_first)
-        reflection = next((c for c in candidates if _reflect(masks, orbit, c) != orbit), None)
+    orbit = 1 << form.labels[0]
+    while orbit != form.off:
+        candidates = (_reflection(form, r) for r in lightest_first)
+        reflection = next((c for c in candidates if _reflect(form, orbit, c) != orbit), None)
         if reflection is None:
             break
         chosen.append(reflection)
-        orbit = _orbit(masks, orbit, chosen)
+        orbit = _orbit(form, orbit, chosen)
     return chosen
 
 
-def _certificate(masks: PointMasks, point_rows, reflections) -> SrgParams:
-    """The parameters of the graph on masks.labels with these point rows,
+def _certificate(form: QuadraticForm, point_rows, reflections) -> SrgParams:
+    """The parameters of the graph on form.labels with these point rows,
     from the three checks of the module docstring, or _NotCertified."""
-    labels, vmask, v = masks.labels, masks.off, len(masks.labels)
-    size = 1 << len(masks.halves)
+    labels, vmask, v = form.labels, form.off, len(form.labels)
+    size = 1 << len(form.halves)
     spec, top = f"0{size}b", size - 1
     row_of = dict(zip(labels, point_rows))
     for reflection in reflections:
         r, h = reflection
-        if _reflect(masks, vmask, reflection) != vmask:
+        if _reflect(form, vmask, reflection) != vmask:
             raise _NotCertified(f"the reflection in {r} moves a vertex off the vertex set")
-        swaps = [(1 << b, low) for b, low in enumerate(masks.halves) if (r >> b) & 1]
+        swaps = [(1 << b, low) for b, low in enumerate(form.halves) if (r >> b) & 1]
         moves = format(h, spec)
         for x, row in row_of.items():
             fixed = moves[top - x] == "0"
@@ -296,7 +295,7 @@ def _certificate(masks: PointMasks, point_rows, reflections) -> SrgParams:
                     raise _NotCertified(f"the reflection in {r} moves the row of {x}")
             elif (row ^ part) | moved != row_of[x ^ r]:
                 raise _NotCertified(f"the reflection in {r} maps the row of {x} wrongly")
-    if _orbit(masks, 1 << labels[0], reflections) != vmask:
+    if _orbit(form, 1 << labels[0], reflections) != vmask:
         raise _NotCertified("the reflections are not transitive on the vertices")
 
     first = point_rows[0]
@@ -327,14 +326,13 @@ def certify_gamma(form: QuadraticForm, point_rows) -> SrgParams:
     certificate of the module docstring, or else from verify_srg itself.
     Raises GeometryError unless there is one row per vertex.
     """
-    masks = PointMasks(form)
-    v = len(masks.labels)
+    v = len(form.labels)
     if len(point_rows) != v:
         raise GeometryError(f"{len(point_rows)} point rows for the {v} vertices of the form")
     try:
-        return _certificate(masks, point_rows, _transitive_reflections(masks))
+        return _certificate(form, point_rows, _transitive_reflections(form))
     except _NotCertified:
-        return verify_srg(Graph(masks.labels, tuple(map(masks.vertices, point_rows))))
+        return verify_srg(Graph(form.labels, tuple(map(form.vertices, point_rows))))
 
 
 def _wrong_count(rows, i: int, j: int, lam: int, mu: int):

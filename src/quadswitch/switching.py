@@ -10,8 +10,8 @@ All searches are deterministic: candidates are scanned in increasing point
 order, so the "first" flag is reproducible, and an index argument exposes
 the k-th flag in the same order.
 
-The flag searches work on point masks (see gf2geom).  They rest on two
-identities of Q(x+y) = Q(x) + Q(y) + B(x,y):
+The flag searches work on the form's point masks (see gf2geom).  They
+rest on two identities of Q(x+y) = Q(x) + Q(y) + B(x,y):
 
 * For x in alpha-perp and a in alpha, Q(x+a) = Q(x).  So each coset
   x + alpha with x in alpha-perp off the quadric avoids the quadric, and
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .gf2geom import HYPERBOLIC, PointMasks, QuadraticForm, Subspace, perp, span
+from .gf2geom import HYPERBOLIC, QuadraticForm, Subspace, span
 from .srg import Graph
 
 
@@ -65,45 +65,53 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class _PointMasks(PointMasks):
-    """The flag walk on the point masks of one form, made per search."""
+def _off_perp(form: QuadraticForm, space: Subspace) -> int:
+    """The points off space-perp: those with B(x, b) = 1 for some basis vector b."""
+    out = 0
+    for b in space.basis:
+        out |= form.nonorth(b)
+    return out
 
-    def candidates(self, alpha: Subspace) -> int:
-        """The pivot-free points of alpha-perp off the quadric."""
-        perp, free = self.ones, self.ones
-        for b in alpha.basis:  # reduced echelon: the pivots are the top bits
-            perp &= ~self.nonorth(b)
-            free &= self.halves[b.bit_length() - 1]
-        return self.off & perp & free
 
-    def singular_chains(self, t: int) -> Iterator[tuple[list[int], int]]:
-        """(chain, candidates) for each singular t-space in lexicographic order:
-        its basis as an increasing chain, and the pivot-free points of its
-        perp off the quadric."""
-        if t < 0:
-            raise SwitchingError(f"t must be >= 0, got {t}")
-        zeros, halves, off = self.form.zero_mask, self.halves, self.off
+def _candidates(form: QuadraticForm, alpha: Subspace) -> int:
+    """The pivot-free points of alpha-perp off the quadric."""
+    free = form.ones
+    for b in alpha.basis:  # reduced echelon: the pivots are the top bits
+        free &= form.halves[b.bit_length() - 1]
+    return form.off & ~_off_perp(form, alpha) & free
 
-        def extend(chain: list[int], perp: int, free: int):
-            above = -(2 << chain[-1]) if chain else -2  # the points past the last one
-            for q in _bits(zeros & perp & free & above):
-                q_perp, q_free = perp & ~self.nonorth(q), free & halves[q.bit_length() - 1]
-                if len(chain) == t:
-                    yield chain + [q], off & q_perp & q_free
-                else:
-                    yield from extend(chain + [q], q_perp, q_free)
 
-        return extend([], self.ones, self.ones)
+def _singular_chains(form: QuadraticForm, t: int) -> Iterator[tuple[list[int], int]]:
+    """(chain, candidates) for each singular t-space in lexicographic order:
+    its basis as an increasing chain, and the pivot-free points of its perp
+    off the quadric."""
+    if t < 0:
+        raise SwitchingError(f"t must be >= 0, got {t}")
+    zeros, halves, off = form.zero_mask, form.halves, form.off
 
-    def flag_groups(self, t: int, variant: str) -> Iterator[tuple[list[int], Optional[int], int]]:
-        """(chain, y, points) in flag order: the Pi points under each singular
-        space (y None), or for tt the Pi' points of each Pi = <alpha, y>."""
-        for chain, cand in self.singular_chains(t):
-            if variant == "t":
-                yield chain, None, cand
+    def extend(chain: list[int], perp: int, free: int):
+        above = -(2 << chain[-1]) if chain else -2  # the points past the last one
+        for q in _bits(zeros & perp & free & above):
+            q_perp, q_free = perp & ~form.nonorth(q), free & halves[q.bit_length() - 1]
+            if len(chain) == t:
+                yield chain + [q], off & q_perp & q_free
             else:
-                for y in _bits(cand):
-                    yield chain, y, cand & self.nonorth(y)
+                yield from extend(chain + [q], q_perp, q_free)
+
+    return extend([], form.ones, form.ones)
+
+
+def _flag_groups(
+    form: QuadraticForm, t: int, variant: str
+) -> Iterator[tuple[list[int], Optional[int], int]]:
+    """(chain, y, points) in flag order: the Pi points under each singular
+    space (y None), or for tt the Pi' points of each Pi = <alpha, y>."""
+    for chain, cand in _singular_chains(form, t):
+        if variant == "t":
+            yield chain, None, cand
+        else:
+            for y in _bits(cand):
+                yield chain, y, cand & form.nonorth(y)
 
 
 def _check_singular(form: QuadraticForm, alpha: Subspace) -> None:
@@ -149,7 +157,7 @@ def iter_singular_subspaces(form: QuadraticForm, t: int) -> Iterator[Subspace]:
     the reduced echelon bases in increasing order, so each space is reached
     once, through its lexicographically first chain.
     """
-    chains = _PointMasks(form).singular_chains(t)
+    chains = _singular_chains(form, t)
     return (Subspace(form.n, tuple(reversed(chain))) for chain, _ in chains)
 
 
@@ -180,7 +188,7 @@ def iter_tangent_spaces(form: QuadraticForm, alpha: Subspace) -> Iterator[Subspa
     off the quadric, one per coset y + alpha, in the order of y.
     """
     _check_singular(form, alpha)
-    return (_extend(alpha, y) for y in _bits(_PointMasks(form).candidates(alpha)))
+    return (_extend(alpha, y) for y in _bits(_candidates(form, alpha)))
 
 
 def find_tangent_space(form: QuadraticForm, alpha: Subspace, index: int = 0) -> Subspace:
@@ -203,8 +211,7 @@ def iter_second_tangent_spaces(
     _check_singular(form, alpha)
     _check_tangent(form, alpha, pi, "pi")
     y = next(p for p in pi.points() if not alpha.contains(p))
-    masks = _PointMasks(form)
-    return (_extend(alpha, x) for x in _bits(masks.candidates(alpha) & masks.nonorth(y)))
+    return (_extend(alpha, x) for x in _bits(_candidates(form, alpha) & form.nonorth(y)))
 
 
 def find_second_tangent_space(
@@ -271,7 +278,7 @@ def iter_flags(
 ) -> Iterator[tuple[Subspace, Subspace, Optional[Subspace]]]:
     """All switching flags (alpha, Pi, Pi' or None) for (t, variant) in nested
     lexicographic order.  Plain tuples, so flags skipped over cost no validation."""
-    for chain, y, points in _PointMasks(form).flag_groups(t, variant):
+    for chain, y, points in _flag_groups(form, t, variant):
         for x in _bits(points):
             yield _flag(form.n, chain, y, x)
 
@@ -295,7 +302,7 @@ def make_config(form: QuadraticForm, t: int, variant: str, choice: int = 0) -> S
     if choice < 0:
         raise SwitchingError(f"the flag choice must be >= 0, got {choice}")
     left = choice
-    for chain, y, points in _PointMasks(form).flag_groups(t, variant):
+    for chain, y, points in _flag_groups(form, t, variant):
         count = points.bit_count()
         if left < count:
             x = next(islice(_bits(points), left, None))
@@ -319,7 +326,7 @@ def _vertex_set(form: QuadraticForm, points: int) -> frozenset[int]:
     """The vertices of the canonical quadric graph among a mask's points."""
     # copied from a set, the frozenset's table fits its length: half of what
     # growing it bit by bit leaves (64 KiB for T at n = 11)
-    return frozenset(set(_bits(PointMasks(form).vertices(points))))
+    return frozenset(set(_bits(form.vertices(points))))
 
 
 def build_S(config: SwitchConfig) -> frozenset[int]:
@@ -409,9 +416,9 @@ def T_formula(config: SwitchConfig) -> frozenset[int]:
     two-space construction, the non-quadric part of (Pi-perp symdiff
     Pi'-perp) outside S."""
     form = config.form
-    out = ~perp(form, config.alpha).point_mask()
+    out = _off_perp(form, config.alpha)
     if config.pi2 is not None:
-        sym = perp(form, config.pi).point_mask() ^ perp(form, config.pi2).point_mask()
+        sym = _off_perp(form, config.pi) ^ _off_perp(form, config.pi2)
         out |= sym & ~_s_points(config)
     return _vertex_set(form, out)
 

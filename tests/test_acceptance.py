@@ -4,9 +4,12 @@ Desk scale: n in {5, 7} is mandatory everywhere, n = 9 for quadric sizes,
 graph parameters and weight distributions.  Every tolerance is exact.
 """
 
+import hashlib
 import json
 import random
 import time
+
+import pytest
 
 from quadswitch import cli
 from quadswitch.codes import (
@@ -192,3 +195,22 @@ def test_criterion_11_verify_all_deterministic(capsys):
         reports.append(json.dumps(rep, sort_keys=True, indent=2))
     assert reports[0] == reports[1]
     print("PASS criterion 11: verify-all --n 7 is byte-identical across runs minus timings")
+
+
+# sha256 of the verify-all report without its timings, dumped as the CLI dumps it
+VERIFY_ALL_DIGESTS = {
+    5: "d9a9e1b5b15d62dc026263932be2d741536dcb1c7c2196c82bc28dcb2d4962ab",
+    7: "821937e2a15eed0e7f45ce778f27014aa40a4d4d03aab2578b55f28bb10fba45",
+    9: "f93598f3e872e303996d6260f12e291003321b3a39288f9e80c76c65fde78741",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_ALL_DIGESTS))
+def test_criterion_11_verify_all_report_bytes_are_pinned(capsys, n):
+    code = cli.main(["verify-all", "--n", str(n)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0
+    rep.pop("timings")
+    text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == VERIFY_ALL_DIGESTS[n]
+    print(f"PASS criterion 11: verify-all --n {n} report matches its pinned digest minus timings")

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import switch_case
 from quadswitch import distinguish, graph6, srg
+from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.cli import main
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form
 from quadswitch.srg import Graph, build_gamma, expected_params
@@ -39,6 +40,18 @@ def test_switch_n7_hyperbolic_double_with_code(capsys):
     rep = json.loads(out)
     assert rep["code"]["dimension"] == 10
     assert rep["code"]["min_weight"] == 8
+
+
+@pytest.mark.parametrize("case", [(7, HYPERBOLIC, 1, "tt"), (7, ELLIPTIC, 2, "tt")])
+def test_switch_code_report_matches_the_minimum_word_walk(capsys, case):
+    n, kind, t, variant = case
+    code, out, _ = run_cli(
+        capsys, "switch", "--n", str(n), "--kind", kind, "--t", str(t), "--variant", variant, "--code",
+    )
+    assert code == 0
+    rep = json.loads(out)["code"]
+    words = min_weight_codewords(code_from_graph(switch_case(*case).graph))
+    assert (rep["min_weight"], rep["min_word_count"]) == (words[0].bit_count(), len(words))
 
 
 def test_switch_impossible_double_exits_1(capsys):
@@ -212,6 +225,17 @@ def test_out_into_missing_directory_fails_before_any_work(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+def test_out_with_an_overlong_name_is_a_json_error(tmp_path, capsys):
+    target = tmp_path / ("x" * 300 + ".json")  # longer than a file name may be
+    code, out, _ = run_cli(
+        capsys, "construct", "--n", "5", "--kind", "elliptic", "--out", str(target),
+    )
+    assert code == 1
+    rep = json.loads(out)
+    assert "--out" in rep["error"]
+    assert rep["checks"] == {} and "graph" not in rep  # refused before any work
+
+
 def test_export_graph_round_trip(tmp_path, capsys):
     target = tmp_path / "gamma.g6"
     code, _, _ = run_cli(
@@ -301,6 +325,10 @@ def test_graph6_rejects_garbage():
         graph6.decode(b"~?")  # truncated four-byte size prefix
     with pytest.raises(graph6.Graph6Error, match="alphabet"):
         graph6.decode(b"D?\x7f")  # right length, byte 127 is not a graph6 character
+    # size bytes below 63 mean a negative vertex count; each body has the length it implies
+    for data in (b">?", b"\x00" + b"?" * 336, b"~?\x00??"):
+        with pytest.raises(graph6.Graph6Error, match="size byte"):
+            graph6.decode(data)
 
 
 def test_graph6_decode_rejects_labels_out_of_order():
@@ -333,6 +361,16 @@ def test_graph6_read_files_checks_the_point_column(tmp_path, point):
     sidecar[0] = f"0 {point}"
     (tmp_path / "gamma.g6.labels").write_text("\n".join(sidecar) + "\n")
     with pytest.raises(graph6.Graph6Error, match="line 1 names no point"):
+        graph6.read_files(target)
+
+
+def test_graph6_read_files_rejects_a_non_ascii_sidecar(tmp_path):
+    g = build_gamma(canonical_form(5, ELLIPTIC))
+    target = str(tmp_path / "gamma.g6")
+    graph6.write_files(g, target)
+    sidecar = tmp_path / "gamma.g6.labels"
+    sidecar.write_bytes(sidecar.read_bytes().replace(b"0 ", b"0\xa0", 1))
+    with pytest.raises(graph6.Graph6Error, match="not ASCII"):
         graph6.read_files(target)
 
 

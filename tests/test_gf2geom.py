@@ -14,7 +14,6 @@ from quadswitch.gf2geom import (
     HYPERBOLIC,
     PARABOLIC,
     GeometryError,
-    PointMasks,
     QuadraticForm,
     SECANT,
     Subspace,
@@ -115,10 +114,12 @@ def test_singular_form_rejected():
 
 
 def test_evaluate_matches_polynomial_oracle():
-    for n, kind in [(5, ELLIPTIC), (5, HYPERBOLIC), (4, PARABOLIC)]:
-        form = canonical_form(n, kind)
-        for x in enumerate_points(n):
-            assert form.evaluate(x) == poly_eval(form.rows, x)
+    for n in range(1, 10):
+        for kind in (PARABOLIC,) if n % 2 == 0 else (ELLIPTIC, HYPERBOLIC):
+            form = canonical_form(n, kind)
+            for x in enumerate_points(n):
+                assert form.evaluate(x) == poly_eval(form.rows, x)
+            assert form.zero_mask == sum(1 << x for x in enumerate_points(n) if not poly_eval(form.rows, x))
 
 
 # --- quadric sizes ---------------------------------------------------------------
@@ -416,27 +417,25 @@ def test_subspace_rejects_non_echelon_basis():
 @given(case=st.sampled_from([(5, ELLIPTIC), (5, HYPERBOLIC), (7, ELLIPTIC), (7, HYPERBOLIC)]), data=st.data())
 def test_point_masks_vertices_reads_the_label_bits(case, data):
     f = canonical_form(*case)
-    masks = PointMasks(f)
-    labels = nonquadric_points(f)
-    assert masks.labels == tuple(labels)
-    assert masks.off == sum(1 << p for p in labels)
-    mask = data.draw(st.integers(0, masks.ones))
-    assert masks.vertices(mask) == sum(1 << i for i, p in enumerate(labels) if (mask >> p) & 1)
+    labels = [p for p in range(1, 1 << (f.n + 1)) if poly_eval(f.rows, p)]
+    assert f.labels == tuple(labels)
+    assert f.off == sum(1 << p for p in labels)
+    mask = data.draw(st.integers(0, f.ones))
+    assert f.vertices(mask) == sum(1 << i for i, p in enumerate(labels) if (mask >> p) & 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([5, 7]), data=st.data())
 def test_point_masks_translate_moves_each_point(n, data):
-    masks = PointMasks(canonical_form(n, ELLIPTIC))
-    mask = data.draw(st.integers(0, masks.ones))
+    f = canonical_form(n, ELLIPTIC)
+    mask = data.draw(st.integers(0, f.ones))
     x = data.draw(st.integers(0, (1 << (n + 1)) - 1))
     want = sum(1 << (p ^ x) for p in range(1 << (n + 1)) if (mask >> p) & 1)
-    assert masks.translate(mask, x) == want
+    assert f.translate(mask, x) == want
 
 
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_point_masks_nonorth_is_the_hyperplane(kind):
     f = canonical_form(5, kind)
-    masks = PointMasks(f)
     for y in range(1, 64):
-        assert masks.nonorth(y) == sum(1 << x for x in range(1, 64) if bilinear(f, x, y))
+        assert f.nonorth(y) == sum(1 << x for x in range(1, 64) if bilinear(f, x, y))

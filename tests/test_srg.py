@@ -12,7 +12,6 @@ from quadswitch.gf2geom import (
     PARABOLIC,
     GeometryError,
     bilinear,
-    PointMasks,
     canonical_form,
     nonquadric_points,
 )
@@ -27,6 +26,7 @@ from quadswitch.srg import (
     verify_srg,
     verify_srg_near,
 )
+from quadswitch.switching import build_switch, make_config
 
 
 def graph_from_edges(v, edges):
@@ -366,12 +366,11 @@ def refuse_pair_check(g):
 
 
 def certificate_case(n, kind):
-    """Form, graph, point rows, point masks, the chosen reflections and the point count."""
+    """Form, graph, point rows, the chosen reflections and the point count."""
     f = form(n, kind)
     g, rows = build_gamma_rows(f)
-    masks = PointMasks(f)
-    assert masks.off == sum(1 << x for x in g.labels)
-    return f, g, rows, masks, srg._transitive_reflections(masks), 1 << (n + 1)
+    assert f.off == sum(1 << x for x in g.labels)
+    return f, g, rows, srg._transitive_reflections(f), 1 << (n + 1)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
@@ -395,30 +394,42 @@ def test_build_gamma_rows_are_the_point_rows():
 
 
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_one_form_keeps_one_label_tuple_and_one_gather(kind):
+    f = canonical_form(7, kind)  # a form of its own, nothing made on it yet
+    g, rows = build_gamma_rows(f)
+    assert g.labels is f.labels
+    made = {name: f.__dict__[name] for name in ("labels", "_gather")}
+    assert certify_gamma(f, rows) == expected_params(7, kind)
+    sw = build_switch(g, make_config(f, 1, "tt", 5))
+    assert sw.graph.labels is f.labels
+    assert sw.t_set == sw.certificate.half_class
+    assert all(f.__dict__[name] is value for name, value in made.items())
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_reflection_moves_points_as_defined(kind):
     # x -> x + B(x,r) r on point masks; it keeps B always, and Q exactly
     # when r is off the quadric
     f = form(5, kind)
-    masks = PointMasks(f)
     points = range(1, 64)
     for r in points:
-        reflection = srg._reflection(masks, r)
-        image = {x: srg._reflect(masks, 1 << x, reflection).bit_length() - 1 for x in points}
+        reflection = srg._reflection(f, r)
+        image = {x: srg._reflect(f, 1 << x, reflection).bit_length() - 1 for x in points}
         assert all(image[x] == (x ^ r if bilinear(f, x, r) else x) for x in points)
         assert all(bilinear(f, image[x], image[y]) == bilinear(f, x, y) for x in points for y in points)
-        keeps_q = srg._reflect(masks, f.zero_mask, reflection) == f.zero_mask
+        keeps_q = srg._reflect(f, f.zero_mask, reflection) == f.zero_mask
         assert keeps_q == (not f.contains(r))
 
 
 @pytest.mark.parametrize("n,kind", [(5, HYPERBOLIC), (7, ELLIPTIC)])
 def test_certificate_rejects_a_singular_reflection(monkeypatch, n, kind):
-    f, g, rows, masks, good, size = certificate_case(n, kind)
-    assert srg._certificate(masks, rows, good) == expected_params(n, kind)
+    f, g, rows, good, size = certificate_case(n, kind)
+    assert srg._certificate(f, rows, good) == expected_params(n, kind)
     r = next(p for p in range(1, size) if f.contains(p))
-    bad = srg._reflection(masks, r)
-    assert srg._reflect(masks, bad[1], bad) == bad[1]  # still a permutation of the points
+    bad = srg._reflection(f, r)
+    assert srg._reflect(f, bad[1], bad) == bad[1]  # still a permutation of the points
     with pytest.raises(srg._NotCertified, match="off the vertex set"):
-        srg._certificate(masks, rows, [bad, *good])
+        srg._certificate(f, rows, [bad, *good])
     calls = []
     monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: [bad, *good])
     monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
@@ -428,9 +439,9 @@ def test_certificate_rejects_a_singular_reflection(monkeypatch, n, kind):
 
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 def test_certificate_needs_a_transitive_set(monkeypatch, n, kind):
-    f, g, rows, masks, good, size = certificate_case(n, kind)
+    f, g, rows, good, size = certificate_case(n, kind)
     with pytest.raises(srg._NotCertified, match="not transitive"):
-        srg._certificate(masks, rows, good[:-1])
+        srg._certificate(f, rows, good[:-1])
     calls = []
     monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: good[:-1])
     monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
@@ -441,7 +452,7 @@ def test_certificate_needs_a_transitive_set(monkeypatch, n, kind):
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 @pytest.mark.parametrize("edit", ["symmetric_flip", "one_row"])
 def test_certificate_rejects_a_corrupted_row(n, kind, edit):
-    f, g, rows, masks, good, size = certificate_case(n, kind)
+    f, g, rows, good, size = certificate_case(n, kind)
     params = expected_params(n, kind)
     rows, vrows = list(rows), list(g.rows)
     last = g.v - 1
@@ -458,7 +469,7 @@ def test_certificate_rejects_a_corrupted_row(n, kind, edit):
         vrows[last] ^= (1 << a) | (1 << b)
     bad = Graph(g.labels, tuple(vrows))
     with pytest.raises(srg._NotCertified, match="row of"):
-        srg._certificate(masks, rows, good)
+        srg._certificate(f, rows, good)
     with pytest.raises(NotStronglyRegular) as exc:
         certify_gamma(f, rows)
     assert_real_srg_witness(bad, params, exc.value)
@@ -491,7 +502,7 @@ def test_flipped_pair_is_rejected_by_every_checker(case, data):
 def test_each_reflection_checks_fixed_and_moved_rows(n, kind):
     # one reflection alone: a row it fixes and a row it moves, each with one
     # point of H_r toggled, fail the row step before the orbit step is reached
-    f, g, rows, masks, good, size = certificate_case(n, kind)
+    f, g, rows, good, size = certificate_case(n, kind)
     first = good[0]
     r, h = first
     fixed = next(i for i, x in enumerate(g.labels) if not (h >> x) & 1)
@@ -501,16 +512,16 @@ def test_each_reflection_checks_fixed_and_moved_rows(n, kind):
         bad = list(rows)
         bad[i] ^= 1 << y
         with pytest.raises(srg._NotCertified, match=message):
-            srg._certificate(masks, bad, [first])
+            srg._certificate(f, bad, [first])
 
 
 def test_certificate_ignores_no_point_outside_the_vertex_set():
     # point 0 added to every row is fixed by every reflection, so the rows stay
     # equivariant; the graph (which has no vertex 0) is untouched
-    f, g, rows, masks, good, size = certificate_case(5, ELLIPTIC)
+    f, g, rows, good, size = certificate_case(5, ELLIPTIC)
     with_zero = [row | 1 for row in rows]
     with pytest.raises(srg._NotCertified, match="first row"):
-        srg._certificate(masks, with_zero, good)
+        srg._certificate(f, with_zero, good)
     assert certify_gamma(f, with_zero) == verify_srg(g) == expected_params(5, ELLIPTIC)
 
 
@@ -518,7 +529,7 @@ def test_certificate_ignores_no_point_outside_the_vertex_set():
 def test_certify_gamma_falls_back_on_the_graph_its_rows_describe(monkeypatch, stray):
     # a bit off the vertex set in every row forces the fallback; verify_srg
     # must then see the graph the rows describe, which is gamma
-    f, g, rows, masks, good, size = certificate_case(5, HYPERBOLIC)
+    f, g, rows, good, size = certificate_case(5, HYPERBOLIC)
     seen = []
     monkeypatch.setattr(srg, "verify_srg", lambda h: seen.append(h) or verify_srg(h))
     assert certify_gamma(f, [row | stray for row in rows]) == expected_params(5, HYPERBOLIC)
@@ -534,11 +545,11 @@ def test_certificate_checks_every_pair_through_the_first_vertex(connection, brok
     rows = tuple(sum(1 << (x ^ d) for d in connection) for x in range(size))
     g = Graph(tuple(range(size)), rows)
     everything = (1 << size) - 1
-    masks = PointMasks(form(3, HYPERBOLIC))  # the masks of F_2^4 ...
-    masks.off, masks.labels = everything, g.labels  # ... with every vector a vertex, 0 included
+    stand_in = canonical_form(3, HYPERBOLIC)  # a form on F_2^4 of its own ...
+    stand_in.off, stand_in.labels = everything, g.labels  # ... with every vector a vertex, 0 included
     translations = [(r, everything) for r in (1, 2, 4, 8)]
     with pytest.raises(srg._NotCertified, match=broken):
-        srg._certificate(masks, rows, translations)
+        srg._certificate(stand_in, rows, translations)
     with pytest.raises(NotStronglyRegular):
         verify_srg(g)
 
