@@ -2,18 +2,19 @@
 
 Every command prints one JSON report (key-sorted, so byte-identical across
 runs except for the "timings" block) and exits 0 only if every requested
-check passed.  Graphs are exported as headerless graph6 plus a .labels
-sidecar mapping vertex index to point integer.
+check passed.  The report is streamed to stdout and --out piece by piece, as
+the text of json.dumps(indent=2, sort_keys=True).  Graphs are exported as
+headerless graph6 plus a .labels sidecar mapping vertex index to point integer.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import codes, distinguish, graph6, switching
 from .gf2geom import (
@@ -124,6 +125,13 @@ def _switch_report(sw: switching.Switch) -> dict:
     }
 
 
+def _export(args, graph, report: dict) -> None:
+    """Write graph to the --export-graph files main opened, if any."""
+    if args.export_graph:
+        graph6.write_files(graph, args.export_graph, args.export_files)
+        report["exported"] = args.export_graph
+
+
 def cmd_construct(args, runner: _Runner) -> dict:
     form = canonical_form(args.n, args.kind)
     gamma, params = _base_graph(form, runner, "verify_srg" if args.verify else None)
@@ -131,9 +139,7 @@ def cmd_construct(args, runner: _Runner) -> dict:
     if args.verify:
         report["srg"] = _params_dict(params)
         runner.check("srg_matches_expected", params == expected_params(args.n, args.kind))
-    if args.export_graph:
-        graph6.write_files(gamma, args.export_graph)
-        report["exported"] = args.export_graph
+    _export(args, gamma, report)
     return report
 
 
@@ -147,9 +153,7 @@ def cmd_switch(args, runner: _Runner) -> dict:
         runner.check("switched_srg_parameters_unchanged", swp == base)
     if args.code:
         report["code"] = runner.time("code", lambda: _code_report(sw.graph))
-    if args.export_graph:
-        graph6.write_files(sw.graph, args.export_graph)
-        report["exported"] = args.export_graph
+    _export(args, sw.graph, report)
     return report
 
 
@@ -362,10 +366,69 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unwritable(path) -> bool:
-    """True when a file cannot be created at path: its directory is missing,
-    or the path itself is a directory."""
-    return bool(path) and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."))
+_WORDS = {None: "null", True: "true", False: "false"}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(value, files) -> None:
+    """Write json.dumps(value, indent=2, sort_keys=True) and a newline to each
+    file, piece by piece.  Dict keys are strings.  Each distinct list of ints is
+    rendered once per depth, since its indentation depends on the depth."""
+    writes = [f.write for f in files]
+    memo: dict = {}
+
+    def put(piece: str) -> None:
+        for write in writes:
+            write(piece)
+
+    def walk(v, depth: int) -> None:
+        if isinstance(v, str):
+            put(encode_basestring_ascii(v))
+        elif v is None or v is True or v is False:
+            put(_WORDS[v])
+        elif isinstance(v, int):
+            put(int.__repr__(v))
+        elif isinstance(v, float):
+            text = float.__repr__(v)
+            put(_NONFINITE.get(text, text))
+        elif not isinstance(v, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        elif not v:
+            put("{}" if isinstance(v, dict) else "[]")
+        else:
+            inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+            if isinstance(v, dict):
+                sep = "{" + inner
+                for key in sorted(v):
+                    put(sep + encode_basestring_ascii(key) + ": ")
+                    walk(v[key], depth + 1)
+                    sep = "," + inner
+                put(outer + "}")
+            elif set(map(type, v)) == {int}:  # no bools: (1, True) == (1, 1)
+                key = (tuple(v), depth)
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = "[" + inner + ("," + inner).join(map(int.__repr__, v)) + outer + "]"
+                put(text)
+            else:
+                sep = "[" + inner
+                for item in v:
+                    put(sep)
+                    walk(item, depth + 1)
+                    sep = "," + inner
+                put(outer + "]")
+
+    walk(value, 0)
+    put("\n")
+
+
+def _create(stack: contextlib.ExitStack, flag: str, path: str, mode: str):
+    """path opened for writing in mode (text is ASCII) until stack closes; a
+    failure is an OSError that names the flag."""
+    try:
+        return stack.enter_context(open(path, mode, encoding="ascii" if mode == "w" else None))
+    except OSError as exc:
+        raise OSError(f"{flag}: cannot create {path!r}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:
@@ -383,19 +446,14 @@ def main(argv=None) -> int:
     }
     error = None
     with contextlib.ExitStack() as stack:
-        out_file = None
+        outs, args.export_files = [], []
         try:
-            # refuse unwritable outputs before any work, not after the report is printed
+            # open every output before any work, not after the report is printed
             if args.out:
-                try:
-                    out_file = stack.enter_context(open(args.out, "w", encoding="ascii"))
-                except OSError as exc:
-                    raise OSError(f"--out: cannot create {args.out!r}: {exc.strerror}") from exc
+                outs.append(_create(stack, "--out", args.out, "w"))
             export = getattr(args, "export_graph", None)
-            if _unwritable(export):
-                raise OSError(
-                    f"--export-graph: cannot create {export!r}: no such directory, or a directory itself"
-                )
+            for path in (export, export + ".labels") if export else ():
+                args.export_files.append(_create(stack, "--export-graph", path, "wb"))
             report.update(args.fn(args, runner))
         except (
             GeometryError,
@@ -407,13 +465,13 @@ def main(argv=None) -> int:
             OSError,
         ) as exc:
             report["error"] = error = str(exc)
+            for fh in args.export_files:  # a failed request leaves no export files
+                fh.close()
+                if os.path.isfile(fh.name):
+                    os.remove(fh.name)
         report["checks"] = runner.checks
         report["timings"] = runner.timings
-        text = json.dumps(report, indent=2, sort_keys=True)
-        print(text)
-        if out_file is not None:
-            out_file.write(text)
-            out_file.write("\n")
+        _write_json(report, [sys.stdout, *outs])
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -110,14 +110,15 @@ def decode(data: bytes, labels=None) -> Graph:
     return Graph(labels, tuple(rows))
 
 
-def write_files(g: Graph, path: str) -> None:
-    """Write `path` (graph6) and `path`.labels (vertex index -> point integer)."""
-    with open(path, "wb") as fh:
-        fh.write(encode(g))
-        fh.write(b"\n")
-    with open(path + ".labels", "w", encoding="ascii") as fh:
-        for i, p in enumerate(g.labels):
-            fh.write(f"{i} {p}\n")
+def write_files(g: Graph, path: str, files) -> None:
+    """Write g to files, the pair `path` (graph6) and `path`.labels (vertex
+    index -> point integer) opened for binary writing, and flush both."""
+    graph_file, labels_file = files
+    graph_file.write(encode(g))
+    graph_file.write(b"\n")
+    labels_file.writelines(b"%d %d\n" % pair for pair in enumerate(g.labels))
+    graph_file.flush()
+    labels_file.flush()
 
 
 def read_files(path: str) -> Graph:

@@ -1,15 +1,18 @@
 """Command-line behaviour: reports, exit codes, determinism, export files."""
 
+import io
 import json
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import switch_case
 from quadswitch import distinguish, graph6, srg
 from quadswitch.codes import code_from_graph, min_weight_codewords
-from quadswitch.cli import main
+from quadswitch.cli import _write_json, main
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form
 from quadswitch.srg import Graph, build_gamma, expected_params
 
@@ -209,8 +212,41 @@ def test_export_graph_into_missing_directory_is_a_json_error(tmp_path, capsys):
         capsys, "construct", "--n", "5", "--kind", "elliptic", "--export-graph", str(target),
     )
     assert code == 1
-    assert "--export-graph" in json.loads(out)["error"]
+    rep = json.loads(out)
+    assert rep["error"] == f"--export-graph: cannot create {str(target)!r}: No such file or directory"
+    assert rep["checks"] == {}  # refused up front, not after the run
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        (".", "Is a directory"),
+        ("y" * 300 + ".g6", "File name too long"),  # longer than a file name may be
+        ("y" * 250 + ".g6", "File name too long"),  # the graph6 name fits, its .labels does not
+    ],
+)
+def test_unwritable_export_graph_fails_before_any_work(tmp_path, capsys, name, reason):
+    target = tmp_path / name
+    code, out, _ = run_cli(
+        capsys, "construct", "--n", "5", "--kind", "elliptic", "--verify", "--export-graph", str(target),
+    )
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["error"].startswith("--export-graph: cannot create ")
+    assert rep["error"].endswith(reason)
+    assert rep["checks"] == {} and "graph" not in rep  # refused before any work
+    assert list(tmp_path.iterdir()) == []  # a half-opened pair is removed
+
+
+def test_failed_request_leaves_no_export_files(tmp_path, capsys):
+    target = tmp_path / "switched.g6"
+    code, out, _ = run_cli(
+        capsys, "switch", "--n", "5", "--kind", "elliptic", "--t", "7", "--export-graph", str(target),
+    )
+    assert code == 1
+    assert "outside the existence range" in json.loads(out)["error"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_into_missing_directory_fails_before_any_work(tmp_path, capsys):
@@ -248,6 +284,65 @@ def test_export_graph_round_trip(tmp_path, capsys):
     sidecar = (tmp_path / "gamma.g6.labels").read_text().splitlines()
     assert sidecar[0] == f"0 {g.labels[0]}"
     assert len(sidecar) == g.v
+
+
+# --- the report writer against json.dumps --------------------------------------------
+
+ints = st.integers(min_value=-(2**70), max_value=2**70)  # beyond 64 bits both ways
+scalars = st.none() | st.booleans() | ints | st.floats() | st.text()  # nan, inf, -0.0, escapes
+json_values = st.recursive(
+    scalars | st.lists(ints | st.booleans(), max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+def dumped(value):
+    buf = io.StringIO()
+    _write_json(value, [buf])
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values, st.lists(ints, max_size=4))
+@example([[1, 1], [1, True], [0, 0], [False, 0]], [1, 1])  # bools equal the ints they are not
+@example({"a": [float("nan"), float("inf"), -float("inf"), -0.0], "\u00e9\n": "\"\\\x00"}, [])
+def test_write_json_matches_json_dumps(value, repeated):
+    # the same list of ints at depths 1, 2, 3 and 4, once as a tuple
+    value = [repeated, value, [repeated, {"k": [repeated, tuple(repeated)]}]]
+    assert dumped(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, object(), b"bytes", [1, {2}], {"k": [object()]}])
+def test_write_json_rejects_what_json_dumps_rejects(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        dumped(bad)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["verify-all", "--n", "5"], 0),
+        (["verify-all", "--n", "7"], 0),
+        (["construct", "--n", "7", "--kind", "hyperbolic", "--verify"], 0),
+        (["switch", "--n", "7", "--kind", "elliptic", "--t", "1", "--variant", "tt", "--code"], 0),
+        (["code", "--n", "5", "--kind", "elliptic"], 0),
+        (["classify-family", "--n", "5", "--kind", "hyperbolic"], 0),
+        (["switch", "--n", "5", "--kind", "elliptic", "--t", "7"], 1),  # an error report
+    ],
+)
+def test_report_text_is_json_dumps_and_out_gets_the_same_bytes(tmp_path, capsys, argv, exit_code):
+    target = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == exit_code
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert target.read_bytes() == out.encode("ascii")
 
 
 # --- graph6 encoding against an independent implementation ---------------------------
@@ -339,10 +434,15 @@ def test_graph6_decode_rejects_labels_out_of_order():
             graph6.decode(data, labels)
 
 
+def write_pair(g, target):
+    with open(target, "wb") as graph_file, open(target + ".labels", "wb") as labels_file:
+        graph6.write_files(g, target, (graph_file, labels_file))
+
+
 def test_graph6_read_files_checks_the_index_column(tmp_path):
     g = build_gamma(canonical_form(5, ELLIPTIC))
     target = str(tmp_path / "gamma.g6")
-    graph6.write_files(g, target)
+    write_pair(g, target)
     sidecar = (tmp_path / "gamma.g6.labels").read_text().splitlines()
     sidecar[1], sidecar[2] = sidecar[2], sidecar[1]  # the points in order, the indices not
     (tmp_path / "gamma.g6.labels").write_text(
@@ -356,7 +456,7 @@ def test_graph6_read_files_checks_the_index_column(tmp_path):
 def test_graph6_read_files_checks_the_point_column(tmp_path, point):
     g = build_gamma(canonical_form(5, ELLIPTIC))
     target = str(tmp_path / "gamma.g6")
-    graph6.write_files(g, target)
+    write_pair(g, target)
     sidecar = (tmp_path / "gamma.g6.labels").read_text().splitlines()
     sidecar[0] = f"0 {point}"
     (tmp_path / "gamma.g6.labels").write_text("\n".join(sidecar) + "\n")
@@ -367,7 +467,7 @@ def test_graph6_read_files_checks_the_point_column(tmp_path, point):
 def test_graph6_read_files_rejects_a_non_ascii_sidecar(tmp_path):
     g = build_gamma(canonical_form(5, ELLIPTIC))
     target = str(tmp_path / "gamma.g6")
-    graph6.write_files(g, target)
+    write_pair(g, target)
     sidecar = tmp_path / "gamma.g6.labels"
     sidecar.write_bytes(sidecar.read_bytes().replace(b"0 ", b"0\xa0", 1))
     with pytest.raises(graph6.Graph6Error, match="not ASCII"):
