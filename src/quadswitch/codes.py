@@ -121,4 +121,5 @@ def characteristic_vector(g: Graph, points) -> int:
 
 def support(vector: int) -> list[int]:
     """Indices of the set bits of a codeword."""
-    return [i for i in range(vector.bit_length()) if (vector >> i) & 1]
+    bits = format(vector, "b")[::-1]  # bits[i] is bit i
+    return [i for i, bit in enumerate(bits) if bit == "1"]

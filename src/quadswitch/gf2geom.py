@@ -14,14 +14,14 @@ is the symplectic form that drives the polarity.
 
 Sets of points are point masks, ints with bit p for the point p.  Each
 form holds its own, Q's built monomial by monomial from coordinate masks,
-with the gather into vertex order, translations and hyperplanes B(x,y) = 1.
+with translations, hyperplanes B(x,y) = 1 and the gather into vertex order,
+a bit-parallel compress by the off-quadric mask in n + 1 masked shifts.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import itemgetter
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -76,6 +76,8 @@ class QuadraticForm:
     Immutable once built.  The symmetrized Gram matrix and the point masks
     halves, ones, off and zero_mask are precomputed; the labels, the gather
     into vertex order and the hyperplane masks are made on first use and kept.
+    The gather is a compress by off: vertices(mask) packs the bits of mask at
+    the points off the quadric down to bits 0, 1, ... in n + 1 masked shifts.
     """
 
     def __init__(self, n: int, kind: str, rows: tuple[int, ...]):
@@ -140,16 +142,30 @@ class QuadraticForm:
         return tuple(p for p, bit in enumerate(bits) if bit == "1")
 
     @functools.cached_property
-    def _gather(self):
-        # format(mask, spec)[size - 1 - p] is bit p, so this picks the label bits
-        # of a mask, highest vertex first: a vertex-indexed mask in binary
-        size = 1 << (self.n + 1)
-        return itemgetter(*[size - 1 - p for p in reversed(self.labels)]), f"0{size}b"
+    def _gather(self) -> tuple[tuple[int, int], ...]:
+        # compress by off (Hacker's Delight, 7-4): round i moves each kept bit
+        # down by 2^i if bit i of its count of dropped bits below it is set;
+        # mv is the kept bits that move in that round
+        m, ones, rounds = self.off, self.ones, []
+        mk = (~m << 1) & ones  # the dropped bits, one place up
+        for i in range(self.n + 1):
+            mp = mk  # parallel prefix: bit j = parity of mk's bits 0..j
+            for b in range(self.n + 1):
+                mp ^= mp << (1 << b)
+            mp &= ones
+            mv = mp & m
+            m = (m ^ mv) | (mv >> (1 << i))
+            mk &= ~mp
+            rounds.append((mv, 1 << i))
+        return tuple(rounds)
 
     def vertices(self, mask: int) -> int:
         """The mask in vertex order: bit i for the point labels[i]."""
-        gather, spec = self._gather
-        return int("".join(gather(format(mask & self.ones, spec))), 2)
+        x = mask & self.off
+        for mv, s in self._gather:
+            t = x & mv
+            x = (x ^ t) | (t >> s)
+        return x
 
     def nonorth(self, y: int) -> int:
         """The points x with B(x, y) = 1: odd parity against y's polar vector."""

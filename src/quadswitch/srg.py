@@ -85,8 +85,8 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def neighbors(self, i: int) -> list[int]:
-        r = self.rows[i]
-        return [j for j in range(self.v) if (r >> j) & 1]
+        bits = format(self.rows[i] & ((1 << self.v) - 1), "b")[::-1]  # bits[j] is bit j
+        return [j for j, bit in enumerate(bits) if bit == "1"]
 
     def index_of(self, point: int) -> int:
         """Vertex index of a point label (labels are sorted)."""

@@ -245,3 +245,10 @@ def test_echelonize_round_trip_with_from_vectors():
     assert code.basis == echelonize(rows)
     for r in rows:
         assert contains(code, r)
+
+
+def test_support_lists_the_set_bits():
+    g = build_gamma(canonical_form(7, ELLIPTIC))
+    vectors = [0, 1, 2, (1 << 300) | 5, *min_weight_codewords(code_from_graph(g))]
+    for w in vectors:
+        assert support(w) == [i for i in range(w.bit_length()) if (w >> i) & 1]

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from quadswitch.gf2geom import (
     span,
     whole_space,
 )
+from quadswitch.srg import build_gamma_rows
 
 
 def poly_eval(rows, x):
@@ -413,6 +415,48 @@ def test_subspace_rejects_non_echelon_basis():
 # --- point masks -------------------------------------------------------------
 
 
+def itemgetter_gather(f, mask):
+    """Oracle: the string gather the compress replaced, picking the label
+    characters of the mask's binary string, highest vertex first."""
+    size = 1 << (f.n + 1)
+    pick = itemgetter(*[size - 1 - p for p in reversed(f.labels)])
+    return int("".join(pick(format(mask & f.ones, f"0{size}b"))), 2)
+
+
+def bitwise_gather(f, mask):
+    """Oracle: bit i set iff the mask has the bit of the point labels[i]."""
+    return sum(1 << i for i, p in enumerate(f.labels) if (mask >> p) & 1)
+
+
+def random_form(rng, n):
+    """A non-singular elliptic or hyperbolic form from random upper-triangular rows."""
+    while True:
+        rows = tuple(rng.getrandbits(n + 1) >> i << i for i in range(n + 1))
+        for kind in (ELLIPTIC, HYPERBOLIC):
+            try:
+                return QuadraticForm(n, kind, rows)
+            except GeometryError:
+                pass
+
+
+def awkward_masks(rng, f):
+    """Masks with bits off the points: above ones, the vector 0, negatives."""
+    width = f.ones.bit_length()
+    yield 0
+    yield 1  # the vector 0 alone, which is no point
+    yield f.ones
+    yield f.off
+    yield f.zero_mask | 1
+    yield -1
+    yield -f.off
+    yield ~f.off
+    for _ in range(8):
+        yield rng.getrandbits(width)
+        yield rng.getrandbits(width + 64) | (1 << (width + 63))
+        yield rng.getrandbits(width) | 1
+        yield -rng.getrandbits(width + 32) - 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from([(5, ELLIPTIC), (5, HYPERBOLIC), (7, ELLIPTIC), (7, HYPERBOLIC)]), data=st.data())
 def test_point_masks_vertices_reads_the_label_bits(case, data):
@@ -422,6 +466,36 @@ def test_point_masks_vertices_reads_the_label_bits(case, data):
     assert f.off == sum(1 << p for p in labels)
     mask = data.draw(st.integers(0, f.ones))
     assert f.vertices(mask) == sum(1 << i for i, p in enumerate(labels) if (mask >> p) & 1)
+    wide = data.draw(st.integers(-(f.ones << 8), f.ones << 8))  # stray bits and negatives too
+    assert f.vertices(wide) == itemgetter_gather(f, wide) == bitwise_gather(f, wide)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_vertices_matches_the_string_gather(n, kind):
+    f = canonical_form(n, kind)
+    rng = random.Random(n)
+    for mask in awkward_masks(rng, f):
+        assert f.vertices(mask) == itemgetter_gather(f, mask) == bitwise_gather(f, mask)
+    assert f.vertices(f.off) == (1 << len(f.labels)) - 1
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_vertices_matches_the_string_gather_on_random_forms(n):
+    rng = random.Random(100 + n)
+    forms = [random_form(rng, n) for _ in range(4)]
+    assert all(f.off != canonical_form(n, f.kind).off for f in forms)
+    for f in forms:
+        for mask in awkward_masks(rng, f):
+            assert f.vertices(mask) == itemgetter_gather(f, mask) == bitwise_gather(f, mask)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_gamma_rows_match_the_string_gather(n, kind):
+    f = canonical_form(n, kind)
+    g, point_rows = build_gamma_rows(f)
+    assert g.rows == tuple(itemgetter_gather(f, row) for row in point_rows)
 
 
 @settings(max_examples=60, deadline=None)

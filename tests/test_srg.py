@@ -393,6 +393,14 @@ def test_build_gamma_rows_are_the_point_rows():
     assert not any(row & ~sum(1 << x for x in g.labels) for row in rows)
 
 
+def test_neighbors_lists_the_row_bits_below_v():
+    g = gamma(7, ELLIPTIC)
+    for i in range(g.v):
+        assert g.neighbors(i) == [j for j in range(g.v) if (g.rows[i] >> j) & 1]
+    stray = Graph((1, 2, 3), (0b110, 0b1001, 0b11 | 1 << 40))  # bits above v are no vertices
+    assert [stray.neighbors(i) for i in range(3)] == [[1, 2], [0], [0, 1]]
+
+
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_one_form_keeps_one_label_tuple_and_one_gather(kind):
     f = canonical_form(7, kind)  # a form of its own, nothing made on it yet
