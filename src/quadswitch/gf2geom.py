@@ -13,9 +13,9 @@ Q(x) = sum a_ij x_i x_j, and the polarization B(x,y) = Q(x^y)+Q(x)+Q(y)
 is the symplectic form that drives the polarity.
 
 Sets of points are point masks, ints with bit p for the point p.  Each
-form holds its own, Q's built monomial by monomial from coordinate masks,
-with translations, hyperplanes B(x,y) = 1 and the gather into vertex order,
-a bit-parallel compress by the off-quadric mask in n + 1 masked shifts.
+form holds its own, Q's built monomial by monomial from coordinate masks, with
+translations (block swaps, all applied by swap_blocks), hyperplanes B(x,y) = 1
+and the gather into vertex order, a compress by off in n + 1 masked shifts.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ TANGENT = "tangent"
 SECANT = "secant"
 CONTAINED = "contained"
 
+# The largest n a form is made for: point masks of 2^(n+1) bits take ~0.1 s
+# at n = 17, ~1.6 s at n = 19, over 40 s at n = 21, and no int holds one at 101.
+MAX_N = 17
+
 
 class GeometryError(ValueError):
     """Bad dimension/kind combination or an ill-posed geometric request."""
@@ -45,8 +49,7 @@ def point_count(m: int) -> int:
 
 def enumerate_points(n: int) -> list[int]:
     """All points of PG(n,2) in canonical (integer) order."""
-    if n < 1:
-        raise GeometryError(f"projective dimension must be >= 1, got {n}")
+    _check_dimension(n)
     return list(range(1, 1 << (n + 1)))
 
 
@@ -68,6 +71,14 @@ def quadric_size(n: int, kind: str) -> int:
     raise GeometryError(f"unknown quadric kind {kind!r}")
 
 
+def _check_dimension(n: int) -> None:
+    """Refuse n before anything of size n, let alone 2^(n+1), is made."""
+    if n < 1:
+        raise GeometryError(f"projective dimension must be >= 1, got {n}")
+    if n > MAX_N:
+        raise GeometryError(f"PG({n},2) is out of reach: forms are made up to n = {MAX_N}")
+
+
 class QuadraticForm:
     """Non-singular quadratic form on PG(n,2), with its point masks.
 
@@ -81,6 +92,7 @@ class QuadraticForm:
     """
 
     def __init__(self, n: int, kind: str, rows: tuple[int, ...]):
+        _check_dimension(n)
         if kind not in KINDS:
             raise GeometryError(f"unknown quadric kind {kind!r}")
         if kind == PARABOLIC and n % 2 != 0:
@@ -178,15 +190,19 @@ class QuadraticForm:
             self._nonorth[y] = mask
         return mask
 
-    def translate(self, mask: int, x: int) -> int:
-        """Move bit p to bit p^x: one block swap per set bit b of x, exchanging
-        the 2^b-wide blocks that differ in coordinate b."""
+    def block_swaps(self, x: int) -> list[tuple[int, int]]:
+        """The translation by x for swap_blocks: (2^b, halves[b]) per set bit b
+        of x swaps the 2^b-wide blocks that differ in coordinate b."""
+        swaps = []
         while x:
-            b = (x & -x).bit_length() - 1
-            width, low = 1 << b, self.halves[b]
-            mask = ((mask & low) << width) | ((mask >> width) & low)
-            x &= x - 1
-        return mask
+            low = x & -x  # 2^b
+            swaps.append((low, self.halves[low.bit_length() - 1]))
+            x ^= low
+        return swaps
+
+    def translate(self, mask: int, x: int) -> int:
+        """Move bit p to bit p^x."""
+        return swap_blocks(mask, self.block_swaps(x))
 
     def __eq__(self, other) -> bool:
         return (
@@ -201,6 +217,14 @@ class QuadraticForm:
         return f"QuadraticForm(n={self.n}, kind={self.kind!r})"
 
 
+def swap_blocks(mask: int, swaps) -> int:
+    """Apply block swaps in turn: for each (width, low), the bits of mask in
+    low trade places with those width bits above them."""
+    for width, low in swaps:
+        mask = ((mask & low) << width) | ((mask >> width) & low)
+    return mask
+
+
 def canonical_form(n: int, kind: str) -> QuadraticForm:
     """The canonical non-singular form of each kind.
 
@@ -208,26 +232,17 @@ def canonical_form(n: int, kind: str) -> QuadraticForm:
     elliptic:   X0^2 + X0X1 + X1^2 + X2X3 + ... + X_{n-1}Xn
     parabolic:  X0^2 + X1X2 + ... + X_{n-1}Xn
     """
-    if kind not in KINDS:
-        raise GeometryError(f"unknown quadric kind {kind!r}")
-    if n < 1:
-        raise GeometryError(f"projective dimension must be >= 1, got {n}")
+    _check_dimension(n)
     rows = [0] * (n + 1)
     if kind == HYPERBOLIC:
-        if n % 2 == 0:
-            raise GeometryError("hyperbolic form needs odd n")
         for i in range(0, n, 2):
             rows[i] |= 1 << (i + 1)
     elif kind == ELLIPTIC:
-        if n % 2 == 0:
-            raise GeometryError("elliptic form needs odd n")
         rows[0] |= 0b11  # X0^2 + X0X1, the unique irreducible quadratic with X1^2 below
         rows[1] |= 0b10
         for i in range(2, n, 2):
             rows[i] |= 1 << (i + 1)
-    else:
-        if n % 2 != 0:
-            raise GeometryError("parabolic form needs even n")
+    else:  # parabolic, or an unknown kind the constructor refuses
         rows[0] |= 1
         for i in range(1, n, 2):
             rows[i] |= 1 << (i + 1)

@@ -49,7 +49,10 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .gf2geom import PARABOLIC, GeometryError, QuadraticForm
+from .gf2geom import PARABOLIC, GeometryError, QuadraticForm, swap_blocks
+
+# The point rows of a quadric graph, v * 2^(n+1) bits: ~257 MiB at n = 15, ~4 GiB at n = 17
+MAX_POINT_ROW_BYTES = 1 << 30
 
 
 class NotStronglyRegular(ValueError):
@@ -118,9 +121,16 @@ def build_gamma_rows(form: QuadraticForm) -> tuple[Graph, tuple[int, ...]]:
             "the external-line graph needs an elliptic or hyperbolic quadric with odd n >= 5"
         )
     off = form.off
-    # y is a neighbour of x iff y and x^y are both off the quadric
-    point_rows = tuple(off & form.translate(off, x) for x in form.labels)
-    return Graph(form.labels, tuple(map(form.vertices, point_rows))), point_rows
+    size = off.bit_count() << (form.n + 1) >> 3
+    if size > MAX_POINT_ROW_BYTES:
+        raise GeometryError(f"PG({form.n},2) is out of reach: its point rows take {size >> 20} MiB")
+    # y is a neighbour of x iff y and x^y are both off the quadric.  Labels in
+    # order differ in few bits, so each translate of off starts from the last.
+    rows, moved, last = [], off, 0
+    for x in form.labels:
+        moved, last = form.translate(moved, x ^ last), x
+        rows.append(off & moved)
+    return Graph(form.labels, tuple(map(form.vertices, rows))), tuple(rows)
 
 
 def build_gamma(form: QuadraticForm) -> Graph:
@@ -229,24 +239,24 @@ class _NotCertified(Exception):
 
 
 def _reflection(form: QuadraticForm, r: int):
-    """The map x -> x + B(x,r) r as (r, H), H the points it moves.  As
-    B(r,r) = 0, x and x^r lie in H together: the map is an involution."""
-    return r, form.nonorth(r)
+    """The map x -> x + B(x,r) r as (r, H, swaps), H the points it moves and swaps the
+    translation by r.  As B(r,r) = 0, x and x^r lie in H together: an involution."""
+    return r, form.nonorth(r), form.block_swaps(r)
 
 
-def _reflect(form: QuadraticForm, mask: int, reflection) -> int:
+def _reflect(mask: int, reflection) -> int:
     """Image of a point mask: the points of H move by r, the others stay."""
-    r, h = reflection
-    return (mask & ~h) | form.translate(mask & h, r)
+    _, h, swaps = reflection
+    return (mask & ~h) | swap_blocks(mask & h, swaps)
 
 
-def _orbit(form: QuadraticForm, orbit: int, reflections) -> int:
+def _orbit(orbit: int, reflections) -> int:
     """Point mask of the union of the orbits of a point mask's points under
     the group the reflections generate."""
     while True:
         grown = orbit
         for reflection in reflections:
-            grown |= _reflect(form, grown, reflection)
+            grown |= _reflect(grown, reflection)
         if grown == orbit:
             return orbit
         orbit = grown
@@ -261,11 +271,11 @@ def _transitive_reflections(form: QuadraticForm) -> list:
     orbit = 1 << form.labels[0]
     while orbit != form.off:
         candidates = (_reflection(form, r) for r in lightest_first)
-        reflection = next((c for c in candidates if _reflect(form, orbit, c) != orbit), None)
+        reflection = next((c for c in candidates if _reflect(orbit, c) != orbit), None)
         if reflection is None:
             break
         chosen.append(reflection)
-        orbit = _orbit(form, orbit, chosen)
+        orbit = _orbit(orbit, chosen)
     return chosen
 
 
@@ -277,25 +287,22 @@ def _certificate(form: QuadraticForm, point_rows, reflections) -> SrgParams:
     spec, top = f"0{size}b", size - 1
     row_of = dict(zip(labels, point_rows))
     for reflection in reflections:
-        r, h = reflection
-        if _reflect(form, vmask, reflection) != vmask:
+        r, h, swaps = reflection
+        if _reflect(vmask, reflection) != vmask:
             raise _NotCertified(f"the reflection in {r} moves a vertex off the vertex set")
-        swaps = [(1 << b, low) for b, low in enumerate(form.halves) if (r >> b) & 1]
         moves = format(h, spec)
         for x, row in row_of.items():
             fixed = moves[top - x] == "0"
             if not fixed and x > x ^ r:
                 continue  # x and x^r swap, and the reflection is an involution: x^r covers both
             part = row & h
-            moved = part
-            for width, low in swaps:
-                moved = ((moved & low) << width) | ((moved >> width) & low)
+            moved = swap_blocks(part, swaps)
             if fixed:
                 if moved != part:  # x is fixed, so its row must be
                     raise _NotCertified(f"the reflection in {r} moves the row of {x}")
             elif (row ^ part) | moved != row_of[x ^ r]:
                 raise _NotCertified(f"the reflection in {r} maps the row of {x} wrongly")
-    if _orbit(form, 1 << labels[0], reflections) != vmask:
+    if _orbit(1 << labels[0], reflections) != vmask:
         raise _NotCertified("the reflections are not transitive on the vertices")
 
     first = point_rows[0]
@@ -349,10 +356,10 @@ def _wrong_count(rows, i: int, j: int, lam: int, mu: int):
     )
 
 
-def verify_srg_near(g: Graph, base: Graph, base_params: SrgParams, changed) -> SrgParams:
+def verify_srg_near(g: Graph, base: Graph, base_params: SrgParams, changed: int) -> SrgParams:
     """Exact check that g is strongly regular with base_params, where base is a
     graph that verify_srg accepted with those parameters and g differs from it
-    mainly in the rows of the vertex set `changed` (for a switch: its S).
+    mainly in the rows of the vertex mask `changed` (for a switch: its S).
 
     Rows of `changed` are checked in full.  A row outside `changed` that
     differs from base off the changed columns is added to `changed` first, so
@@ -373,10 +380,7 @@ def verify_srg_near(g: Graph, base: Graph, base_params: SrgParams, changed) -> S
         raise NotStronglyRegular(f"{v} vertices, but the base graph has {base.v}")
     k, lam, mu = base_params.k, base_params.lam, base_params.mu
     rows, base_rows = g.rows, base.rows
-    cmask = 0
-    for i in changed:
-        cmask |= 1 << i
-    rest = ~cmask
+    cmask, rest = changed, ~changed
     for i in range(v):
         if (rows[i] ^ base_rows[i]) & rest:
             cmask |= 1 << i

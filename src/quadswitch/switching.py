@@ -6,6 +6,10 @@ for two such spaces whose span still meets the quadric in exactly alpha.
 The vertices with half of S as neighbours admit a closed form through the
 polarity (the T-sets), which is checked against brute-force counting.
 
+S, its none/half/all classes and T are vertex masks, ints with bit i for
+vertex i like the graph's rows, so v^S and v^T are S and T themselves and
+the switch XORs S into the rows of T and T into the rows of S.
+
 All searches are deterministic: candidates are scanned in increasing point
 order, so the "first" flag is reproducible, and an index argument exposes
 the k-th flag in the same order.
@@ -322,50 +326,35 @@ def _s_points(config: SwitchConfig) -> int:
     return pts & ~config.alpha.point_mask()
 
 
-def _vertex_set(form: QuadraticForm, points: int) -> frozenset[int]:
-    """The vertices of the canonical quadric graph among a mask's points."""
-    # copied from a set, the frozenset's table fits its length: half of what
-    # growing it bit by bit leaves (64 KiB for T at n = 11)
-    return frozenset(set(_bits(form.vertices(points))))
-
-
-def build_S(config: SwitchConfig) -> frozenset[int]:
-    """The switching set as vertex indices of the canonical quadric graph."""
-    return _vertex_set(config.form, _s_points(config))
-
-
-def _mask(vertices) -> int:
-    mask = 0
-    for i in vertices:
-        mask |= 1 << i
-    return mask
+def build_S(config: SwitchConfig) -> int:
+    """The switching set as a vertex mask of the canonical quadric graph."""
+    return config.form.vertices(_s_points(config))
 
 
 @dataclass(frozen=True)
 class SwitchCertificate:
-    """Witness that S satisfies the switching conditions on a given graph."""
+    """Witness, in vertex masks, that S satisfies the switching conditions on a graph."""
 
-    s_vertices: frozenset[int]
-    none_class: frozenset[int]
-    half_class: frozenset[int]
-    all_class: frozenset[int]
+    s_vertices: int
+    none_class: int
+    half_class: int
+    all_class: int
     induced_degree: int
 
 
-def validate_switching_set(g: Graph, s_vertices) -> SwitchCertificate:
-    """Check the none/half/all partition and induced regularity, or raise."""
-    s = frozenset(s_vertices)
+def validate_switching_set(g: Graph, s: int) -> SwitchCertificate:
+    """Check the none/half/all partition and induced regularity of the vertex mask s, or raise."""
     if not s:
         raise SwitchingError("switching set is empty")
-    if len(s) % 2:
-        raise SwitchingError("switching set must have even size")
-    if any(not 0 <= i < g.v for i in s):
+    if s >> g.v:  # a bit at or past v; a negative s has bits everywhere
         raise SwitchingError("switching set contains a non-vertex")
-    smask = _mask(s)
+    size = s.bit_count()
+    if size % 2:
+        raise SwitchingError("switching set must have even size")
 
     by_degree: dict[int, int] = {}
-    for i in sorted(s):
-        by_degree.setdefault((g.rows[i] & smask).bit_count(), i)
+    for i in _bits(s):
+        by_degree.setdefault((g.rows[i] & s).bit_count(), i)
     if len(by_degree) != 1:
         degs = sorted(by_degree)
         raise NotSwitchingSet(
@@ -374,53 +363,47 @@ def validate_switching_set(g: Graph, s_vertices) -> SwitchCertificate:
         )
     induced = next(iter(by_degree))
 
-    half = len(s) // 2
-    none_c, half_c, all_c = set(), set(), set()
+    half = size // 2
+    classes = dict.fromkeys((0, half, size), 0)  # neighbours in S -> vertex mask
     for i in range(g.v):
-        if (smask >> i) & 1:
+        if (s >> i) & 1:
             continue
-        c = (g.rows[i] & smask).bit_count()
-        if c == 0:
-            none_c.add(i)
-        elif c == half:
-            half_c.add(i)
-        elif c == len(s):
-            all_c.add(i)
-        else:
+        c = (g.rows[i] & s).bit_count()
+        if c not in classes:
             raise NotSwitchingSet(
-                f"vertex {i} has {c} neighbours in S, not 0, {half} or {len(s)}",
+                f"vertex {i} has {c} neighbours in S, not 0, {half} or {size}",
                 witness=(i, c),
             )
-    return SwitchCertificate(s, frozenset(none_c), frozenset(half_c), frozenset(all_c), induced)
+        classes[c] |= 1 << i
+    return SwitchCertificate(s, classes[0], classes[half], classes[size], induced)
 
 
 def _complement_edges(g: Graph, cert: SwitchCertificate) -> Graph:
     """Complement the edges between S and its half-class; everything else stays."""
-    smask = _mask(cert.s_vertices)
-    hmask = _mask(cert.half_class)
+    s, half = cert.s_vertices, cert.half_class
     rows = list(g.rows)
-    for i in cert.half_class:
-        rows[i] ^= smask
-    for i in cert.s_vertices:
-        rows[i] ^= hmask
+    for i in _bits(half):
+        rows[i] ^= s
+    for i in _bits(s):
+        rows[i] ^= half
     return Graph(g.labels, tuple(rows))
 
 
-def gm_switch(g: Graph, s_vertices) -> Graph:
-    """Validate S on the graph, then complement the edges between S and its half-class."""
-    return _complement_edges(g, validate_switching_set(g, s_vertices))
+def gm_switch(g: Graph, s: int) -> Graph:
+    """Validate the vertex mask s on g, then complement the edges between S and its half-class."""
+    return _complement_edges(g, validate_switching_set(g, s))
 
 
-def T_formula(config: SwitchConfig) -> frozenset[int]:
-    """The closed-form half-class: vertices off alpha-perp, plus, for the
-    two-space construction, the non-quadric part of (Pi-perp symdiff
-    Pi'-perp) outside S."""
+def T_formula(config: SwitchConfig) -> int:
+    """The closed-form half-class as a vertex mask: vertices off alpha-perp,
+    plus, for the two-space construction, the non-quadric part of
+    (Pi-perp symdiff Pi'-perp) outside S."""
     form = config.form
     out = _off_perp(form, config.alpha)
     if config.pi2 is not None:
         sym = _off_perp(form, config.pi) ^ _off_perp(form, config.pi2)
         out |= sym & ~_s_points(config)
-    return _vertex_set(form, out)
+    return form.vertices(out)
 
 
 def expected_T_size(n: int, kind: str, t: int, variant: str) -> int:
@@ -441,10 +424,10 @@ class Switch:
     config: SwitchConfig
     certificate: SwitchCertificate
     graph: Graph
-    t_set: frozenset[int]
+    t_set: int
 
     @property
-    def s(self) -> frozenset[int]:
+    def s(self) -> int:
         return self.certificate.s_vertices
 
 

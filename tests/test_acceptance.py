@@ -94,7 +94,7 @@ def test_criterion_7_switched_codes():
         s, switched = sw.s, sw.graph
         code = code_from_graph(switched)
         words = min_weight_codewords(code)
-        v_s = sum(1 << i for i in s)
+        v_s = s
         want_weight = 1 << (t + 1 + (variant == "tt"))
         assert code.dim == n + 3, (n, kind, t, variant)
         assert words[0].bit_count() == want_weight, (n, kind, t, variant)
@@ -112,7 +112,7 @@ def test_criterion_7_minimum_word_uniqueness_boundary():
     sw = switch_case(5, ELLIPTIC, 1, "tt")
     s, switched = sw.s, sw.graph
     words = min_weight_codewords(code_from_graph(switched))
-    v_s = sum(1 << i for i in s)
+    v_s = s
     assert len(words) == 4
     assert v_s in words
     print(
@@ -126,8 +126,8 @@ def test_criterion_8_membership_lemmas():
         sw = switch_case(n, kind, t, variant)
         base_code = code_from_graph(gamma(n, kind))
         sw_code = code_from_graph(sw.graph)
-        v_s = sum(1 << i for i in sw.s)
-        v_t = sum(1 << i for i in sw.t_set)
+        v_s = sw.s
+        v_t = sw.t_set
         assert contains(sw_code, v_s), (n, kind, t, variant)
         assert contains(sw_code, v_t), (n, kind, t, variant)
         assert not contains(base_code, v_t), (n, kind, t, variant)

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -183,6 +184,30 @@ def test_negative_seed_choice_is_a_json_error(capsys):
     assert "flag choice" in json.loads(out)["error"]
     assert "flag choice" in err
 
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["construct", "--n", "17", "--kind", "elliptic"], "point rows take 4104 MiB"),
+        (["switch", "--n", "17", "--kind", "hyperbolic", "--t", "1"], "point rows take"),
+        (["construct", "--n", "21", "--kind", "elliptic"], "forms are made up to n = 17"),
+        (["construct", "--n", "101", "--kind", "hyperbolic"], "PG(101,2)"),
+    ],
+    ids=["construct-17", "switch-17", "construct-21", "construct-101"],
+)
+def test_out_of_reach_n_is_refused_up_front(capsys, argv, reason):
+    # closed-form size checks refuse these before the allocation they guard;
+    # unchecked, n = 17 runs into a MemoryError, n = 21 for minutes and n = 101
+    # into an OverflowError
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2  # ~0.1 s
+    assert code == 1
+    rep = json.loads(out)
+    assert "out of reach" in rep["error"] and reason in rep["error"]
+    assert rep["checks"] == {}
+    assert "out of reach" in err
 
 @pytest.mark.parametrize("failure", ["budget", "cap"])
 def test_undecided_isomorphism_is_a_json_error(monkeypatch, capsys, failure):

@@ -25,10 +25,9 @@ H5 = canonical_form(5, HYPERBOLIC)
 def switched_setup(form, t, variant):
     g = build_gamma(form)
     cfg = make_config(form, t, variant)
-    s = build_S(cfg)
-    sw = gm_switch(g, s)
-    v_s = sum(1 << i for i in s)
-    v_t = sum(1 << i for i in T_formula(cfg))
+    v_s = build_S(cfg)
+    sw = gm_switch(g, v_s)
+    v_t = T_formula(cfg)
     return g, sw, v_s, v_t
 
 
@@ -199,7 +198,7 @@ def test_characteristic_vector_basics():
     assert characteristic_vector(g, []) == 0
     full = characteristic_vector(g, g.labels)
     assert full.bit_count() == g.v
-    s_points = [g.labels[i] for i in build_S(make_config(E5, 1, "t"))]
+    s_points = [g.labels[i] for i in support(build_S(make_config(E5, 1, "t")))]
     assert characteristic_vector(g, s_points).bit_count() == 4
 
 

@@ -13,6 +13,7 @@ from quadswitch.gf2geom import (
     ELLIPTIC,
     EXTERNAL,
     HYPERBOLIC,
+    MAX_N,
     PARABOLIC,
     GeometryError,
     QuadraticForm,
@@ -108,6 +109,30 @@ def test_canonical_form_parity_mismatch(n, kind):
     with pytest.raises(GeometryError):
         canonical_form(n, kind)
 
+
+
+@pytest.mark.parametrize(
+    "n,kind,message",
+    [
+        (0, ELLIPTIC, "must be >= 1"),  # before the rows X0, X1 are indexed
+        (-1, HYPERBOLIC, "must be >= 1"),
+        (5, "purple", "unknown quadric kind"),
+        (MAX_N + 2, ELLIPTIC, "out of reach"),
+        (101, HYPERBOLIC, "out of reach"),
+        (10**9, PARABOLIC, "out of reach"),  # before a list of n + 1 rows is made
+    ],
+)
+def test_canonical_form_refuses_what_the_constructor_refuses(n, kind, message):
+    with pytest.raises(GeometryError, match=message):
+        canonical_form(n, kind)
+    if n <= MAX_N + 2:
+        with pytest.raises(GeometryError, match=message):
+            QuadraticForm(n, kind, (0,) * (n + 1))
+
+
+def test_the_largest_form_builds():
+    form = canonical_form(MAX_N, HYPERBOLIC)
+    assert form.zero_mask.bit_count() == quadric_size(MAX_N, HYPERBOLIC)
 
 def test_singular_form_rejected():
     # X0X1 alone has too many zeros in PG(3,2) to be non-singular hyperbolic

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import form, gamma, legal_cases, switch_case
 from quadswitch import srg
+from quadswitch.codes import support
 from quadswitch.gf2geom import (
     ELLIPTIC,
     HYPERBOLIC,
@@ -242,9 +243,9 @@ def test_verify_srg_near_exact_whatever_the_changed_set():
     base = gamma(7, ELLIPTIC)
     sw = switch_case(7, ELLIPTIC, 1, "tt")
     params = verify_srg(base)
-    for changed in (sw.s, sw.t_set, (), range(base.v), sw.s | {0, 5}):
+    for changed in (sw.s, sw.t_set, 0, (1 << base.v) - 1, sw.s | 1 | 1 << 5):
         assert verify_srg_near(sw.graph, base, params, changed) == params
-    assert verify_srg_near(base, base, params, ()) == params
+    assert verify_srg_near(base, base, params, 0) == params
 
 
 @pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "tt"), (7, HYPERBOLIC, 2, "t")])
@@ -253,11 +254,11 @@ def test_both_checks_reject_a_flipped_edge(n, kind, t, variant, where):
     base = gamma(n, kind)
     sw = switch_case(n, kind, t, variant)
     params = verify_srg(base)
-    s = sorted(sw.s)
+    s = support(sw.s)
     if where == "s_x_t":
-        i, j = s[0], min(sw.t_set)
+        i, j = s[0], support(sw.t_set)[0]
     elif where == "outside_s":  # breaks the precondition that g equals base off S
-        outside = [x for x in range(base.v) if x not in sw.s]
+        outside = [x for x in range(base.v) if not (sw.s >> x) & 1]
         i, j = outside[0], outside[-1]
     else:
         i, j = s[0], s[1]
@@ -275,7 +276,7 @@ def test_verify_srg_near_rejects_a_degree_preserving_swap_outside_s():
     sw = switch_case(5, ELLIPTIC, 1, "t")
     params = verify_srg(base)
     g = sw.graph
-    outside = [x for x in range(g.v) if x not in sw.s]
+    outside = [x for x in range(g.v) if not (sw.s >> x) & 1]
     a, b, c, d = next(
         (a, b, c, d)
         for a in outside
@@ -283,8 +284,8 @@ def test_verify_srg_near_rejects_a_degree_preserving_swap_outside_s():
         for c in outside
         for d in g.neighbors(c)
         if len({a, b, c, d}) == 4
-        and b not in sw.s
-        and d not in sw.s
+        and not (sw.s >> b) & 1
+        and not (sw.s >> d) & 1
         and not g.adjacent(a, c)
         and not g.adjacent(b, d)
     )
@@ -303,10 +304,10 @@ def test_verify_srg_near_agrees_on_one_sided_edits_through_s():
     params = verify_srg(base)
     g = sw.graph
     for x in range(g.v):
-        if x in sw.s:
+        if (sw.s >> x) & 1:
             continue
-        for s1 in sw.s:
-            for s2 in sw.s:
+        for s1 in support(sw.s):
+            for s2 in support(sw.s):
                 if g.adjacent(x, s1) and not g.adjacent(x, s2):
                     rows = list(g.rows)
                     rows[x] ^= (1 << s1) | (1 << s2)
@@ -325,7 +326,7 @@ def test_verify_srg_near_checks_pairs_below_a_changed_row():
     rows = list(base.rows)
     rows[last] ^= (1 << y) | (1 << y2)
     bad = Graph(base.labels, tuple(rows))
-    assert near_outcome(bad, base, params, {last}) is None
+    assert near_outcome(bad, base, params, 1 << last) is None
     assert reference_outcome(bad, params) is None
 
 
@@ -341,10 +342,23 @@ def test_random_flipped_edge_is_rejected_by_both(i, j):
     assert reference_outcome(bad, params) is None
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 35), st.integers(0, 35), st.integers(-(1 << 40), 1 << 40))
+def test_any_changed_mask_gives_the_same_decision(i, j, changed):
+    # `changed` steers the work only: any int, negative or with bits past v,
+    # accepts the switch and rejects a flipped edge with a real witness
+    assume(i != j)
+    base = gamma(5, ELLIPTIC)
+    sw = switch_case(5, ELLIPTIC, 1, "tt")
+    params = verify_srg(base)
+    assert near_outcome(sw.graph, base, params, changed) == params
+    assert near_outcome(flip(sw.graph, i, j), base, params, changed) is None
+
 def test_verify_srg_near_rejects_a_vertex_count_mismatch():
     base = gamma(5, ELLIPTIC)
     with pytest.raises(NotStronglyRegular):
-        verify_srg_near(gamma(5, HYPERBOLIC), base, verify_srg(base), ())
+        verify_srg_near(gamma(5, HYPERBOLIC), base, verify_srg(base), 0)
 
 
 # --- the reflection certificate of the quadric graph ---------------------------------
@@ -422,10 +436,10 @@ def test_reflection_moves_points_as_defined(kind):
     points = range(1, 64)
     for r in points:
         reflection = srg._reflection(f, r)
-        image = {x: srg._reflect(f, 1 << x, reflection).bit_length() - 1 for x in points}
+        image = {x: srg._reflect(1 << x, reflection).bit_length() - 1 for x in points}
         assert all(image[x] == (x ^ r if bilinear(f, x, r) else x) for x in points)
         assert all(bilinear(f, image[x], image[y]) == bilinear(f, x, y) for x in points for y in points)
-        keeps_q = srg._reflect(f, f.zero_mask, reflection) == f.zero_mask
+        keeps_q = srg._reflect(f.zero_mask, reflection) == f.zero_mask
         assert keeps_q == (not f.contains(r))
 
 
@@ -435,7 +449,7 @@ def test_certificate_rejects_a_singular_reflection(monkeypatch, n, kind):
     assert srg._certificate(f, rows, good) == expected_params(n, kind)
     r = next(p for p in range(1, size) if f.contains(p))
     bad = srg._reflection(f, r)
-    assert srg._reflect(f, bad[1], bad) == bad[1]  # still a permutation of the points
+    assert srg._reflect(bad[1], bad) == bad[1]  # still a permutation of the points
     with pytest.raises(srg._NotCertified, match="off the vertex set"):
         srg._certificate(f, rows, [bad, *good])
     calls = []
@@ -502,7 +516,7 @@ def test_flipped_pair_is_rejected_by_every_checker(case, data):
             check(bad)
         assert_real_srg_witness(bad, params, exc.value)
     with pytest.raises(NotStronglyRegular) as exc:
-        verify_srg_near(bad, g, params, (i,))
+        verify_srg_near(bad, g, params, 1 << i)
     assert_real_witness(bad, params, exc.value)
 
 
@@ -512,7 +526,7 @@ def test_each_reflection_checks_fixed_and_moved_rows(n, kind):
     # point of H_r toggled, fail the row step before the orbit step is reached
     f, g, rows, good, size = certificate_case(n, kind)
     first = good[0]
-    r, h = first
+    r, h, _ = first
     fixed = next(i for i, x in enumerate(g.labels) if not (h >> x) & 1)
     moved = next(i for i, x in enumerate(g.labels) if (h >> x) & 1 and x < x ^ r)
     y = next(p for p in g.labels if (h >> p) & 1)
@@ -555,7 +569,7 @@ def test_certificate_checks_every_pair_through_the_first_vertex(connection, brok
     everything = (1 << size) - 1
     stand_in = canonical_form(3, HYPERBOLIC)  # a form on F_2^4 of its own ...
     stand_in.off, stand_in.labels = everything, g.labels  # ... with every vector a vertex, 0 included
-    translations = [(r, everything) for r in (1, 2, 4, 8)]
+    translations = [(r, everything, stand_in.block_swaps(r)) for r in (1, 2, 4, 8)]
     with pytest.raises(srg._NotCertified, match=broken):
         srg._certificate(stand_in, rows, translations)
     with pytest.raises(NotStronglyRegular):

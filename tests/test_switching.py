@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadswitch.codes import support
 from quadswitch.gf2geom import (
     ELLIPTIC,
     HYPERBOLIC,
@@ -448,6 +449,14 @@ def test_tangent_iterators_check_their_inputs_first():
 # --- configurations and S ------------------------------------------------------------
 
 
+def mask_of(vertices):
+    """The vertex mask of an iterable of vertex indices."""
+    mask = 0
+    for i in vertices:
+        mask |= 1 << i
+    return mask
+
+
 def reference_build_S(config):
     """The previous build_S: the points of S, mapped through a point -> vertex dict."""
     idx = {p: i for i, p in enumerate(nonquadric_points(config.form))}
@@ -455,7 +464,7 @@ def reference_build_S(config):
     if config.pi2 is not None:
         pts |= set(config.pi2.points())
     pts -= set(config.alpha.points())
-    return frozenset(idx[p] for p in pts)
+    return mask_of(idx[p] for p in pts)
 
 
 def reference_T_formula(config):
@@ -468,7 +477,7 @@ def reference_T_formula(config):
         sym = perp(form, config.pi).point_mask() ^ perp(form, config.pi2).point_mask()
         s_points = (set(config.pi.points()) | set(config.pi2.points())) - set(config.alpha.points())
         out |= {i for i, p in enumerate(labels) if (sym >> p) & 1 and p not in s_points}
-    return frozenset(out)
+    return mask_of(out)
 
 
 @pytest.mark.parametrize("n,kind,t,variant", list(legal_cases()))
@@ -482,9 +491,9 @@ def test_build_S_and_T_formula_match_the_point_list_reference(n, kind, t, varian
 
 
 def test_build_S_sizes():
-    assert len(build_S(make_config(E5, 1, "t"))) == 4
-    assert len(build_S(make_config(E5, 1, "tt"))) == 8
-    assert len(build_S(make_config(canonical_form(7, ELLIPTIC), 2, "t"))) == 8
+    assert build_S(make_config(E5, 1, "t")).bit_count() == 4
+    assert build_S(make_config(E5, 1, "tt")).bit_count() == 8
+    assert build_S(make_config(canonical_form(7, ELLIPTIC), 2, "t")).bit_count() == 8
 
 
 def test_config_validation_rejects_bad_configs():
@@ -546,7 +555,7 @@ def test_validate_arbitrary_vertices_fail_with_witness():
     g = build_gamma(E5)
     start = 0
     while True:
-        candidate = frozenset(range(start, start + 4))
+        candidate = 0b1111 << start
         try:
             validate_switching_set(g, candidate)
         except NotSwitchingSet as exc:
@@ -560,19 +569,93 @@ def test_validate_arbitrary_vertices_fail_with_witness():
 def test_validate_preconditions():
     g = build_gamma(E5)
     with pytest.raises(SwitchingError):
-        validate_switching_set(g, set())
+        validate_switching_set(g, 0)
     with pytest.raises(SwitchingError):
-        validate_switching_set(g, {0, 1, 2})
+        validate_switching_set(g, 0b111)
     with pytest.raises(SwitchingError):
-        validate_switching_set(g, {0, g.v})
+        validate_switching_set(g, 1 | 1 << g.v)
 
+
+
+def test_bad_masks_are_refused_before_any_row_is_read():
+    # the -1 case and the bit at v come first: without the bound check they fail
+    # fast (a wrong message, an IndexError), while the even-size negative mask
+    # would send the walk over the bits of S into an endless loop
+    g = build_gamma(E5)
+    s = build_S(make_config(E5, 1, "t"))
+    cases = [
+        (-1, "non-vertex"),
+        (1 | 1 << g.v, "non-vertex"),
+        (s | 1 << (g.v + 5), "non-vertex"),
+        (-s, "non-vertex"),  # as many bits as S
+        (0, "is empty"),
+        (0b111, "must have even size"),
+        (s | 1 << (g.v - 1), "must have even size"),
+    ]
+    for mask, message in cases:
+        for check in (validate_switching_set, gm_switch):
+            with pytest.raises(SwitchingError, match=message) as exc:
+                check(g, mask)
+            assert not isinstance(exc.value, NotSwitchingSet), mask
+
+
+def frozenset_partition(g, s):
+    """Oracle on a frozenset of vertices, in the earlier frozenset code's
+    terms: (induced degree, none, half, all) with frozenset classes, or
+    ("not", witness) when s is no switching set."""
+
+    def inside(i):
+        return sum(1 for j in s if g.adjacent(i, j))
+
+    degrees = {}
+    for i in sorted(s):
+        degrees.setdefault(inside(i), i)
+    if len(degrees) != 1:
+        low, high = sorted(degrees)[:2]
+        return "not", (degrees[low], degrees[high])
+    classes = {0: set(), len(s) // 2: set(), len(s): set()}
+    for i in range(g.v):
+        if i not in s:
+            c = inside(i)
+            if c not in classes:
+                return "not", (i, c)
+            classes[c].add(i)
+    return (next(iter(degrees)), *(frozenset(classes[c]) for c in (0, len(s) // 2, len(s))))
+
+
+N5_FLAGS = {(ELLIPTIC, "t"): 135, (ELLIPTIC, "tt"): 270, (HYPERBOLIC, "t"): 105}
+
+
+@settings(max_examples=80, deadline=None)
+@given(flags=st.sampled_from(sorted(N5_FLAGS)), data=st.data())
+def test_certificate_classes_match_the_frozenset_oracle(flags, data):
+    # an even-size vertex set: S of a random flag (a switching set), or a random
+    # set, which from four vertices up is mostly none
+    kind, variant = flags
+    form = canonical_form(5, kind)
+    g = build_gamma(form)
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(0, N5_FLAGS[flags] - 1))
+        s = frozenset(support(build_S(make_config(form, 1, variant, k))))
+    else:
+        picked = data.draw(st.lists(st.integers(0, g.v - 1), min_size=2, max_size=12, unique=True))
+        s = frozenset(picked[: len(picked) // 2 * 2])
+    want = frozenset_partition(g, s)
+    try:
+        cert = validate_switching_set(g, mask_of(s))
+    except NotSwitchingSet as exc:
+        assert want == ("not", exc.witness)
+    else:
+        assert cert.s_vertices == mask_of(s)
+        classes = (cert.none_class, cert.half_class, cert.all_class)
+        assert (cert.induced_degree, *(frozenset(support(c)) for c in classes)) == want
 
 def test_partition_covers_everything():
     g = build_gamma(E5)
     s = build_S(make_config(E5, 1, "tt"))
     cert = validate_switching_set(g, s)
     whole = cert.none_class | cert.half_class | cert.all_class | cert.s_vertices
-    assert whole == frozenset(range(g.v))
+    assert whole == (1 << g.v) - 1
 
 
 # --- the switch itself ------------------------------------------------------------------
@@ -598,13 +681,12 @@ def test_switch_changes_only_half_rows():
     s = build_S(make_config(E5, 1, "tt"))
     cert = validate_switching_set(g, s)
     sw = gm_switch(g, s)
-    smask = sum(1 << i for i in s)
     for i in range(g.v):
-        if i in cert.half_class:
+        if (cert.half_class >> i) & 1:
             # complemented inside S, untouched outside
-            assert (sw.rows[i] ^ g.rows[i]) == smask
-        elif i in cert.s_vertices:
-            assert (sw.rows[i] ^ g.rows[i]).bit_count() == len(cert.half_class)
+            assert (sw.rows[i] ^ g.rows[i]) == s
+        elif (cert.s_vertices >> i) & 1:
+            assert (sw.rows[i] ^ g.rows[i]).bit_count() == cert.half_class.bit_count()
         else:
             # none- and all-class vertices keep their rows entirely
             assert sw.rows[i] == g.rows[i]
@@ -628,7 +710,7 @@ def test_T_formula_equals_half_class(n, kind, t, variant):
     cert = validate_switching_set(g, s)
     t_set = T_formula(cfg)
     assert t_set == cert.half_class
-    assert len(t_set) == expected_T_size(n, kind, t, variant)
+    assert t_set.bit_count() == expected_T_size(n, kind, t, variant)
     assert not (t_set & s)
 
 
@@ -641,16 +723,16 @@ def test_T_formula_equals_half_class_n9():
         cert = validate_switching_set(g, build_S(cfg))
         t_set = T_formula(cfg)
         assert t_set == cert.half_class
-        assert len(t_set) == expected_T_size(9, ELLIPTIC, t, variant)
+        assert t_set.bit_count() == expected_T_size(9, ELLIPTIC, t, variant)
 
 
 def test_T_sizes_match_lemma_values():
     # spot values: n=5 elliptic t=1 gives 32-8 = 24; with the second space
     # 32+4-4-8 = 24 as well; n=7 hyperbolic t=1 gives 128-32 = 96
-    assert len(T_formula(make_config(E5, 1, "t"))) == 24
-    assert len(T_formula(make_config(E5, 1, "tt"))) == 24
+    assert T_formula(make_config(E5, 1, "t")).bit_count() == 24
+    assert T_formula(make_config(E5, 1, "tt")).bit_count() == 24
     f7 = canonical_form(7, HYPERBOLIC)
-    assert len(T_formula(make_config(f7, 1, "t"))) == 96
+    assert T_formula(make_config(f7, 1, "t")).bit_count() == 96
 
 
 def test_S_inside_alpha_perp_off_quadric():
@@ -659,7 +741,7 @@ def test_S_inside_alpha_perp_off_quadric():
         cfg = make_config(form, t, variant)
         labels = nonquadric_points(form)
         ap = perp(form, cfg.alpha)
-        for i in build_S(cfg):
+        for i in support(build_S(cfg)):
             assert ap.contains(labels[i])
             assert not form.contains(labels[i])
 
@@ -688,7 +770,7 @@ def test_switch_record_rejects_flipped_edge(kind, variant):
     g = build_gamma(form)
     cfg = make_config(form, 1, variant)
     sw = build_switch(g, cfg)
-    i, j = min(sw.s), min(sw.t_set)
+    i, j = support(sw.s)[0], support(sw.t_set)[0]
     rows = list(g.rows)
     rows[i] ^= 1 << j
     rows[j] ^= 1 << i
