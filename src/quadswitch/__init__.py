@@ -40,9 +40,6 @@ from .switching import (
     T_formula,
     build_S,
     build_switch,
-    find_second_tangent_space,
-    find_singular_subspace,
-    find_tangent_space,
     gm_switch,
     make_config,
     validate_switching_set,

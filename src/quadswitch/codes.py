@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2geom import ELLIPTIC, echelonize
+from .gf2geom import ELLIPTIC, echelonize, set_bits
 from .srg import Graph
 
 ENUMERATION_GUARD = 24  # 2^24 codewords is the largest exact sweep we allow
@@ -121,5 +121,4 @@ def characteristic_vector(g: Graph, points) -> int:
 
 def support(vector: int) -> list[int]:
     """Indices of the set bits of a codeword."""
-    bits = format(vector, "b")[::-1]  # bits[i] is bit i
-    return [i for i, bit in enumerate(bits) if bit == "1"]
+    return set_bits(vector)

@@ -150,8 +150,7 @@ class QuadraticForm:
     @functools.cached_property
     def labels(self) -> tuple[int, ...]:
         """The points off the quadric in order, one per vertex."""
-        bits = format(self.off, "b")[::-1]  # bits[p] is bit p
-        return tuple(p for p, bit in enumerate(bits) if bit == "1")
+        return tuple(set_bits(self.off))
 
     @functools.cached_property
     def _gather(self) -> tuple[tuple[int, int], ...]:
@@ -215,6 +214,12 @@ class QuadraticForm:
 
     def __repr__(self) -> str:
         return f"QuadraticForm(n={self.n}, kind={self.kind!r})"
+
+
+def set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of a non-negative int, lowest first."""
+    bits = format(mask, "b")[::-1]  # bits[i] is bit i
+    return [i for i, bit in enumerate(bits) if bit == "1"]
 
 
 def swap_blocks(mask: int, swaps) -> int:
@@ -390,7 +395,12 @@ def whole_space(n: int) -> Subspace:
 
 
 def perp(form: QuadraticForm, u: Subspace) -> Subspace:
-    """The polar space {x : B(x,b) = 0 for all b in u} of the induced polarity."""
+    """The polar space {x : B(x,b) = 0 for all b in u} of the induced polarity.
+
+    The pipeline takes polar spaces as hyperplane masks (QuadraticForm.nonorth);
+    this kernel computation stays as the independent oracle of the T-set and
+    flag-walk tests, and as a public entry point that benchmark traces wrap.
+    """
     if form.kind == PARABOLIC:
         raise GeometryError("parabolic forms induce a degenerate polarity; no perp")
     if u.n != form.n:

@@ -48,8 +48,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .gf2geom import PARABOLIC, GeometryError, QuadraticForm, swap_blocks
+from .gf2geom import PARABOLIC, GeometryError, QuadraticForm, set_bits, swap_blocks
 
 # The point rows of a quadric graph, v * 2^(n+1) bits: ~257 MiB at n = 15, ~4 GiB at n = 17
 MAX_POINT_ROW_BYTES = 1 << 30
@@ -88,8 +89,7 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def neighbors(self, i: int) -> list[int]:
-        bits = format(self.rows[i] & ((1 << self.v) - 1), "b")[::-1]  # bits[j] is bit j
-        return [j for j, bit in enumerate(bits) if bit == "1"]
+        return set_bits(self.rows[i] & ((1 << self.v) - 1))
 
     def index_of(self, point: int) -> int:
         """Vertex index of a point label (labels are sorted)."""
@@ -112,10 +112,10 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({i},{j})")
 
 
-def build_gamma_rows(form: QuadraticForm) -> tuple[Graph, tuple[int, ...]]:
-    """The quadric graph and its rows indexed by point: entry i of the second
-    value has bit p set iff the point p is a neighbour of vertex i.
-    build_gamma keeps only the graph; certify_gamma reads the point rows."""
+def _point_rows(form: QuadraticForm) -> Iterator[int]:
+    """The row of each vertex in order, indexed by point: bit p set iff the
+    point p is a neighbour.  Made one at a time, so a caller that keeps only
+    the vertex-order rows never holds them all."""
     if form.kind == PARABOLIC or form.n % 2 == 0 or form.n < 5:
         raise GeometryError(
             "the external-line graph needs an elliptic or hyperbolic quadric with odd n >= 5"
@@ -126,16 +126,24 @@ def build_gamma_rows(form: QuadraticForm) -> tuple[Graph, tuple[int, ...]]:
         raise GeometryError(f"PG({form.n},2) is out of reach: its point rows take {size >> 20} MiB")
     # y is a neighbour of x iff y and x^y are both off the quadric.  Labels in
     # order differ in few bits, so each translate of off starts from the last.
-    rows, moved, last = [], off, 0
+    moved, last = off, 0
     for x in form.labels:
         moved, last = form.translate(moved, x ^ last), x
-        rows.append(off & moved)
-    return Graph(form.labels, tuple(map(form.vertices, rows))), tuple(rows)
+        yield off & moved
+
+
+def build_gamma_rows(form: QuadraticForm) -> tuple[Graph, tuple[int, ...]]:
+    """The quadric graph and its rows indexed by point: entry i of the second
+    value has bit p set iff the point p is a neighbour of vertex i.
+    certify_gamma reads the point rows."""
+    rows = tuple(_point_rows(form))
+    return Graph(form.labels, tuple(map(form.vertices, rows))), rows
 
 
 def build_gamma(form: QuadraticForm) -> Graph:
-    """Graph on the non-quadric points, adjacency = joining line is external."""
-    return build_gamma_rows(form)[0]
+    """Graph on the non-quadric points, adjacency = joining line is external.
+    Each row is gathered into vertex order as it is made."""
+    return Graph(form.labels, tuple(map(form.vertices, _point_rows(form))))
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ S, its none/half/all classes and T are vertex masks, ints with bit i for
 vertex i like the graph's rows, so v^S and v^T are S and T themselves and
 the switch XORs S into the rows of T and T into the rows of S.
 
-All searches are deterministic: candidates are scanned in increasing point
-order, so the "first" flag is reproducible, and an index argument exposes
-the k-th flag in the same order.
+There is one flag walk, with three views: make_config (the k-th flag,
+as a checked SwitchConfig), iter_flags (every flag, as plain tuples) and
+iter_singular_subspaces (the alphas).  It is deterministic: candidates
+are scanned in increasing point order, so the "first" flag and the k-th
+are reproducible.
 
-The flag searches work on the form's point masks (see gf2geom).  They
-rest on two identities of Q(x+y) = Q(x) + Q(y) + B(x,y):
+The walk works on the form's point masks (see gf2geom).  It rests on two
+identities of Q(x+y) = Q(x) + Q(y) + B(x,y):
 
 * For x in alpha-perp and a in alpha, Q(x+a) = Q(x).  So each coset
   x + alpha with x in alpha-perp off the quadric avoids the quadric, and
@@ -30,6 +32,9 @@ The singular t-spaces are walked as chains carrying two masks, alpha-perp
 (an AND of hyperplanes) and the pivot-free points, so the flags under one
 alpha are counted by one popcount (or one per Pi for the two-space
 construction), and make_config skips them without building anything.
+A SwitchConfig checks its flag on point masks too: each of Pi, Pi' and
+span(Pi, Pi') has the right dimension, holds alpha, and meets the quadric
+(the form's zero mask) in alpha's points and no others.
 """
 
 from __future__ import annotations
@@ -58,9 +63,10 @@ class NotSwitchingSet(SwitchingError):
         self.witness = witness
 
 
-# --- deterministic searches for (alpha, Pi, Pi') flags ------------------------
+# --- the flag walk: (alpha, Pi, Pi') ---------------------------------------------
 
 
+# lazy, unlike gf2geom.set_bits: make_config stops at the choice-th bit
 def _bits(mask: int) -> Iterator[int]:
     """The set bit positions of a mask, lowest first."""
     while mask:
@@ -75,14 +81,6 @@ def _off_perp(form: QuadraticForm, space: Subspace) -> int:
     for b in space.basis:
         out |= form.nonorth(b)
     return out
-
-
-def _candidates(form: QuadraticForm, alpha: Subspace) -> int:
-    """The pivot-free points of alpha-perp off the quadric."""
-    free = form.ones
-    for b in alpha.basis:  # reduced echelon: the pivots are the top bits
-        free &= form.halves[b.bit_length() - 1]
-    return form.off & ~_off_perp(form, alpha) & free
 
 
 def _singular_chains(form: QuadraticForm, t: int) -> Iterator[tuple[list[int], int]]:
@@ -118,23 +116,6 @@ def _flag_groups(
                 yield chain, y, cand & form.nonorth(y)
 
 
-def _check_singular(form: QuadraticForm, alpha: Subspace) -> None:
-    if alpha.n != form.n:
-        raise SwitchingError("alpha and the form live in different spaces")
-    if not all(form.contains(p) for p in alpha.points()):
-        raise SwitchingError("alpha is not contained in the quadric")
-
-
-def _check_tangent(form: QuadraticForm, alpha: Subspace, sub: Subspace, name: str) -> None:
-    if sub.n != form.n or sub.projective_dim != alpha.projective_dim + 1:
-        raise SwitchingError(f"{name} has the wrong dimension")
-    if not alpha.is_subspace_of(sub):
-        raise SwitchingError(f"{name} does not contain alpha")
-    on_q = [p for p in sub.points() if form.contains(p)]
-    if sorted(on_q) != alpha.points():
-        raise SwitchingError(f"{name} meets the quadric beyond alpha")
-
-
 def _extend(alpha: Subspace, x: int) -> Subspace:
     """The space <alpha, x>."""
     return span(alpha.n, [*alpha.basis, x])
@@ -165,70 +146,6 @@ def iter_singular_subspaces(form: QuadraticForm, t: int) -> Iterator[Subspace]:
     return (Subspace(form.n, tuple(reversed(chain))) for chain, _ in chains)
 
 
-def _nth(items: Iterator, index: int, message: str):
-    """The index-th item; SwitchingError for a negative index, and
-    SearchExhausted(message) past the end."""
-    if index < 0:
-        raise SwitchingError(f"the index must be >= 0, got {index}")
-    item = next(islice(items, index, None), None)
-    if item is None:
-        raise SearchExhausted(message)
-    return item
-
-
-def find_singular_subspace(form: QuadraticForm, t: int, index: int = 0) -> Subspace:
-    """The index-th (lex order) t-space contained in the quadric."""
-    return _nth(
-        iter_singular_subspaces(form, t),
-        index,
-        f"no singular {t}-space #{index} in the {form.kind} quadric of PG({form.n},2)",
-    )
-
-
-def iter_tangent_spaces(form: QuadraticForm, alpha: Subspace) -> Iterator[Subspace]:
-    """(t+1)-spaces through alpha meeting the quadric in exactly alpha, lex order.
-
-    They are the spaces <alpha, y> for the pivot-free points y of alpha-perp
-    off the quadric, one per coset y + alpha, in the order of y.
-    """
-    _check_singular(form, alpha)
-    return (_extend(alpha, y) for y in _bits(_candidates(form, alpha)))
-
-
-def find_tangent_space(form: QuadraticForm, alpha: Subspace, index: int = 0) -> Subspace:
-    """The index-th (t+1)-space meeting the quadric in exactly alpha."""
-    return _nth(
-        iter_tangent_spaces(form, alpha),
-        index,
-        f"no tangent space #{index} through the given {alpha.projective_dim}-space",
-    )
-
-
-def iter_second_tangent_spaces(
-    form: QuadraticForm, alpha: Subspace, pi: Subspace
-) -> Iterator[Subspace]:
-    """Partners Pi' of Pi: span(Pi, Pi') still meets the quadric in exactly alpha.
-
-    With Pi = <alpha, y>, they are the spaces <alpha, x> for the pivot-free
-    points x of alpha-perp off the quadric with B(x, y) = 1, in the order of x.
-    """
-    _check_singular(form, alpha)
-    _check_tangent(form, alpha, pi, "pi")
-    y = next(p for p in pi.points() if not alpha.contains(p))
-    return (_extend(alpha, x) for x in _bits(_candidates(form, alpha) & form.nonorth(y)))
-
-
-def find_second_tangent_space(
-    form: QuadraticForm, alpha: Subspace, pi: Subspace, index: int = 0
-) -> Subspace:
-    """The index-th valid partner Pi', or a not-found error if none exists."""
-    return _nth(
-        iter_second_tangent_spaces(form, alpha, pi),
-        index,
-        f"no second tangent space (pi2) #{index}: the span condition has no solution here",
-    )
-
-
 # --- configurations ------------------------------------------------------------
 
 
@@ -243,28 +160,40 @@ class SwitchConfig:
     pi2: Optional[Subspace] = None
 
     def __post_init__(self) -> None:
-        form, t = self.form, self.t
+        form, t, alpha = self.form, self.t, self.alpha
         n = form.n
         if t not in legal_t_range(n, form.kind, self.variant):
             raise SwitchingError(f"t={t} outside the legal range of variant {self.variant} for n={n}")
-        if self.alpha.projective_dim != t:
+        if alpha.projective_dim != t:
             raise SwitchingError("alpha has the wrong dimension")
-        _check_singular(form, self.alpha)
-        _check_tangent(form, self.alpha, self.pi, "pi")
+        if alpha.n != n:
+            raise SwitchingError("alpha and the form live in different spaces")
+        alpha_mask = alpha.point_mask()
+        if alpha_mask & form.off:
+            raise SwitchingError("alpha is not contained in the quadric")
+        _check_over(form, alpha_mask, self.pi, t + 1, "pi")
         if self.pi2 is not None:
-            _check_tangent(form, self.alpha, self.pi2, "pi2")
+            _check_over(form, alpha_mask, self.pi2, t + 1, "pi2")
             if self.pi2 == self.pi:
                 raise SwitchingError("pi2 must differ from pi")
-            joint = span(form.n, list(self.pi.basis) + list(self.pi2.basis))
-            if joint.projective_dim != t + 2:
-                raise SwitchingError("span(pi, pi2) has the wrong dimension")
-            on_q = [p for p in joint.points() if form.contains(p)]
-            if sorted(on_q) != self.alpha.points():
-                raise SwitchingError("span(pi, pi2) meets the quadric beyond alpha")
+            joint = span(n, self.pi.basis + self.pi2.basis)
+            _check_over(form, alpha_mask, joint, t + 2, "span(pi, pi2)")
 
     @property
     def variant(self) -> str:
         return "t" if self.pi2 is None else "tt"
+
+
+def _check_over(form: QuadraticForm, alpha_mask: int, sub: Subspace, dim: int, name: str) -> None:
+    """sub is a projective dim-space over alpha (point mask alpha_mask) that
+    meets the quadric in alpha's points and no others, or SwitchingError."""
+    if sub.n != form.n or sub.projective_dim != dim:
+        raise SwitchingError(f"{name} has the wrong dimension")
+    mask = sub.point_mask()
+    if alpha_mask & ~mask:
+        raise SwitchingError(f"{name} does not contain alpha")
+    if mask & form.zero_mask != alpha_mask:
+        raise SwitchingError(f"{name} meets the quadric beyond alpha")
 
 
 def legal_t_range(n: int, kind: str, variant: str) -> range:

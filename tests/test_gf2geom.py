@@ -411,14 +411,14 @@ def test_singular_space_perp_meets_quadric_in_cone_size():
     # perp of a t-space inside the quadric carries 2^(n-t-1) -+ 2^((n-1)/2) - 1
     # quadric points (minus sign for elliptic), the point count of a cone over
     # the small quadric of the same kind
-    from quadswitch.switching import find_singular_subspace, legal_t_range
+    from quadswitch.switching import iter_singular_subspaces, legal_t_range
 
     for n in (5, 7):
         for kind in (ELLIPTIC, HYPERBOLIC):
             form = canonical_form(n, kind)
             sign = -1 if kind == ELLIPTIC else 1
             for t in legal_t_range(n, kind, "t"):
-                alpha = find_singular_subspace(form, t)
+                alpha = next(iter_singular_subspaces(form, t))
                 pp = perp(form, alpha)
                 on_q = sum(1 for p in pp.points() if form.contains(p))
                 want = (1 << (n - t - 1)) + sign * (1 << ((n - 1) // 2)) - 1

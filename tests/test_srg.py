@@ -1,5 +1,7 @@
 """Graph construction and exact strong-regularity verification."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -405,6 +407,22 @@ def test_build_gamma_rows_are_the_point_rows():
     for i, row in enumerate(rows):
         assert [y for y in g.labels if (row >> y) & 1] == [g.labels[j] for j in g.neighbors(i)]
     assert not any(row & ~sum(1 << x for x in g.labels) for row in rows)
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_build_gamma_never_holds_all_point_rows(kind):
+    # each row is gathered into vertex order as it is made, so the peak stays
+    # below the v * 2^(n+1) bits that the point rows take together
+    n = 11
+    f = canonical_form(n, kind)
+    tracemalloc.start()
+    try:
+        g = build_gamma(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.v << (n + 1) >> 3
+    assert g == build_gamma_rows(f)[0]
 
 
 def test_neighbors_lists_the_row_bits_below_v():

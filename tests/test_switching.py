@@ -29,14 +29,9 @@ from quadswitch.switching import (
     build_S,
     build_switch,
     expected_T_size,
-    find_second_tangent_space,
-    find_singular_subspace,
-    find_tangent_space,
     gm_switch,
     iter_flags,
-    iter_second_tangent_spaces,
     iter_singular_subspaces,
-    iter_tangent_spaces,
     legal_t_range,
     make_config,
     validate_switching_set,
@@ -68,7 +63,7 @@ def legal_cases(ns=(5, 7)):
 
 def test_singular_point_is_lex_least_quadric_point():
     for form in (E5, H5):
-        sub = find_singular_subspace(form, 0)
+        sub = next(iter_singular_subspaces(form, 0))
         assert sub.points() == [min(quadric_points(form))]
 
 
@@ -82,15 +77,14 @@ def test_singular_line_n5_elliptic_exhaustive():
     ]
     assert contained  # the elliptic quadric of PG(5,2) does carry lines
     best = min(contained)
-    got = find_singular_subspace(E5, 1)
+    got = next(iter_singular_subspaces(E5, 1))
     assert tuple(got.points()) == best
     assert all(E5.contains(p) for p in got.points())
 
 
 def test_singular_plane_n5_elliptic_not_found():
     # planes would need t = 2 > (n-3)/2; confirmed by exhaustive plane search
-    with pytest.raises(SearchExhausted):
-        find_singular_subspace(E5, 2)
+    assert list(iter_singular_subspaces(E5, 2)) == []
     planes = set()
     qpts = sorted(quadric_points(E5))
     for a in qpts:
@@ -107,30 +101,14 @@ def test_singular_plane_n5_elliptic_not_found():
 
 
 def test_singular_search_is_deterministic():
-    a = find_singular_subspace(E5, 1)
-    b = find_singular_subspace(E5, 1)
+    a = next(iter_singular_subspaces(E5, 1))
+    b = next(iter_singular_subspaces(E5, 1))
     assert a == b == span(5, [4, 16, 20])
 
 
 def test_singular_search_rejects_negative_t():
-    with pytest.raises(SwitchingError):
-        find_singular_subspace(E5, -1)
-
-
-def test_singular_search_rejects_a_negative_index():
-    with pytest.raises(SwitchingError, match="must be >= 0"):
-        find_singular_subspace(E5, 1, -1)
-
-
-def test_tangent_search_rejects_a_negative_index():
-    with pytest.raises(SwitchingError, match="must be >= 0"):
-        find_tangent_space(E5, find_singular_subspace(E5, 1), -1)
-
-
-def test_second_tangent_search_rejects_a_negative_index():
-    cfg = make_config(E5, 1, "tt")
-    with pytest.raises(SwitchingError, match="must be >= 0"):
-        find_second_tangent_space(E5, cfg.alpha, cfg.pi, -1)
+    with pytest.raises(SwitchingError, match="t must be >= 0"):
+        iter_singular_subspaces(E5, -1)
 
 
 def reference_singular_subspaces(form, t):
@@ -228,7 +206,20 @@ def test_singular_search_matches_greedy_walk(n, kind):
         assert list(iter_singular_subspaces(form, t)) == want, (n, kind, t)
 
 
-# --- tangent space search ----------------------------------------------------------
+# --- tangent spaces, as the flag walk yields them ------------------------------------
+
+
+def flags_by_alpha(form, t, variant):
+    """iter_flags grouped by alpha, each group in walk order."""
+    groups = {}
+    for flag in iter_flags(form, t, variant):
+        groups.setdefault(flag[0], []).append(flag)
+    return groups
+
+
+def tangent_spaces(form, alpha):
+    """The Pi through alpha, from the single-space flags."""
+    return [pi for _, pi, _ in flags_by_alpha(form, alpha.projective_dim, "t").get(alpha, [])]
 
 
 def brute_force_tangent_spaces(form, alpha, pi=None):
@@ -249,8 +240,8 @@ def brute_force_tangent_spaces(form, alpha, pi=None):
 
 @pytest.mark.parametrize("form", [E5, H5], ids=["elliptic", "hyperbolic"])
 def test_tangent_space_structure(form):
-    alpha = find_singular_subspace(form, 1)
-    pi = find_tangent_space(form, alpha)
+    alpha = next(iter_singular_subspaces(form, 1))
+    pi = tangent_spaces(form, alpha)[0]
     assert pi.projective_dim == 2
     assert alpha.is_subspace_of(pi)
     on_q = sorted(p for p in pi.points() if form.contains(p))
@@ -261,16 +252,17 @@ def test_tangent_space_structure(form):
 
 @pytest.mark.parametrize("form", [E5, H5], ids=["elliptic", "hyperbolic"])
 def test_tangent_space_is_lex_least(form):
-    alpha = find_singular_subspace(form, 1)
+    alpha = next(iter_singular_subspaces(form, 1))
     oracle = brute_force_tangent_spaces(form, alpha)
     assert oracle
-    assert find_tangent_space(form, alpha) == oracle[0]
+    assert tangent_spaces(form, alpha)[0] == oracle[0]
 
 
 def test_second_tangent_space_n5_elliptic():
-    alpha = find_singular_subspace(E5, 1)
-    pi = find_tangent_space(E5, alpha)
-    pi2 = find_second_tangent_space(E5, alpha, pi)
+    alpha = next(iter_singular_subspaces(E5, 1))
+    pi = tangent_spaces(E5, alpha)[0]
+    first_alpha, first_pi, pi2 = next(iter_flags(E5, 1, "tt"))
+    assert (first_alpha, first_pi) == (alpha, pi)
     assert pi2 != pi
     joint = span(5, list(pi.basis) + list(pi2.basis))
     assert joint.projective_dim == 3
@@ -285,10 +277,9 @@ def test_second_tangent_space_n5_elliptic():
 
 
 def test_second_tangent_space_n5_hyperbolic_not_found():
-    alpha = find_singular_subspace(H5, 1)
-    pi = find_tangent_space(H5, alpha)
-    with pytest.raises(SearchExhausted):
-        find_second_tangent_space(H5, alpha, pi)
+    alpha = next(iter_singular_subspaces(H5, 1))
+    pi = tangent_spaces(H5, alpha)[0]
+    assert list(iter_flags(H5, 1, "tt")) == []  # no Pi' under any Pi
     # the unpruned oracle agrees that nothing exists
     assert brute_force_tangent_spaces(H5, alpha, pi) == []
 
@@ -411,39 +402,168 @@ def test_tangent_iterators_match_reference(n, kind, t):
     alphas = list(greedy_singular_subspaces(form, t))
     if n == 7:
         alphas = alphas[:3] + alphas[-3:]
+    singles, doubles = flags_by_alpha(form, t, "t"), flags_by_alpha(form, t, "tt")
     for alpha in alphas:
         pis = list(reference_extensions(form, alpha, alpha))
-        assert list(iter_tangent_spaces(form, alpha)) == pis
+        assert [pi for _, pi, _ in singles.get(alpha, [])] == pis
         for pi in pis:
             want = list(reference_extensions(form, alpha, pi))
-            assert list(iter_second_tangent_spaces(form, alpha, pi)) == want
+            assert [pi2 for _, p, pi2 in doubles.get(alpha, []) if p == pi] == want
 
 
-def test_tangent_iterators_check_their_inputs_first():
+def test_config_rejects_bad_flags_with_their_messages():
     cfg = make_config(E5, 1, "tt")
-    alpha, pi = cfg.alpha, cfg.pi
+    alpha, pi, pi2 = cfg.alpha, cfg.pi, cfg.pi2
     not_singular = span(5, [1, 2])  # a line off the quadric
+    alpha7 = next(iter_singular_subspaces(canonical_form(7, ELLIPTIC), 1))
     outside = next(p for p in sorted(quadric_points(E5)) if not alpha.contains(p))
     other = next(a for a in iter_singular_subspaces(E5, 1) if a != alpha)
     bad_pis = {
         "meets the quadric beyond alpha": span(5, list(alpha.basis) + [outside]),
-        "does not contain alpha": find_tangent_space(E5, other),
-        "wrong dimension": whole_space(5),
+        "does not contain alpha": tangent_spaces(E5, other)[0],
+        "has the wrong dimension": whole_space(5),
     }
-    # the calls raise before any space is asked for
-    with pytest.raises(SwitchingError, match="not contained in the quadric"):
-        iter_tangent_spaces(E5, not_singular)
-    with pytest.raises(SwitchingError, match="not contained in the quadric"):
-        iter_second_tangent_spaces(E5, not_singular, pi)
-    with pytest.raises(SwitchingError, match="not contained in the quadric"):
-        find_tangent_space(E5, not_singular)
-    with pytest.raises(SwitchingError, match="different spaces"):
-        iter_tangent_spaces(canonical_form(7, ELLIPTIC), alpha)
+    for flag in ((not_singular, pi), (not_singular, pi, pi2)):
+        with pytest.raises(SwitchingError, match="^alpha is not contained in the quadric$"):
+            SwitchConfig(E5, 1, *flag)
+    with pytest.raises(SwitchingError, match="^alpha and the form live in different spaces$"):
+        SwitchConfig(E5, 1, alpha7, pi)
     for message, bad in bad_pis.items():
-        with pytest.raises(SwitchingError, match=message):
-            iter_second_tangent_spaces(E5, alpha, bad)
-        with pytest.raises(SwitchingError, match=message):
-            find_second_tangent_space(E5, alpha, bad)
+        with pytest.raises(SwitchingError, match=f"^pi {message}$"):
+            SwitchConfig(E5, 1, alpha, bad)
+        with pytest.raises(SwitchingError, match=f"^pi2 {message}$"):
+            SwitchConfig(E5, 1, alpha, pi, bad)
+    with pytest.raises(SwitchingError, match="^pi2 must differ from pi$"):
+        SwitchConfig(E5, 1, alpha, pi, pi)
+    # at n = 7, <alpha, x> and <alpha, y> with B(x, y) = 0 span a space beyond alpha
+    f7 = canonical_form(7, ELLIPTIC)
+    alpha, pi, _ = next(iter_flags(f7, 1, "t"))
+    beyond = "span(pi, pi2) meets the quadric beyond alpha"
+    partners = [p for a, p, _ in islice(iter_flags(f7, 1, "t"), 50) if a == alpha]
+    bad = next(p for p in partners if reference_config_error(f7, 1, alpha, pi, p) == beyond)
+    with pytest.raises(SwitchingError, match=r"^span\(pi, pi2\) meets the quadric beyond alpha$"):
+        SwitchConfig(f7, 1, alpha, pi, bad)
+
+
+def reference_config_error(form, t, alpha, pi, pi2=None):
+    """The point-list checks SwitchConfig made before it checked point masks:
+    the message of the first check that fails, or None."""
+    variant = "t" if pi2 is None else "tt"
+    if t not in legal_t_range(form.n, form.kind, variant):
+        return f"t={t} outside the legal range of variant {variant} for n={form.n}"
+    if alpha.projective_dim != t:
+        return "alpha has the wrong dimension"
+    if alpha.n != form.n:
+        return "alpha and the form live in different spaces"
+    if not all(form.contains(p) for p in alpha.points()):
+        return "alpha is not contained in the quadric"
+
+    def tangent(sub, name):
+        if sub.n != form.n or sub.projective_dim != alpha.projective_dim + 1:
+            return f"{name} has the wrong dimension"
+        if not alpha.is_subspace_of(sub):
+            return f"{name} does not contain alpha"
+        on_q = [p for p in sub.points() if form.contains(p)]
+        if sorted(on_q) != alpha.points():
+            return f"{name} meets the quadric beyond alpha"
+        return None
+
+    error = tangent(pi, "pi")
+    if error or pi2 is None:
+        return error
+    error = tangent(pi2, "pi2")
+    if error:
+        return error
+    if pi2 == pi:
+        return "pi2 must differ from pi"
+    joint = span(form.n, list(pi.basis) + list(pi2.basis))
+    if joint.projective_dim != t + 2:
+        return "span(pi, pi2) has the wrong dimension"
+    on_q = [p for p in joint.points() if form.contains(p)]
+    if sorted(on_q) != alpha.points():
+        return "span(pi, pi2) meets the quadric beyond alpha"
+    return None
+
+
+def config_error(form, t, *flag):
+    """SwitchConfig's message for the flag, or None if it accepts it."""
+    try:
+        SwitchConfig(form, t, *flag)
+    except SwitchingError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_mask_checks_match_the_point_list_checks_on_every_n5_flag(kind):
+    # every flag of both variants, and every pair of tangent spaces under one
+    # alpha as (Pi, Pi'): at n = 5 the pairs are pi2 == pi or a valid double
+    # flag (elliptic), or have t outside the range of variant tt (hyperbolic)
+    form = canonical_form(5, kind)
+    for variant in ("t", "tt"):
+        for flag in iter_flags(form, 1, variant):
+            assert config_error(form, 1, *flag) is None
+            assert reference_config_error(form, 1, *flag) is None
+    seen = set()
+    for alpha, flags in flags_by_alpha(form, 1, "t").items():
+        for _, pi, _ in flags:
+            for _, pi2, _ in flags:
+                want = reference_config_error(form, 1, alpha, pi, pi2)
+                assert config_error(form, 1, alpha, pi, pi2) == want
+                seen.add(want)
+    if kind == ELLIPTIC:
+        assert seen == {None, "pi2 must differ from pi"}
+    else:
+        assert seen == {"t=1 outside the legal range of variant tt for n=5"}
+
+
+@lru_cache(maxsize=None)
+def flag_prefix(n, kind, t, variant, limit=300):
+    return tuple(islice(iter_flags(canonical_form(n, kind), t, variant), limit))
+
+
+CORRUPTIONS = (
+    "pi without alpha",
+    "pi beyond alpha",
+    "pi2 is pi",
+    "span beyond alpha",
+    "wrong dimension",
+    "alpha off the quadric",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(list(legal_cases())),
+    corruption=st.sampled_from(CORRUPTIONS),
+    data=st.data(),
+)
+def test_mask_checks_match_the_point_list_checks_on_corrupted_flags(case, corruption, data):
+    n, kind, t, variant = case
+    form = canonical_form(n, kind)
+    flags = flag_prefix(n, kind, t, variant)
+    alpha, pi, pi2 = data.draw(st.sampled_from(flags))
+    point = st.integers(1, (1 << (n + 1)) - 1)
+    tangents = [p for _, p, _ in flag_prefix(n, kind, t, "t")]  # most hang off other alphas
+    same_alpha = [p for a, p, _ in flag_prefix(n, kind, t, "t") if a == alpha]
+    which = data.draw(st.sampled_from(["pi", "pi2"]))
+    if corruption == "pi without alpha":
+        bad = data.draw(st.sampled_from(tangents))
+    elif corruption == "pi beyond alpha":  # <alpha, x> for any point x
+        bad = span(n, [*alpha.basis, data.draw(point)])
+    elif corruption == "pi2 is pi":
+        which, bad = "pi2", pi
+    elif corruption == "span beyond alpha":  # another Pi' through alpha
+        which, bad = "pi2", data.draw(st.sampled_from(same_alpha))
+    elif corruption == "wrong dimension":  # any part replaced by a random span
+        which = data.draw(st.sampled_from(["alpha", "pi", "pi2"]))
+        bad = span(n, data.draw(st.lists(point, min_size=1, max_size=t + 4)))
+    else:  # alpha off the quadric: a random span of t + 1 points
+        which, bad = "alpha", span(n, data.draw(st.lists(point, min_size=t + 1, max_size=t + 1)))
+    parts = {"alpha": alpha, "pi": pi, "pi2": pi2, which: bad}
+    alpha, pi, pi2 = parts["alpha"], parts["pi"], parts["pi2"]
+    flag = (alpha, pi) if pi2 is None else (alpha, pi, pi2)
+    assert config_error(form, t, *flag) == reference_config_error(form, t, *flag)
 
 
 # --- configurations and S ------------------------------------------------------------
