@@ -20,6 +20,7 @@ from .gf2geom import (
     span,
 )
 from .srg import (
+    GammaCertificate,
     Graph,
     NotStronglyRegular,
     SrgParams,

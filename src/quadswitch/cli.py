@@ -93,7 +93,7 @@ def _base_graph(form, runner: _Runner, verify_timing):
     if verify_timing is None:
         return runner.time("build_gamma", lambda: build_gamma(form)), None
     gamma, point_rows = runner.time("build_gamma", lambda: build_gamma_rows(form))
-    return gamma, runner.time(verify_timing, lambda: certify_gamma(form, point_rows))
+    return gamma, runner.time(verify_timing, lambda: certify_gamma(form, point_rows).params)
 
 
 def _requested_switch(args, runner: _Runner, verify: bool = False):
@@ -171,6 +171,15 @@ def cmd_code(args, runner: _Runner) -> dict:
 
 
 def _family_report_dict(rep: distinguish.FamilyReport) -> dict:
+    shared: dict = {}  # one entry per profile object: the words of an orbit share theirs
+
+    def entry(profile) -> dict:
+        out = shared.get(id(profile))
+        if out is None:
+            size, degs = profile
+            out = shared[id(profile)] = {"support_size": size, "induced_degrees": list(degs)}
+        return out
+
     return {
         "members": [
             {
@@ -179,10 +188,7 @@ def _family_report_dict(rep: distinguish.FamilyReport) -> dict:
                 "variant": m.variant,
                 "two_rank": m.sig.two_rank,
                 "min_weight": m.sig.min_weight,
-                "min_word_profiles": [
-                    {"support_size": size, "induced_degrees": list(degs)}
-                    for size, degs in m.sig.min_word_profiles
-                ],
+                "min_word_profiles": list(map(entry, m.sig.min_word_profiles)),
             }
             for m in rep.members
         ],
@@ -369,8 +375,9 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _write_json(value, files) -> None:
     """Write json.dumps(value, indent=2, sort_keys=True) and a newline to each
-    file, piece by piece.  Dict keys are strings.  Each distinct list of ints is
-    rendered once per depth, since its indentation depends on the depth."""
+    file, piece by piece.  Dict keys are strings.  Each list of ints is rendered
+    once per depth, since its indentation depends on the depth, and kept by
+    identity: value holds every list until the write ends, so no id is reused."""
     writes = [f.write for f in files]
     memo: dict = {}
 
@@ -390,6 +397,8 @@ def _write_json(value, files) -> None:
             put(_NONFINITE.get(text, text))
         elif not isinstance(v, (list, tuple, dict)):
             raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        elif (id(v), depth) in memo:
+            put(memo[id(v), depth])
         elif not v:
             put("{}" if isinstance(v, dict) else "[]")
         else:
@@ -401,12 +410,9 @@ def _write_json(value, files) -> None:
                     walk(v[key], depth + 1)
                     sep = "," + inner
                 put(outer + "}")
-            elif set(map(type, v)) == {int}:  # no bools: (1, True) == (1, 1)
-                key = (tuple(v), depth)
-                text = memo.get(key)
-                if text is None:
-                    text = memo[key] = "[" + inner + ("," + inner).join(map(int.__repr__, v)) + outer + "]"
-                put(text)
+            elif set(map(type, v)) == {int}:  # no bools: they print as true and false
+                text = "[" + inner + ("," + inner).join(map(int.__repr__, v)) + outer + "]"
+                put(memo.setdefault((id(v), depth), text))
             else:
                 sep = "[" + inner
                 for item in v:

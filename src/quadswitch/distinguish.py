@@ -5,6 +5,14 @@ and the multiset of (weight, induced degree sequence on the support) over
 the minimum-weight codewords.  All three survive vertex relabelling, so
 differing signatures certify non-isomorphism.
 
+The quadric graph's words are profiled once per orbit.  The reflections
+certify_gamma checked against its rows are automorphisms of the graph, so
+they permute its rows, its code and its minimum-weight words, and keep every
+induced degree: the words of one orbit share one profile.  The orbits are
+walked in point space, each word expanded once, and every image must be a
+word.  If one is not, or no reflections were certified (the verify_srg
+fallback, and every switched graph), each word is profiled on its own.
+
 The exact tester `are_isomorphic` is an independent cross-check.  It first
 compares the pair profiles of the two graphs: for every vertex pair x, y,
 its adjacency and the sorted numbers |N(x) & N(y) & N(z)| over all z.
@@ -24,7 +32,7 @@ from typing import Optional
 
 from .codes import BinaryCode, code_from_graph, min_weight_codewords, support
 from .gf2geom import GeometryError, QuadraticForm, canonical_form
-from .srg import Graph, SrgParams, build_gamma_rows, certify_gamma
+from .srg import GammaCertificate, Graph, SrgParams, _reflect, build_gamma_rows, certify_gamma
 from .switching import Switch, build_switch, legal_t_range, make_config
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -48,14 +56,53 @@ class GraphSignature:
     min_word_profiles: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def signature(g: Graph, code: BinaryCode, words) -> GraphSignature:
+def _profile(g: Graph, w: int) -> tuple[int, tuple[int, ...]]:
+    """The support size of w and the sorted degrees of the graph induced on it."""
+    supp = support(w)
+    return len(supp), tuple(sorted((g.rows[i] & w).bit_count() for i in supp))
+
+
+def _orbit_profiles(g: Graph, words, certificate: GammaCertificate):
+    """The profiles of the words, one computed per orbit of the certificate's
+    reflections and repeated orbit-size times, or None unless there are
+    reflections and they map every word to a word."""
+    form, reflections = certificate.form, certificate.reflections
+    if not reflections:
+        return None
+    expanded = list(map(form.points, words))  # the walk stays in point space
+    index = {p: i for i, p in enumerate(expanded)}
+    seen = bytearray(len(words))
+    profiles: list = []
+    for start, w in enumerate(words):
+        if seen[start]:
+            continue
+        seen[start], frontier, size = 1, [expanded[start]], 1
+        while frontier:
+            mask = frontier.pop()
+            for reflection in reflections:
+                image = _reflect(mask, reflection)
+                i = index.get(image)
+                if i is None:
+                    return None  # not an automorphism of the word set: profile every word
+                if not seen[i]:
+                    seen[i] = 1
+                    size += 1
+                    frontier.append(image)
+        profiles += [_profile(g, w)] * size
+    return profiles
+
+
+def signature(
+    g: Graph, code: BinaryCode, words, certificate: Optional[GammaCertificate] = None
+) -> GraphSignature:
     """Signature from the graph's code and that code's minimum-weight words:
-    rank, minimum weight, min-word support shapes."""
-    profiles = []
-    for w in words:
-        supp = support(w)
-        degs = tuple(sorted((g.rows[i] & w).bit_count() for i in supp))
-        profiles.append((len(supp), degs))
+    rank, minimum weight, min-word support shapes.  With the certificate that
+    certify_gamma gave for g's point rows, each orbit of words under its
+    reflections is profiled once (see the module docstring); otherwise, or
+    when the walk fails, every word is."""
+    profiles = _orbit_profiles(g, words, certificate) if certificate is not None else None
+    if profiles is None:
+        profiles = [_profile(g, w) for w in words]
     return GraphSignature(code.dim, words[0].bit_count(), tuple(sorted(profiles)))
 
 
@@ -267,10 +314,18 @@ def _separating_invariant(a: GraphSignature, b: GraphSignature) -> str:
     return "none"
 
 
-def _member(name: str, t: int, variant: str, graph: Graph, switch: Optional[Switch]) -> FamilyMember:
+def _member(
+    name: str,
+    t: int,
+    variant: str,
+    graph: Graph,
+    switch: Optional[Switch],
+    certificate: Optional[GammaCertificate] = None,
+) -> FamilyMember:
     code = code_from_graph(graph)
     words = tuple(min_weight_codewords(code))
-    return FamilyMember(name, t, variant, graph, code, words, signature(graph, code, words), switch)
+    sig = signature(graph, code, words, certificate)
+    return FamilyMember(name, t, variant, graph, code, words, sig, switch)
 
 
 def build_family(n: int, kind: str) -> Family:
@@ -280,14 +335,14 @@ def build_family(n: int, kind: str) -> Family:
         raise GeometryError(f"families are classified for odd n in [5, 9], got {n}")
     form = canonical_form(n, kind)
     gamma, point_rows = build_gamma_rows(form)
-    params = certify_gamma(form, point_rows)
+    certificate = certify_gamma(form, point_rows)
     del point_rows  # only the certificate reads them; keep them out of the family's peak
-    members = [_member("gamma", 0, "", gamma, None)]
+    members = [_member("gamma", 0, "", gamma, None, certificate)]
     for variant in ("t", "tt"):
         for t in legal_t_range(n, kind, variant):
             sw = build_switch(gamma, make_config(form, t, variant))
             members.append(_member(f"gamma_{variant}{t}", t, variant, sw.graph, sw))
-    return Family(form, tuple(members), params)
+    return Family(form, tuple(members), certificate.params)
 
 
 def classify_family(family: Family, cross_check: Optional[bool] = None) -> FamilyReport:

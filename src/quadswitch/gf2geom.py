@@ -15,7 +15,8 @@ is the symplectic form that drives the polarity.
 Sets of points are point masks, ints with bit p for the point p.  Each
 form holds its own, Q's built monomial by monomial from coordinate masks, with
 translations (block swaps, all applied by swap_blocks), hyperplanes B(x,y) = 1
-and the gather into vertex order, a compress by off in n + 1 masked shifts.
+and the gather into vertex order, a compress by off in n + 1 masked shifts
+(points, its inverse, is the matching expand).
 """
 
 from __future__ import annotations
@@ -178,6 +179,15 @@ class QuadraticForm:
             x = (x ^ t) | (t >> s)
         return x
 
+    def points(self, vmask: int) -> int:
+        """The inverse of vertices: bit labels[i] for bit i of vmask (bits at or
+        above v are dropped).  An expand by off, the gather's rounds reversed."""
+        x = vmask & ((1 << len(self.labels)) - 1)
+        for mv, s in reversed(self._gather):
+            t = x & (mv >> s)
+            x = (x ^ t) | (t << s)
+        return x
+
     def nonorth(self, y: int) -> int:
         """The points x with B(x, y) = 1: odd parity against y's polar vector."""
         mask = self._nonorth.get(y)
@@ -288,8 +298,14 @@ def coordinate_masks(n: int) -> tuple[int, ...]:
     Entry b has the bits of the vectors whose coordinate b is 0; shifted up
     by 2^b it has those whose coordinate b is 1.
     """
-    ones = (1 << (1 << (n + 1))) - 1
-    return tuple(ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n + 1))
+    size, masks = 1 << (n + 1), []
+    for b in range(n + 1):
+        mask, width = (1 << (1 << b)) - 1, 2 << b  # one block of 2^b ones, repeated by doubling
+        while width < size:
+            mask |= mask << width
+            width <<= 1
+        masks.append(mask)
+    return tuple(masks)
 
 
 # --- subspaces ---------------------------------------------------------------

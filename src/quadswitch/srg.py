@@ -249,7 +249,7 @@ class _NotCertified(Exception):
 def _reflection(form: QuadraticForm, r: int):
     """The map x -> x + B(x,r) r as (r, H, swaps), H the points it moves and swaps the
     translation by r.  As B(r,r) = 0, x and x^r lie in H together: an involution."""
-    return r, form.nonorth(r), form.block_swaps(r)
+    return r, form.nonorth(r), tuple(form.block_swaps(r))
 
 
 def _reflect(mask: int, reflection) -> int:
@@ -333,21 +333,34 @@ def _certificate(form: QuadraticForm, point_rows, reflections) -> SrgParams:
     return _srg_params(v, k, lam, mu)
 
 
-def certify_gamma(form: QuadraticForm, point_rows) -> SrgParams:
+@dataclass(frozen=True)
+class GammaCertificate:
+    """What certify_gamma proved about the graph of its point rows: the
+    parameters, and the reflections it checked as automorphisms of that graph,
+    each as (r, H, swaps) for _reflect.  No reflections after the verify_srg
+    fallback."""
+
+    form: QuadraticForm
+    params: SrgParams
+    reflections: tuple = ()
+
+
+def certify_gamma(form: QuadraticForm, point_rows) -> GammaCertificate:
     """Exact strong-regularity check of the quadric graph of form from its
     point rows, as build_gamma_rows returns them.
 
-    Returns what verify_srg returns for the graph the rows describe, by the
-    certificate of the module docstring, or else from verify_srg itself.
-    Raises GeometryError unless there is one row per vertex.
+    The parameters are what verify_srg returns for the graph the rows
+    describe, by the certificate of the module docstring, or else from
+    verify_srg itself.  Raises GeometryError unless there is one row per vertex.
     """
     v = len(form.labels)
     if len(point_rows) != v:
         raise GeometryError(f"{len(point_rows)} point rows for the {v} vertices of the form")
+    reflections = tuple(_transitive_reflections(form))
     try:
-        return _certificate(form, point_rows, _transitive_reflections(form))
+        return GammaCertificate(form, _certificate(form, point_rows, reflections), reflections)
     except _NotCertified:
-        return verify_srg(Graph(form.labels, tuple(map(form.vertices, point_rows))))
+        return GammaCertificate(form, verify_srg(Graph(form.labels, tuple(map(form.vertices, point_rows)))))
 
 
 def _wrong_count(rows, i: int, j: int, lam: int, mu: int):

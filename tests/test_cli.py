@@ -342,6 +342,17 @@ def test_write_json_matches_json_dumps(value, repeated):
     assert dumped(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+def test_write_json_keys_lists_by_identity_and_depth():
+    # one list object at two depths gets the indentation of each; equal lists
+    # that are distinct objects (one a tuple) each print in full
+    shared = [3, -1, 2**70]
+    assert dumped([shared, {"a": shared, "b": [shared]}, shared]) == json.dumps(
+        [shared, {"a": shared, "b": [shared]}, shared], indent=2, sort_keys=True
+    ) + "\n"
+    equal = [[5, 6], [5, 6], (5, 6), {"x": [5, 6], "y": [[5, 6]]}, [True, 6], [5, 6]]
+    assert dumped(equal) == json.dumps(equal, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("bad", [{1, 2}, object(), b"bytes", [1, {2}], {"k": [object()]}])
 def test_write_json_rejects_what_json_dumps_rejects(bad):
     with pytest.raises(TypeError):

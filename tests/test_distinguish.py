@@ -7,19 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadswitch import srg
+from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.distinguish import (
     IsomorphismBudgetExceeded,
+    _orbit_profiles,
     _pair_profile,
     are_isomorphic,
     build_family,
     classify_family,
     relabel,
+    signature,
 )
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, canonical_form
-from quadswitch.srg import Graph, build_gamma
+from quadswitch.srg import GammaCertificate, Graph, build_gamma, build_gamma_rows, certify_gamma
 from quadswitch.switching import build_S, gm_switch, make_config
 
-from conftest import graph_signature
+from conftest import form, graph_signature
 
 E5 = canonical_form(5, ELLIPTIC)
 H5 = canonical_form(5, HYPERBOLIC)
@@ -84,6 +88,66 @@ def test_signature_invariant_under_relabelling():
             perm = list(range(g.v))
             rng.shuffle(perm)
             assert graph_signature(relabel(g, perm)) == sig
+
+
+def certified_words(n, kind):
+    """Graph, certificate, code and minimum words of one quadric graph."""
+    g, rows = build_gamma_rows(form(n, kind))
+    code = code_from_graph(g)
+    return g, certify_gamma(form(n, kind), rows), code, tuple(min_weight_codewords(code))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_orbit_signature_equals_the_direct_signature(n, kind):
+    g, certificate, code, words = certified_words(n, kind)
+    assert certificate.reflections
+    orbit = signature(g, code, words, certificate)
+    assert orbit == signature(g, code, words)
+    # the words form one orbit, so one profile object stands for them all
+    assert len({id(p) for p in orbit.min_word_profiles}) == 1
+    assert len(orbit.min_word_profiles) == len(words)
+
+
+def assert_direct(g, code, words, certificate):
+    """The mutated case ends in the direct path, with the direct profiles."""
+    assert _orbit_profiles(g, words, certificate) is None
+    assert signature(g, code, words, certificate) == signature(g, code, words)
+
+
+@pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
+def test_orbit_signature_needs_every_image_to_be_a_word(n, kind):
+    g, certificate, code, words = certified_words(n, kind)
+    for drop in (0, len(words) // 2, len(words) - 1):
+        assert_direct(g, code, words[:drop] + words[drop + 1 :], certificate)
+    w = words[0]
+    low_set, low_clear = w & -w, ~w & (w + 1)  # a vector of the same weight that is no word
+    assert w ^ low_set ^ low_clear not in words
+    assert_direct(g, code, words + (w ^ low_set ^ low_clear,), certificate)
+    twice = words + (words[0],)  # counted twice, as the direct loop counts it
+    assert signature(g, code, twice, certificate) == signature(g, code, twice)
+
+
+@pytest.mark.parametrize("n,kind", [(5, HYPERBOLIC), (7, ELLIPTIC)])
+def test_orbit_signature_rejects_a_singular_reflection(n, kind):
+    # x -> x + B(x,r) r with Q(r) = 0 keeps B but not Q: it moves words off the vertex set
+    g, certificate, code, words = certified_words(n, kind)
+    r = next(p for p in range(1, 1 << (n + 1)) if certificate.form.contains(p))
+    bad = srg._reflection(certificate.form, r)
+    forged = GammaCertificate(certificate.form, certificate.params, (bad, *certificate.reflections))
+    assert_direct(g, code, words, forged)
+
+
+@pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
+def test_orbit_signature_needs_certified_reflections(monkeypatch, n, kind):
+    g, _, code, words = certified_words(n, kind)
+    good = srg._transitive_reflections(form(n, kind))
+    monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: good[:-1])
+    fell_back = certify_gamma(form(n, kind), build_gamma_rows(form(n, kind))[1])
+    assert fell_back.reflections == ()
+    assert_direct(g, code, words, fell_back)
+    other = certified_words(n, HYPERBOLIC if kind == ELLIPTIC else ELLIPTIC)[1]
+    assert_direct(g, code, words, other)  # reflections of another form
 
 
 # --- exact isomorphism ------------------------------------------------------------
@@ -265,6 +329,8 @@ def test_family_n7_elliptic():
     # same rank and same minimum weight: only the support shape separates them
     assert by_pair[("gamma_t2", "gamma_tt1")] == "min-word support profile"
     assert not rep.claim_discrepancy
+    # gamma's words were profiled through its certificate: one orbit, one profile object
+    assert len({id(p) for p in rep.members[0].sig.min_word_profiles}) == 1
 
 
 def test_family_n7_hyperbolic():

@@ -23,6 +23,7 @@ from quadswitch.gf2geom import (
     bilinear,
     canonical_form,
     classify_line,
+    coordinate_masks,
     count_external_lines_through,
     echelonize,
     enumerate_points,
@@ -521,6 +522,29 @@ def test_gamma_rows_match_the_string_gather(n, kind):
     f = canonical_form(n, kind)
     g, point_rows = build_gamma_rows(f)
     assert g.rows == tuple(itemgetter_gather(f, row) for row in point_rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([5, 7, 9]), kind=st.sampled_from([ELLIPTIC, HYPERBOLIC]), data=st.data())
+def test_points_is_the_inverse_of_vertices(n, kind, data):
+    f = canonical_form(n, kind)
+    v = len(f.labels)
+    vmask = data.draw(st.integers(0, (1 << v) - 1))
+    assert f.points(vmask) == sum(1 << p for i, p in enumerate(f.labels) if (vmask >> i) & 1)
+    assert f.vertices(f.points(vmask)) == vmask
+    mask = data.draw(st.integers(-(f.ones << 8), f.ones << 8))  # stray bits and negatives too
+    assert f.points(f.vertices(mask)) == mask & f.off
+    stray = data.draw(st.integers(-(1 << (v + 8)), 1 << (v + 8)))  # bits at or above v are dropped
+    assert f.points(stray) == f.points(stray & ((1 << v) - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_coordinate_masks_match_the_division_formula(n):
+    # the masks were once ones // (2^(2^(b+1)) - 1) * (2^(2^b) - 1), a big-int
+    # division superlinear in the 2^(n+1) bits; doubling builds the same masks
+    ones = (1 << (1 << (n + 1))) - 1
+    want = tuple(ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n + 1))
+    assert coordinate_masks(n) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -398,7 +398,8 @@ def test_certify_gamma_matches_verify_srg(monkeypatch, n, kind):
     with monkeypatch.context() as m:
         m.setattr(srg, "verify_srg", refuse_pair_check)
         got = certify_gamma(f, rows)
-    assert got == verify_srg(g) == expected_params(n, kind)
+    assert got.params == verify_srg(g) == expected_params(n, kind)
+    assert got.form is f and got.reflections == tuple(srg._transitive_reflections(f))
 
 
 def test_build_gamma_rows_are_the_point_rows():
@@ -439,7 +440,7 @@ def test_one_form_keeps_one_label_tuple_and_one_gather(kind):
     g, rows = build_gamma_rows(f)
     assert g.labels is f.labels
     made = {name: f.__dict__[name] for name in ("labels", "_gather")}
-    assert certify_gamma(f, rows) == expected_params(7, kind)
+    assert certify_gamma(f, rows).params == expected_params(7, kind)
     sw = build_switch(g, make_config(f, 1, "tt", 5))
     assert sw.graph.labels is f.labels
     assert sw.t_set == sw.certificate.half_class
@@ -473,7 +474,7 @@ def test_certificate_rejects_a_singular_reflection(monkeypatch, n, kind):
     calls = []
     monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: [bad, *good])
     monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
-    assert certify_gamma(f, rows) == expected_params(n, kind)
+    assert certify_gamma(f, rows) == srg.GammaCertificate(f, expected_params(n, kind), ())
     assert calls == [g]
 
 
@@ -485,7 +486,7 @@ def test_certificate_needs_a_transitive_set(monkeypatch, n, kind):
     calls = []
     monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: good[:-1])
     monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
-    assert certify_gamma(f, rows) == expected_params(n, kind)
+    assert certify_gamma(f, rows) == srg.GammaCertificate(f, expected_params(n, kind), ())
     assert calls == [g]
 
 
@@ -562,7 +563,8 @@ def test_certificate_ignores_no_point_outside_the_vertex_set():
     with_zero = [row | 1 for row in rows]
     with pytest.raises(srg._NotCertified, match="first row"):
         srg._certificate(f, with_zero, good)
-    assert certify_gamma(f, with_zero) == verify_srg(g) == expected_params(5, ELLIPTIC)
+    assert certify_gamma(f, with_zero).params == verify_srg(g) == expected_params(5, ELLIPTIC)
+    assert certify_gamma(f, with_zero).reflections == ()
 
 
 @pytest.mark.parametrize("stray", [1, 1 << 64], ids=["point 0", "past the points"])
@@ -572,7 +574,7 @@ def test_certify_gamma_falls_back_on_the_graph_its_rows_describe(monkeypatch, st
     f, g, rows, good, size = certificate_case(5, HYPERBOLIC)
     seen = []
     monkeypatch.setattr(srg, "verify_srg", lambda h: seen.append(h) or verify_srg(h))
-    assert certify_gamma(f, [row | stray for row in rows]) == expected_params(5, HYPERBOLIC)
+    assert certify_gamma(f, [row | stray for row in rows]).params == expected_params(5, HYPERBOLIC)
     assert seen == [build_gamma(f)]
 
 
