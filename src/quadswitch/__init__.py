@@ -26,6 +26,7 @@ from .srg import (
     SrgParams,
     build_gamma,
     build_gamma_rows,
+    certified_gamma,
     certify_gamma,
     expected_params,
     verify_srg,

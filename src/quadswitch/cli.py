@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import time
@@ -31,8 +32,7 @@ from .srg import (
     NotStronglyRegular,
     SrgParams,
     build_gamma,
-    build_gamma_rows,
-    certify_gamma,
+    certified_gamma,
     expected_params,
     verify_srg_near,
 )
@@ -86,21 +86,23 @@ def _code_report(graph) -> dict:
     }
 
 
-def _base_graph(form, runner: _Runner, verify_timing):
-    """The quadric graph, and its parameters from certify_gamma timed as
-    verify_timing (None: no check, and None for the parameters).  The point
-    rows the certificate reads live only inside this call."""
+def _base_graph(args, runner: _Runner, verify_timing):
+    """The form, the quadric graph on it, and its parameters from its
+    certificate read as verify_timing (None: no check, and None for the
+    parameters).  A checked graph comes from certified_gamma, with the form it
+    was built on, so "build_gamma" times the build and the certificate, or a
+    lookup once the process has made them."""
     if verify_timing is None:
-        return runner.time("build_gamma", lambda: build_gamma(form)), None
-    gamma, point_rows = runner.time("build_gamma", lambda: build_gamma_rows(form))
-    return gamma, runner.time(verify_timing, lambda: certify_gamma(form, point_rows).params)
+        form = canonical_form(args.n, args.kind)
+        return form, runner.time("build_gamma", lambda: build_gamma(form)), None
+    gamma, certificate = runner.time("build_gamma", lambda: certified_gamma(args.n, args.kind))
+    return certificate.form, gamma, runner.time(verify_timing, lambda: certificate.params)
 
 
 def _requested_switch(args, runner: _Runner, verify: bool = False):
     """The base graph, its parameters when verify is set (else None), and the
     switch at the requested flag (and only that flag)."""
-    form = canonical_form(args.n, args.kind)
-    gamma, base = _base_graph(form, runner, "verify_srg_base" if verify else None)
+    form, gamma, base = _base_graph(args, runner, "verify_srg_base" if verify else None)
     cfg = runner.time(
         "find_flag", lambda: switching.make_config(form, args.t, args.variant, args.seed_choice)
     )
@@ -133,8 +135,7 @@ def _export(args, graph, report: dict) -> None:
 
 
 def cmd_construct(args, runner: _Runner) -> dict:
-    form = canonical_form(args.n, args.kind)
-    gamma, params = _base_graph(form, runner, "verify_srg" if args.verify else None)
+    _, gamma, params = _base_graph(args, runner, "verify_srg" if args.verify else None)
     report: dict = {"graph": {"vertices": gamma.v, "edges": gamma.edge_count()}}
     if args.verify:
         report["srg"] = _params_dict(params)
@@ -369,6 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, made on the first request and reused by the rest."""
+    return build_parser()
+
+
 _WORDS = {None: "null", True: "true", False: "false"}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -435,7 +442,7 @@ def _create(stack: contextlib.ExitStack, flag: str, path: str, mode: str):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     runner = _Runner()
     report: dict = {
         "request": {

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .codes import BinaryCode, code_from_graph, min_weight_codewords, support
-from .gf2geom import GeometryError, QuadraticForm, canonical_form
-from .srg import GammaCertificate, Graph, SrgParams, _reflect, build_gamma_rows, certify_gamma
+from .gf2geom import GeometryError, QuadraticForm
+from .srg import GammaCertificate, Graph, SrgParams, _reflect, certified_gamma
 from .switching import Switch, build_switch, legal_t_range, make_config
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -333,10 +333,8 @@ def build_family(n: int, kind: str) -> Family:
     switch of both shapes, first flag each."""
     if n % 2 == 0 or not 5 <= n <= 9:
         raise GeometryError(f"families are classified for odd n in [5, 9], got {n}")
-    form = canonical_form(n, kind)
-    gamma, point_rows = build_gamma_rows(form)
-    certificate = certify_gamma(form, point_rows)
-    del point_rows  # only the certificate reads them; keep them out of the family's peak
+    gamma, certificate = certified_gamma(n, kind)
+    form = certificate.form
     members = [_member("gamma", 0, "", gamma, None, certificate)]
     for variant in ("t", "tt"):
         for t in legal_t_range(n, kind, variant):

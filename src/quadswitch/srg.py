@@ -41,16 +41,22 @@ checked by verify_srg_near: the rows of that set in full, and the pairs of
 all other rows through the exact identity for how their common-neighbour
 counts move, once per pair of classes of vertices that meet the set alike.
 It reaches the same decision as verify_srg.
+
+Every switch of one (n, kind) starts from the same quadric graph, so
+certified_gamma builds and certifies it once per process and hands out that
+immutable graph and certificate again; the point rows are dropped once the
+certificate is made.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2geom import PARABOLIC, GeometryError, QuadraticForm, set_bits, swap_blocks
+from .gf2geom import PARABOLIC, GeometryError, QuadraticForm, canonical_form, set_bits, swap_blocks
 
 # The point rows of a quadric graph, v * 2^(n+1) bits: ~257 MiB at n = 15, ~4 GiB at n = 17
 MAX_POINT_ROW_BYTES = 1 << 30
@@ -361,6 +367,19 @@ def certify_gamma(form: QuadraticForm, point_rows) -> GammaCertificate:
         return GammaCertificate(form, _certificate(form, point_rows, reflections), reflections)
     except _NotCertified:
         return GammaCertificate(form, verify_srg(Graph(form.labels, tuple(map(form.vertices, point_rows)))))
+
+
+# One entry per kind: a batch of requests at one n alternates between the two.
+@functools.lru_cache(maxsize=2)
+def certified_gamma(n: int, kind: str) -> tuple[Graph, GammaCertificate]:
+    """The quadric graph of the canonical form of (n, kind) and its
+    certify_gamma certificate, whose form is the one the graph was built on.
+    Made once per process for each of the last two (n, kind) asked for; the
+    point rows are not kept.  Raises GeometryError, and caches nothing, where
+    build_gamma_rows does."""
+    form = canonical_form(n, kind)
+    gamma, point_rows = build_gamma_rows(form)
+    return gamma, certify_gamma(form, point_rows)
 
 
 def _wrong_count(rows, i: int, j: int, lam: int, mu: int):

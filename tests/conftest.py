@@ -1,5 +1,8 @@
 """Shared builders, cached so the acceptance suite reuses heavy objects."""
 
+import pytest
+
+from quadswitch import srg
 from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.distinguish import signature
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form
@@ -9,6 +12,14 @@ from quadswitch.switching import build_switch, legal_t_range, make_config
 _FORMS = {}
 _GAMMAS = {}
 _SWITCHED = {}
+
+
+@pytest.fixture(autouse=True)
+def fresh_certified_gamma():
+    """Each test builds and certifies its own base graphs: a cache hit would
+    skip the checks a test patches, and a patched certificate must not leak
+    into the next test."""
+    srg.certified_gamma.cache_clear()
 
 
 def form(n, kind):

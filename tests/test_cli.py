@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import switch_case
-from quadswitch import distinguish, graph6, srg
+from quadswitch import distinguish, graph6, srg, switching
 from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.cli import _write_json, main
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form
@@ -147,10 +147,15 @@ def test_base_graphs_are_certified_without_the_pair_check(monkeypatch, capsys, a
     def refuse(g):
         raise AssertionError("verify_srg ran on a base graph")
 
+    certified = []
+    certify = srg.certify_gamma
     monkeypatch.setattr(srg, "verify_srg", refuse)
+    monkeypatch.setattr(srg, "certify_gamma", lambda f, rows: certified.append(f.kind) or certify(f, rows))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert all(json.loads(out)["checks"].values())
+    # made under the patch, not taken from an earlier test
+    assert certified == ([argv[4]] if argv[0] == "switch" else [ELLIPTIC, HYPERBOLIC])
 
 
 def test_switch_verify_times_the_base_check(capsys):
@@ -161,6 +166,64 @@ def test_switch_verify_times_the_base_check(capsys):
     assert {"build_gamma", "find_flag", "verify_srg_base", "verify_srg"} <= set(
         json.loads(out)["timings"]
     )
+
+
+def n7_switch(kind, t, variant, choice):
+    return [
+        "switch", "--n", "7", "--kind", kind, "--t", str(t), "--variant", variant,
+        "--seed-choice", str(choice), "--verify", "--code",
+    ]
+
+
+BATCH_N7 = [
+    n7_switch(ELLIPTIC, 1, "t", 0),
+    n7_switch(HYPERBOLIC, 2, "t", 17),
+    n7_switch(ELLIPTIC, 1, "tt", 64260),  # one past the last flag: exit 1
+    n7_switch(ELLIPTIC, 2, "tt", 5),
+    ["switch", "--n", "7", "--kind", ELLIPTIC, "--t", "one"],  # an argparse error: exit 2
+    n7_switch(HYPERBOLIC, 1, "tt", 999),
+    n7_switch(ELLIPTIC, 1, "t", 1000),
+    n7_switch(HYPERBOLIC, 1, "t", 3),
+]
+
+
+def run_request(capsys, argv):
+    """Exit code and report text minus timings (None after an argparse error)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        capsys.readouterr()
+        return exc.code, None
+    return code, strip_timings(capsys.readouterr().out)
+
+
+def test_a_batch_builds_and_certifies_each_base_graph_once(monkeypatch, capsys):
+    builds, flag_forms = [], []
+    build, make_config = srg.build_gamma_rows, switching.make_config
+    monkeypatch.setattr(srg, "build_gamma_rows", lambda f: builds.append(f.kind) or build(f))
+    monkeypatch.setattr(switching, "make_config", lambda f, *a: flag_forms.append(f) or make_config(f, *a))
+    batch = [run_request(capsys, argv) for argv in BATCH_N7]
+    assert [code for code, _ in batch] == [0, 0, 1, 0, 2, 0, 0, 0]
+    assert sorted(builds) == [ELLIPTIC, HYPERBOLIC]
+    kinds = [argv[4] for argv in BATCH_N7 if argv[-1] == "--code"]
+    assert [f.kind for f in flag_forms] == kinds
+    assert all(f is srg.certified_gamma(7, f.kind)[1].form for f in flag_forms)
+    # each request alone in a fresh cache gives the same report, so no request,
+    # failed or not, changes a later one
+    for argv, got in zip(BATCH_N7, batch):
+        srg.certified_gamma.cache_clear()
+        assert run_request(capsys, argv) == got
+
+
+def test_certified_base_graphs_are_kept_per_n(capsys):
+    reports = []
+    for n in ("5", "7"):
+        code, out, _ = run_cli(capsys, "switch", "--n", n, "--kind", ELLIPTIC, "--t", "1", "--verify")
+        assert code == 0
+        reports.append(json.loads(out)["srg"])
+    assert [rep["v"] for rep in reports] == [expected_params(5, ELLIPTIC).v, expected_params(7, ELLIPTIC).v]
+    info = srg.certified_gamma.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
 
 
 def test_error_report_keeps_timings(capsys):

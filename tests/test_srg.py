@@ -24,6 +24,7 @@ from quadswitch.srg import (
     SrgParams,
     build_gamma,
     build_gamma_rows,
+    certified_gamma,
     certify_gamma,
     expected_params,
     verify_srg,
@@ -445,6 +446,28 @@ def test_one_form_keeps_one_label_tuple_and_one_gather(kind):
     assert sw.graph.labels is f.labels
     assert sw.t_set == sw.certificate.half_class
     assert all(f.__dict__[name] is value for name, value in made.items())
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_certified_gamma_is_made_once_on_its_own_form(kind):
+    g, certificate = certified_gamma(7, kind)
+    again = certified_gamma(7, kind)
+    assert again[0] is g and again[1] is certificate
+    assert certified_gamma.cache_info().misses == 1
+    assert g.labels is certificate.form.labels and g == gamma(7, kind)
+    assert certificate.params == expected_params(7, kind) and certificate.reflections
+
+
+@pytest.mark.parametrize(
+    "n,kind",
+    [(4, ELLIPTIC), (3, HYPERBOLIC), (6, PARABOLIC), (7, PARABOLIC), (7, "spherical"), (19, ELLIPTIC)],
+)
+def test_certified_gamma_caches_no_failure(n, kind):
+    for _ in range(2):
+        with pytest.raises(GeometryError):
+            certified_gamma(n, kind)
+    info = certified_gamma.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
 
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
