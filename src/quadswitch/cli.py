@@ -86,23 +86,22 @@ def _code_report(graph) -> dict:
     }
 
 
-def _base_graph(args, runner: _Runner, verify_timing):
-    """The form, the quadric graph on it, and its parameters from its
-    certificate read as verify_timing (None: no check, and None for the
-    parameters).  A checked graph comes from certified_gamma, with the form it
-    was built on, so "build_gamma" times the build and the certificate, or a
-    lookup once the process has made them."""
-    if verify_timing is None:
+def _base_graph(args, runner: _Runner, verify: bool):
+    """The form, the quadric graph on it, and, when verify is set, its
+    parameters (else None).  A checked graph comes from certified_gamma, with
+    the form it was built on, so "certified_gamma" times the build and the
+    certificate, or a lookup once the process has made them."""
+    if not verify:
         form = canonical_form(args.n, args.kind)
         return form, runner.time("build_gamma", lambda: build_gamma(form)), None
-    gamma, certificate = runner.time("build_gamma", lambda: certified_gamma(args.n, args.kind))
-    return certificate.form, gamma, runner.time(verify_timing, lambda: certificate.params)
+    gamma, certificate = runner.time("certified_gamma", lambda: certified_gamma(args.n, args.kind))
+    return certificate.form, gamma, certificate.params
 
 
 def _requested_switch(args, runner: _Runner, verify: bool = False):
     """The base graph, its parameters when verify is set (else None), and the
     switch at the requested flag (and only that flag)."""
-    form, gamma, base = _base_graph(args, runner, "verify_srg_base" if verify else None)
+    form, gamma, base = _base_graph(args, runner, verify)
     cfg = runner.time(
         "find_flag", lambda: switching.make_config(form, args.t, args.variant, args.seed_choice)
     )
@@ -135,7 +134,7 @@ def _export(args, graph, report: dict) -> None:
 
 
 def cmd_construct(args, runner: _Runner) -> dict:
-    _, gamma, params = _base_graph(args, runner, "verify_srg" if args.verify else None)
+    _, gamma, params = _base_graph(args, runner, args.verify)
     report: dict = {"graph": {"vertices": gamma.v, "edges": gamma.edge_count()}}
     if args.verify:
         report["srg"] = _params_dict(params)
@@ -160,7 +159,7 @@ def cmd_switch(args, runner: _Runner) -> dict:
 
 def cmd_code(args, runner: _Runner) -> dict:
     if args.t is None:
-        graph = runner.time("build_gamma", lambda: build_gamma(canonical_form(args.n, args.kind)))
+        graph = _base_graph(args, runner, False)[1]
     else:
         graph = _requested_switch(args, runner)[2].graph
     report = {"code": runner.time("code", lambda: _code_report(graph))}
@@ -172,15 +171,6 @@ def cmd_code(args, runner: _Runner) -> dict:
 
 
 def _family_report_dict(rep: distinguish.FamilyReport) -> dict:
-    shared: dict = {}  # one entry per profile object: the words of an orbit share theirs
-
-    def entry(profile) -> dict:
-        out = shared.get(id(profile))
-        if out is None:
-            size, degs = profile
-            out = shared[id(profile)] = {"support_size": size, "induced_degrees": list(degs)}
-        return out
-
     return {
         "members": [
             {
@@ -189,7 +179,11 @@ def _family_report_dict(rep: distinguish.FamilyReport) -> dict:
                 "variant": m.variant,
                 "two_rank": m.sig.two_rank,
                 "min_weight": m.sig.min_weight,
-                "min_word_profiles": list(map(entry, m.sig.min_word_profiles)),
+                "min_word_profiles": [  # one entry per word, repeated, not copied
+                    entry
+                    for (size, degs), count in m.sig.min_word_profiles
+                    for entry in [{"support_size": size, "induced_degrees": list(degs)}] * count
+                ],
             }
             for m in rep.members
         ],

@@ -8,10 +8,11 @@ differing signatures certify non-isomorphism.
 The quadric graph's words are profiled once per orbit.  The reflections
 certify_gamma checked against its rows are automorphisms of the graph, so
 they permute its rows, its code and its minimum-weight words, and keep every
-induced degree: the words of one orbit share one profile.  The orbits are
-walked in point space, each word expanded once, and every image must be a
-word.  If one is not, or no reflections were certified (the verify_srg
-fallback, and every switched graph), each word is profiled on its own.
+induced degree: the words of one orbit share one profile, and the orbit's
+size is added to its multiplicity.  The orbits are walked in point space,
+each word expanded once, and every image must be a word.  If one is not, or
+no reflections were certified (the verify_srg fallback, and every switched
+graph), each word is profiled on its own.
 
 The exact tester `are_isomorphic` is an independent cross-check.  It first
 compares the pair profiles of the two graphs: for every vertex pair x, y,
@@ -49,11 +50,12 @@ class IsomorphismTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class GraphSignature:
-    """Isomorphism-invariant triple read off the graph's binary code."""
+    """Isomorphism-invariant triple read off the graph's binary code; the
+    min-word profiles are a multiset, as sorted (profile, multiplicity) pairs."""
 
     two_rank: int
     min_weight: int
-    min_word_profiles: tuple[tuple[int, tuple[int, ...]], ...]
+    min_word_profiles: tuple[tuple[tuple[int, tuple[int, ...]], int], ...]
 
 
 def _profile(g: Graph, w: int) -> tuple[int, tuple[int, ...]]:
@@ -62,33 +64,33 @@ def _profile(g: Graph, w: int) -> tuple[int, tuple[int, ...]]:
     return len(supp), tuple(sorted((g.rows[i] & w).bit_count() for i in supp))
 
 
-def _orbit_profiles(g: Graph, words, certificate: GammaCertificate):
-    """The profiles of the words, one computed per orbit of the certificate's
-    reflections and repeated orbit-size times, or None unless there are
+def _orbit_profiles(g: Graph, words, certificate: GammaCertificate) -> Optional[Counter]:
+    """The profiles of the words with their multiplicities, one computed per
+    orbit of the certificate's reflections, or None unless there are
     reflections and they map every word to a word."""
     form, reflections = certificate.form, certificate.reflections
     if not reflections:
         return None
     expanded = list(map(form.points, words))  # the walk stays in point space
-    index = {p: i for i, p in enumerate(expanded)}
-    seen = bytearray(len(words))
-    profiles: list = []
-    for start, w in enumerate(words):
-        if seen[start]:
+    unseen = Counter(expanded)  # a word listed twice counts twice
+    profiles: Counter = Counter()
+    for w, start in zip(words, expanded):
+        size = unseen[start]
+        if not size:
             continue
-        seen[start], frontier, size = 1, [expanded[start]], 1
+        unseen[start], frontier = 0, [start]
         while frontier:
             mask = frontier.pop()
             for reflection in reflections:
                 image = _reflect(mask, reflection)
-                i = index.get(image)
-                if i is None:
+                count = unseen.get(image)
+                if count is None:
                     return None  # not an automorphism of the word set: profile every word
-                if not seen[i]:
-                    seen[i] = 1
-                    size += 1
+                if count:
+                    unseen[image] = 0
+                    size += count
                     frontier.append(image)
-        profiles += [_profile(g, w)] * size
+        profiles[_profile(g, w)] += size
     return profiles
 
 
@@ -96,14 +98,14 @@ def signature(
     g: Graph, code: BinaryCode, words, certificate: Optional[GammaCertificate] = None
 ) -> GraphSignature:
     """Signature from the graph's code and that code's minimum-weight words:
-    rank, minimum weight, min-word support shapes.  With the certificate that
-    certify_gamma gave for g's point rows, each orbit of words under its
-    reflections is profiled once (see the module docstring); otherwise, or
-    when the walk fails, every word is."""
+    rank, minimum weight, min-word support shapes with their multiplicities.
+    With the certificate that certify_gamma gave for g's point rows, each
+    orbit of words under its reflections is profiled once (see the module
+    docstring); otherwise, or when the walk fails, every word is."""
     profiles = _orbit_profiles(g, words, certificate) if certificate is not None else None
     if profiles is None:
-        profiles = [_profile(g, w) for w in words]
-    return GraphSignature(code.dim, words[0].bit_count(), tuple(sorted(profiles)))
+        profiles = Counter(_profile(g, w) for w in words)
+    return GraphSignature(code.dim, words[0].bit_count(), tuple(sorted(profiles.items())))
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -367,12 +369,10 @@ def classify_family(family: Family, cross_check: Optional[bool] = None) -> Famil
             iso = None
             if cross_check:
                 iso = are_isomorphic(a.graph, b.graph)
-            if inv != "none" or iso is False:
-                distinct_pair: Optional[bool] = True
-            elif iso is True:
-                distinct_pair = False
-            else:
-                distinct_pair = None
+            if inv == "none":
+                distinct_pair = None if iso is None else not iso
+            else:  # an isomorphism that an invariant contradicts leaves the pair unknown
+                distinct_pair = None if iso else True
             pairs.append(PairEvidence(a.name, b.name, distinct_pair, inv, iso))
             if inv == "none" and iso is not False:
                 # proven or presumed equivalent: merge for the class count

@@ -218,18 +218,12 @@ def verify_srg(g: Graph) -> SrgParams:
                 if lam is None:
                     lam = common
                 elif common != lam:
-                    raise NotStronglyRegular(
-                        f"adjacent pair ({i},{j}) has {common} common neighbours, expected {lam}",
-                        witness=(i, j),
-                    )
+                    raise _wrong_count(g.rows, i, j, lam, mu)
             else:
                 if mu is None:
                     mu = common
                 elif common != mu:
-                    raise NotStronglyRegular(
-                        f"non-adjacent pair ({i},{j}) has {common} common neighbours, expected {mu}",
-                        witness=(i, j),
-                    )
+                    raise _wrong_count(g.rows, i, j, lam, mu)
     return _srg_params(v, k, lam, mu)
 
 

@@ -163,9 +163,9 @@ def test_switch_verify_times_the_base_check(capsys):
         capsys, "switch", "--n", "5", "--kind", "elliptic", "--t", "1", "--verify",
     )
     assert code == 0
-    assert {"build_gamma", "find_flag", "verify_srg_base", "verify_srg"} <= set(
-        json.loads(out)["timings"]
-    )
+    timings = json.loads(out)["timings"]
+    assert {"certified_gamma", "find_flag", "verify_srg"} <= set(timings)
+    assert "verify_srg_base" not in timings
 
 
 def n7_switch(kind, t, variant, choice):
@@ -271,6 +271,25 @@ def test_out_of_reach_n_is_refused_up_front(capsys, argv, reason):
     assert "out of reach" in rep["error"] and reason in rep["error"]
     assert rep["checks"] == {}
     assert "out of reach" in err
+
+
+@pytest.mark.parametrize(
+    "argv, failed",
+    [
+        (["classify-family", "--n", "5", "--kind", "elliptic"], {"all_pairs_separated", "cross_check_agrees"}),
+        (["verify-all", "--n", "5"], {"family_all_pairs_separated_elliptic", "family_all_pairs_separated_hyperbolic"}),
+    ],
+)
+def test_a_cross_check_against_the_invariants_fails_the_run(monkeypatch, capsys, argv, failed):
+    # every n = 5 pair is separated by an invariant, so "isomorphic" contradicts it
+    monkeypatch.setattr(distinguish, "are_isomorphic", lambda a, b: True)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    rep = json.loads(out)
+    assert {name for name, ok in rep["checks"].items() if not ok} == failed
+    families = rep["families"].values() if "families" in rep else [rep["family"]]
+    assert all(p["distinct"] is None for f in families for p in f["pairs"])
+
 
 @pytest.mark.parametrize("failure", ["budget", "cap"])
 def test_undecided_isomorphism_is_a_json_error(monkeypatch, capsys, failure):

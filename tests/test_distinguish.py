@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadswitch import srg
+from quadswitch import distinguish, srg
 from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.distinguish import (
     IsomorphismBudgetExceeded,
     _orbit_profiles,
     _pair_profile,
+    _profile,
     are_isomorphic,
     build_family,
     classify_family,
@@ -67,7 +68,7 @@ def test_signature_single_switch_n5_elliptic():
     sig = graph_signature(switched(E5, 1, "t"))
     assert sig.two_rank == 8
     assert sig.min_weight == 4
-    assert sig.min_word_profiles == ((4, (0, 0, 0, 0)),)
+    assert sig.min_word_profiles == (((4, (0, 0, 0, 0)), 1),)
 
 
 def test_signature_double_switch_n5_elliptic():
@@ -76,8 +77,7 @@ def test_signature_double_switch_n5_elliptic():
     assert sig.min_weight == 8
     # v^S induces the 4-regular support; three companion minimum words with
     # 6-regular supports appear at this dimension (measured; see codes tests)
-    assert (8, (4,) * 8) in sig.min_word_profiles
-    assert sig.min_word_profiles == ((8, (4,) * 8), (8, (6,) * 8), (8, (6,) * 8), (8, (6,) * 8))
+    assert sig.min_word_profiles == (((8, (4,) * 8), 1), ((8, (6,) * 8), 3))
 
 
 def test_signature_invariant_under_relabelling():
@@ -99,14 +99,16 @@ def certified_words(n, kind):
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
-def test_orbit_signature_equals_the_direct_signature(n, kind):
+def test_orbit_signature_equals_the_direct_signature(monkeypatch, n, kind):
     g, certificate, code, words = certified_words(n, kind)
     assert certificate.reflections
+    calls = []
+    monkeypatch.setattr(distinguish, "_profile", lambda g, w: calls.append(w) or _profile(g, w))
     orbit = signature(g, code, words, certificate)
+    # the words form one orbit: one profile computed, its multiplicity the word count
+    assert len(calls) == 1
+    assert orbit.min_word_profiles == ((_profile(g, words[0]), len(words)),)
     assert orbit == signature(g, code, words)
-    # the words form one orbit, so one profile object stands for them all
-    assert len({id(p) for p in orbit.min_word_profiles}) == 1
-    assert len(orbit.min_word_profiles) == len(words)
 
 
 def assert_direct(g, code, words, certificate):
@@ -314,7 +316,9 @@ def test_family_n5_hyperbolic_flags_claim():
     assert rep.claim_discrepancy
 
 
-def test_family_n7_elliptic():
+def test_family_n7_elliptic(monkeypatch):
+    calls = []
+    monkeypatch.setattr(distinguish, "_profile", lambda g, w: calls.append(w) or _profile(g, w))
     rep = classify_family(build_family(7, ELLIPTIC))
     assert rep.distinct_count == 5
     assert {m.name for m in rep.members} == {
@@ -329,8 +333,9 @@ def test_family_n7_elliptic():
     # same rank and same minimum weight: only the support shape separates them
     assert by_pair[("gamma_t2", "gamma_tt1")] == "min-word support profile"
     assert not rep.claim_discrepancy
-    # gamma's words were profiled through its certificate: one orbit, one profile object
-    assert len({id(p) for p in rep.members[0].sig.min_word_profiles}) == 1
+    # gamma's words were profiled through its certificate, once for their one
+    # orbit; every switched member's words were profiled one by one
+    assert len(calls) == 1 + sum(len(m.words) for m in rep.members[1:])
 
 
 def test_family_n7_hyperbolic():
@@ -340,6 +345,16 @@ def test_family_n7_hyperbolic():
     assert rep.claimed_switched == 5
     assert rep.claim_discrepancy
     assert all(p.distinct for p in rep.pairs)
+
+
+def test_an_isomorphism_against_an_invariant_leaves_the_pair_unknown(monkeypatch):
+    # the invariants separate every pair; a cross-check that says otherwise
+    # is a contradiction, reported as unknown and not merged
+    monkeypatch.setattr(distinguish, "are_isomorphic", lambda a, b: True)
+    rep = classify_family(build_family(5, ELLIPTIC))
+    assert all(p.invariant != "none" and p.distinct is None for p in rep.pairs)
+    assert all(p.cross_checked is True for p in rep.pairs)
+    assert rep.distinct_count == 3
 
 
 def test_family_rejects_out_of_range():
