@@ -8,14 +8,9 @@ from .gf2geom import (
     GeometryError,
     QuadraticForm,
     Subspace,
-    bilinear,
     canonical_form,
-    classify_line,
     count_external_lines_through,
-    enumerate_points,
-    nucleus,
     perp,
-    quadric_points,
     quadric_size,
     span,
 )
@@ -49,7 +44,6 @@ from .switching import (
 from .codes import (
     BinaryCode,
     CodeError,
-    characteristic_vector,
     code_from_graph,
     contains,
     min_weight_codewords,

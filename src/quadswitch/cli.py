@@ -2,8 +2,9 @@
 
 Every command prints one JSON report (key-sorted, so byte-identical across
 runs except for the "timings" block) and exits 0 only if every requested
-check passed.  The report is streamed to stdout and --out piece by piece, as
-the text of json.dumps(indent=2, sort_keys=True).  Graphs are exported as
+check passed.  The report is streamed piece by piece to stdout, then to
+--out, as the text of json.dumps(indent=2, sort_keys=True); one that cannot be
+written is an error line on stderr and exit 1.  Graphs are exported as
 headerless graph6 plus a .labels sidecar mapping vertex index to point integer.
 """
 
@@ -25,7 +26,6 @@ from .gf2geom import (
     GeometryError,
     canonical_form,
     count_external_lines_through,
-    nonquadric_points,
     quadric_size,
 )
 from .srg import (
@@ -127,9 +127,14 @@ def _switch_report(sw: switching.Switch) -> dict:
 
 
 def _export(args, graph, report: dict) -> None:
-    """Write graph to the --export-graph files main opened, if any."""
+    """Write graph to the --export-graph files main opened, if any; a failure
+    is an OSError that names the flag."""
     if args.export_graph:
-        graph6.write_files(graph, args.export_graph, args.export_files)
+        try:
+            graph6.write_files(graph, args.export_graph, args.export_files)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise OSError(f"--export-graph: cannot write {args.export_graph!r}: {reason}") from exc
         report["exported"] = args.export_graph
 
 
@@ -242,7 +247,7 @@ def verify_all(n: int, runner: _Runner) -> dict:
             sign = 1 if kind == ELLIPTIC else -1
             want = (1 << (n - 2)) + sign * (1 << ((n - 3) // 2))
             form = family.form
-            counts = {count_external_lines_through(form, x) for x in nonquadric_points(form)}
+            counts = {count_external_lines_through(form, x) for x in form.labels}
             lines[kind] = sorted(counts)
             runner.check(f"external_lines_{kind}", counts == {want})
         report["external_lines_per_point"] = lines
@@ -374,17 +379,13 @@ _WORDS = {None: "null", True: "true", False: "false"}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_json(value, files) -> None:
-    """Write json.dumps(value, indent=2, sort_keys=True) and a newline to each
-    file, piece by piece.  Dict keys are strings.  Each list of ints is rendered
+def _write_json(value, file) -> None:
+    """Write json.dumps(value, indent=2, sort_keys=True) and a newline to file,
+    piece by piece.  Dict keys are strings.  Each list of ints is rendered
     once per depth, since its indentation depends on the depth, and kept by
     identity: value holds every list until the write ends, so no id is reused."""
-    writes = [f.write for f in files]
+    put = file.write
     memo: dict = {}
-
-    def put(piece: str) -> None:
-        for write in writes:
-            write(piece)
 
     def walk(v, depth: int) -> None:
         if isinstance(v, str):
@@ -470,14 +471,25 @@ def main(argv=None) -> int:
         ) as exc:
             report["error"] = error = str(exc)
             for fh in args.export_files:  # a failed request leaves no export files
-                fh.close()
+                with contextlib.suppress(OSError):  # the close flushes, and may fail as the write did
+                    fh.close()
                 if os.path.isfile(fh.name):
                     os.remove(fh.name)
         report["checks"] = runner.checks
         report["timings"] = runner.timings
-        _write_json(report, [sys.stdout, *outs])
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
+        errors = [error] if error is not None else []
+        for fh in [sys.stdout, *outs]:
+            try:
+                _write_json(report, fh)
+                fh.flush()
+            except OSError as exc:
+                name = "stdout" if fh is sys.stdout else repr(fh.name)
+                errors.append(f"cannot write the report to {name}: {exc.strerror or exc}")
+                with contextlib.suppress(OSError):  # drop what it holds, not flushed again at exit
+                    fh.close()
+    for message in errors:
+        print(f"error: {message}", file=sys.stderr)
+    if errors:
         return 1
     failures = runner.failures
     if failures:

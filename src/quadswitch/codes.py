@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2geom import ELLIPTIC, echelonize, set_bits
+from .gf2geom import ELLIPTIC, echelonize
 from .srg import Graph
 
 ENUMERATION_GUARD = 24  # 2^24 codewords is the largest exact sweep we allow
@@ -106,19 +106,3 @@ def expected_gamma_weight_distribution(n: int, kind: str) -> dict[int, int]:
     if kind == ELLIPTIC:
         return {0: 1, 1 << (n - 1): (1 << n) - h - 1, (1 << (n - 1)) + h: (1 << n) + h}
     return {0: 1, (1 << (n - 1)) - h: (1 << n) - h, 1 << (n - 1): (1 << n) + h - 1}
-
-
-def characteristic_vector(g: Graph, points) -> int:
-    """Bit vector over the graph's vertices supported on the given point labels."""
-    vec = 0
-    for p in points:
-        try:
-            vec |= 1 << g.index_of(p)
-        except KeyError as exc:
-            raise CodeError(f"point {p} is not a vertex of the graph") from exc
-    return vec
-
-
-def support(vector: int) -> list[int]:
-    """Indices of the set bits of a codeword."""
-    return set_bits(vector)

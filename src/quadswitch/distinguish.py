@@ -31,8 +31,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .codes import BinaryCode, code_from_graph, min_weight_codewords, support
-from .gf2geom import GeometryError, QuadraticForm
+from .codes import BinaryCode, code_from_graph, min_weight_codewords
+from .gf2geom import GeometryError, QuadraticForm, set_bits
 from .srg import GammaCertificate, Graph, SrgParams, _reflect, certified_gamma
 from .switching import Switch, build_switch, legal_t_range, make_config
 
@@ -60,7 +60,7 @@ class GraphSignature:
 
 def _profile(g: Graph, w: int) -> tuple[int, tuple[int, ...]]:
     """The support size of w and the sorted degrees of the graph induced on it."""
-    supp = support(w)
+    supp = set_bits(w)
     return len(supp), tuple(sorted((g.rows[i] & w).bit_count() for i in supp))
 
 
@@ -106,21 +106,6 @@ def signature(
     if profiles is None:
         profiles = Counter(_profile(g, w) for w in words)
     return GraphSignature(code.dim, words[0].bit_count(), tuple(sorted(profiles.items())))
-
-
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    """Image of the graph under vertex permutation i -> perm[i] (labels kept)."""
-    v = g.v
-    if sorted(perm) != list(range(v)):
-        raise ValueError("not a permutation of the vertex set")
-    rows = [0] * v
-    for i in range(v):
-        r = g.rows[i]
-        ni = perm[i]
-        for j in range(v):
-            if (r >> j) & 1:
-                rows[ni] |= 1 << perm[j]
-    return Graph(g.labels, tuple(rows))
 
 
 # --- exact isomorphism testing -------------------------------------------------
@@ -353,15 +338,11 @@ def classify_family(family: Family, cross_check: Optional[bool] = None) -> Famil
     if cross_check is None:
         cross_check = n == 5
 
-    parent = list(range(len(members)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    pairs = []
+    # Two members are equivalent when their signatures are equal and the
+    # cross-check has not separated them: equal signatures and, when checked,
+    # isomorphism, both equivalences.  So a member is new unless an earlier
+    # member is equivalent to it.
+    pairs, repeats = [], set()
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             a, b = members[i], members[j]
@@ -375,10 +356,7 @@ def classify_family(family: Family, cross_check: Optional[bool] = None) -> Famil
                 distinct_pair = None if iso else True
             pairs.append(PairEvidence(a.name, b.name, distinct_pair, inv, iso))
             if inv == "none" and iso is not False:
-                # proven or presumed equivalent: merge for the class count
-                parent[find(i)] = find(j)
-
-    distinct = sum(1 for i in range(len(members)) if find(i) == i)
+                repeats.add(j)
 
     computed_switched = len(members) - 1
     # published count of new graphs: n-3 (elliptic), n-2 (hyperbolic); the hyperbolic
@@ -389,7 +367,7 @@ def classify_family(family: Family, cross_check: Optional[bool] = None) -> Famil
         kind=kind,
         members=members,
         pairs=tuple(pairs),
-        distinct_count=distinct,
+        distinct_count=len(members) - len(repeats),
         claimed_switched=claimed,
         computed_switched=computed_switched,
         claim_discrepancy=claimed != computed_switched,

@@ -29,11 +29,6 @@ HYPERBOLIC = "hyperbolic"
 PARABOLIC = "parabolic"
 KINDS = (ELLIPTIC, HYPERBOLIC, PARABOLIC)
 
-EXTERNAL = "external"
-TANGENT = "tangent"
-SECANT = "secant"
-CONTAINED = "contained"
-
 # The largest n a form is made for: point masks of 2^(n+1) bits take ~0.1 s
 # at n = 17, ~1.6 s at n = 19, over 40 s at n = 21, and no int holds one at 101.
 MAX_N = 17
@@ -41,17 +36,6 @@ MAX_N = 17
 
 class GeometryError(ValueError):
     """Bad dimension/kind combination or an ill-posed geometric request."""
-
-
-def point_count(m: int) -> int:
-    """Number of points of a projective m-space: 2^(m+1) - 1."""
-    return (1 << (m + 1)) - 1
-
-
-def enumerate_points(n: int) -> list[int]:
-    """All points of PG(n,2) in canonical (integer) order."""
-    _check_dimension(n)
-    return list(range(1, 1 << (n + 1)))
 
 
 def quadric_size(n: int, kind: str) -> int:
@@ -134,19 +118,11 @@ class QuadraticForm:
                 f"quadric in PG({n},2) must have {quadric_size(n, kind)}"
             )
 
-    def evaluate(self, x: int) -> int:
-        """Q(x) over GF(2)."""
-        self._check_point(x)
-        return ((self.zero_mask >> x) & 1) ^ 1
-
     def contains(self, x: int) -> bool:
         """Is x a point of the quadric Q(x) = 0?"""
-        self._check_point(x)
-        return bool((self.zero_mask >> x) & 1)
-
-    def _check_point(self, x: int) -> None:
         if not 1 <= x < (1 << (self.n + 1)):
             raise GeometryError(f"{x} is not a point of PG({self.n},2)")
+        return bool((self.zero_mask >> x) & 1)
 
     @functools.cached_property
     def labels(self) -> tuple[int, ...]:
@@ -264,25 +240,6 @@ def canonical_form(n: int, kind: str) -> QuadraticForm:
     return QuadraticForm(n, kind, tuple(rows))
 
 
-def quadric_points(form: QuadraticForm) -> set[int]:
-    """The zero set of the form as a set of points."""
-    return set(range(1, 1 << (form.n + 1))).difference(form.labels)
-
-
-def nonquadric_points(form: QuadraticForm) -> list[int]:
-    """Points off the quadric in canonical order."""
-    return list(form.labels)
-
-
-def bilinear(form: QuadraticForm, x: int, y: int) -> int:
-    """The polarization B(x,y) = Q(x+y) + Q(x) + Q(y) over GF(2)."""
-    form._check_point(x)
-    form._check_point(y)
-    if x == y:
-        return 0
-    return form.evaluate(x ^ y) ^ form.evaluate(x) ^ form.evaluate(y)
-
-
 def polar_vector(form: QuadraticForm, y: int) -> int:
     """The vector m with bit i = B(e_i, y), so that B(x,y) = parity(x & m)."""
     m = 0
@@ -382,18 +339,6 @@ class Subspace:
             m |= 1 << p
         return m
 
-    def contains(self, x: int) -> bool:
-        for b in self.basis:
-            if x ^ b < x:
-                x ^= b
-        return x == 0
-
-    def __contains__(self, x: int) -> bool:
-        return self.contains(x)
-
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(b) for b in self.basis)
-
 
 def span(n: int, points) -> Subspace:
     """Smallest subspace of PG(n,2) containing the given points."""
@@ -404,10 +349,6 @@ def span(n: int, points) -> Subspace:
     if any(not 0 < p < limit for p in pts):
         raise GeometryError(f"point outside PG({n},2)")
     return Subspace(n, echelonize(pts))
-
-
-def whole_space(n: int) -> Subspace:
-    return Subspace(n, tuple(1 << i for i in reversed(range(n + 1))))
 
 
 def perp(form: QuadraticForm, u: Subspace) -> Subspace:
@@ -428,16 +369,6 @@ def perp(form: QuadraticForm, u: Subspace) -> Subspace:
 # --- lines -------------------------------------------------------------------
 
 
-def classify_line(form: QuadraticForm, x: int, y: int) -> str:
-    """Class of the line {x, y, x+y} by its quadric-point count: 0/1/2/3."""
-    form._check_point(x)
-    form._check_point(y)
-    if x == y:
-        raise GeometryError("a line needs two distinct points")
-    hits = sum(1 for p in (x, y, x ^ y) if form.contains(p))
-    return (EXTERNAL, TANGENT, SECANT, CONTAINED)[hits]
-
-
 def count_external_lines_through(form: QuadraticForm, x: int) -> int:
     """Number of external lines through a non-quadric point, by enumeration."""
     if form.contains(x):
@@ -452,15 +383,3 @@ def count_external_lines_through(form: QuadraticForm, x: int) -> int:
     # each external line through x contributes both of its other points
     return cnt // 2
 
-
-def nucleus(form: QuadraticForm) -> int:
-    """The unique point of a parabolic quadric's ambient space on no secant.
-
-    Equals the radical of the polarization; every line through it is tangent.
-    """
-    if form.kind != PARABOLIC:
-        raise GeometryError(f"{form.kind} quadrics have no nucleus")
-    rad = kernel(form.gram, form.n + 1)
-    if len(rad) != 1:
-        raise GeometryError("radical is not a single point; form is singular")
-    return rad[0]

@@ -80,7 +80,7 @@ def encode(g: Graph) -> bytes:
 
 def decode(data: bytes, labels=None) -> Graph:
     """Graph from graph6 bytes; labels default to 1..v and must be strictly
-    increasing, as Graph.index_of relies on."""
+    increasing, as a Graph's labels are."""
     data = data.strip()
     v, pos = _decode_size(data)
     need = (v * (v - 1) // 2 + 5) // 6

@@ -50,7 +50,6 @@ certificate is made.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -85,37 +84,11 @@ class Graph:
     def v(self) -> int:
         return len(self.labels)
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
-
-    def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def neighbors(self, i: int) -> list[int]:
         return set_bits(self.rows[i] & ((1 << self.v) - 1))
-
-    def index_of(self, point: int) -> int:
-        """Vertex index of a point label (labels are sorted)."""
-        i = bisect.bisect_left(self.labels, point)
-        if i == len(self.labels) or self.labels[i] != point:
-            raise KeyError(f"point {point} is not a vertex")
-        return i
-
-    def check_well_formed(self) -> None:
-        v = self.v
-        if list(self.labels) != sorted(set(self.labels)):
-            raise ValueError("labels must be strictly increasing")
-        for i, r in enumerate(self.rows):
-            if r >> v:
-                raise ValueError(f"row {i} has bits beyond the vertex count")
-            if (r >> i) & 1:
-                raise ValueError(f"vertex {i} has a loop")
-            for j in range(v):
-                if ((r >> j) & 1) != ((self.rows[j] >> i) & 1):
-                    raise ValueError(f"adjacency not symmetric at ({i},{j})")
 
 
 def _point_rows(form: QuadraticForm) -> Iterator[int]:
@@ -168,9 +141,6 @@ class SrgParams:
     s: int | None = None
     f: int | None = None
     g: int | None = None
-
-    def basic(self) -> tuple[int, int, int, int]:
-        return (self.v, self.k, self.lam, self.mu)
 
 
 def _spectral(v: int, k: int, lam: int, mu: int):

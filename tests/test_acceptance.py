@@ -19,27 +19,25 @@ from quadswitch.codes import (
     min_weight_codewords,
     weight_distribution,
 )
-from quadswitch.distinguish import are_isomorphic, build_family, classify_family, relabel
+from quadswitch.distinguish import are_isomorphic, build_family, classify_family
 from quadswitch.gf2geom import (
     ELLIPTIC,
     HYPERBOLIC,
     PARABOLIC,
     canonical_form,
     count_external_lines_through,
-    nonquadric_points,
-    quadric_points,
     quadric_size,
 )
 from quadswitch.srg import expected_params, verify_srg
 
-from conftest import form, gamma, graph_signature, legal_cases, switch_case
+from conftest import form, gamma, graph_signature, legal_cases, relabel, switch_case
 
 
 def test_criterion_1_quadric_sizes():
     for n in range(4, 10):
         kinds = (PARABOLIC,) if n % 2 == 0 else (ELLIPTIC, HYPERBOLIC)
         for kind in kinds:
-            assert len(quadric_points(canonical_form(n, kind))) == quadric_size(n, kind)
+            assert canonical_form(n, kind).zero_mask.bit_count() == quadric_size(n, kind)
     print("PASS criterion 1: quadric sizes exact for n in 4..9, all kinds")
 
 
@@ -56,7 +54,7 @@ def test_criterion_2_srg_construction():
 def test_criterion_3_external_line_counts():
     for kind, want in ((ELLIPTIC, 10), (HYPERBOLIC, 6)):
         f = form(5, kind)
-        for x in nonquadric_points(f):
+        for x in f.labels:
             assert count_external_lines_through(f, x) == want
     print("PASS criterion 3: external-line counts through every point, n=5, both kinds")
 

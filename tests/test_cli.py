@@ -1,17 +1,24 @@
 """Command-line behaviour: reports, exit codes, determinism, export files."""
 
+import errno
 import io
 import json
+import os
 import random
+import shlex
+import subprocess
+import sys
 import time
+import types
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import switch_case
-from quadswitch import distinguish, graph6, srg, switching
+from conftest import index_of, random_graph, relabel, switch_case, to_nx
+import quadswitch
+from quadswitch import cli, distinguish, graph6, srg, switching
 from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.cli import _write_json, main
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form
@@ -302,7 +309,7 @@ def test_undecided_isomorphism_is_a_json_error(monkeypatch, capsys, failure):
             # and a match needs more than one node
             perm = list(range(a.v))
             random.Random(1).shuffle(perm)
-            return real(a, distinguish.relabel(a, perm), budget=1)
+            return real(a, relabel(a, perm), budget=1)
         return real(big, big)
 
     monkeypatch.setattr(distinguish, "are_isomorphic", undecided)
@@ -393,6 +400,81 @@ def test_export_graph_round_trip(tmp_path, capsys):
     assert len(sidecar) == g.v
 
 
+# --- outputs that fail after they are opened ------------------------------------------
+
+
+class Refusing(io.RawIOBase):
+    """A raw file whose every write fails with one errno, as a full disk
+    (ENOSPC) or a pipe whose reader has gone (EPIPE) does."""
+
+    def __init__(self, name, code):
+        self.name, self.code = name, code
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise OSError(self.code, os.strerror(self.code))  # a BrokenPipeError for EPIPE
+
+
+def refuse_opening(monkeypatch, path, text):
+    """Make cli open path as a buffered file whose flush, and so its close, fails with ENOSPC."""
+    real_open = open
+
+    def fake_open(file, mode="r", **kwargs):
+        if file != path:
+            return real_open(file, mode, **kwargs)
+        buffered = io.BufferedWriter(Refusing(file, errno.ENOSPC))
+        return io.TextIOWrapper(buffered, encoding="ascii") if text else buffered
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+
+
+@pytest.mark.parametrize("suffix", ["", ".labels"])
+def test_an_export_that_cannot_be_written_is_a_json_error(monkeypatch, tmp_path, capsys, suffix):
+    # write_files's flush raises, and the cleanup's close flushes and raises again
+    target = str(tmp_path / "gamma.g6")
+    refuse_opening(monkeypatch, target + suffix, text=False)
+    code, out, err = run_cli(capsys, "construct", "--n", "5", "--kind", "elliptic", "--export-graph", target)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["error"] == f"--export-graph: cannot write {target!r}: No space left on device"
+    assert err == f"error: {rep['error']}\n"
+    assert "graph" not in rep and list(tmp_path.iterdir()) == []
+
+
+def test_an_out_file_that_cannot_be_written_fails_with_one_error_line(monkeypatch, tmp_path, capsys):
+    # the report fits the buffer, so the flush after the last piece is what raises
+    target = str(tmp_path / "report.json")
+    refuse_opening(monkeypatch, target, text=True)
+    code, out, err = run_cli(capsys, "construct", "--n", "5", "--kind", "elliptic", "--out", target)
+    assert code == 1
+    assert err == f"error: cannot write the report to {target!r}: No space left on device\n"
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"  # stdout got it all
+
+
+def test_a_stdout_that_cannot_be_written_fails_with_one_error_line(monkeypatch, tmp_path, capsys):
+    # unbuffered, so the first write raises, as on a pipe whose reader has gone
+    target = tmp_path / "report.json"
+    stdout = io.TextIOWrapper(Refusing("<stdout>", errno.EPIPE), encoding="ascii", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["verify-all", "--n", "5", "--out", str(target)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: cannot write the report to stdout: Broken pipe\n"
+    assert stdout.closed  # so nothing is flushed to it again at exit
+    text = target.read_text()  # the --out file still gets the whole report
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_a_closed_pipe_ends_with_one_error_line_and_no_traceback():
+    # head takes 10 bytes of the ~330 kB n = 7 report and goes away
+    command = f"{shlex.quote(sys.executable)} -m quadswitch.cli verify-all --n 7 | head -c 10 > /dev/null"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    done = subprocess.run(["bash", "-o", "pipefail", "-c", command], env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write the report to stdout: Broken pipe\n"
+
+
 # --- the report writer against json.dumps --------------------------------------------
 
 ints = st.integers(min_value=-(2**70), max_value=2**70)  # beyond 64 bits both ways
@@ -410,7 +492,7 @@ json_values = st.recursive(
 
 def dumped(value):
     buf = io.StringIO()
-    _write_json(value, [buf])
+    _write_json(value, buf)
     return buf.getvalue()
 
 
@@ -466,16 +548,6 @@ def test_report_text_is_json_dumps_and_out_gets_the_same_bytes(tmp_path, capsys,
 # --- graph6 encoding against an independent implementation ---------------------------
 
 
-def random_graph(rng, v, p):
-    rows = [0] * v
-    for i in range(v):
-        for j in range(i + 1, v):
-            if rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(tuple(range(1, v + 1)), tuple(rows))
-
-
 def bit_loop_encode(g):
     """Oracle: graph6 one bit at a time, column-wise over the upper triangle."""
     v = g.v
@@ -498,14 +570,8 @@ def test_graph6_matches_networkx_encoder():
     rng = random.Random(23)
     for v in [*range(71), 258]:
         g = random_graph(rng, v, 0.35)
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(v))
-        for i in range(v):
-            for j in g.neighbors(i):
-                if j > i:
-                    nxg.add_edge(i, j)
         data = graph6.encode(g)
-        assert data == nx.to_graph6_bytes(nxg, header=False).strip(), v
+        assert data == nx.to_graph6_bytes(to_nx(g), header=False).strip(), v
         assert data == bit_loop_encode(g), v
 
 
@@ -546,7 +612,7 @@ def test_graph6_rejects_garbage():
 
 def test_graph6_decode_rejects_labels_out_of_order():
     data = graph6.encode(Graph((1, 2, 3), (0b110, 0b001, 0b001)))
-    assert graph6.decode(data, [1, 3, 5]).index_of(3) == 1
+    assert index_of(graph6.decode(data, [1, 3, 5]), 3) == 1
     for labels in ([3, 1, 1], [1, 1, 2], [2, 1, 3]):
         with pytest.raises(graph6.Graph6Error, match="strictly increasing"):
             graph6.decode(data, labels)
@@ -609,3 +675,26 @@ def test_switch_n11_verify_code_export(tmp_path, capsys):
     }
     assert rep["code"]["dimension"] == 14
     assert graph6.read_files(str(target)) == switch_case(11, HYPERBOLIC, 1, "t").graph
+
+
+# --- the package surface ---------------------------------------------------------------
+
+
+def test_the_package_exports_only_what_the_pipeline_uses():
+    # a name joins this list only with a user in the pipeline, the CLI, the
+    # README's library example or the benchmark tracer; test oracles live in conftest
+    exported = sorted(
+        name
+        for name, value in vars(quadswitch).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == """
+        BinaryCode CodeError ELLIPTIC Family FamilyReport GammaCertificate GeometryError Graph
+        GraphSignature HYPERBOLIC NotStronglyRegular NotSwitchingSet PARABOLIC QuadraticForm
+        SearchExhausted SrgParams Subspace Switch SwitchCertificate SwitchConfig SwitchingError
+        T_formula are_isomorphic build_S build_family build_gamma build_gamma_rows build_switch
+        canonical_form certified_gamma certify_gamma classify_family code_from_graph contains
+        count_external_lines_through expected_params gm_switch make_config min_weight_codewords
+        perp quadric_size signature span validate_switching_set verify_srg verify_srg_near
+        weight_distribution
+    """.split()

@@ -2,19 +2,17 @@
 
 import pytest
 
+from conftest import characteristic_vector
 from quadswitch.codes import (
-    BinaryCode,
     CodeError,
-    characteristic_vector,
     code_from_graph,
     contains,
     from_vectors,
     iter_codewords,
     min_weight_codewords,
-    support,
     weight_distribution,
 )
-from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form, echelonize
+from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form, echelonize, set_bits
 from quadswitch.srg import Graph, build_gamma
 from quadswitch.switching import T_formula, build_S, gm_switch, legal_t_range, make_config
 
@@ -179,7 +177,7 @@ def test_min_words_n5_elliptic_double_not_unique():
     assert v_s in words
     assert [w.bit_count() for w in words] == [8, 8, 8, 8]
     profiles = sorted(
-        tuple(sorted((g.rows[i] & w).bit_count() for i in support(w))) for w in words
+        tuple(sorted((g.rows[i] & w).bit_count() for i in set_bits(w))) for w in words
     )
     assert profiles == [(4,) * 8, (6,) * 8, (6,) * 8, (6,) * 8]
 
@@ -198,7 +196,7 @@ def test_characteristic_vector_basics():
     assert characteristic_vector(g, []) == 0
     full = characteristic_vector(g, g.labels)
     assert full.bit_count() == g.v
-    s_points = [g.labels[i] for i in support(build_S(make_config(E5, 1, "t")))]
+    s_points = [g.labels[i] for i in set_bits(build_S(make_config(E5, 1, "t")))]
     assert characteristic_vector(g, s_points).bit_count() == 4
 
 
@@ -219,7 +217,6 @@ def test_switched_code_span_identity(n):
         for variant in ("t", "tt"):
             for t in legal_t_range(n, kind, variant):
                 g, sw, v_s, v_t = switched_setup(form, t, variant)
-                base = code_from_graph(g)
                 switched = code_from_graph(sw)
                 # inclusion one way: every augmented generator is in the switched code
                 for gen in list(g.rows) + [v_s, v_t]:
@@ -250,4 +247,4 @@ def test_support_lists_the_set_bits():
     g = build_gamma(canonical_form(7, ELLIPTIC))
     vectors = [0, 1, 2, (1 << 300) | 5, *min_weight_codewords(code_from_graph(g))]
     for w in vectors:
-        assert support(w) == [i for i in range(w.bit_length()) if (w >> i) & 1]
+        assert set_bits(w) == [i for i in range(w.bit_length()) if (w >> i) & 1]

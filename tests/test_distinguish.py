@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quadswitch import distinguish, srg
 from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.distinguish import (
+    Family,
     IsomorphismBudgetExceeded,
     _orbit_profiles,
     _pair_profile,
@@ -17,14 +18,13 @@ from quadswitch.distinguish import (
     are_isomorphic,
     build_family,
     classify_family,
-    relabel,
     signature,
 )
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, canonical_form
 from quadswitch.srg import GammaCertificate, Graph, build_gamma, build_gamma_rows, certify_gamma
 from quadswitch.switching import build_S, gm_switch, make_config
 
-from conftest import form, graph_signature
+from conftest import form, graph_signature, random_graph, relabel, to_nx
 
 E5 = canonical_form(5, ELLIPTIC)
 H5 = canonical_form(5, HYPERBOLIC)
@@ -33,26 +33,6 @@ H5 = canonical_form(5, HYPERBOLIC)
 def switched(form, t, variant, choice=0):
     g = build_gamma(form)
     return gm_switch(g, build_S(make_config(form, t, variant, choice)))
-
-
-def to_nx(g: Graph) -> nx.Graph:
-    out = nx.Graph()
-    out.add_nodes_from(range(g.v))
-    for i in range(g.v):
-        for j in g.neighbors(i):
-            if j > i:
-                out.add_edge(i, j)
-    return out
-
-
-def random_graph(rng, v, p):
-    rows = [0] * v
-    for i in range(v):
-        for j in range(i + 1, v):
-            if rng.random() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(tuple(range(1, v + 1)), tuple(rows))
 
 
 # --- signatures -------------------------------------------------------------------
@@ -357,6 +337,21 @@ def test_an_isomorphism_against_an_invariant_leaves_the_pair_unknown(monkeypatch
     assert rep.distinct_count == 3
 
 
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_a_repeated_member_is_merged_unless_the_cross_check_separates_it(monkeypatch, kind):
+    # every real pair is separated by an invariant, so only a copy reaches the merge;
+    # at n = 5 hyperbolic both copies are of gamma_t1: three equal members count once
+    family = build_family(5, kind)
+    twice = Family(family.form, family.members + family.members[1:2] + family.members[-1:], family.params)
+    rep = classify_family(twice, cross_check=False)
+    assert rep.distinct_count == len(family.members)
+    assert all((p.invariant == "none") == (p.distinct is None) == (p.first == p.second) for p in rep.pairs)
+    monkeypatch.setattr(distinguish, "are_isomorphic", lambda a, b: False)
+    rep = classify_family(twice, cross_check=True)
+    assert rep.distinct_count == len(twice.members)
+    assert all(p.distinct is True and p.cross_checked is False for p in rep.pairs)
+
+
 def test_family_rejects_out_of_range():
     with pytest.raises(GeometryError):
         build_family(6, ELLIPTIC)
@@ -368,8 +363,8 @@ def test_family_members_share_parameters():
     from quadswitch.srg import verify_srg
 
     members = build_family(5, ELLIPTIC).members
-    params = {verify_srg(m.graph).basic() for m in members}
-    assert params == {(36, 20, 10, 12)}
+    params = [verify_srg(m.graph) for m in members]
+    assert {(p.v, p.k, p.lam, p.mu) for p in params} == {(36, 20, 10, 12)}
 
 
 def test_alternative_flag_choices_give_isomorphic_switches():

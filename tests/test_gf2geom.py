@@ -1,87 +1,51 @@
 """Points, forms, quadrics, polarity: exhaustive checks at desk scale."""
 
 import random
-from itertools import combinations
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadswitch.gf2geom import (
+from conftest import (
     CONTAINED,
-    ELLIPTIC,
     EXTERNAL,
+    SECANT,
+    TANGENT,
+    all_lines,
+    bilinear,
+    classify_line,
+    is_subspace_of,
+    poly_eval,
+)
+from quadswitch.gf2geom import (
+    ELLIPTIC,
     HYPERBOLIC,
     MAX_N,
     PARABOLIC,
     GeometryError,
     QuadraticForm,
-    SECANT,
     Subspace,
-    TANGENT,
-    bilinear,
     canonical_form,
-    classify_line,
     coordinate_masks,
     count_external_lines_through,
     echelonize,
-    enumerate_points,
-    nonquadric_points,
-    nucleus,
+    kernel,
     perp,
-    point_count,
-    quadric_points,
     quadric_size,
+    set_bits,
     span,
-    whole_space,
 )
 from quadswitch.srg import build_gamma_rows
-
-
-def poly_eval(rows, x):
-    """Oracle: evaluate sum a_ij x_i x_j by expanding coordinates directly."""
-    total = 0
-    n1 = len(rows)
-    xs = [(x >> i) & 1 for i in range(n1)]
-    for i in range(n1):
-        for j in range(i, n1):
-            if (rows[i] >> j) & 1:
-                total += xs[i] * xs[j]
-    return total % 2
 
 
 def monomials(form):
     return {(i, j) for i, row in enumerate(form.rows) for j in range(len(form.rows)) if (row >> j) & 1}
 
 
-def all_lines(n):
-    """Every projective line of PG(n,2) as a sorted triple."""
-    top = 1 << (n + 1)
-    for a in range(1, top):
-        for b in range(a + 1, top):
-            c = a ^ b
-            if c > b:
-                yield (a, b, c)
-
-
-# --- points -------------------------------------------------------------------
-
-
-def test_enumerate_points_smallest_line():
-    assert enumerate_points(1) == [1, 2, 3]
-
-
-@pytest.mark.parametrize("n,count", [(5, 63), (7, 255)])
-def test_enumerate_points_count(n, count):
-    pts = enumerate_points(n)
-    assert len(pts) == count == point_count(n)
-    assert pts == sorted(pts)
-
-
-def test_enumerate_points_rejects_bad_dimension():
-    with pytest.raises(GeometryError):
-        enumerate_points(0)
+def points(n):
+    """Every point of PG(n,2), in order."""
+    return range(1, 1 << (n + 1))
 
 
 # --- canonical forms ------------------------------------------------------------
@@ -142,12 +106,13 @@ def test_singular_form_rejected():
 
 
 def test_evaluate_matches_polynomial_oracle():
+    # Q(x) is the bit of the off mask at x: the zero mask is its complement on the points
     for n in range(1, 10):
         for kind in (PARABOLIC,) if n % 2 == 0 else (ELLIPTIC, HYPERBOLIC):
             form = canonical_form(n, kind)
-            for x in enumerate_points(n):
-                assert form.evaluate(x) == poly_eval(form.rows, x)
-            assert form.zero_mask == sum(1 << x for x in enumerate_points(n) if not poly_eval(form.rows, x))
+            for x in points(n):
+                assert (form.off >> x) & 1 == poly_eval(form.rows, x) == (not form.contains(x))
+            assert form.zero_mask == sum(1 << x for x in points(n) if not poly_eval(form.rows, x))
 
 
 # --- quadric sizes ---------------------------------------------------------------
@@ -162,7 +127,7 @@ def test_evaluate_matches_polynomial_oracle():
     ],
 )
 def test_quadric_point_examples(n, kind, size):
-    assert len(quadric_points(canonical_form(n, kind))) == size
+    assert canonical_form(n, kind).zero_mask.bit_count() == size
 
 
 def test_quadric_sizes_all_desk_dimensions():
@@ -170,27 +135,27 @@ def test_quadric_sizes_all_desk_dimensions():
         kinds = (PARABOLIC,) if n % 2 == 0 else (ELLIPTIC, HYPERBOLIC)
         for kind in kinds:
             form = canonical_form(n, kind)
-            assert len(quadric_points(form)) == quadric_size(n, kind)
+            assert form.zero_mask.bit_count() == quadric_size(n, kind)
 
 
-# --- bilinear form ---------------------------------------------------------------
+# --- bilinear form: the oracle, and the form's own B(x, y) as bit x of nonorth(y) -----
 
 
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_bilinear_alternating(kind):
     form = canonical_form(5, kind)
-    for x in enumerate_points(5):
-        assert bilinear(form, x, x) == 0
+    for x in points(5):
+        assert bilinear(form, x, x) == (form.nonorth(x) >> x) & 1 == 0
 
 
 def test_bilinear_symmetric_sampled():
     rng = random.Random(42)
     for kind in (ELLIPTIC, HYPERBOLIC):
         form = canonical_form(7, kind)
-        pts = enumerate_points(7)
+        pts = points(7)
         for _ in range(200):
             x, y = rng.choice(pts), rng.choice(pts)
-            assert bilinear(form, x, y) == bilinear(form, y, x)
+            assert (form.nonorth(y) >> x) & 1 == (form.nonorth(x) >> y) & 1 == bilinear(form, x, y)
 
 
 def test_bilinear_hyperbolic_e0_e1():
@@ -200,22 +165,19 @@ def test_bilinear_hyperbolic_e0_e1():
     assert poly_eval(form.rows, e0) == 0
     assert poly_eval(form.rows, e1) == 0
     assert poly_eval(form.rows, e0 ^ e1) == 1
-    assert bilinear(form, e0, e1) == 1
+    assert bilinear(form, e0, e1) == (form.nonorth(e1) >> e0) & 1 == 1
 
 
 def test_bilinear_is_polarization_of_evaluation():
+    # the form's polarization (from its Gram matrix) against Q read off its own off mask
     rng = random.Random(1)
     for kind in (ELLIPTIC, HYPERBOLIC):
         form = canonical_form(5, kind)
-        pts = enumerate_points(5)
+        pts = points(5)
         for _ in range(300):
             x, y = rng.choice(pts), rng.choice(pts)
-            expect = (
-                0
-                if x == y
-                else (poly_eval(form.rows, x ^ y) + poly_eval(form.rows, x) + poly_eval(form.rows, y)) % 2
-            )
-            assert bilinear(form, x, y) == expect
+            q = [(form.off >> p) & 1 for p in (x ^ y, x, y)]
+            assert (form.nonorth(y) >> x) & 1 == q[0] ^ q[1] ^ q[2] == bilinear(form, x, y)
 
 
 # --- subspaces and the polarity ---------------------------------------------------
@@ -239,7 +201,7 @@ def test_span_examples():
 def test_span_properties(points):
     sub = span(5, points)
     assert len(sub.points()) == (1 << sub.vdim) - 1
-    assert all(sub.contains(p) for p in points)
+    assert set(points) <= set(sub.points())
     # echelon representation is canonical: re-spanning the points reproduces it
     assert span(5, sub.points()).basis == sub.basis
 
@@ -255,7 +217,7 @@ def test_echelonize_idempotent_and_order_free(vectors):
 
 def test_perp_whole_space_is_trivial():
     form = canonical_form(5, ELLIPTIC)
-    assert perp(form, whole_space(5)).vdim == 0
+    assert perp(form, Subspace(5, (32, 16, 8, 4, 2, 1))).vdim == 0
 
 
 def test_perp_dimension_involution_containment():
@@ -268,7 +230,7 @@ def test_perp_dimension_involution_containment():
             assert u.vdim + pu.vdim == 6
             assert perp(form, pu) == u
             w = span(5, u.points() + [rng.randrange(1, 64)])
-            assert perp(form, w).is_subspace_of(pu)
+            assert is_subspace_of(perp(form, w), pu)
 
 
 def test_perp_rejects_parabolic():
@@ -296,10 +258,9 @@ def test_perp_of_singular_line_n7_elliptic():
 
 def test_classify_line_definitional():
     form = canonical_form(5, ELLIPTIC)
-    zeros = quadric_points(form)
     seen = set()
     for a, b, c in all_lines(5):
-        hits = len({a, b, c} & zeros)
+        hits = sum((form.zero_mask >> p) & 1 for p in (a, b, c))
         want = {0: EXTERNAL, 1: TANGENT, 2: SECANT, 3: CONTAINED}[hits]
         assert classify_line(form, a, b) == want
         seen.add(want)
@@ -324,13 +285,13 @@ def test_external_line_total_n5_elliptic():
 @pytest.mark.parametrize("kind,count", [(ELLIPTIC, 10), (HYPERBOLIC, 6)])
 def test_external_lines_through_every_point_n5(kind, count):
     form = canonical_form(5, kind)
-    for x in nonquadric_points(form):
+    for x in form.labels:
         assert count_external_lines_through(form, x) == count
 
 
 def test_external_lines_through_rejects_quadric_point():
     form = canonical_form(5, ELLIPTIC)
-    x = min(quadric_points(form))
+    x = set_bits(form.zero_mask)[0]  # the least quadric point
     with pytest.raises(GeometryError):
         count_external_lines_through(form, x)
 
@@ -339,8 +300,8 @@ def test_external_lines_through_even_dimension():
     # nucleus sees none; every other point sees 2^(n-2) of them (the off-by-one
     # variant 2^(n-2)-1 fails the triple-count identity below)
     form = canonical_form(4, PARABOLIC)
-    nuc = nucleus(form)
-    for x in nonquadric_points(form):
+    nuc = brute_force_nucleus(form)
+    for x in form.labels:
         want = 0 if x == nuc else 4
         assert count_external_lines_through(form, x) == want
 
@@ -352,7 +313,7 @@ def test_external_line_count_sum_identity(n, kind):
     # every external line has 3 points, so per-point counts sum to 3x the total
     form = canonical_form(n, kind)
     total = sum(1 for a, b, _ in all_lines(n) if classify_line(form, a, b) == EXTERNAL)
-    per_point = sum(count_external_lines_through(form, x) for x in nonquadric_points(form))
+    per_point = sum(count_external_lines_through(form, x) for x in form.labels)
     assert per_point == 3 * total
 
 
@@ -362,10 +323,10 @@ def test_external_line_count_sum_identity(n, kind):
 def brute_force_nucleus(form):
     """Oracle: the non-quadric point through which every line is tangent."""
     hits = []
-    for x in nonquadric_points(form):
+    for x in form.labels:
         if all(
             classify_line(form, x, y) == TANGENT
-            for y in enumerate_points(form.n)
+            for y in points(form.n)
             if y != x
         ):
             hits.append(x)
@@ -375,13 +336,15 @@ def brute_force_nucleus(form):
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_nucleus_is_e0_for_canonical_parabolic(n):
+    # the nucleus is the radical of the polarization: the kernel of the Gram matrix
     form = canonical_form(n, PARABOLIC)
-    assert nucleus(form) == 1 == brute_force_nucleus(form)
+    assert kernel(form.gram, n + 1) == (1,)
+    assert brute_force_nucleus(form) == 1
 
 
 def test_nucleus_rejects_elliptic():
-    with pytest.raises(GeometryError):
-        nucleus(canonical_form(5, ELLIPTIC))
+    # a non-degenerate polarity: no radical, so no nucleus
+    assert kernel(canonical_form(5, ELLIPTIC).gram, 6) == ()
 
 
 # --- hyperplane sections -----------------------------------------------------------
@@ -560,5 +523,5 @@ def test_point_masks_translate_moves_each_point(n, data):
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_point_masks_nonorth_is_the_hyperplane(kind):
     f = canonical_form(5, kind)
-    for y in range(1, 64):
-        assert f.nonorth(y) == sum(1 << x for x in range(1, 64) if bilinear(f, x, y))
+    for y in points(5):
+        assert f.nonorth(y) == sum(1 << x for x in points(5) if bilinear(f, x, y))

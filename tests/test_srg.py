@@ -6,18 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import form, gamma, legal_cases, switch_case
+from conftest import bilinear, check_well_formed, form, gamma, legal_cases, switch_case
 from quadswitch import srg
-from quadswitch.codes import support
-from quadswitch.gf2geom import (
-    ELLIPTIC,
-    HYPERBOLIC,
-    PARABOLIC,
-    GeometryError,
-    bilinear,
-    canonical_form,
-    nonquadric_points,
-)
+from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, PARABOLIC, GeometryError, canonical_form, set_bits
 from quadswitch.srg import (
     Graph,
     NotStronglyRegular,
@@ -53,8 +44,8 @@ def common_neighbours_oracle(g, i, j):
 def test_build_gamma_n5(kind, v, k):
     g = build_gamma(canonical_form(5, kind))
     assert g.v == v
-    assert all(g.degree(i) == k for i in range(v))
-    g.check_well_formed()
+    assert all(g.rows[i].bit_count() == k for i in range(v))
+    check_well_formed(g)
     assert g.edge_count() == v * k // 2
 
 
@@ -72,7 +63,7 @@ def test_gamma_adjacency_is_external_line():
     for i in range(g.v):
         for j in range(i + 1, g.v):
             joins_quadric = form.contains(g.labels[i] ^ g.labels[j])
-            assert g.adjacent(i, j) == (not joins_quadric)
+            assert (g.rows[i] >> j) & 1 == (not joins_quadric)
 
 
 def test_gamma_complementary_consistency_n5():
@@ -82,13 +73,14 @@ def test_gamma_complementary_consistency_n5():
         g = build_gamma(form)
         for i in range(g.v):
             for j in range(i + 1, g.v):
-                if not g.adjacent(i, j):
+                if not (g.rows[i] >> j) & 1:
                     assert form.contains(g.labels[i] ^ g.labels[j])
 
 
 def test_verify_srg_n7_elliptic():
     g = build_gamma(canonical_form(7, ELLIPTIC))
-    assert verify_srg(g).basic() == (136, 72, 36, 40)
+    p = verify_srg(g)
+    assert (p.v, p.k, p.lam, p.mu) == (136, 72, 36, 40)
 
 
 def test_verify_srg_matches_set_oracle_n5():
@@ -96,14 +88,14 @@ def test_verify_srg_matches_set_oracle_n5():
     params = verify_srg(g)
     for i in range(g.v):
         for j in range(i + 1, g.v):
-            want = params.lam if g.adjacent(i, j) else params.mu
+            want = params.lam if (g.rows[i] >> j) & 1 else params.mu
             assert common_neighbours_oracle(g, i, j) == want
 
 
 def test_verify_srg_five_cycle():
     c5 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     params = verify_srg(c5)
-    assert params.basic() == (5, 2, 0, 1)
+    assert (params.v, params.k, params.lam, params.mu) == (5, 2, 0, 1)
     # conference graph: the eigenvalues are irrational, so no integer spectrum
     assert params.r is None and params.s is None
 
@@ -141,8 +133,7 @@ def test_verify_srg_rejects_almost_srg():
 )
 def test_expected_params_table(n, kind, expect):
     got = expected_params(n, kind)
-    assert got.basic() == expect.basic()
-    assert (got.r, got.s, got.f, got.g) == (expect.r, expect.s, expect.f, expect.g)
+    assert got == expect
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -173,7 +164,7 @@ def test_expected_params_rejects_bad_requests():
 
 def pairwise_gamma(form):
     """Oracle: x ~ y iff x^y is off the quadric, one pair at a time."""
-    labels = nonquadric_points(form)
+    labels = form.labels
     zeros = form.zero_mask
     rows = [0] * len(labels)
     for i, x in enumerate(labels):
@@ -206,10 +197,10 @@ def assert_real_witness(g, params, exc):
     """The witness of a rejection is a vertex or pair whose count is wrong in g."""
     w = exc.witness
     if isinstance(w, int):
-        assert g.degree(w) != params.k
+        assert g.rows[w].bit_count() != params.k
     else:
         i, j = w
-        want = params.lam if g.adjacent(i, j) else params.mu
+        want = params.lam if (g.rows[i] >> j) & 1 else params.mu
         assert common_neighbours_oracle(g, i, j) != want
 
 
@@ -257,9 +248,9 @@ def test_both_checks_reject_a_flipped_edge(n, kind, t, variant, where):
     base = gamma(n, kind)
     sw = switch_case(n, kind, t, variant)
     params = verify_srg(base)
-    s = support(sw.s)
+    s = set_bits(sw.s)
     if where == "s_x_t":
-        i, j = s[0], support(sw.t_set)[0]
+        i, j = s[0], set_bits(sw.t_set)[0]
     elif where == "outside_s":  # breaks the precondition that g equals base off S
         outside = [x for x in range(base.v) if not (sw.s >> x) & 1]
         i, j = outside[0], outside[-1]
@@ -289,11 +280,11 @@ def test_verify_srg_near_rejects_a_degree_preserving_swap_outside_s():
         if len({a, b, c, d}) == 4
         and not (sw.s >> b) & 1
         and not (sw.s >> d) & 1
-        and not g.adjacent(a, c)
-        and not g.adjacent(b, d)
+        and not (g.rows[a] >> c) & 1
+        and not (g.rows[b] >> d) & 1
     )
     bad = flip(flip(flip(flip(g, a, b), c, d), a, c), b, d)
-    assert all(bad.degree(i) == params.k for i in range(bad.v))
+    assert all(bad.rows[i].bit_count() == params.k for i in range(bad.v))
     assert near_outcome(bad, base, params, sw.s) is None
     assert reference_outcome(bad, params) is None
 
@@ -309,9 +300,9 @@ def test_verify_srg_near_agrees_on_one_sided_edits_through_s():
     for x in range(g.v):
         if (sw.s >> x) & 1:
             continue
-        for s1 in support(sw.s):
-            for s2 in support(sw.s):
-                if g.adjacent(x, s1) and not g.adjacent(x, s2):
+        for s1 in set_bits(sw.s):
+            for s2 in set_bits(sw.s):
+                if (g.rows[x] >> s1) & 1 and not (g.rows[x] >> s2) & 1:
                     rows = list(g.rows)
                     rows[x] ^= (1 << s1) | (1 << s2)
                     bad = Graph(g.labels, tuple(rows))
@@ -325,7 +316,7 @@ def test_verify_srg_near_checks_pairs_below_a_changed_row():
     params = verify_srg(base)
     last = base.v - 1
     y = base.neighbors(last)[0]
-    y2 = next(j for j in range(last) if not base.adjacent(last, j))
+    y2 = next(j for j in range(last) if not (base.rows[last] >> j) & 1)
     rows = list(base.rows)
     rows[last] ^= (1 << y) | (1 << y2)
     bad = Graph(base.labels, tuple(rows))
@@ -372,9 +363,9 @@ def assert_real_srg_witness(g, params, exc):
     common-neighbour count is not the one params give its adjacency."""
     i, j = exc.witness
     if "not regular" in str(exc):
-        assert g.degree(i) != g.degree(j)
+        assert g.rows[i].bit_count() != g.rows[j].bit_count()
     else:
-        want = params.lam if g.adjacent(i, j) else params.mu
+        want = params.lam if (g.rows[i] >> j) & 1 else params.mu
         assert common_neighbours_oracle(g, i, j) != want
 
 
@@ -528,7 +519,7 @@ def test_certificate_rejects_a_corrupted_row(n, kind, edit):
         vrows[j] ^= 1 << i
     else:  # the last row alone trades a neighbour for a non-neighbour: degrees stay k
         a = g.neighbors(last)[-1]
-        b = next(j for j in range(last - 1, 0, -1) if not g.adjacent(last, j))
+        b = next(j for j in range(last - 1, 0, -1) if not (g.rows[last] >> j) & 1)
         rows[last] ^= (1 << g.labels[a]) | (1 << g.labels[b])
         vrows[last] ^= (1 << a) | (1 << b)
     bad = Graph(g.labels, tuple(vrows))

@@ -7,18 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadswitch.codes import support
-from quadswitch.gf2geom import (
-    ELLIPTIC,
-    HYPERBOLIC,
-    bilinear,
-    canonical_form,
-    nonquadric_points,
-    perp,
-    quadric_points,
-    span,
-    whole_space,
-)
+from conftest import all_lines, bilinear, check_well_formed, is_subspace_of, legal_cases
+from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, Subspace, canonical_form, perp, set_bits, span
 from quadswitch.srg import Graph, build_gamma, verify_srg
 from quadswitch.switching import (
     NotSwitchingSet,
@@ -39,23 +29,7 @@ from quadswitch.switching import (
 
 E5 = canonical_form(5, ELLIPTIC)
 H5 = canonical_form(5, HYPERBOLIC)
-
-
-def all_lines(n):
-    top = 1 << (n + 1)
-    for a in range(1, top):
-        for b in range(a + 1, top):
-            c = a ^ b
-            if c > b:
-                yield (a, b, c)
-
-
-def legal_cases(ns=(5, 7)):
-    for n in ns:
-        for kind in (ELLIPTIC, HYPERBOLIC):
-            for variant in ("t", "tt"):
-                for t in legal_t_range(n, kind, variant):
-                    yield n, kind, t, variant
+WHOLE5 = Subspace(5, (32, 16, 8, 4, 2, 1))  # all of PG(5,2)
 
 
 # --- singular subspace search -----------------------------------------------------
@@ -64,7 +38,7 @@ def legal_cases(ns=(5, 7)):
 def test_singular_point_is_lex_least_quadric_point():
     for form in (E5, H5):
         sub = next(iter_singular_subspaces(form, 0))
-        assert sub.points() == [min(quadric_points(form))]
+        assert sub.points() == [set_bits(form.zero_mask)[0]]
 
 
 def test_singular_line_n5_elliptic_exhaustive():
@@ -86,7 +60,7 @@ def test_singular_plane_n5_elliptic_not_found():
     # planes would need t = 2 > (n-3)/2; confirmed by exhaustive plane search
     assert list(iter_singular_subspaces(E5, 2)) == []
     planes = set()
-    qpts = sorted(quadric_points(E5))
+    qpts = set_bits(E5.zero_mask)
     for a in qpts:
         for b in qpts:
             if b <= a:
@@ -225,11 +199,10 @@ def tangent_spaces(form, alpha):
 def brute_force_tangent_spaces(form, alpha, pi=None):
     """Oracle: scan *all* extension points, no alpha-perp pruning."""
     base = pi if pi is not None else alpha
-    avec = [0] + alpha.points()
     basevec = [0] + base.points()
     found = {}
     for x in range(1, 1 << (form.n + 1)):
-        if form.contains(x) or base.contains(x):
+        if form.contains(x) or x in basevec:
             continue
         if any(form.contains(x ^ s) for s in basevec):
             continue
@@ -243,7 +216,7 @@ def test_tangent_space_structure(form):
     alpha = next(iter_singular_subspaces(form, 1))
     pi = tangent_spaces(form, alpha)[0]
     assert pi.projective_dim == 2
-    assert alpha.is_subspace_of(pi)
+    assert is_subspace_of(alpha, pi)
     on_q = sorted(p for p in pi.points() if form.contains(p))
     assert on_q == alpha.points()
     off_q = [p for p in pi.points() if not form.contains(p)]
@@ -269,7 +242,7 @@ def test_second_tangent_space_n5_elliptic():
     on_q = sorted(p for p in joint.points() if E5.contains(p))
     assert on_q == alpha.points() and len(on_q) == 3
     # both contain alpha with one extra dimension, so they meet exactly in alpha
-    both = [p for p in pi.points() if pi2.contains(p)]
+    both = set(pi.points()) & set(pi2.points())
     assert sorted(both) == alpha.points()
     # lex-least against the unpruned oracle
     oracle = brute_force_tangent_spaces(E5, alpha, pi)
@@ -416,12 +389,12 @@ def test_config_rejects_bad_flags_with_their_messages():
     alpha, pi, pi2 = cfg.alpha, cfg.pi, cfg.pi2
     not_singular = span(5, [1, 2])  # a line off the quadric
     alpha7 = next(iter_singular_subspaces(canonical_form(7, ELLIPTIC), 1))
-    outside = next(p for p in sorted(quadric_points(E5)) if not alpha.contains(p))
+    outside = next(p for p in set_bits(E5.zero_mask) if p not in alpha.points())
     other = next(a for a in iter_singular_subspaces(E5, 1) if a != alpha)
     bad_pis = {
         "meets the quadric beyond alpha": span(5, list(alpha.basis) + [outside]),
         "does not contain alpha": tangent_spaces(E5, other)[0],
-        "has the wrong dimension": whole_space(5),
+        "has the wrong dimension": WHOLE5,
     }
     for flag in ((not_singular, pi), (not_singular, pi, pi2)):
         with pytest.raises(SwitchingError, match="^alpha is not contained in the quadric$"):
@@ -461,7 +434,7 @@ def reference_config_error(form, t, alpha, pi, pi2=None):
     def tangent(sub, name):
         if sub.n != form.n or sub.projective_dim != alpha.projective_dim + 1:
             return f"{name} has the wrong dimension"
-        if not alpha.is_subspace_of(sub):
+        if not is_subspace_of(alpha, sub):
             return f"{name} does not contain alpha"
         on_q = [p for p in sub.points() if form.contains(p)]
         if sorted(on_q) != alpha.points():
@@ -579,7 +552,7 @@ def mask_of(vertices):
 
 def reference_build_S(config):
     """The previous build_S: the points of S, mapped through a point -> vertex dict."""
-    idx = {p: i for i, p in enumerate(nonquadric_points(config.form))}
+    idx = {p: i for i, p in enumerate(config.form.labels)}
     pts = set(config.pi.points())
     if config.pi2 is not None:
         pts |= set(config.pi2.points())
@@ -590,7 +563,7 @@ def reference_build_S(config):
 def reference_T_formula(config):
     """The previous T_formula: the closed form tested vertex by vertex."""
     form = config.form
-    labels = nonquadric_points(form)
+    labels = form.labels
     a_perp = perp(form, config.alpha).point_mask()
     out = {i for i, p in enumerate(labels) if not (a_perp >> p) & 1}
     if config.pi2 is not None:
@@ -623,7 +596,7 @@ def test_config_validation_rejects_bad_configs():
     with pytest.raises(SwitchingError):
         SwitchConfig(E5, 1, not_singular, cfg.pi)
     with pytest.raises(SwitchingError):
-        SwitchConfig(E5, 1, cfg.alpha, whole_space(5))
+        SwitchConfig(E5, 1, cfg.alpha, WHOLE5)
     with pytest.raises(SwitchingError):
         SwitchConfig(E5, 2, cfg.alpha, cfg.pi)
     with pytest.raises(SwitchingError):
@@ -725,7 +698,7 @@ def frozenset_partition(g, s):
     ("not", witness) when s is no switching set."""
 
     def inside(i):
-        return sum(1 for j in s if g.adjacent(i, j))
+        return sum(1 for j in s if (g.rows[i] >> j) & 1)
 
     degrees = {}
     for i in sorted(s):
@@ -756,7 +729,7 @@ def test_certificate_classes_match_the_frozenset_oracle(flags, data):
     g = build_gamma(form)
     if data.draw(st.booleans()):
         k = data.draw(st.integers(0, N5_FLAGS[flags] - 1))
-        s = frozenset(support(build_S(make_config(form, 1, variant, k))))
+        s = frozenset(set_bits(build_S(make_config(form, 1, variant, k))))
     else:
         picked = data.draw(st.lists(st.integers(0, g.v - 1), min_size=2, max_size=12, unique=True))
         s = frozenset(picked[: len(picked) // 2 * 2])
@@ -768,7 +741,7 @@ def test_certificate_classes_match_the_frozenset_oracle(flags, data):
     else:
         assert cert.s_vertices == mask_of(s)
         classes = (cert.none_class, cert.half_class, cert.all_class)
-        assert (cert.induced_degree, *(frozenset(support(c)) for c in classes)) == want
+        assert (cert.induced_degree, *(frozenset(set_bits(c)) for c in classes)) == want
 
 def test_partition_covers_everything():
     g = build_gamma(E5)
@@ -793,7 +766,7 @@ def test_switch_is_involution_and_preserves_params():
         assert sorted(r.bit_count() for r in sw.rows) == sorted(
             r.bit_count() for r in g.rows
         )
-        sw.check_well_formed()
+        check_well_formed(sw)
 
 
 def test_switch_changes_only_half_rows():
@@ -859,10 +832,10 @@ def test_S_inside_alpha_perp_off_quadric():
     for n, kind, t, variant in legal_cases(ns=(5,)):
         form = canonical_form(n, kind)
         cfg = make_config(form, t, variant)
-        labels = nonquadric_points(form)
-        ap = perp(form, cfg.alpha)
-        for i in support(build_S(cfg)):
-            assert ap.contains(labels[i])
+        labels = form.labels
+        ap = perp(form, cfg.alpha).points()
+        for i in set_bits(build_S(cfg)):
+            assert labels[i] in ap
             assert not form.contains(labels[i])
 
 
@@ -890,7 +863,7 @@ def test_switch_record_rejects_flipped_edge(kind, variant):
     g = build_gamma(form)
     cfg = make_config(form, 1, variant)
     sw = build_switch(g, cfg)
-    i, j = support(sw.s)[0], support(sw.t_set)[0]
+    i, j = set_bits(sw.s)[0], set_bits(sw.t_set)[0]
     rows = list(g.rows)
     rows[i] ^= 1 << j
     rows[j] ^= 1 << i
