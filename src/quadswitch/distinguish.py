@@ -10,7 +10,8 @@ certify_gamma checked against its rows are automorphisms of the graph, so
 they permute its rows, its code and its minimum-weight words, and keep every
 induced degree: the words of one orbit share one profile, and the orbit's
 size is added to its multiplicity.  The orbits are walked in point space,
-each word expanded once, and every image must be a word.  If one is not, or
+each word expanded once and moved by form.reflect in each reflection's
+point, and every image must be a word.  If one is not, or
 no reflections were certified (the verify_srg fallback, and every switched
 graph), each word is profiled on its own.
 
@@ -33,7 +34,7 @@ from typing import Optional
 
 from .codes import BinaryCode, code_from_graph, min_weight_codewords
 from .gf2geom import GeometryError, QuadraticForm, set_bits
-from .srg import GammaCertificate, Graph, SrgParams, _reflect, certified_gamma
+from .srg import GammaCertificate, Graph, SrgParams, certified_gamma
 from .switching import Switch, build_switch, legal_t_range, make_config
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -81,8 +82,8 @@ def _orbit_profiles(g: Graph, words, certificate: GammaCertificate) -> Optional[
         unseen[start], frontier = 0, [start]
         while frontier:
             mask = frontier.pop()
-            for reflection in reflections:
-                image = _reflect(mask, reflection)
+            for r in reflections:
+                image = form.reflect(mask, r)
                 count = unseen.get(image)
                 if count is None:
                     return None  # not an automorphism of the word set: profile every word

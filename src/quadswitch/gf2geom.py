@@ -14,9 +14,10 @@ is the symplectic form that drives the polarity.
 
 Sets of points are point masks, ints with bit p for the point p.  Each
 form holds its own, Q's built monomial by monomial from coordinate masks, with
-translations (block swaps, all applied by swap_blocks), hyperplanes B(x,y) = 1
-and the gather into vertex order, a compress by off in n + 1 masked shifts
-(points, its inverse, is the matching expand).
+translations (block swaps, all applied by swap_blocks), hyperplanes B(x,y) = 1,
+reflections x -> x + B(x,r) r, named by their point r, and the gather into
+vertex order, a compress by off in n + 1 masked shifts (points, its inverse,
+is the matching expand).
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class QuadraticForm:
     monomial X_i X_j is present, with a_ii on the diagonal bit).
     Immutable once built.  The symmetrized Gram matrix and the point masks
     halves, ones, off and zero_mask are precomputed; the labels, the gather
-    into vertex order and the hyperplane masks are made on first use and kept.
+    into vertex order, the hyperplane masks and the reflections are made on
+    first use and kept.
     The gather is a compress by off: vertices(mask) packs the bits of mask at
     the points off the quadric down to bits 0, 1, ... in n + 1 masked shifts.
     """
@@ -112,6 +114,7 @@ class QuadraticForm:
         self.off = q
         self.zero_mask = self.ones & ~q & ~1  # the vector 0 is no point
         self._nonorth: dict[int, int] = {}
+        self._reflections: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
         if self.zero_mask.bit_count() != quadric_size(n, kind):
             raise GeometryError(
                 f"form has {self.zero_mask.bit_count()} zeros, a non-singular {kind} "
@@ -188,6 +191,20 @@ class QuadraticForm:
     def translate(self, mask: int, x: int) -> int:
         """Move bit p to bit p^x."""
         return swap_blocks(mask, self.block_swaps(x))
+
+    def reflect(self, mask: int, r: int) -> int:
+        """Image of a point mask under the reflection in the point r, x -> x + B(x,r) r:
+        the points of nonorth(r) move by r, the others stay.  As B(r,r) = 0, x and
+        x^r move together, so it is an involution; it keeps B, and keeps Q exactly
+        when r is off the quadric.  nonorth(r) and the translation by r are kept."""
+        reflection = self._reflections.get(r)
+        if reflection is None:
+            if not 1 <= r < (1 << (self.n + 1)):
+                raise GeometryError(f"{r} is not a point of PG({self.n},2)")
+            reflection = self._reflections[r] = (self.nonorth(r), tuple(self.block_swaps(r)))
+        h, swaps = reflection
+        part = mask & h
+        return mask ^ part ^ swap_blocks(part, swaps)
 
     def __eq__(self, other) -> bool:
         return (

@@ -15,8 +15,8 @@ graph itself is checked by certify_gamma from the point-indexed rows that
 build_gamma_rows computes, in three steps:
 
   1. reflections: for nonsingular r the map x -> x + B(x,r) r preserves Q,
-     so it is an automorphism.  On point masks it is
-     (M & ~H_r) | translate(M & H_r, r), H_r = nonorth(r).
+     so it is an automorphism.  It is named by its point r, and
+     form.reflect(M, r) applies it to a point mask M.
      Each reflection used must map the vertex mask to itself and the row
      of every vertex x to the row of its image.
   2. transitivity: an orbit walk from vertex 0 under those reflections
@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2geom import PARABOLIC, GeometryError, QuadraticForm, canonical_form, set_bits, swap_blocks
+from .gf2geom import PARABOLIC, GeometryError, QuadraticForm, canonical_form, set_bits
 
 # The point rows of a quadric graph, v * 2^(n+1) bits: ~257 MiB at n = 15, ~4 GiB at n = 17
 MAX_POINT_ROW_BYTES = 1 << 30
@@ -216,44 +216,31 @@ class _NotCertified(Exception):
     """The reflection certificate could not be completed; verify_srg decides."""
 
 
-def _reflection(form: QuadraticForm, r: int):
-    """The map x -> x + B(x,r) r as (r, H, swaps), H the points it moves and swaps the
-    translation by r.  As B(r,r) = 0, x and x^r lie in H together: an involution."""
-    return r, form.nonorth(r), tuple(form.block_swaps(r))
-
-
-def _reflect(mask: int, reflection) -> int:
-    """Image of a point mask: the points of H move by r, the others stay."""
-    _, h, swaps = reflection
-    return (mask & ~h) | swap_blocks(mask & h, swaps)
-
-
-def _orbit(orbit: int, reflections) -> int:
+def _orbit(form: QuadraticForm, orbit: int, reflections) -> int:
     """Point mask of the union of the orbits of a point mask's points under
-    the group the reflections generate."""
+    the group the reflections in these points generate."""
     while True:
         grown = orbit
-        for reflection in reflections:
-            grown |= _reflect(grown, reflection)
+        for r in reflections:
+            grown |= form.reflect(grown, r)
         if grown == orbit:
             return orbit
         orbit = grown
 
 
-def _transitive_reflections(form: QuadraticForm) -> list:
-    """Reflections in vertices until the orbit of the first vertex is
+def _transitive_reflections(form: QuadraticForm) -> list[int]:
+    """Vertices to reflect in until the orbit of the first vertex is
     form.off: each time the lightest one that enlarges the orbit, as it moves
     a row in few block swaps.  Stops early when none does."""
     lightest_first = sorted(form.labels, key=int.bit_count)
-    chosen: list = []
+    chosen: list[int] = []
     orbit = 1 << form.labels[0]
     while orbit != form.off:
-        candidates = (_reflection(form, r) for r in lightest_first)
-        reflection = next((c for c in candidates if _reflect(orbit, c) != orbit), None)
-        if reflection is None:
+        r = next((r for r in lightest_first if form.reflect(orbit, r) != orbit), None)
+        if r is None:
             break
-        chosen.append(reflection)
-        orbit = _orbit(orbit, chosen)
+        chosen.append(r)
+        orbit = _orbit(form, orbit, chosen)
     return chosen
 
 
@@ -264,23 +251,18 @@ def _certificate(form: QuadraticForm, point_rows, reflections) -> SrgParams:
     size = 1 << len(form.halves)
     spec, top = f"0{size}b", size - 1
     row_of = dict(zip(labels, point_rows))
-    for reflection in reflections:
-        r, h, swaps = reflection
-        if _reflect(vmask, reflection) != vmask:
+    for r in reflections:
+        if form.reflect(vmask, r) != vmask:
             raise _NotCertified(f"the reflection in {r} moves a vertex off the vertex set")
-        moves = format(h, spec)
+        moves = format(form.nonorth(r), spec)
         for x, row in row_of.items():
             fixed = moves[top - x] == "0"
             if not fixed and x > x ^ r:
                 continue  # x and x^r swap, and the reflection is an involution: x^r covers both
-            part = row & h
-            moved = swap_blocks(part, swaps)
-            if fixed:
-                if moved != part:  # x is fixed, so its row must be
-                    raise _NotCertified(f"the reflection in {r} moves the row of {x}")
-            elif (row ^ part) | moved != row_of[x ^ r]:
-                raise _NotCertified(f"the reflection in {r} maps the row of {x} wrongly")
-    if _orbit(1 << labels[0], reflections) != vmask:
+            if form.reflect(row, r) != (row if fixed else row_of[x ^ r]):
+                how = "moves" if fixed else "maps"  # a fixed x keeps its row, a moved x takes x^r's
+                raise _NotCertified(f"the reflection in {r} {how} the row of {x} wrongly")
+    if _orbit(form, 1 << labels[0], reflections) != vmask:
         raise _NotCertified("the reflections are not transitive on the vertices")
 
     first = point_rows[0]
@@ -307,12 +289,12 @@ def _certificate(form: QuadraticForm, point_rows, reflections) -> SrgParams:
 class GammaCertificate:
     """What certify_gamma proved about the graph of its point rows: the
     parameters, and the reflections it checked as automorphisms of that graph,
-    each as (r, H, swaps) for _reflect.  No reflections after the verify_srg
-    fallback."""
+    each named by its point r for form.reflect.  No reflections after the
+    verify_srg fallback."""
 
     form: QuadraticForm
     params: SrgParams
-    reflections: tuple = ()
+    reflections: tuple[int, ...] = ()
 
 
 def certify_gamma(form: QuadraticForm, point_rows) -> GammaCertificate:

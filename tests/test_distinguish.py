@@ -114,8 +114,7 @@ def test_orbit_signature_needs_every_image_to_be_a_word(n, kind):
 def test_orbit_signature_rejects_a_singular_reflection(n, kind):
     # x -> x + B(x,r) r with Q(r) = 0 keeps B but not Q: it moves words off the vertex set
     g, certificate, code, words = certified_words(n, kind)
-    r = next(p for p in range(1, 1 << (n + 1)) if certificate.form.contains(p))
-    bad = srg._reflection(certificate.form, r)
+    bad = next(p for p in range(1, 1 << (n + 1)) if certificate.form.contains(p))
     forged = GammaCertificate(certificate.form, certificate.params, (bad, *certificate.reflections))
     assert_direct(g, code, words, forged)
 

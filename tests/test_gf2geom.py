@@ -525,3 +525,35 @@ def test_point_masks_nonorth_is_the_hyperplane(kind):
     f = canonical_form(5, kind)
     for y in points(5):
         assert f.nonorth(y) == sum(1 << x for x in points(5) if bilinear(f, x, y))
+
+
+def reflect_cases():
+    """(n, kind, r): every point r at n = 5; at n = 7 and 9, four points r on
+    the quadric and four off it."""
+    cases = [(5, kind, r) for kind in (ELLIPTIC, HYPERBOLIC) for r in points(5)]
+    for n in (7, 9):
+        for kind in (ELLIPTIC, HYPERBOLIC):
+            f, rng = canonical_form(n, kind), random.Random(n)
+            for side in (f.zero_mask, f.off):
+                cases += [(n, kind, r) for r in rng.sample(set_bits(side), 4)]
+    return cases
+
+
+@pytest.mark.parametrize("n,kind,r", reflect_cases())
+def test_reflect_moves_points_as_defined(n, kind, r):
+    # x -> x + B(x,r) r on point masks: an involution that keeps B always,
+    # and Q exactly when r is off the quadric
+    f = canonical_form(n, kind)  # a form of its own: nothing cached for r yet
+    rng = random.Random(r)
+    mask = rng.getrandbits(1 << (n + 1))
+    image = f.reflect(mask, r)
+    assert f.reflect(mask, r) == image == canonical_form(n, kind).reflect(mask, r)  # a hit, a fresh form
+    assert f.reflect(image, r) == mask
+    moved = {x: x ^ r if bilinear(f, x, r) else x for x in points(n)}
+    assert all(f.reflect(1 << x, r) == 1 << moved[x] for x in points(n))
+    sample = points(n) if n == 5 else rng.sample(points(n), 40)
+    assert all(bilinear(f, moved[x], moved[y]) == bilinear(f, x, y) for x in sample for y in sample)
+    assert (f.reflect(f.zero_mask, r) == f.zero_mask) == (not f.contains(r))
+    for bad in (0, 1 << (n + 1)) * 2:  # twice: a refused r is not cached
+        with pytest.raises(GeometryError, match="not a point"):
+            f.reflect(mask, bad)

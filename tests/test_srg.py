@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bilinear, check_well_formed, form, gamma, legal_cases, switch_case
+from conftest import check_well_formed, form, gamma, legal_cases, switch_case
 from quadswitch import srg
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, PARABOLIC, GeometryError, canonical_form, set_bits
 from quadswitch.srg import (
@@ -374,11 +374,11 @@ def refuse_pair_check(g):
 
 
 def certificate_case(n, kind):
-    """Form, graph, point rows, the chosen reflections and the point count."""
+    """Form, graph, point rows and the chosen reflections."""
     f = form(n, kind)
     g, rows = build_gamma_rows(f)
     assert f.off == sum(1 << x for x in g.labels)
-    return f, g, rows, srg._transitive_reflections(f), 1 << (n + 1)
+    return f, g, rows, srg._transitive_reflections(f)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
@@ -461,28 +461,22 @@ def test_certified_gamma_caches_no_failure(n, kind):
     assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
 
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
-def test_reflection_moves_points_as_defined(kind):
-    # x -> x + B(x,r) r on point masks; it keeps B always, and Q exactly
-    # when r is off the quadric
-    f = form(5, kind)
-    points = range(1, 64)
-    for r in points:
-        reflection = srg._reflection(f, r)
-        image = {x: srg._reflect(1 << x, reflection).bit_length() - 1 for x in points}
-        assert all(image[x] == (x ^ r if bilinear(f, x, r) else x) for x in points)
-        assert all(bilinear(f, image[x], image[y]) == bilinear(f, x, y) for x in points for y in points)
-        keeps_q = srg._reflect(f.zero_mask, reflection) == f.zero_mask
-        assert keeps_q == (not f.contains(r))
+def test_certified_reflections_are_vertices(n, kind):
+    _, certificate = certified_gamma(n, kind)
+    reflections = certificate.reflections
+    assert type(reflections) is tuple and reflections
+    assert all(type(r) is int for r in reflections)
+    assert set(reflections) <= set(certificate.form.labels)
 
 
 @pytest.mark.parametrize("n,kind", [(5, HYPERBOLIC), (7, ELLIPTIC)])
 def test_certificate_rejects_a_singular_reflection(monkeypatch, n, kind):
-    f, g, rows, good, size = certificate_case(n, kind)
+    f, g, rows, good = certificate_case(n, kind)
     assert srg._certificate(f, rows, good) == expected_params(n, kind)
-    r = next(p for p in range(1, size) if f.contains(p))
-    bad = srg._reflection(f, r)
-    assert srg._reflect(bad[1], bad) == bad[1]  # still a permutation of the points
+    bad = next(p for p in range(1, 1 << (n + 1)) if f.contains(p))
+    assert f.reflect(f.nonorth(bad), bad) == f.nonorth(bad)  # still a permutation of the points
     with pytest.raises(srg._NotCertified, match="off the vertex set"):
         srg._certificate(f, rows, [bad, *good])
     calls = []
@@ -494,7 +488,7 @@ def test_certificate_rejects_a_singular_reflection(monkeypatch, n, kind):
 
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 def test_certificate_needs_a_transitive_set(monkeypatch, n, kind):
-    f, g, rows, good, size = certificate_case(n, kind)
+    f, g, rows, good = certificate_case(n, kind)
     with pytest.raises(srg._NotCertified, match="not transitive"):
         srg._certificate(f, rows, good[:-1])
     calls = []
@@ -507,7 +501,7 @@ def test_certificate_needs_a_transitive_set(monkeypatch, n, kind):
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 @pytest.mark.parametrize("edit", ["symmetric_flip", "one_row"])
 def test_certificate_rejects_a_corrupted_row(n, kind, edit):
-    f, g, rows, good, size = certificate_case(n, kind)
+    f, g, rows, good = certificate_case(n, kind)
     params = expected_params(n, kind)
     rows, vrows = list(rows), list(g.rows)
     last = g.v - 1
@@ -556,10 +550,10 @@ def test_flipped_pair_is_rejected_by_every_checker(case, data):
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 def test_each_reflection_checks_fixed_and_moved_rows(n, kind):
     # one reflection alone: a row it fixes and a row it moves, each with one
-    # point of H_r toggled, fail the row step before the orbit step is reached
-    f, g, rows, good, size = certificate_case(n, kind)
-    first = good[0]
-    r, h, _ = first
+    # point of nonorth(r) toggled, fail the row step before the orbit step is reached
+    f, g, rows, good = certificate_case(n, kind)
+    r = good[0]
+    h = f.nonorth(r)
     fixed = next(i for i, x in enumerate(g.labels) if not (h >> x) & 1)
     moved = next(i for i, x in enumerate(g.labels) if (h >> x) & 1 and x < x ^ r)
     y = next(p for p in g.labels if (h >> p) & 1)
@@ -567,13 +561,13 @@ def test_each_reflection_checks_fixed_and_moved_rows(n, kind):
         bad = list(rows)
         bad[i] ^= 1 << y
         with pytest.raises(srg._NotCertified, match=message):
-            srg._certificate(f, bad, [first])
+            srg._certificate(f, bad, [r])
 
 
 def test_certificate_ignores_no_point_outside_the_vertex_set():
     # point 0 added to every row is fixed by every reflection, so the rows stay
     # equivariant; the graph (which has no vertex 0) is untouched
-    f, g, rows, good, size = certificate_case(5, ELLIPTIC)
+    f, g, rows, good = certificate_case(5, ELLIPTIC)
     with_zero = [row | 1 for row in rows]
     with pytest.raises(srg._NotCertified, match="first row"):
         srg._certificate(f, with_zero, good)
@@ -585,7 +579,8 @@ def test_certificate_ignores_no_point_outside_the_vertex_set():
 def test_certify_gamma_falls_back_on_the_graph_its_rows_describe(monkeypatch, stray):
     # a bit off the vertex set in every row forces the fallback; verify_srg
     # must then see the graph the rows describe, which is gamma
-    f, g, rows, good, size = certificate_case(5, HYPERBOLIC)
+    f = form(5, HYPERBOLIC)
+    rows = build_gamma_rows(f)[1]
     seen = []
     monkeypatch.setattr(srg, "verify_srg", lambda h: seen.append(h) or verify_srg(h))
     assert certify_gamma(f, [row | stray for row in rows]).params == expected_params(5, HYPERBOLIC)
@@ -603,9 +598,10 @@ def test_certificate_checks_every_pair_through_the_first_vertex(connection, brok
     everything = (1 << size) - 1
     stand_in = canonical_form(3, HYPERBOLIC)  # a form on F_2^4 of its own ...
     stand_in.off, stand_in.labels = everything, g.labels  # ... with every vector a vertex, 0 included
-    translations = [(r, everything, stand_in.block_swaps(r)) for r in (1, 2, 4, 8)]
+    stand_in.reflect = stand_in.translate  # ... whose "reflection" in r is the translation by r,
+    stand_in.nonorth = lambda r: everything  # which moves every point
     with pytest.raises(srg._NotCertified, match=broken):
-        srg._certificate(stand_in, rows, translations)
+        srg._certificate(stand_in, rows, (1, 2, 4, 8))
     with pytest.raises(NotStronglyRegular):
         verify_srg(g)
 
