@@ -24,6 +24,13 @@ intersection numbers) does, and a differing profile certifies
 non-isomorphism with no search.  Only when the profiles are equal does a
 colour-refinement / individualization backtracking search run, and every
 "yes" it gives comes from an explicit mapping.
+
+classify_family profiles each member at most once, on the first pair that
+needs it.  The quadric graph's profile is read off vertex 0 alone when its
+certificate has reflections: they are automorphisms transitive on the
+vertices, so every vertex sees the pairs through it as vertex 0 does, and
+summing over all v vertices counts each pair twice.  So the profile is the
+multiset over y != 0 of (A_0y, sorted counts), each multiplicity times v/2.
 """
 
 from __future__ import annotations
@@ -223,10 +230,32 @@ def _pair_profile(g: Graph) -> Counter:
     return profile
 
 
+def _certified_pair_profile(g: Graph, certificate: GammaCertificate) -> Counter:
+    """_pair_profile(g), from the pairs through vertex 0 when the certificate's
+    reflections make g vertex-transitive (see the module docstring)."""
+    rows, v = g.rows, g.v
+    if certificate.reflections:
+        r0 = rows[0]
+        seen = Counter(
+            ((r0 >> y) & 1, tuple(sorted(map(int.bit_count, map((r0 & ry).__and__, rows)))))
+            for y, ry in enumerate(rows)
+            if y
+        )
+        if all(m * v % 2 == 0 for m in seen.values()):
+            return Counter({key: m * v // 2 for key, m in seen.items()})
+    return _pair_profile(g)
+
+
 def are_isomorphic(g1: Graph, g2: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Exact isomorphism decision: pair profiles first, then refinement +
     individualization when the profiles agree.  Graphs with equal rows are
     isomorphic through the identity, with no profile or search."""
+    return _isomorphic(g1, g2, lambda: _pair_profile(g1) == _pair_profile(g2), budget)
+
+
+def _isomorphic(g1: Graph, g2: Graph, same_profiles, budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """are_isomorphic, with the profile comparison a call made only when the
+    cheap invariants agree."""
     if max(g1.v, g2.v) > MAX_EXACT_VERTICES:
         raise IsomorphismTooLarge(f"exact testing is capped at {MAX_EXACT_VERTICES} vertices")
     if g1.rows == g2.rows:
@@ -237,7 +266,7 @@ def are_isomorphic(g1: Graph, g2: Graph, budget: int = DEFAULT_NODE_BUDGET) -> b
         return False
     if sorted(r.bit_count() for r in g1.rows) != sorted(r.bit_count() for r in g2.rows):
         return False
-    if _pair_profile(g1) != _pair_profile(g2):
+    if not same_profiles():
         return False
     return _IsoSearch(g1, g2, budget).run()
 
@@ -265,7 +294,11 @@ class Family:
 
     form: QuadraticForm
     members: tuple[FamilyMember, ...]  # the unswitched graph first
-    params: SrgParams  # of the unswitched graph, from certify_gamma
+    certificate: GammaCertificate  # of the unswitched graph, from certify_gamma
+
+    @property
+    def params(self) -> SrgParams:
+        return self.certificate.params
 
 
 @dataclass(frozen=True)
@@ -328,7 +361,7 @@ def build_family(n: int, kind: str) -> Family:
         for t in legal_t_range(n, kind, variant):
             sw = build_switch(gamma, make_config(form, t, variant))
             members.append(_member(f"gamma_{variant}{t}", t, variant, sw.graph, sw))
-    return Family(form, tuple(members), certificate.params)
+    return Family(form, tuple(members), certificate)
 
 
 def classify_family(family: Family, cross_check: Optional[bool] = None) -> FamilyReport:
@@ -343,6 +376,14 @@ def classify_family(family: Family, cross_check: Optional[bool] = None) -> Famil
     # cross-check has not separated them: equal signatures and, when checked,
     # isomorphism, both equivalences.  So a member is new unless an earlier
     # member is equivalent to it.
+    profiles: dict[int, Counter] = {}  # by member index, made on first use
+
+    def profile(i: int) -> Counter:
+        if i not in profiles:
+            g = members[i].graph
+            profiles[i] = _certified_pair_profile(g, family.certificate) if i == 0 else _pair_profile(g)
+        return profiles[i]
+
     pairs, repeats = [], set()
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -350,7 +391,7 @@ def classify_family(family: Family, cross_check: Optional[bool] = None) -> Famil
             inv = _separating_invariant(a.sig, b.sig)
             iso = None
             if cross_check:
-                iso = are_isomorphic(a.graph, b.graph)
+                iso = _isomorphic(a.graph, b.graph, lambda: profile(i) == profile(j))
             if inv == "none":
                 distinct_pair = None if iso is None else not iso
             else:  # an isomorphism that an invariant contradicts leaves the pair unknown

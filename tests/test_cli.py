@@ -289,7 +289,7 @@ def test_out_of_reach_n_is_refused_up_front(capsys, argv, reason):
 )
 def test_a_cross_check_against_the_invariants_fails_the_run(monkeypatch, capsys, argv, failed):
     # every n = 5 pair is separated by an invariant, so "isomorphic" contradicts it
-    monkeypatch.setattr(distinguish, "are_isomorphic", lambda a, b: True)
+    monkeypatch.setattr(distinguish, "_isomorphic", lambda a, b, same_profiles: True)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     rep = json.loads(out)
@@ -300,19 +300,19 @@ def test_a_cross_check_against_the_invariants_fails_the_run(monkeypatch, capsys,
 
 @pytest.mark.parametrize("failure", ["budget", "cap"])
 def test_undecided_isomorphism_is_a_json_error(monkeypatch, capsys, failure):
-    real = distinguish.are_isomorphic
+    real = distinguish._isomorphic
     big = Graph(tuple(range(1, 602)), (0,) * 601)
 
-    def undecided(a, b):
+    def undecided(a, b, same_profiles):
         if failure == "budget":
             # a relabelled copy has the profile of a, so it reaches the search,
             # and a match needs more than one node
             perm = list(range(a.v))
             random.Random(1).shuffle(perm)
-            return real(a, relabel(a, perm), budget=1)
-        return real(big, big)
+            return real(a, relabel(a, perm), lambda: True, budget=1)
+        return real(big, big, same_profiles)
 
-    monkeypatch.setattr(distinguish, "are_isomorphic", undecided)
+    monkeypatch.setattr(distinguish, "_isomorphic", undecided)
     code, out, err = run_cli(capsys, "classify-family", "--n", "5", "--kind", "elliptic")
     assert code == 1
     message = "1 search nodes" if failure == "budget" else "capped at 600 vertices"

@@ -1,6 +1,7 @@
 """Signatures, the exact isomorphism tester, and family classification."""
 
 import random
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -12,6 +13,8 @@ from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.distinguish import (
     Family,
     IsomorphismBudgetExceeded,
+    PairEvidence,
+    _certified_pair_profile,
     _orbit_profiles,
     _pair_profile,
     _profile,
@@ -263,6 +266,77 @@ def test_pair_profile_invariant_on_n5_family(rng):
             assert _pair_profile(relabel(m.graph, perm)) == _pair_profile(m.graph), m.name
 
 
+def counted_pair_profiles(monkeypatch):
+    """The graphs that classify_family hands to _pair_profile, one per call."""
+    calls = []
+    monkeypatch.setattr(distinguish, "_pair_profile", lambda g: calls.append(g) or _pair_profile(g))
+    return calls
+
+
+@pytest.mark.parametrize("n, kind, direct", [(5, ELLIPTIC, 2), (5, HYPERBOLIC, 1), (7, ELLIPTIC, 4), (7, HYPERBOLIC, 3)])
+def test_the_cross_check_profiles_each_switched_member_once(monkeypatch, n, kind, direct):
+    # one profile per member, gamma's from one vertex: the switched members only
+    family = build_family(n, kind)
+    calls = counted_pair_profiles(monkeypatch)
+    rep = classify_family(family, cross_check=True)
+    assert len(calls) == direct == len(family.members) - 1
+    assert {id(g) for g in calls} == {id(m.graph) for m in family.members[1:]}
+    assert all(p.distinct is True and p.cross_checked is False for p in rep.pairs)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_gamma_pair_profile_from_one_vertex(monkeypatch, n, kind):
+    gamma, certificate = srg.certified_gamma(n, kind)
+    assert certificate.reflections
+    calls = counted_pair_profiles(monkeypatch)
+    one_vertex = _certified_pair_profile(gamma, certificate)
+    assert not calls
+    assert one_vertex == _pair_profile(gamma)
+
+
+def test_certified_pair_profile_falls_back_on_an_odd_multiplicity(monkeypatch):
+    # the path 0 - 1 - 2 is not vertex-transitive; v = 3 times the multiplicity 1
+    # of each pair through vertex 0 is odd, so the reflections are not trusted
+    path = Graph((1, 2, 3), (0b010, 0b101, 0b010))
+    certificate = srg.certified_gamma(5, ELLIPTIC)[1]
+    calls = counted_pair_profiles(monkeypatch)
+    assert _certified_pair_profile(path, certificate) == _pair_profile(path)
+    assert calls == [path]
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_a_relabelled_member_is_cross_checked_as_isomorphic_and_merged(monkeypatch, kind):
+    family = build_family(5, kind)
+    base = classify_family(family, cross_check=True)
+    last = family.members[-1]
+    perm = list(range(last.graph.v))
+    random.Random(3).shuffle(perm)
+    copy = replace(last, name="copy", graph=relabel(last.graph, perm))
+    calls = counted_pair_profiles(monkeypatch)
+    rep = classify_family(Family(family.form, family.members + (copy,), family.certificate), cross_check=True)
+    assert len(calls) == len(family.members)  # the switched members and the copy, once each
+    assert sum(g is copy.graph for g in calls) == 1
+    # the copy is paired as its original is, and with its original it is isomorphic
+    expected = {(p.first, p.second): p for p in base.pairs}
+    expected.update({(p.first, "copy"): replace(p, second="copy") for p in base.pairs if p.second == last.name})
+    expected[last.name, "copy"] = PairEvidence(last.name, "copy", False, "none", True)
+    assert len(rep.pairs) == len(expected)
+    assert {(p.first, p.second): p for p in rep.pairs} == expected
+    assert rep.distinct_count == base.distinct_count
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_a_certificate_without_reflections_profiles_gamma_directly(monkeypatch, kind):
+    family = build_family(5, kind)
+    base = classify_family(family, cross_check=True)
+    stripped = Family(family.form, family.members, replace(family.certificate, reflections=()))
+    calls = counted_pair_profiles(monkeypatch)
+    assert classify_family(stripped, cross_check=True) == base
+    assert sum(g is family.members[0].graph for g in calls) == 1
+    assert len(calls) == len(family.members)
+
+
 def test_relabel_rejects_non_permutation():
     g = build_gamma(E5)
     with pytest.raises(ValueError):
@@ -329,7 +403,7 @@ def test_family_n7_hyperbolic():
 def test_an_isomorphism_against_an_invariant_leaves_the_pair_unknown(monkeypatch):
     # the invariants separate every pair; a cross-check that says otherwise
     # is a contradiction, reported as unknown and not merged
-    monkeypatch.setattr(distinguish, "are_isomorphic", lambda a, b: True)
+    monkeypatch.setattr(distinguish, "_isomorphic", lambda a, b, same_profiles: True)
     rep = classify_family(build_family(5, ELLIPTIC))
     assert all(p.invariant != "none" and p.distinct is None for p in rep.pairs)
     assert all(p.cross_checked is True for p in rep.pairs)
@@ -341,11 +415,11 @@ def test_a_repeated_member_is_merged_unless_the_cross_check_separates_it(monkeyp
     # every real pair is separated by an invariant, so only a copy reaches the merge;
     # at n = 5 hyperbolic both copies are of gamma_t1: three equal members count once
     family = build_family(5, kind)
-    twice = Family(family.form, family.members + family.members[1:2] + family.members[-1:], family.params)
+    twice = Family(family.form, family.members + family.members[1:2] + family.members[-1:], family.certificate)
     rep = classify_family(twice, cross_check=False)
     assert rep.distinct_count == len(family.members)
     assert all((p.invariant == "none") == (p.distinct is None) == (p.first == p.second) for p in rep.pairs)
-    monkeypatch.setattr(distinguish, "are_isomorphic", lambda a, b: False)
+    monkeypatch.setattr(distinguish, "_isomorphic", lambda a, b, same_profiles: False)
     rep = classify_family(twice, cross_check=True)
     assert rep.distinct_count == len(twice.members)
     assert all(p.distinct is True and p.cross_checked is False for p in rep.pairs)
