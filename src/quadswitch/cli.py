@@ -98,16 +98,6 @@ def _base_graph(args, runner: _Runner, verify: bool):
     return certificate.form, gamma, certificate.params
 
 
-def _requested_switch(args, runner: _Runner, verify: bool = False):
-    """The base graph, its parameters when verify is set (else None), and the
-    switch at the requested flag (and only that flag)."""
-    form, gamma, base = _base_graph(args, runner, verify)
-    cfg = runner.time(
-        "find_flag", lambda: switching.make_config(form, args.t, args.variant, args.seed_choice)
-    )
-    return gamma, base, switching.build_switch(gamma, cfg)
-
-
 def _switch_report(sw: switching.Switch) -> dict:
     cfg, cert = sw.config, sw.certificate
     return {
@@ -149,7 +139,11 @@ def cmd_construct(args, runner: _Runner) -> dict:
 
 
 def cmd_switch(args, runner: _Runner) -> dict:
-    gamma, base, sw = _requested_switch(args, runner, args.verify)
+    form, gamma, base = _base_graph(args, runner, args.verify)
+    cfg = runner.time(
+        "find_flag", lambda: switching.make_config(form, args.t, args.variant, args.seed_choice)
+    )
+    sw = switching.build_switch(gamma, cfg)
     report = {"switching": _switch_report(sw)}
     runner.check("t_formula_equals_half_class", report["switching"]["t_formula_equals_half_class"])
     if args.verify:
@@ -163,15 +157,11 @@ def cmd_switch(args, runner: _Runner) -> dict:
 
 
 def cmd_code(args, runner: _Runner) -> dict:
-    if args.t is None:
-        graph = _base_graph(args, runner, False)[1]
-    else:
-        graph = _requested_switch(args, runner)[2].graph
+    graph = _base_graph(args, runner, False)[1]
     report = {"code": runner.time("code", lambda: _code_report(graph))}
-    if args.t is None:
-        expected = codes.expected_gamma_weight_distribution(args.n, args.kind)
-        got = dict((w, c) for w, c in report["code"]["weight_distribution"])
-        runner.check("weight_distribution_matches_table", got == expected)
+    expected = codes.expected_gamma_weight_distribution(args.n, args.kind)
+    got = dict((w, c) for w, c in report["code"]["weight_distribution"])
+    runner.check("weight_distribution_matches_table", got == expected)
     return report
 
 
@@ -221,100 +211,92 @@ def cmd_classify_family(args, runner: _Runner) -> dict:
     return {"family": _family_report_dict(rep)}
 
 
-def verify_all(n: int, runner: _Runner) -> dict:
-    """Every check the library makes at one projective dimension."""
-    report: dict = {"n": n}
-    families = {
-        kind: runner.time(f"build_family_{kind}", lambda k=kind: distinguish.build_family(n, k))
-        for kind in (ELLIPTIC, HYPERBOLIC)
-    }
+def _check_quadric_size(form, runner: _Runner, report: dict) -> None:
+    got = form.zero_mask.bit_count()
+    report["quadric_sizes"][f"{form.kind}_{form.n}"] = got
+    runner.check(f"quadric_size_{form.kind}_n{form.n}", got == quadric_size(form.n, form.kind))
 
-    sizes = {}
-    for form in [canonical_form(n - 1, PARABOLIC)] + [f.form for f in families.values()]:
-        got = form.zero_mask.bit_count()
-        sizes[f"{form.kind}_{form.n}"] = got
-        runner.check(f"quadric_size_{form.kind}_n{form.n}", got == quadric_size(form.n, form.kind))
-    report["quadric_sizes"] = sizes
 
-    report["srg"] = {}
-    for kind, family in families.items():
-        report["srg"][kind] = _params_dict(family.params)
-        runner.check(f"srg_{kind}", family.params == expected_params(n, kind))
+def _verify_family(n: int, kind: str, runner: _Runner, report: dict) -> None:
+    """Build kind's family at n and write its checks into report's sections;
+    the family is dropped on return, before the next kind is built."""
+    family = runner.time(f"build_family_{kind}", lambda: distinguish.build_family(n, kind))
+    form, params, gamma = family.form, family.params, family.members[0]
+
+    _check_quadric_size(form, runner, report)
+    report["srg"][kind] = _params_dict(params)
+    runner.check(f"srg_{kind}", params == expected_params(n, kind))
 
     if n == 5:
-        lines = {}
-        for kind, family in families.items():
-            sign = 1 if kind == ELLIPTIC else -1
-            want = (1 << (n - 2)) + sign * (1 << ((n - 3) // 2))
-            form = family.form
-            counts = {count_external_lines_through(form, x) for x in form.labels}
-            lines[kind] = sorted(counts)
-            runner.check(f"external_lines_{kind}", counts == {want})
-        report["external_lines_per_point"] = lines
+        sign = 1 if kind == ELLIPTIC else -1
+        want = (1 << (n - 2)) + sign * (1 << ((n - 3) // 2))
+        counts = {count_external_lines_through(form, x) for x in form.labels}
+        report["external_lines_per_point"][kind] = sorted(counts)
+        runner.check(f"external_lines_{kind}", counts == {want})
 
-    report["switches"] = {}
-    for kind, family in families.items():
-        gamma = family.members[0]
-        for m in family.members[1:]:
-            sw, t, variant, code, words = m.switch, m.t, m.variant, m.code, m.words
-            tag = f"{kind}_{variant}{t}"
-            entry = _switch_report(sw)
-            runner.check(f"t_formula_{tag}", entry["t_formula_equals_half_class"])
-            runner.check(
-                f"induced_degree_{tag}",
-                sw.certificate.induced_degree == (0 if variant == "t" else 1 << (t + 1)),
-            )
-            runner.check(f"s_size_{tag}", sw.s.bit_count() == 1 << (t + 1 + (variant == "tt")))
-            runner.check(
-                f"t_size_{tag}",
-                sw.t_set.bit_count() == switching.expected_T_size(n, kind, t, variant),
-            )
-            switched = verify_srg_near(sw.graph, gamma.graph, family.params, sw.s)
-            runner.check(f"switched_srg_{tag}", switched == family.params)
-
-            v_s, v_t = sw.s, sw.t_set
-            entry["code"] = {
-                "dimension": code.dim,
-                "min_weight": words[0].bit_count(),
-                "min_word_count": len(words),
-            }
-            runner.check(f"code_dim_{tag}", code.dim == n + 3)
-            runner.check(
-                f"code_min_weight_{tag}",
-                words[0].bit_count() == (1 << (t + 1 + (variant == "tt"))),
-            )
-            runner.check(f"v_s_is_min_word_{tag}", v_s in words)
-            runner.check(f"v_s_in_switched_code_{tag}", codes.contains(code, v_s))
-            runner.check(f"v_t_in_switched_code_{tag}", codes.contains(code, v_t))
-            runner.check(f"v_t_not_in_base_code_{tag}", not codes.contains(gamma.code, v_t))
-            joined = codes.from_vectors(gamma.graph.v, gamma.code.basis + (v_s, v_t))
-            runner.check(f"switched_code_is_augmented_base_{tag}", joined.basis == code.basis)
-            report["switches"][tag] = entry
-
-    report["codes"] = {}
-    for kind, family in families.items():
-        code = family.members[0].code
-        dist = codes.weight_distribution(code)
-        report["codes"][kind] = {
-            "dimension": code.dim,
-            "weight_distribution": [[w, c] for w, c in sorted(dist.items())],
-        }
-        runner.check(f"gamma_code_dim_{kind}", code.dim == n + 1)
+    for m in family.members[1:]:
+        sw, t, variant, code, words = m.switch, m.t, m.variant, m.code, m.words
+        tag = f"{kind}_{variant}{t}"
+        s_size = 1 << (t + 1 + (variant == "tt"))
+        entry = _switch_report(sw)
+        runner.check(f"t_formula_{tag}", entry["t_formula_equals_half_class"])
         runner.check(
-            f"gamma_weight_distribution_{kind}",
-            dist == codes.expected_gamma_weight_distribution(n, kind),
+            f"induced_degree_{tag}",
+            sw.certificate.induced_degree == (0 if variant == "t" else 1 << (t + 1)),
         )
-
-    report["families"] = {}
-    for kind, family in families.items():
-        rep = runner.time(f"classify_{kind}", lambda f=family: distinguish.classify_family(f))
-        report["families"][kind] = _family_report_dict(rep)
-        runner.check(f"family_all_pairs_separated_{kind}", all(p.distinct for p in rep.pairs))
-        expected_members = 1 + len(switching.legal_t_range(n, kind, "t")) + len(
-            switching.legal_t_range(n, kind, "tt")
+        runner.check(f"s_size_{tag}", sw.s.bit_count() == s_size)
+        runner.check(
+            f"t_size_{tag}",
+            sw.t_set.bit_count() == switching.expected_T_size(n, kind, t, variant),
         )
-        runner.check(f"family_count_{kind}", rep.distinct_count == expected_members)
+        switched = verify_srg_near(sw.graph, gamma.graph, params, sw.s)
+        runner.check(f"switched_srg_{tag}", switched == params)
 
+        v_s, v_t = sw.s, sw.t_set
+        entry["code"] = {
+            "dimension": code.dim,
+            "min_weight": words[0].bit_count(),
+            "min_word_count": len(words),
+        }
+        runner.check(f"code_dim_{tag}", code.dim == n + 3)
+        runner.check(f"code_min_weight_{tag}", words[0].bit_count() == s_size)
+        runner.check(f"v_s_is_min_word_{tag}", v_s in words)
+        runner.check(f"v_s_in_switched_code_{tag}", codes.contains(code, v_s))
+        runner.check(f"v_t_in_switched_code_{tag}", codes.contains(code, v_t))
+        runner.check(f"v_t_not_in_base_code_{tag}", not codes.contains(gamma.code, v_t))
+        joined = codes.from_vectors(gamma.graph.v, gamma.code.basis + (v_s, v_t))
+        runner.check(f"switched_code_is_augmented_base_{tag}", joined.basis == code.basis)
+        report["switches"][tag] = entry
+
+    dist = codes.weight_distribution(gamma.code)
+    report["codes"][kind] = {
+        "dimension": gamma.code.dim,
+        "weight_distribution": [[w, c] for w, c in sorted(dist.items())],
+    }
+    runner.check(f"gamma_code_dim_{kind}", gamma.code.dim == n + 1)
+    runner.check(
+        f"gamma_weight_distribution_{kind}",
+        dist == codes.expected_gamma_weight_distribution(n, kind),
+    )
+
+    rep = runner.time(f"classify_{kind}", lambda: distinguish.classify_family(family))
+    report["families"][kind] = _family_report_dict(rep)
+    runner.check(f"family_all_pairs_separated_{kind}", all(p.distinct for p in rep.pairs))
+    expected_members = 1 + len(switching.legal_t_range(n, kind, "t")) + len(
+        switching.legal_t_range(n, kind, "tt")
+    )
+    runner.check(f"family_count_{kind}", rep.distinct_count == expected_members)
+
+
+def verify_all(n: int, runner: _Runner) -> dict:
+    """Every check the library makes at one projective dimension, one quadric
+    kind at a time."""
+    report: dict = {"n": n, "quadric_sizes": {}, "srg": {}, "switches": {}, "codes": {}, "families": {}}
+    if n == 5:
+        report["external_lines_per_point"] = {}
+    for kind in (ELLIPTIC, HYPERBOLIC):
+        _verify_family(n, kind, runner, report)
+    _check_quadric_size(canonical_form(n - 1, PARABOLIC), runner, report)
     return report
 
 
@@ -351,11 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-graph", help="write graph6 + .labels files")
     p.set_defaults(fn=cmd_switch)
 
-    p = sub.add_parser("code", help="code of the graph (or of a switch)")
+    p = sub.add_parser("code", help="code of the quadric graph (switch --code gives a switch's)")
     common(p)
-    p.add_argument("--t", type=int)
-    p.add_argument("--variant", choices=["t", "tt"], default="t")
-    p.add_argument("--seed-choice", type=int, default=0)
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("classify-family", help="signatures and pairwise evidence")

@@ -1,6 +1,7 @@
 """Command-line behaviour: reports, exit codes, determinism, export files."""
 
 import errno
+import gc
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 import types
+import weakref
 
 import networkx as nx
 import pytest
@@ -89,6 +91,17 @@ def test_code_command_checks_table(capsys):
     assert rep["checks"]["weight_distribution_matches_table"]
 
 
+def test_code_command_takes_no_switch_options(capsys):
+    # a switch's code is switch --code's; code reports the quadric graph's only
+    with pytest.raises(SystemExit) as exc:
+        main(["code", "--n", "5", "--kind", "elliptic", "--t", "1"])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "code", "--n", "5", "--kind", "elliptic")
+    assert code == 0
+    request = json.loads(out)["request"]
+    assert (request["t"], request["variant"], request["seed_choice"]) == (None, None, None)
+
+
 def test_classify_family_n5(capsys):
     code, out, _ = run_cli(capsys, "classify-family", "--n", "5", "--kind", "elliptic")
     assert code == 0
@@ -122,6 +135,33 @@ def test_verify_all_deterministic(capsys):
     assert strip_timings(out1) == strip_timings(out2)
     rep = json.loads(out1)
     assert rep["checks"] and all(rep["checks"].values())
+
+
+@pytest.mark.parametrize("n", [1, 4, 11, 19])
+def test_verify_all_refuses_an_unclassified_n_before_any_check(capsys, n):
+    # the elliptic family is the first work, so its refusal is the report's error
+    code, out, _ = run_cli(capsys, "verify-all", "--n", str(n))
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["error"] == f"families are classified for odd n in [5, 9], got {n}"
+    assert rep["checks"] == {} and rep["timings"] == {}
+
+
+def test_verify_all_holds_one_family_at_a_time(capsys, monkeypatch):
+    build = distinguish.build_family
+    families, alive_at_build = [], []
+
+    def tracked(n, kind):
+        gc.collect()
+        alive_at_build.append([ref() is not None for ref in families])
+        family = build(n, kind)
+        families.append(weakref.ref(family))
+        return family
+
+    monkeypatch.setattr(distinguish, "build_family", tracked)
+    code, _, _ = run_cli(capsys, "verify-all", "--n", "7")
+    assert code == 0
+    assert alive_at_build == [[], [False]]  # the elliptic family is gone before the hyperbolic one
 
 
 def test_out_flag_writes_report(tmp_path, capsys):
