@@ -221,7 +221,7 @@ def _verify_family(n: int, kind: str, runner: _Runner, report: dict) -> None:
     """Build kind's family at n and write its checks into report's sections;
     the family is dropped on return, before the next kind is built."""
     family = runner.time(f"build_family_{kind}", lambda: distinguish.build_family(n, kind))
-    form, params, gamma = family.form, family.params, family.members[0]
+    form, params, gamma = family.form, family.certificate.params, family.members[0]
 
     _check_quadric_size(form, runner, report)
     report["srg"][kind] = _params_dict(params)
@@ -304,7 +304,9 @@ def cmd_verify_all(args, runner: _Runner) -> dict:
     return runner.time("verify_all", lambda: verify_all(args.n, runner))
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, made on the first request and reused by the rest."""
     parser = argparse.ArgumentParser(
         prog="quadswitch",
         description="quadric graphs in PG(n,2), their switches, and their codes",
@@ -346,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_all)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, made on the first request and reused by the rest."""
-    return build_parser()
 
 
 _WORDS = {None: "null", True: "true", False: "false"}
@@ -433,10 +429,13 @@ def main(argv=None) -> int:
         outs, args.export_files = [], []
         try:
             # open every output before any work, not after the report is printed
+            export = getattr(args, "export_graph", None)
+            exports = (export, export + ".labels") if export else ()
+            if args.out and os.path.realpath(args.out) in map(os.path.realpath, exports):
+                raise OSError(f"--out: {args.out!r} is a file that --export-graph writes")
             if args.out:
                 outs.append(_create(stack, "--out", args.out, "w"))
-            export = getattr(args, "export_graph", None)
-            for path in (export, export + ".labels") if export else ():
+            for path in exports:
                 args.export_files.append(_create(stack, "--export-graph", path, "wb"))
             report.update(args.fn(args, runner))
         except (

@@ -21,9 +21,9 @@ its adjacency and the sorted numbers |N(x) & N(y) & N(z)| over all z.
 Godsil-McKay switches keep v, k, lambda, mu and the spectrum, so colour
 refinement cannot tell them apart, but the profile (a multiset of triple
 intersection numbers) does, and a differing profile certifies
-non-isomorphism with no search.  Only when the profiles are equal does a
-colour-refinement / individualization backtracking search run, and every
-"yes" it gives comes from an explicit mapping.
+non-isomorphism with no search.  Only when the profiles are equal does
+_isomorphic run its colour-refinement / individualization backtracking
+search, and every "yes" it gives comes from an explicit mapping.
 
 classify_family profiles each member at most once, on the first pair that
 needs it.  The quadric graph's profile is read off vertex 0 alone when its
@@ -41,7 +41,7 @@ from typing import Optional
 
 from .codes import BinaryCode, code_from_graph, min_weight_codewords
 from .gf2geom import GeometryError, QuadraticForm, set_bits
-from .srg import GammaCertificate, Graph, SrgParams, certified_gamma
+from .srg import GammaCertificate, Graph, certified_gamma
 from .switching import Switch, build_switch, legal_t_range, make_config
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -141,77 +141,11 @@ def _refine(adj1, adj2, c1, c2) -> Optional[tuple[list[int], list[int], int]]:
             if cid is None:
                 return None
             new2[u] = cid
-        hist1: dict[int, int] = {}
-        hist2: dict[int, int] = {}
-        for c in new1:
-            hist1[c] = hist1.get(c, 0) + 1
-        for c in new2:
-            hist2[c] = hist2.get(c, 0) + 1
-        if hist1 != hist2:
+        if Counter(new1) != Counter(new2):
             return None
         if new1 == c1 and new2 == c2:
             return new1, new2, len(table)
         c1, c2 = new1, new2
-
-
-class _IsoSearch:
-    def __init__(self, g1: Graph, g2: Graph, budget: int):
-        self.adj1 = [g1.neighbors(i) for i in range(g1.v)]
-        self.adj2 = [g2.neighbors(i) for i in range(g2.v)]
-        self.rows1 = g1.rows
-        self.rows2 = g2.rows
-        self.n = g1.v
-        self.nodes = 0
-        self.budget = budget
-
-    def run(self) -> bool:
-        c1 = [0] * self.n
-        c2 = [0] * self.n
-        return self._search(c1, c2)
-
-    def _search(self, c1, c2) -> bool:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise IsomorphismBudgetExceeded(f"gave up after {self.budget} search nodes")
-        refined = _refine(self.adj1, self.adj2, c1, c2)
-        if refined is None:
-            return False
-        c1, c2, ncolours = refined
-
-        classes1: dict[int, list[int]] = {}
-        classes2: dict[int, list[int]] = {}
-        for u, c in enumerate(c1):
-            classes1.setdefault(c, []).append(u)
-        for u, c in enumerate(c2):
-            classes2.setdefault(c, []).append(u)
-
-        if all(len(nodes) == 1 for nodes in classes1.values()):
-            # discrete partition: the induced bijection is the only candidate
-            mapping = [0] * self.n
-            for c, nodes in classes1.items():
-                mapping[nodes[0]] = classes2[c][0]
-            return self._is_isomorphism(mapping)
-
-        target = min((nodes for nodes in classes1.values() if len(nodes) > 1), key=len)
-        colour = c1[target[0]]
-        u = target[0]
-        for v in classes2[colour]:
-            nc1 = list(c1)
-            nc2 = list(c2)
-            nc1[u] = ncolours
-            nc2[v] = ncolours
-            if self._search(nc1, nc2):
-                return True
-        return False
-
-    def _is_isomorphism(self, mapping) -> bool:
-        for i in range(self.n):
-            r = 0
-            for j in self.adj1[i]:
-                r |= 1 << mapping[j]
-            if r != self.rows2[mapping[i]]:
-                return False
-        return True
 
 
 def _pair_profile(g: Graph) -> Counter:
@@ -255,7 +189,12 @@ def are_isomorphic(g1: Graph, g2: Graph, budget: int = DEFAULT_NODE_BUDGET) -> b
 
 def _isomorphic(g1: Graph, g2: Graph, same_profiles, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """are_isomorphic, with the profile comparison a call made only when the
-    cheap invariants agree."""
+    cheap invariants agree.  The search counts each node against budget and
+    refines both colourings together.  A discrete partition maps colour to
+    colour and is accepted only if every permuted row of g1 is g2's row;
+    otherwise the first vertex of g1's smallest split class (the first to
+    appear, on a tie) is individualized against each g2 vertex of its colour,
+    in index order."""
     if max(g1.v, g2.v) > MAX_EXACT_VERTICES:
         raise IsomorphismTooLarge(f"exact testing is capped at {MAX_EXACT_VERTICES} vertices")
     if g1.rows == g2.rows:
@@ -268,7 +207,38 @@ def _isomorphic(g1: Graph, g2: Graph, same_profiles, budget: int = DEFAULT_NODE_
         return False
     if not same_profiles():
         return False
-    return _IsoSearch(g1, g2, budget).run()
+
+    n = g1.v
+    adj1 = [g1.neighbors(i) for i in range(n)]
+    adj2 = [g2.neighbors(i) for i in range(n)]
+    nodes = 0
+
+    def search(c1: list[int], c2: list[int]) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise IsomorphismBudgetExceeded(f"gave up after {budget} search nodes")
+        refined = _refine(adj1, adj2, c1, c2)
+        if refined is None:
+            return False
+        c1, c2, ncolours = refined
+        if ncolours == n:
+            # discrete partition: the induced bijection is the only candidate
+            vertex2 = {c: w for w, c in enumerate(c2)}
+            mapping = [vertex2[c] for c in c1]
+            return all(sum(1 << mapping[j] for j in adj1[i]) == g2.rows[mapping[i]] for i in range(n))
+        sizes = Counter(c1)
+        colour = min((c for c, k in sizes.items() if k > 1), key=sizes.__getitem__)
+        u = c1.index(colour)
+        for w, c in enumerate(c2):
+            if c == colour:
+                nc1, nc2 = list(c1), list(c2)
+                nc1[u] = nc2[w] = ncolours
+                if search(nc1, nc2):
+                    return True
+        return False
+
+    return search([0] * n, [0] * n)
 
 
 # --- whole-family classification ------------------------------------------------
@@ -296,10 +266,6 @@ class Family:
     members: tuple[FamilyMember, ...]  # the unswitched graph first
     certificate: GammaCertificate  # of the unswitched graph, from certify_gamma
 
-    @property
-    def params(self) -> SrgParams:
-        return self.certificate.params
-
 
 @dataclass(frozen=True)
 class PairEvidence:
@@ -315,8 +281,6 @@ class PairEvidence:
 
 @dataclass(frozen=True)
 class FamilyReport:
-    n: int
-    kind: str
     members: tuple[FamilyMember, ...]
     pairs: tuple[PairEvidence, ...]
     distinct_count: int
@@ -405,8 +369,6 @@ def classify_family(family: Family, cross_check: Optional[bool] = None) -> Famil
     # construction only yields (n-3)/2 + (n-5)/2 = n-4, so both numbers are reported
     claimed = n - 3 if kind == "elliptic" else n - 2
     return FamilyReport(
-        n=n,
-        kind=kind,
         members=members,
         pairs=tuple(pairs),
         distinct_count=len(members) - len(repeats),

@@ -415,6 +415,33 @@ def test_out_into_missing_directory_fails_before_any_work(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("out", ["g.g6", "g.g6.labels", "./g.g6", "./g.g6.labels"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--n", "5", "--kind", "elliptic", "--verify"],
+        ["switch", "--n", "5", "--kind", "elliptic", "--t", "1", "--verify"],
+    ],
+)
+def test_out_onto_an_export_file_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, out):
+    monkeypatch.chdir(tmp_path)
+    code, text, _ = run_cli(capsys, *argv, "--export-graph", "g.g6", "--out", out)
+    assert code == 1
+    rep = json.loads(text)
+    assert "--out" in rep["error"] and "exported" not in rep
+    assert rep["checks"] == {} and rep["timings"] == {}  # refused before any work
+    assert list(tmp_path.iterdir()) == []  # nothing created or truncated
+
+
+def test_out_beside_an_export_writes_both(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["construct", "--n", "5", "--kind", "elliptic", "--export-graph", "g.g6", "--out", "g.labels"]
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(text)["exported"] == "g.g6"
+    assert (tmp_path / "g.labels").read_text() == text
+    assert graph6.read_files("g.g6") == build_gamma(canonical_form(5, ELLIPTIC))
+
+
 def test_out_with_an_overlong_name_is_a_json_error(tmp_path, capsys):
     target = tmp_path / ("x" * 300 + ".json")  # longer than a file name may be
     code, out, _ = run_cli(

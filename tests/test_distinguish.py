@@ -198,6 +198,50 @@ def test_budget_exhaustion_raises():
     assert are_isomorphic(g1, switched(E5, 1, "tt"), budget=1) is False
 
 
+def test_the_search_decides_a_relabelled_switch_in_108_nodes():
+    # pins the search order: a node is counted on entry, so budget=107 gives up
+    g1 = switched(E5, 1, "t")
+    perm = list(range(g1.v))
+    random.Random(1).shuffle(perm)
+    g2 = relabel(g1, perm)
+    assert are_isomorphic(g1, g2, budget=108) is True
+    with pytest.raises(IsomorphismBudgetExceeded, match="gave up after 107 search nodes"):
+        are_isomorphic(g1, g2, budget=107)
+
+
+def degree_preserving_swap(g, rng):
+    """g with edges xy, uw replaced by xw, uy for one random choice of four
+    distinct vertices where xw and uy are not edges, or None if there is none."""
+    edges = [(x, y) for x in range(g.v) for y in g.neighbors(x)]
+    swaps = [
+        (x, y, u, w)
+        for x, y in edges
+        for u, w in edges
+        if len({x, y, u, w}) == 4 and not (g.rows[x] >> w) & 1 and not (g.rows[u] >> y) & 1
+    ]
+    if not swaps:
+        return None
+    x, y, u, w = rng.choice(swaps)
+    rows = list(g.rows)
+    for a, b, c in ((x, y, w), (u, w, y), (y, x, u), (w, u, x)):
+        rows[a] ^= 1 << b | 1 << c  # drop a's old edge to b, add its new one to c
+    return Graph(g.labels, tuple(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=10), st.randoms(use_true_random=False))
+def test_the_search_agrees_with_networkx(v, rng):
+    # same_profiles always agrees, so every pair with equal v, edge count and
+    # degrees is decided by the search
+    a = random_graph(rng, v, rng.random())
+    perm = list(range(v))
+    rng.shuffle(perm)
+    for b in (a, degree_preserving_swap(a, rng)):
+        if b is not None:
+            b = relabel(b, perm)
+            assert distinguish._isomorphic(a, b, lambda: True) == nx.is_isomorphic(to_nx(a), to_nx(b))
+
+
 # --- the pair profile -------------------------------------------------------------
 
 
@@ -247,6 +291,14 @@ def test_equal_profiles_fall_back_to_the_search():
     assert not nx.is_isomorphic(to_nx(rook), to_nx(shrikhande))
 
 
+def test_the_search_separates_rook_and_shrikhande_in_113_nodes():
+    rook = z4_cayley_graph({(1, 0), (3, 0), (2, 0), (0, 1), (0, 3), (0, 2)})
+    shrikhande = z4_cayley_graph({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+    assert are_isomorphic(rook, shrikhande, budget=113) is False
+    with pytest.raises(IsomorphismBudgetExceeded, match="gave up after 112 search nodes"):
+        are_isomorphic(rook, shrikhande, budget=112)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=12), st.randoms(use_true_random=False))
 def test_pair_profile_invariant_under_relabelling(v, rng):
@@ -282,6 +334,7 @@ def test_the_cross_check_profiles_each_switched_member_once(monkeypatch, n, kind
     assert len(calls) == direct == len(family.members) - 1
     assert {id(g) for g in calls} == {id(m.graph) for m in family.members[1:]}
     assert all(p.distinct is True and p.cross_checked is False for p in rep.pairs)
+    assert rep.distinct_count == len(family.members)
 
 
 @pytest.mark.parametrize("n", [5, 7])
