@@ -221,7 +221,7 @@ def _verify_family(n: int, kind: str, runner: _Runner, report: dict) -> None:
     """Build kind's family at n and write its checks into report's sections;
     the family is dropped on return, before the next kind is built."""
     family = runner.time(f"build_family_{kind}", lambda: distinguish.build_family(n, kind))
-    form, params, gamma = family.form, family.certificate.params, family.members[0]
+    form, params, gamma = family.certificate.form, family.certificate.params, family.members[0]
 
     _check_quadric_size(form, runner, report)
     report["srg"][kind] = _params_dict(params)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .codes import BinaryCode, code_from_graph, min_weight_codewords
-from .gf2geom import GeometryError, QuadraticForm, set_bits
+from .gf2geom import GeometryError, set_bits
 from .srg import GammaCertificate, Graph, certified_gamma
 from .switching import Switch, build_switch, legal_t_range, make_config
 
@@ -262,7 +262,6 @@ class FamilyMember:
 class Family:
     """The quadric graph of one (n, kind) and every legal switch of it."""
 
-    form: QuadraticForm
     members: tuple[FamilyMember, ...]  # the unswitched graph first
     certificate: GammaCertificate  # of the unswitched graph, from certify_gamma
 
@@ -325,14 +324,14 @@ def build_family(n: int, kind: str) -> Family:
         for t in legal_t_range(n, kind, variant):
             sw = build_switch(gamma, make_config(form, t, variant))
             members.append(_member(f"gamma_{variant}{t}", t, variant, sw.graph, sw))
-    return Family(form, tuple(members), certificate)
+    return Family(tuple(members), certificate)
 
 
 def classify_family(family: Family, cross_check: Optional[bool] = None) -> FamilyReport:
     """Partition the family by signature; cross-check pairs with the exact
     tester (by default only at n = 5, where it is fast)."""
-    n, kind = family.form.n, family.form.kind
-    members = family.members
+    certificate, members = family.certificate, family.members
+    n, kind = certificate.form.n, certificate.form.kind
     if cross_check is None:
         cross_check = n == 5
 
@@ -345,7 +344,7 @@ def classify_family(family: Family, cross_check: Optional[bool] = None) -> Famil
     def profile(i: int) -> Counter:
         if i not in profiles:
             g = members[i].graph
-            profiles[i] = _certified_pair_profile(g, family.certificate) if i == 0 else _pair_profile(g)
+            profiles[i] = _certified_pair_profile(g, certificate) if i == 0 else _pair_profile(g)
         return profiles[i]
 
     pairs, repeats = [], set()

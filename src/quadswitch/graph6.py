@@ -17,8 +17,6 @@ class Graph6Error(ValueError):
 
 
 def _encode_size(v: int) -> bytes:
-    if v < 0:
-        raise Graph6Error("negative vertex count")
     if v <= 62:
         return bytes([v + 63])
     if v <= 258047:
@@ -26,25 +24,10 @@ def _encode_size(v: int) -> bytes:
     raise Graph6Error("vertex counts above 258047 are not supported")
 
 
-def _decode_size(data: bytes) -> tuple[int, int]:
-    if not data:
-        raise Graph6Error("empty graph6 data")
-    if any(not 63 <= b <= 126 for b in data[: 4 if data[0] == 126 else 1]):
-        raise Graph6Error("size byte outside 63..126")
-    if data[0] != 126:
-        return data[0] - 63, 1
-    if len(data) < 4 or data[1] == 126:
-        raise Graph6Error("unsupported or truncated size prefix")
-    v = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-    return v, 4
-
-
 # graph6 packs bits 6 to a character as base64 does, with chr(63 + value) in
 # place of the base64 alphabet, so binascii does the packing in C
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_ALPHABET = bytes(range(63, 127))
-_TO_GRAPH6 = bytes.maketrans(_BASE64, _ALPHABET)
-_TO_BASE64 = bytes.maketrans(_ALPHABET, _BASE64)
+_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
 # Bits per base64 call: a multiple of 24 (4 characters), so every call but
 # the last ends on a whole group, and small enough that the bit string of a
 # graph with thousands of vertices never exists at once.
@@ -78,63 +61,15 @@ def encode(g: Graph) -> bytes:
     return b"".join(out)
 
 
-def decode(data: bytes, labels=None) -> Graph:
-    """Graph from graph6 bytes; labels default to 1..v and must be strictly
-    increasing, as a Graph's labels are."""
-    data = data.strip()
-    v, pos = _decode_size(data)
-    need = (v * (v - 1) // 2 + 5) // 6
-    body = data[pos:]
-    if len(body) != need:
-        raise Graph6Error(f"body has {len(body)} groups, expected {need}")
-    stray = body.translate(None, _ALPHABET)
-    if stray:
-        raise Graph6Error(f"byte {stray[0]} outside the graph6 alphabet")
-    raw = binascii.a2b_base64(body.translate(_TO_BASE64) + b"A" * (-len(body) % 4))
-    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
-    # column j (x_0j .. x_(j-1)j) starts at bit j(j-1)/2
-    starts = [j * (j - 1) // 2 for j in range(v)]
-    rows = []
-    for i in range(v):
-        above = "".join(bits[starts[j] + i] for j in range(v - 1, i, -1))
-        below = bits[starts[i] : starts[i] + i][::-1]
-        rows.append(int(above + "0" + below, 2))
-    if labels is None:
-        labels = tuple(range(1, v + 1))
-    else:
-        labels = tuple(labels)
-        if len(labels) != v:
-            raise Graph6Error("label count does not match the vertex count")
-        if any(a >= b for a, b in zip(labels, labels[1:])):
-            raise Graph6Error("labels must be strictly increasing")
-    return Graph(labels, tuple(rows))
-
-
 def write_files(g: Graph, path: str, files) -> None:
     """Write g to files, the pair `path` (graph6) and `path`.labels (vertex
-    index -> point integer) opened for binary writing, and flush both."""
+    index -> point integer) opened for binary writing, and flush both.
+
+    `path` is not read here: perfbench/tracer.py takes it from the call and
+    counts graph6.bytes_written as the two files' sizes once it returns."""
     graph_file, labels_file = files
     graph_file.write(encode(g))
     graph_file.write(b"\n")
     labels_file.writelines(b"%d %d\n" % pair for pair in enumerate(g.labels))
     graph_file.flush()
     labels_file.flush()
-
-
-def read_files(path: str) -> Graph:
-    """Inverse of write_files; line i of the .labels file must be "i point"."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    labels = []
-    try:
-        with open(path + ".labels", "r", encoding="ascii") as fh:
-            for i, line in enumerate(fh):
-                fields = line.split()
-                if len(fields) != 2 or fields[0] != str(i):
-                    raise Graph6Error(f"{path}.labels line {i + 1} is not '{i} <point>': {line!r}")
-                if not fields[1].isdigit() or int(fields[1]) == 0:
-                    raise Graph6Error(f"{path}.labels line {i + 1} names no point: {line!r}")
-                labels.append(int(fields[1]))
-    except UnicodeDecodeError as exc:
-        raise Graph6Error(f"{path}.labels is not ASCII: {exc}") from exc
-    return decode(data, labels)

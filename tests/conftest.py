@@ -5,7 +5,8 @@ The oracles work from definitions, a point or a vertex at a time: Q from its
 coefficient rows, B as the polarization of Q, a line by how many of its
 points Q vanishes on.  They live here, not in the package, whose modules hold
 what the pipeline, the CLI, the README's library example and the benchmark
-tracer use.
+tracer use.  The package writes graph6 but does not read it: networkx's
+graph6 reader is the oracle that reads an export back (`read_export`).
 """
 
 import functools
@@ -77,6 +78,33 @@ def to_nx(g: Graph) -> nx.Graph:
             if j > i:
                 out.add_edge(i, j)
     return out
+
+
+def from_nx(h: nx.Graph, labels) -> Graph:
+    """The Graph of h, whose vertices are 0..v-1, vertex i labelled labels[i]."""
+    assert sorted(h.nodes()) == list(range(len(labels)))
+    rows = [0] * len(labels)
+    for i, j in h.edges():
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(tuple(labels), tuple(rows))
+
+
+def read_labels(path):
+    """The points of an --export-graph sidecar, whose line i must be "i <point>"."""
+    with open(f"{path}.labels", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    points = [int(line.split()[-1]) for line in lines]
+    assert lines == [f"{i} {p}" for i, p in enumerate(points)] and all(p > 0 for p in points)
+    return points
+
+
+def read_export(path) -> Graph:
+    """Oracle: an --export-graph pair read back, the graph6 file through
+    networkx's reader and the labels from the sidecar."""
+    with open(path, "rb") as fh:
+        h = nx.from_graph6_bytes(fh.read().strip())
+    return from_nx(h, read_labels(path))
 
 
 def random_graph(rng, v, p):

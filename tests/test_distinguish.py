@@ -367,7 +367,7 @@ def test_a_relabelled_member_is_cross_checked_as_isomorphic_and_merged(monkeypat
     random.Random(3).shuffle(perm)
     copy = replace(last, name="copy", graph=relabel(last.graph, perm))
     calls = counted_pair_profiles(monkeypatch)
-    rep = classify_family(Family(family.form, family.members + (copy,), family.certificate), cross_check=True)
+    rep = classify_family(Family(family.members + (copy,), family.certificate), cross_check=True)
     assert len(calls) == len(family.members)  # the switched members and the copy, once each
     assert sum(g is copy.graph for g in calls) == 1
     # the copy is paired as its original is, and with its original it is isomorphic
@@ -383,7 +383,7 @@ def test_a_relabelled_member_is_cross_checked_as_isomorphic_and_merged(monkeypat
 def test_a_certificate_without_reflections_profiles_gamma_directly(monkeypatch, kind):
     family = build_family(5, kind)
     base = classify_family(family, cross_check=True)
-    stripped = Family(family.form, family.members, replace(family.certificate, reflections=()))
+    stripped = Family(family.members, replace(family.certificate, reflections=()))
     calls = counted_pair_profiles(monkeypatch)
     assert classify_family(stripped, cross_check=True) == base
     assert sum(g is family.members[0].graph for g in calls) == 1
@@ -468,7 +468,7 @@ def test_a_repeated_member_is_merged_unless_the_cross_check_separates_it(monkeyp
     # every real pair is separated by an invariant, so only a copy reaches the merge;
     # at n = 5 hyperbolic both copies are of gamma_t1: three equal members count once
     family = build_family(5, kind)
-    twice = Family(family.form, family.members + family.members[1:2] + family.members[-1:], family.certificate)
+    twice = Family(family.members + family.members[1:2] + family.members[-1:], family.certificate)
     rep = classify_family(twice, cross_check=False)
     assert rep.distinct_count == len(family.members)
     assert all((p.invariant == "none") == (p.distinct is None) == (p.first == p.second) for p in rep.pairs)
