@@ -225,30 +225,23 @@ def _verify_family(n: int, kind: str, runner: _Runner, report: dict) -> None:
 
     _check_quadric_size(form, runner, report)
     report["srg"][kind] = _params_dict(params)
-    runner.check(f"srg_{kind}", params == expected_params(n, kind))
+    expected = expected_params(n, kind)
+    runner.check(f"srg_{kind}", params == expected)
 
-    if n == 5:
-        sign = 1 if kind == ELLIPTIC else -1
-        want = (1 << (n - 2)) + sign * (1 << ((n - 3) // 2))
+    if n == 5:  # each external line through x holds two of x's k neighbours
         counts = {count_external_lines_through(form, x) for x in form.labels}
         report["external_lines_per_point"][kind] = sorted(counts)
-        runner.check(f"external_lines_{kind}", counts == {want})
+        runner.check(f"external_lines_{kind}", counts == {expected.k // 2})
 
     for m in family.members[1:]:
         sw, t, variant, code, words = m.switch, m.t, m.variant, m.code, m.words
         tag = f"{kind}_{variant}{t}"
-        s_size = 1 << (t + 1 + (variant == "tt"))
+        s_size, induced_degree, t_size = switching.expected_switch(n, kind, t, variant)
         entry = _switch_report(sw)
         runner.check(f"t_formula_{tag}", entry["t_formula_equals_half_class"])
-        runner.check(
-            f"induced_degree_{tag}",
-            sw.certificate.induced_degree == (0 if variant == "t" else 1 << (t + 1)),
-        )
+        runner.check(f"induced_degree_{tag}", sw.certificate.induced_degree == induced_degree)
         runner.check(f"s_size_{tag}", sw.s.bit_count() == s_size)
-        runner.check(
-            f"t_size_{tag}",
-            sw.t_set.bit_count() == switching.expected_T_size(n, kind, t, variant),
-        )
+        runner.check(f"t_size_{tag}", sw.t_set.bit_count() == t_size)
         switched = verify_srg_near(sw.graph, gamma.graph, params, sw.s)
         runner.check(f"switched_srg_{tag}", switched == params)
 

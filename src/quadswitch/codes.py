@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2geom import ELLIPTIC, echelonize
-from .srg import Graph
+from .gf2geom import echelonize
+from .srg import Graph, expected_params
 
 ENUMERATION_GUARD = 24  # 2^24 codewords is the largest exact sweep we allow
 
@@ -101,8 +101,8 @@ def min_weight_codewords(code: BinaryCode) -> list[int]:
 
 
 def expected_gamma_weight_distribution(n: int, kind: str) -> dict[int, int]:
-    """Closed-form weight enumerator of the unswitched quadric graph's code."""
-    h = 1 << ((n - 1) // 2)
-    if kind == ELLIPTIC:
-        return {0: 1, 1 << (n - 1): (1 << n) - h - 1, (1 << (n - 1)) + h: (1 << n) + h}
-    return {0: 1, (1 << (n - 1)) - h: (1 << n) - h, 1 << (n - 1): (1 << n) + h - 1}
+    """Closed-form weight enumerator of the unswitched quadric graph's code,
+    of dimension n+1, from its parameters (v, k) = expected_params(n, kind):
+    v words of weight k, and every other nonzero word of weight 2^(n-1)."""
+    p = expected_params(n, kind)
+    return dict(sorted({0: 1, p.k: p.v, 1 << (n - 1): (1 << (n + 1)) - p.v - 1}.items()))

@@ -36,10 +36,10 @@ multiset over y != 0 of (A_0y, sorted counts), each multiplicity times v/2.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .codes import BinaryCode, code_from_graph, min_weight_codewords
+from .codes import BinaryCode, CodeError, code_from_graph, min_weight_codewords
 from .gf2geom import GeometryError, set_bits
 from .srg import GammaCertificate, Graph, certified_gamma
 from .switching import Switch, build_switch, legal_t_range, make_config
@@ -110,6 +110,8 @@ def signature(
     With the certificate that certify_gamma gave for g's point rows, each
     orbit of words under its reflections is profiled once (see the module
     docstring); otherwise, or when the walk fails, every word is."""
+    if not words:
+        raise CodeError("a signature needs the code's minimum-weight words, got none")
     profiles = _orbit_profiles(g, words, certificate) if certificate is not None else None
     if profiles is None:
         profiles = Counter(_profile(g, w) for w in words)
@@ -285,7 +287,7 @@ class FamilyReport:
     distinct_count: int
     claimed_switched: int  # published count of new graphs; asserted nowhere
     computed_switched: int
-    claim_discrepancy: bool = field(default=False)
+    claim_discrepancy: bool
 
 
 def _separating_invariant(a: GraphSignature, b: GraphSignature) -> str:

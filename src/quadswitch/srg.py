@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2geom import PARABOLIC, GeometryError, QuadraticForm, canonical_form, set_bits
+from .gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, QuadraticForm, canonical_form, set_bits
 
 # The point rows of a quadric graph, v * 2^(n+1) bits: ~257 MiB at n = 15, ~4 GiB at n = 17
 MAX_POINT_ROW_BYTES = 1 << 30
@@ -95,10 +95,7 @@ def _point_rows(form: QuadraticForm) -> Iterator[int]:
     """The row of each vertex in order, indexed by point: bit p set iff the
     point p is a neighbour.  Made one at a time, so a caller that keeps only
     the vertex-order rows never holds them all."""
-    if form.kind == PARABOLIC or form.n % 2 == 0 or form.n < 5:
-        raise GeometryError(
-            "the external-line graph needs an elliptic or hyperbolic quadric with odd n >= 5"
-        )
+    expected_params(form.n, form.kind)  # refuses a form with no quadric graph
     off = form.off
     size = off.bit_count() << (form.n + 1) >> 3
     if size > MAX_POINT_ROW_BYTES:
@@ -401,14 +398,15 @@ def verify_srg_near(g: Graph, base: Graph, base_params: SrgParams, changed: int)
 
 
 def expected_params(n: int, kind: str) -> SrgParams:
-    """Closed-form parameters of the quadric graph, including the spectrum."""
-    if n % 2 == 0 or n < 5:
-        raise GeometryError(f"quadric graphs need odd n >= 5, got n={n}")
+    """Closed-form parameters of the quadric graph, including the spectrum.
+    The package's one test of which (n, kind) have one: GeometryError for the rest."""
+    if kind not in (ELLIPTIC, HYPERBOLIC) or n % 2 == 0 or n < 5:
+        raise GeometryError("the quadric graph needs an elliptic or hyperbolic form with odd n >= 5")
     h = 1 << ((n - 1) // 2)  # 2^((n-1)/2)
     hh = h >> 1  # 2^((n-3)/2)
     third = ((1 << (n + 1)) - 4) // 3
     other = ((1 << n) + 1) // 3
-    if kind == "elliptic":
+    if kind == ELLIPTIC:
         return SrgParams(
             v=(1 << n) + h,
             k=(1 << (n - 1)) + h,
@@ -419,15 +417,13 @@ def expected_params(n: int, kind: str) -> SrgParams:
             f=third,
             g=other + h,
         )
-    if kind == "hyperbolic":
-        return SrgParams(
-            v=(1 << n) - h,
-            k=(1 << (n - 1)) - h,
-            lam=(1 << (n - 2)) - hh,
-            mu=(1 << (n - 2)) - h,
-            r=h,
-            s=-hh,
-            f=other - h,
-            g=third,
-        )
-    raise GeometryError(f"no parameter table for kind {kind!r}")
+    return SrgParams(
+        v=(1 << n) - h,
+        k=(1 << (n - 1)) - h,
+        lam=(1 << (n - 2)) - hh,
+        mu=(1 << (n - 2)) - h,
+        r=h,
+        s=-hh,
+        f=other - h,
+        g=third,
+    )

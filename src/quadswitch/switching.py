@@ -1,10 +1,12 @@
 """Switching sets for the quadric graph and the Godsil-McKay switch itself.
 
-The two constructions: S = Pi \\ alpha for a (t+1)-space Pi meeting the
-quadric in exactly a singular t-space alpha, and S = (Pi u Pi') \\ alpha
-for two such spaces whose span still meets the quadric in exactly alpha.
-The vertices with half of S as neighbours admit a closed form through the
-polarity (the T-sets), which is checked against brute-force counting.
+The two constructions, for a singular space alpha of projective dimension
+t: S = Pi \\ alpha for a (t+1)-space Pi meeting the quadric in exactly
+alpha, and S = (Pi u Pi') \\ alpha for two such spaces whose span still
+meets the quadric in exactly alpha.  The vertices with half of S as
+neighbours admit a closed form through the polarity (the T-sets), which is
+checked against brute-force counting; expected_switch gives |S|, its
+induced degree and |T|.
 
 S, its none/half/all classes and T are vertex masks, ints with bit i for
 vertex i like the graph's rows, so v^S and v^T are S and T themselves and
@@ -44,7 +46,7 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .gf2geom import HYPERBOLIC, QuadraticForm, Subspace, span
-from .srg import Graph
+from .srg import Graph, expected_params
 
 
 class SwitchingError(ValueError):
@@ -151,21 +153,19 @@ def iter_singular_subspaces(form: QuadraticForm, t: int) -> Iterator[Subspace]:
 
 @dataclass(frozen=True)
 class SwitchConfig:
-    """A switching flag (alpha, Pi[, Pi']) for one quadric, checked on construction."""
+    """A switching flag (alpha, Pi[, Pi']) for one quadric, checked on
+    construction; its t is alpha's projective dimension."""
 
     form: QuadraticForm
-    t: int
     alpha: Subspace
     pi: Subspace
     pi2: Optional[Subspace] = None
 
     def __post_init__(self) -> None:
-        form, t, alpha = self.form, self.t, self.alpha
-        n = form.n
+        form, alpha = self.form, self.alpha
+        n, t = form.n, alpha.projective_dim
         if t not in legal_t_range(n, form.kind, self.variant):
             raise SwitchingError(f"t={t} outside the legal range of variant {self.variant} for n={n}")
-        if alpha.projective_dim != t:
-            raise SwitchingError("alpha has the wrong dimension")
         if alpha.n != n:
             raise SwitchingError("alpha and the form live in different spaces")
         alpha_mask = alpha.point_mask()
@@ -198,6 +198,7 @@ def _check_over(form: QuadraticForm, alpha_mask: int, sub: Subspace, dim: int, n
 
 def legal_t_range(n: int, kind: str, variant: str) -> range:
     """The t values for which a flag (alpha, Pi[, Pi']) is guaranteed to exist."""
+    expected_params(n, kind)  # GeometryError where (n, kind) has no quadric graph
     if variant == "t":
         return range(1, (n - 3) // 2 + 1)
     if variant == "tt":
@@ -239,7 +240,7 @@ def make_config(form: QuadraticForm, t: int, variant: str, choice: int = 0) -> S
         count = points.bit_count()
         if left < count:
             x = next(islice(_bits(points), left, None))
-            return SwitchConfig(form, t, *_flag(form.n, chain, y, x))
+            return SwitchConfig(form, *_flag(form.n, chain, y, x))
         left -= count
     raise SearchExhausted(f"fewer than {choice + 1} flags exist for t={t}, variant {variant}")
 
@@ -335,13 +336,16 @@ def T_formula(config: SwitchConfig) -> int:
     return form.vertices(out)
 
 
-def expected_T_size(n: int, kind: str, t: int, variant: str) -> int:
-    """Closed-form |T|: 2^n - 2^(n-t-1), or for the two-space construction
-    2^n +- 2^((n-1)/2) - 2^(n-t-2) - 2^(t+2) (upper sign elliptic)."""
+def expected_switch(n: int, kind: str, t: int, variant: str) -> tuple[int, int, int]:
+    """Closed-form (|S|, degree induced on S, |T|) of a switch: (2^(t+1), 0,
+    2^n - 2^(n-t-1)), or for the two-space construction (2^(t+2), 2^(t+1),
+    v - 2^(n-t-2) - 2^(t+2)), where v = 2^n +- 2^((n-1)/2) is the quadric
+    graph's order.  SwitchingError for a t outside legal_t_range."""
+    if t not in legal_t_range(n, kind, variant):
+        raise SwitchingError(f"t={t} outside the legal range of variant {variant} for n={n}")
     if variant == "t":
-        return (1 << n) - (1 << (n - t - 1))
-    sign = 1 if kind == "elliptic" else -1
-    return (1 << n) + sign * (1 << ((n - 1) // 2)) - (1 << (n - t - 2)) - (1 << (t + 2))
+        return 1 << (t + 1), 0, (1 << n) - (1 << (n - t - 1))
+    return 1 << (t + 2), 1 << (t + 1), expected_params(n, kind).v - (1 << (n - t - 2)) - (1 << (t + 2))
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,21 @@ from quadswitch.codes import (
     CodeError,
     code_from_graph,
     contains,
+    expected_gamma_weight_distribution,
     from_vectors,
     iter_codewords,
     min_weight_codewords,
     weight_distribution,
 )
-from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form, echelonize, set_bits
+from quadswitch.gf2geom import (
+    ELLIPTIC,
+    HYPERBOLIC,
+    PARABOLIC,
+    GeometryError,
+    canonical_form,
+    echelonize,
+    set_bits,
+)
 from quadswitch.srg import Graph, build_gamma
 from quadswitch.switching import T_formula, build_S, gm_switch, legal_t_range, make_config
 
@@ -102,6 +111,12 @@ def test_weight_distribution_n5_elliptic():
 def test_weight_distribution_n5_hyperbolic():
     code = code_from_graph(build_gamma(H5))
     assert weight_distribution(code) == {0: 1, 12: 28, 16: 35}
+
+
+@pytest.mark.parametrize("n,kind", [(6, ELLIPTIC), (7, PARABOLIC), (3, HYPERBOLIC), (7, "foo")])
+def test_gamma_weight_table_refuses_an_n_kind_with_no_quadric_graph(n, kind):
+    with pytest.raises(GeometryError, match="needs an elliptic or hyperbolic form with odd n >= 5"):
+        expected_gamma_weight_distribution(n, kind)
 
 
 def test_weight_distribution_matches_naive_oracle():

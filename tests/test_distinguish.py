@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadswitch import distinguish, srg
-from quadswitch.codes import code_from_graph, min_weight_codewords
+from quadswitch.codes import CodeError, code_from_graph, min_weight_codewords
 from quadswitch.distinguish import (
     Family,
     IsomorphismBudgetExceeded,
@@ -61,6 +61,12 @@ def test_signature_double_switch_n5_elliptic():
     # v^S induces the 4-regular support; three companion minimum words with
     # 6-regular supports appear at this dimension (measured; see codes tests)
     assert sig.min_word_profiles == (((8, (4,) * 8), 1), ((8, (6,) * 8), 3))
+
+
+def test_signature_refuses_an_empty_word_list():
+    g = build_gamma(E5)
+    with pytest.raises(CodeError, match="minimum-weight words"):
+        signature(g, code_from_graph(g), [])
 
 
 def test_signature_invariant_under_relabelling():

@@ -159,6 +159,21 @@ def test_expected_params_rejects_bad_requests():
         expected_params(5, PARABOLIC)
 
 
+def test_the_graph_builder_and_the_parameter_table_refuse_with_one_message():
+    messages = set()
+    for request in (
+        lambda: build_gamma(canonical_form(4, PARABOLIC)),
+        lambda: build_gamma(canonical_form(3, HYPERBOLIC)),
+        lambda: expected_params(5, PARABOLIC),
+        lambda: expected_params(6, ELLIPTIC),
+        lambda: expected_params(7, "foo"),
+    ):
+        with pytest.raises(GeometryError) as exc:
+            request()
+        messages.add(str(exc.value))
+    assert messages == {"the quadric graph needs an elliptic or hyperbolic form with odd n >= 5"}
+
+
 # --- gamma rows by translation against the pairwise definition -----------------------
 
 

@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_lines, bilinear, check_well_formed, is_subspace_of, legal_cases
-from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, Subspace, canonical_form, perp, set_bits, span
+from conftest import all_lines, bilinear, check_well_formed, gamma, is_subspace_of, legal_cases
+from quadswitch.gf2geom import (
+    ELLIPTIC,
+    HYPERBOLIC,
+    PARABOLIC,
+    GeometryError,
+    Subspace,
+    canonical_form,
+    perp,
+    set_bits,
+    span,
+)
 from quadswitch.srg import Graph, build_gamma, verify_srg
 from quadswitch.switching import (
     NotSwitchingSet,
@@ -18,7 +28,7 @@ from quadswitch.switching import (
     T_formula,
     build_S,
     build_switch,
-    expected_T_size,
+    expected_switch,
     gm_switch,
     iter_flags,
     iter_singular_subspaces,
@@ -330,7 +340,7 @@ def test_every_flag_matches_reference_n5(n, kind, t, variant):
     assert len(flags) == FLAG_COUNTS[n, kind, t, variant]
     assert list(iter_flags(form, t, variant)) == list(flags)
     for k, flag in enumerate(flags):
-        assert make_config(form, t, variant, k) == SwitchConfig(form, t, *flag), k
+        assert make_config(form, t, variant, k) == SwitchConfig(form, *flag), k
 
 
 @pytest.mark.parametrize("n,kind,t,variant", list(legal_cases(ns=(7,))))
@@ -340,7 +350,7 @@ def test_first_flags_match_reference_n7(n, kind, t, variant):
     assert len(flags) == 2000
     assert list(islice(iter_flags(form, t, variant), 2000)) == list(flags)
     for k in list(range(0, 2000, 97)) + [1999]:
-        assert make_config(form, t, variant, k) == SwitchConfig(form, t, *flags[k]), k
+        assert make_config(form, t, variant, k) == SwitchConfig(form, *flags[k]), k
 
 
 @pytest.mark.parametrize("n,kind,t,variant", list(FLAG_COUNTS))
@@ -349,7 +359,7 @@ def test_flag_count_and_last_flag(n, kind, t, variant):
     count = FLAG_COUNTS[n, kind, t, variant]
     assert sum(1 for _ in iter_flags(form, t, variant)) == count
     last = reference_last_flag(form, t, variant)
-    assert make_config(form, t, variant, count - 1) == SwitchConfig(form, t, *last)
+    assert make_config(form, t, variant, count - 1) == SwitchConfig(form, *last)
     with pytest.raises(SearchExhausted):
         make_config(form, t, variant, count)
 
@@ -361,7 +371,7 @@ def test_make_config_is_the_reference_kth_flag(case, k):
     form = canonical_form(n, kind)
     flags = reference_flag_prefix(n, kind, t, variant)
     if k < len(flags):
-        assert make_config(form, t, variant, k) == SwitchConfig(form, t, *flags[k])
+        assert make_config(form, t, variant, k) == SwitchConfig(form, *flags[k])
     elif len(flags) < 2000:  # the prefix holds every flag, so k is past the end
         with pytest.raises(SearchExhausted):
             make_config(form, t, variant, k)
@@ -398,34 +408,32 @@ def test_config_rejects_bad_flags_with_their_messages():
     }
     for flag in ((not_singular, pi), (not_singular, pi, pi2)):
         with pytest.raises(SwitchingError, match="^alpha is not contained in the quadric$"):
-            SwitchConfig(E5, 1, *flag)
+            SwitchConfig(E5, *flag)
     with pytest.raises(SwitchingError, match="^alpha and the form live in different spaces$"):
-        SwitchConfig(E5, 1, alpha7, pi)
+        SwitchConfig(E5, alpha7, pi)
     for message, bad in bad_pis.items():
         with pytest.raises(SwitchingError, match=f"^pi {message}$"):
-            SwitchConfig(E5, 1, alpha, bad)
+            SwitchConfig(E5, alpha, bad)
         with pytest.raises(SwitchingError, match=f"^pi2 {message}$"):
-            SwitchConfig(E5, 1, alpha, pi, bad)
+            SwitchConfig(E5, alpha, pi, bad)
     with pytest.raises(SwitchingError, match="^pi2 must differ from pi$"):
-        SwitchConfig(E5, 1, alpha, pi, pi)
+        SwitchConfig(E5, alpha, pi, pi)
     # at n = 7, <alpha, x> and <alpha, y> with B(x, y) = 0 span a space beyond alpha
     f7 = canonical_form(7, ELLIPTIC)
     alpha, pi, _ = next(iter_flags(f7, 1, "t"))
     beyond = "span(pi, pi2) meets the quadric beyond alpha"
     partners = [p for a, p, _ in islice(iter_flags(f7, 1, "t"), 50) if a == alpha]
-    bad = next(p for p in partners if reference_config_error(f7, 1, alpha, pi, p) == beyond)
+    bad = next(p for p in partners if reference_config_error(f7, alpha, pi, p) == beyond)
     with pytest.raises(SwitchingError, match=r"^span\(pi, pi2\) meets the quadric beyond alpha$"):
-        SwitchConfig(f7, 1, alpha, pi, bad)
+        SwitchConfig(f7, alpha, pi, bad)
 
 
-def reference_config_error(form, t, alpha, pi, pi2=None):
+def reference_config_error(form, alpha, pi, pi2=None):
     """The point-list checks SwitchConfig made before it checked point masks:
     the message of the first check that fails, or None."""
-    variant = "t" if pi2 is None else "tt"
+    variant, t = "t" if pi2 is None else "tt", alpha.projective_dim
     if t not in legal_t_range(form.n, form.kind, variant):
         return f"t={t} outside the legal range of variant {variant} for n={form.n}"
-    if alpha.projective_dim != t:
-        return "alpha has the wrong dimension"
     if alpha.n != form.n:
         return "alpha and the form live in different spaces"
     if not all(form.contains(p) for p in alpha.points()):
@@ -458,10 +466,10 @@ def reference_config_error(form, t, alpha, pi, pi2=None):
     return None
 
 
-def config_error(form, t, *flag):
+def config_error(form, *flag):
     """SwitchConfig's message for the flag, or None if it accepts it."""
     try:
-        SwitchConfig(form, t, *flag)
+        SwitchConfig(form, *flag)
     except SwitchingError as exc:
         return str(exc)
     return None
@@ -475,14 +483,14 @@ def test_mask_checks_match_the_point_list_checks_on_every_n5_flag(kind):
     form = canonical_form(5, kind)
     for variant in ("t", "tt"):
         for flag in iter_flags(form, 1, variant):
-            assert config_error(form, 1, *flag) is None
-            assert reference_config_error(form, 1, *flag) is None
+            assert config_error(form, *flag) is None
+            assert reference_config_error(form, *flag) is None
     seen = set()
     for alpha, flags in flags_by_alpha(form, 1, "t").items():
         for _, pi, _ in flags:
             for _, pi2, _ in flags:
-                want = reference_config_error(form, 1, alpha, pi, pi2)
-                assert config_error(form, 1, alpha, pi, pi2) == want
+                want = reference_config_error(form, alpha, pi, pi2)
+                assert config_error(form, alpha, pi, pi2) == want
                 seen.add(want)
     if kind == ELLIPTIC:
         assert seen == {None, "pi2 must differ from pi"}
@@ -536,7 +544,7 @@ def test_mask_checks_match_the_point_list_checks_on_corrupted_flags(case, corrup
     parts = {"alpha": alpha, "pi": pi, "pi2": pi2, which: bad}
     alpha, pi, pi2 = parts["alpha"], parts["pi"], parts["pi2"]
     flag = (alpha, pi) if pi2 is None else (alpha, pi, pi2)
-    assert config_error(form, t, *flag) == reference_config_error(form, t, *flag)
+    assert config_error(form, *flag) == reference_config_error(form, *flag)
 
 
 # --- configurations and S ------------------------------------------------------------
@@ -578,7 +586,7 @@ def test_build_S_and_T_formula_match_the_point_list_reference(n, kind, t, varian
     # every flag at n = 5, every 97th at n = 7
     form = canonical_form(n, kind)
     for flag in islice(iter_flags(form, t, variant), 0, None, 1 if n == 5 else 97):
-        cfg = SwitchConfig(form, t, *flag)
+        cfg = SwitchConfig(form, *flag)
         assert build_S(cfg) == reference_build_S(cfg)
         assert T_formula(cfg) == reference_T_formula(cfg)
 
@@ -594,19 +602,17 @@ def test_config_validation_rejects_bad_configs():
     cfg = make_config(E5, 1, "t")
     not_singular = span(5, [1, 2])  # generic line, not inside the quadric
     with pytest.raises(SwitchingError):
-        SwitchConfig(E5, 1, not_singular, cfg.pi)
+        SwitchConfig(E5, not_singular, cfg.pi)
     with pytest.raises(SwitchingError):
-        SwitchConfig(E5, 1, cfg.alpha, WHOLE5)
+        SwitchConfig(E5, cfg.alpha, WHOLE5)
     with pytest.raises(SwitchingError):
-        SwitchConfig(E5, 2, cfg.alpha, cfg.pi)
-    with pytest.raises(SwitchingError):
-        SwitchConfig(E5, 1, cfg.alpha, cfg.pi, cfg.pi)
+        SwitchConfig(E5, cfg.alpha, cfg.pi, cfg.pi)
     good = make_config(E5, 1, "tt")
-    assert SwitchConfig(E5, 1, good.alpha, good.pi, good.pi2) == good
+    assert SwitchConfig(E5, good.alpha, good.pi, good.pi2) == good
     # hyperbolic double construction is out of range at n=5
     cfg_h = make_config(H5, 1, "t")
     with pytest.raises(SwitchingError):
-        SwitchConfig(H5, 1, cfg_h.alpha, cfg_h.pi, cfg_h.pi)
+        SwitchConfig(H5, cfg_h.alpha, cfg_h.pi, cfg_h.pi)
 
 
 def test_make_config_bounds():
@@ -617,10 +623,39 @@ def test_make_config_bounds():
     assert "second tangent" in str(exc.value)
 
 
+NO_QUADRIC_GRAPH = "^the quadric graph needs an elliptic or hyperbolic form with odd n >= 5$"
+
+
+def test_the_switch_layer_refuses_a_form_with_no_quadric_graph():
+    # perp and the graph builder refuse parabolic forms, so no flag, range or size table has one
+    p8 = canonical_form(8, PARABOLIC)
+    for variant in ("t", "tt"):
+        with pytest.raises(GeometryError, match=NO_QUADRIC_GRAPH):
+            make_config(p8, 1, variant)
+        with pytest.raises(GeometryError, match=NO_QUADRIC_GRAPH):
+            legal_t_range(8, PARABOLIC, variant)
+        with pytest.raises(GeometryError, match=NO_QUADRIC_GRAPH):
+            expected_switch(8, PARABOLIC, 1, variant)
+    with pytest.raises(GeometryError, match=NO_QUADRIC_GRAPH):
+        SwitchConfig(p8, span(8, [1, 2]), span(8, [1, 2, 4]))
+    with pytest.raises(GeometryError, match=NO_QUADRIC_GRAPH):
+        legal_t_range(7, "foo", "tt")
+
+
+@pytest.mark.parametrize(
+    "n,kind,t,variant",
+    [(5, ELLIPTIC, 5, "t"), (5, ELLIPTIC, 0, "t"), (5, HYPERBOLIC, 1, "tt"), (7, ELLIPTIC, 3, "tt")],
+)
+def test_expected_switch_refuses_a_t_outside_the_legal_range(n, kind, t, variant):
+    message = f"^t={t} outside the legal range of variant {variant} for n={n}$"
+    with pytest.raises(SwitchingError, match=message):
+        expected_switch(n, kind, t, variant)
+
+
 def test_make_config_choice_indexes_flags():
     flags = list(iter_flags(E5, 1, "t"))
     assert len(flags) > 1
-    assert make_config(E5, 1, "t", choice=1) == SwitchConfig(E5, 1, *flags[1])
+    assert make_config(E5, 1, "t", choice=1) == SwitchConfig(E5, *flags[1])
     with pytest.raises(SearchExhausted):
         make_config(E5, 1, "t", choice=len(flags))
     with pytest.raises(SwitchingError):
@@ -803,8 +838,16 @@ def test_T_formula_equals_half_class(n, kind, t, variant):
     cert = validate_switching_set(g, s)
     t_set = T_formula(cfg)
     assert t_set == cert.half_class
-    assert t_set.bit_count() == expected_T_size(n, kind, t, variant)
+    assert t_set.bit_count() == expected_switch(n, kind, t, variant)[2]
     assert not (t_set & s)
+
+
+@pytest.mark.parametrize("n,kind,t,variant", list(legal_cases(ns=(5, 7, 9))))
+def test_expected_switch_matches_the_construction(n, kind, t, variant):
+    cfg = make_config(canonical_form(n, kind), t, variant)
+    s = build_S(cfg)
+    induced = validate_switching_set(gamma(n, kind), s).induced_degree
+    assert (s.bit_count(), induced, T_formula(cfg).bit_count()) == expected_switch(n, kind, t, variant)
 
 
 def test_T_formula_equals_half_class_n9():
@@ -816,7 +859,7 @@ def test_T_formula_equals_half_class_n9():
         cert = validate_switching_set(g, build_S(cfg))
         t_set = T_formula(cfg)
         assert t_set == cert.half_class
-        assert t_set.bit_count() == expected_T_size(9, ELLIPTIC, t, variant)
+        assert t_set.bit_count() == expected_switch(9, ELLIPTIC, t, variant)[2]
 
 
 def test_T_sizes_match_lemma_values():
