@@ -7,6 +7,7 @@ from .gf2geom import (
     PARABOLIC,
     GeometryError,
     QuadraticForm,
+    QuadswitchError,
     Subspace,
     canonical_form,
     count_external_lines_through,

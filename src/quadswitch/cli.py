@@ -1,11 +1,12 @@
 """Command-line surface: construct, switch, analyze codes, classify, verify.
 
-Every command prints one JSON report (key-sorted, so byte-identical across
-runs except for the "timings" block) and exits 0 only if every requested
-check passed.  The report is streamed piece by piece to stdout, then to
---out, as the text of json.dumps(indent=2, sort_keys=True); one that cannot be
-written is an error line on stderr and exit 1.  Graphs are exported as
-headerless graph6 plus a .labels sidecar mapping vertex index to point integer.
+Every command prints one JSON report (key-sorted, so byte-identical across runs
+except for the "timings" block) and exits 0 only if every requested check
+passed.  A refusal (a QuadswitchError) or an OSError is a JSON error with exit
+1; any other exception is a bug and stays a traceback.  The report is streamed
+to stdout, then to --out, as the text of json.dumps(indent=2, sort_keys=True);
+one that cannot be written is an error line on stderr and exit 1.  Graphs are
+exported as headerless graph6 plus a .labels sidecar of vertex points.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from .gf2geom import (
     ELLIPTIC,
     HYPERBOLIC,
     PARABOLIC,
-    GeometryError,
+    QuadswitchError,
     canonical_form,
     count_external_lines_through,
     quadric_size,
 )
 from .srg import (
-    NotStronglyRegular,
     SrgParams,
     build_gamma,
     certified_gamma,
@@ -431,15 +431,7 @@ def main(argv=None) -> int:
             for path in exports:
                 args.export_files.append(_create(stack, "--export-graph", path, "wb"))
             report.update(args.fn(args, runner))
-        except (
-            GeometryError,
-            switching.SwitchingError,
-            codes.CodeError,
-            NotStronglyRegular,
-            distinguish.IsomorphismBudgetExceeded,
-            distinguish.IsomorphismTooLarge,
-            OSError,
-        ) as exc:
+        except (QuadswitchError, OSError) as exc:
             report["error"] = error = str(exc)
             for fh in args.export_files:  # a failed request leaves no export files
                 with contextlib.suppress(OSError):  # the close flushes, and may fail as the write did

@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2geom import echelonize
+from .gf2geom import QuadswitchError, echelonize
 from .srg import Graph, expected_params
 
 ENUMERATION_GUARD = 24  # 2^24 codewords is the largest exact sweep we allow
 
 
-class CodeError(ValueError):
+class CodeError(QuadswitchError, ValueError):
     """Length mismatch, empty code, or an enumeration beyond the guard."""
 
 

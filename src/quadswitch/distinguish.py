@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .codes import BinaryCode, CodeError, code_from_graph, min_weight_codewords
-from .gf2geom import GeometryError, set_bits
+from .gf2geom import GeometryError, QuadswitchError, set_bits
 from .srg import GammaCertificate, Graph, certified_gamma
 from .switching import Switch, build_switch, legal_t_range, make_config
 
@@ -48,11 +48,11 @@ DEFAULT_NODE_BUDGET = 10_000_000
 MAX_EXACT_VERTICES = 600
 
 
-class IsomorphismBudgetExceeded(RuntimeError):
+class IsomorphismBudgetExceeded(QuadswitchError, RuntimeError):
     """Backtracking gave up before reaching a decision (never a wrong answer)."""
 
 
-class IsomorphismTooLarge(ValueError):
+class IsomorphismTooLarge(QuadswitchError, ValueError):
     """The graphs exceed the vertex cap of the exact tester; nothing was decided."""
 
 

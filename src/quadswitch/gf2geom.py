@@ -28,14 +28,17 @@ from dataclasses import dataclass
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
 PARABOLIC = "parabolic"
-KINDS = (ELLIPTIC, HYPERBOLIC, PARABOLIC)
 
 # The largest n a form is made for: point masks of 2^(n+1) bits take ~0.1 s
 # at n = 17, ~1.6 s at n = 19, over 40 s at n = 21, and no int holds one at 101.
 MAX_N = 17
 
 
-class GeometryError(ValueError):
+class QuadswitchError(Exception):
+    """A refused request or a failed check; the CLI reports it as a JSON error, exit 1."""
+
+
+class GeometryError(QuadswitchError, ValueError):
     """Bad dimension/kind combination or an ill-posed geometric request."""
 
 
@@ -43,16 +46,16 @@ def quadric_size(n: int, kind: str) -> int:
     """Point count of a non-singular quadric of the given kind in PG(n,2)."""
     if kind == PARABOLIC:
         if n % 2 != 0:
-            raise GeometryError("parabolic quadrics need even n")
+            raise GeometryError(f"parabolic quadrics need even n, got n={n}")
         return (1 << n) - 1
     half = 1 << ((n - 1) // 2)
     if kind == ELLIPTIC:
         if n % 2 == 0:
-            raise GeometryError("elliptic quadrics need odd n")
+            raise GeometryError(f"elliptic quadrics need odd n, got n={n}")
         return (1 << n) - half - 1
     if kind == HYPERBOLIC:
         if n % 2 == 0:
-            raise GeometryError("hyperbolic quadrics need odd n")
+            raise GeometryError(f"hyperbolic quadrics need odd n, got n={n}")
         return (1 << n) + half - 1
     raise GeometryError(f"unknown quadric kind {kind!r}")
 
@@ -80,12 +83,6 @@ class QuadraticForm:
 
     def __init__(self, n: int, kind: str, rows: tuple[int, ...]):
         _check_dimension(n)
-        if kind not in KINDS:
-            raise GeometryError(f"unknown quadric kind {kind!r}")
-        if kind == PARABOLIC and n % 2 != 0:
-            raise GeometryError(f"parabolic form needs even n, got n={n}")
-        if kind != PARABOLIC and n % 2 == 0:
-            raise GeometryError(f"{kind} form needs odd n, got n={n}")
         if len(rows) != n + 1:
             raise GeometryError(f"need {n + 1} coefficient rows, got {len(rows)}")
         coord_mask = (1 << (n + 1)) - 1
@@ -115,7 +112,7 @@ class QuadraticForm:
         self.zero_mask = self.ones & ~q & ~1  # the vector 0 is no point
         self._nonorth: dict[int, int] = {}
         self._reflections: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-        if self.zero_mask.bit_count() != quadric_size(n, kind):
+        if self.zero_mask.bit_count() != quadric_size(n, kind):  # refuses a bad kind or parity too
             raise GeometryError(
                 f"form has {self.zero_mask.bit_count()} zeros, a non-singular {kind} "
                 f"quadric in PG({n},2) must have {quadric_size(n, kind)}"

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import binascii
 
+from .gf2geom import QuadswitchError
 from .srg import Graph
 
 
-class Graph6Error(ValueError):
+class Graph6Error(QuadswitchError, ValueError):
     pass
 
 

@@ -55,13 +55,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, QuadraticForm, canonical_form, set_bits
+from .gf2geom import (ELLIPTIC, HYPERBOLIC, GeometryError, QuadraticForm, QuadswitchError,
+                      canonical_form, set_bits)
 
 # The point rows of a quadric graph, v * 2^(n+1) bits: ~257 MiB at n = 15, ~4 GiB at n = 17
 MAX_POINT_ROW_BYTES = 1 << 30
 
 
-class NotStronglyRegular(ValueError):
+class NotStronglyRegular(QuadswitchError, ValueError):
     """Raised with a witness when the SRG identity fails."""
 
     def __init__(self, message: str, witness=None):

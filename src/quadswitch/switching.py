@@ -14,9 +14,9 @@ the switch XORs S into the rows of T and T into the rows of S.
 
 There is one flag walk, with three views: make_config (the k-th flag,
 as a checked SwitchConfig), iter_flags (every flag, as plain tuples) and
-iter_singular_subspaces (the alphas).  It is deterministic: candidates
-are scanned in increasing point order, so the "first" flag and the k-th
-are reproducible.
+iter_singular_subspaces (the alphas).  All three refuse a form with no
+quadric graph.  It is deterministic: candidates are scanned in increasing
+point order, so the "first" flag and the k-th are reproducible.
 
 The walk works on the form's point masks (see gf2geom).  It rests on two
 identities of Q(x+y) = Q(x) + Q(y) + B(x,y):
@@ -45,11 +45,11 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .gf2geom import HYPERBOLIC, QuadraticForm, Subspace, span
+from .gf2geom import HYPERBOLIC, QuadraticForm, QuadswitchError, Subspace, span
 from .srg import Graph, expected_params
 
 
-class SwitchingError(ValueError):
+class SwitchingError(QuadswitchError, ValueError):
     """Invalid switching configuration or precondition."""
 
 
@@ -89,6 +89,7 @@ def _singular_chains(form: QuadraticForm, t: int) -> Iterator[tuple[list[int], i
     """(chain, candidates) for each singular t-space in lexicographic order:
     its basis as an increasing chain, and the pivot-free points of its perp
     off the quadric."""
+    expected_params(form.n, form.kind)  # GeometryError where the form has no quadric graph
     if t < 0:
         raise SwitchingError(f"t must be >= 0, got {t}")
     zeros, halves, off = form.zero_mask, form.halves, form.off

@@ -2,9 +2,11 @@
 
 import errno
 import gc
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import shlex
 import subprocess
@@ -23,7 +25,7 @@ import quadswitch
 from quadswitch import cli, distinguish, graph6, srg, switching
 from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.cli import _write_json, main
-from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, canonical_form
+from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, QuadswitchError, canonical_form
 from quadswitch.srg import Graph, build_gamma, expected_params
 
 
@@ -293,6 +295,66 @@ def test_negative_seed_choice_is_a_json_error(capsys):
     assert code == 1
     assert "flag choice" in json.loads(out)["error"]
     assert "flag choice" in err
+
+
+def package_exceptions() -> dict:
+    """Every exception class a module of the package defines, by module.name."""
+    found = {}
+    for info in pkgutil.iter_modules(quadswitch.__path__):
+        module = importlib.import_module(f"quadswitch.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = value
+    return found
+
+
+# the builtin base each error kept when it joined QuadswitchError, so `except ValueError` still works
+BUILTIN_BASES = {
+    "gf2geom.GeometryError": ValueError,
+    "srg.NotStronglyRegular": ValueError,
+    "switching.SwitchingError": ValueError,
+    "switching.SearchExhausted": ValueError,
+    "switching.NotSwitchingSet": ValueError,
+    "codes.CodeError": ValueError,
+    "graph6.Graph6Error": ValueError,
+    "distinguish.IsomorphismTooLarge": ValueError,
+    "distinguish.IsomorphismBudgetExceeded": RuntimeError,
+}
+REFUSALS = {name: cls for name, cls in package_exceptions().items() if name != "srg._NotCertified"}
+
+
+def test_every_package_error_is_a_quadswitch_error():
+    assert set(BUILTIN_BASES) <= set(REFUSALS) and quadswitch.QuadswitchError is QuadswitchError
+    assert QuadswitchError.__bases__ == (Exception,)
+    for name, cls in REFUSALS.items():
+        assert issubclass(cls, QuadswitchError), name
+    for name, builtin in BUILTIN_BASES.items():
+        assert issubclass(REFUSALS[name], builtin), name
+    # control flow inside certify_gamma: if it ever leaked, it must stay a traceback
+    assert "srg._NotCertified" in package_exceptions()
+    assert not issubclass(srg._NotCertified, QuadswitchError)
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_main_reports_every_package_error_as_json(monkeypatch, capsys, name):
+    def refuse(form):
+        raise REFUSALS[name]("refused")
+
+    monkeypatch.setattr(cli, "build_gamma", refuse)
+    code, out, err = run_cli(capsys, "construct", "--n", "5", "--kind", "elliptic")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["error"] == "refused" and rep["checks"] == {}
+    assert err == "error: refused\n"
+
+
+def test_main_lets_any_other_exception_through(monkeypatch):
+    def fail(form):
+        raise srg._NotCertified("leaked")
+
+    monkeypatch.setattr(cli, "build_gamma", fail)
+    with pytest.raises(srg._NotCertified):
+        main(["construct", "--n", "5", "--kind", "elliptic"])
 
 
 
@@ -703,10 +765,10 @@ def test_the_package_exports_only_what_the_pipeline_uses():
     assert exported == """
         BinaryCode CodeError ELLIPTIC Family FamilyReport GammaCertificate GeometryError Graph
         GraphSignature HYPERBOLIC NotStronglyRegular NotSwitchingSet PARABOLIC QuadraticForm
-        SearchExhausted SrgParams Subspace Switch SwitchCertificate SwitchConfig SwitchingError
-        T_formula are_isomorphic build_S build_family build_gamma build_gamma_rows build_switch
-        canonical_form certified_gamma certify_gamma classify_family code_from_graph contains
-        count_external_lines_through expected_params gm_switch make_config min_weight_codewords
-        perp quadric_size signature span validate_switching_set verify_srg verify_srg_near
-        weight_distribution
+        QuadswitchError SearchExhausted SrgParams Subspace Switch SwitchCertificate SwitchConfig
+        SwitchingError T_formula are_isomorphic build_S build_family build_gamma build_gamma_rows
+        build_switch canonical_form certified_gamma certify_gamma classify_family code_from_graph
+        contains count_external_lines_through expected_params gm_switch make_config
+        min_weight_codewords perp quadric_size signature span validate_switching_set verify_srg
+        verify_srg_near weight_distribution
     """.split()

@@ -82,6 +82,9 @@ def test_canonical_form_parity_mismatch(n, kind):
         (0, ELLIPTIC, "must be >= 1"),  # before the rows X0, X1 are indexed
         (-1, HYPERBOLIC, "must be >= 1"),
         (5, "purple", "unknown quadric kind"),
+        (4, ELLIPTIC, "^elliptic quadrics need odd n, got n=4$"),  # the one parity test is quadric_size's
+        (6, HYPERBOLIC, "^hyperbolic quadrics need odd n, got n=6$"),
+        (5, PARABOLIC, "^parabolic quadrics need even n, got n=5$"),
         (MAX_N + 2, ELLIPTIC, "out of reach"),
         (101, HYPERBOLIC, "out of reach"),
         (10**9, PARABOLIC, "out of reach"),  # before a list of n + 1 rows is made

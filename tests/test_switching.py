@@ -642,6 +642,16 @@ def test_the_switch_layer_refuses_a_form_with_no_quadric_graph():
         legal_t_range(7, "foo", "tt")
 
 
+def test_the_flag_walks_refuse_a_form_with_no_quadric_graph():
+    # iter_flags and iter_singular_subspaces ask expected_params before they walk, as make_config does
+    p8 = canonical_form(8, PARABOLIC)
+    for variant in ("t", "tt"):
+        with pytest.raises(GeometryError, match=NO_QUADRIC_GRAPH):
+            next(iter_flags(p8, 1, variant))
+    with pytest.raises(GeometryError, match=NO_QUADRIC_GRAPH):
+        next(iter_singular_subspaces(p8, 1))
+
+
 @pytest.mark.parametrize(
     "n,kind,t,variant",
     [(5, ELLIPTIC, 5, "t"), (5, ELLIPTIC, 0, "t"), (5, HYPERBOLIC, 1, "tt"), (7, ELLIPTIC, 3, "tt")],
