@@ -12,13 +12,30 @@ gathered into vertex order.
 
 verify_srg checks all v(v-1)/2 pairs and is the reference.  The quadric
 graph itself is checked by certify_gamma from the point-indexed rows that
-build_gamma_rows computes, in three steps:
+build_gamma_rows computes, in three steps.  N = form.off is the vertex mask
+and translate(M, x) moves bit p to bit p^x.
 
-  1. reflections: for nonsingular r the map x -> x + B(x,r) r preserves Q,
-     so it is an automorphism.  It is named by its point r, and
-     form.reflect(M, r) applies it to a point mask M.
-     Each reflection used must map the vertex mask to itself and the row
-     of every vertex x to the row of its image.
+  1. automorphisms: for nonsingular r the reflection x -> x + B(x,r) r
+     preserves Q.  It is named by its point r, and form.reflect(M, r)
+     applies it to a point mask M: the translation by r on a mask H, the
+     identity off it.  Three checks show that each reflection used maps
+     the graph the rows describe to itself:
+     a. translations: for each coordinate b, translate trades the bits
+        of halves[b] with those 2^b above them, C_b = halves[b] << 2^b.
+        The two masks must split the points.  Going up from point 0 in
+        blocks of 2^b, that forces halves[b] to be the points whose
+        coordinate b is 0 and C_b those whose coordinate b is 1, so the
+        swap is the translation by e_b = 2^b.  The C_b separate points:
+        a point is the one bit in C_b exactly for its set coordinates b.
+     b. rows: the row of every vertex x is N & translate(N, x), in one
+        walk over the labels in order, each translate made from the last.
+     c. reflections: each one keeps the mask of all points, so H is
+        closed under the translation by r and the map is a bit
+        permutation; it keeps N; and it is linear: the image of each C_b
+        is where a linear functional is 1, the XOR of the C_c whose e_c it
+        holds, so the inverse map and with it the map are linear.
+     A linear bit permutation s that keeps N maps the row of x to
+     s(N & (N + x)) = N & (N + s(x)), the row of s(x).
   2. transitivity: an orbit walk from vertex 0 under those reflections
      covers the vertex mask.  Reflections are chosen greedily, each the
      lightest that still enlarges the orbit.  They generate the orthogonal
@@ -31,9 +48,13 @@ build_gamma_rows computes, in three steps:
 By step 2 any pair {x, y} is carried by a product of checked automorphisms
 onto a pair through vertex 0, and by step 1 that product keeps both the
 adjacency and the common-neighbour count.  So step 3 covers every pair and
-the result is exactly verify_srg's.  Nothing rests on the group theory:
-if the reflections fail to give transitivity, or a check fails, verify_srg
-decides, and a rejection carries a vertex or pair whose count is wrong.
+the result is exactly verify_srg's.  Nothing rests on the group theory or
+on what a reflection is meant to be, only on the maps that translate and
+reflect apply: if the reflections fail to give transitivity, or a check
+fails, verify_srg decides, and a rejection carries a vertex or pair whose
+count is wrong.  Step 1 costs one translate per row and n + 3 reflects of
+one mask per reflection, where reflecting every row in every reflection
+would cost v reflects per reflection.
 
 A graph that differs from an already verified one only in the rows and
 columns of a small vertex set, such as a Godsil-McKay switch at S, is
@@ -97,12 +118,17 @@ def _point_rows(form: QuadraticForm) -> Iterator[int]:
     point p is a neighbour.  Made one at a time, so a caller that keeps only
     the vertex-order rows never holds them all."""
     expected_params(form.n, form.kind)  # refuses a form with no quadric graph
-    off = form.off
-    size = off.bit_count() << (form.n + 1) >> 3
+    size = form.off.bit_count() << (form.n + 1) >> 3
     if size > MAX_POINT_ROW_BYTES:
         raise GeometryError(f"PG({form.n},2) is out of reach: its point rows take {size >> 20} MiB")
-    # y is a neighbour of x iff y and x^y are both off the quadric.  Labels in
-    # order differ in few bits, so each translate of off starts from the last.
+    yield from _translate_meets(form)
+
+
+def _translate_meets(form: QuadraticForm) -> Iterator[int]:
+    """N & translate(N, x) for each label x in order, N = form.off: y is a
+    neighbour of x iff y and x^y are both off the quadric.  Labels in order
+    differ in few bits, so each translate of N starts from the last."""
+    off = form.off
     moved, last = off, 0
     for x in form.labels:
         moved, last = form.translate(moved, x ^ last), x
@@ -228,8 +254,10 @@ def _orbit(form: QuadraticForm, orbit: int, reflections) -> int:
 
 def _transitive_reflections(form: QuadraticForm) -> list[int]:
     """Vertices to reflect in until the orbit of the first vertex is
-    form.off: each time the lightest one that enlarges the orbit, as it moves
-    a row in few block swaps.  Stops early when none does."""
+    form.off: each time the lightest one that enlarges the orbit, as a light
+    r moves a mask in few block swaps, here in the orbit walk and the checks
+    of step 1 and in distinguish's orbit signatures.  Stops early when none
+    does."""
     lightest_first = sorted(form.labels, key=int.bit_count)
     chosen: list[int] = []
     orbit = 1 << form.labels[0]
@@ -244,29 +272,38 @@ def _transitive_reflections(form: QuadraticForm) -> list[int]:
 
 def _certificate(form: QuadraticForm, point_rows, reflections) -> SrgParams:
     """The parameters of the graph on form.labels with these point rows,
-    from the three checks of the module docstring, or _NotCertified."""
+    from the three steps of the module docstring, or _NotCertified."""
     labels, vmask, v = form.labels, form.off, len(form.labels)
     size = 1 << len(form.halves)
-    spec, top = f"0{size}b", size - 1
-    row_of = dict(zip(labels, point_rows))
+    spec, top, ones = f"0{size}b", size - 1, (1 << size) - 1
+    coords = []  # coords[b]: the points whose coordinate b is 1
+    for b, half in enumerate(form.halves):
+        coord = half << (1 << b)
+        if half & coord or half | coord != ones:
+            raise _NotCertified(f"the block swap of coordinate {b} is not the translation by {1 << b}")
+        coords.append(coord)
+    for x, row, meet in zip(labels, point_rows, _translate_meets(form)):
+        if row != meet:
+            raise _NotCertified(f"the row of {x} is not the vertex set's meet with its translate by {x}")
     for r in reflections:
+        if form.reflect(ones, r) != ones:
+            raise _NotCertified(f"the reflection in {r} is not a permutation of the points")
         if form.reflect(vmask, r) != vmask:
             raise _NotCertified(f"the reflection in {r} moves a vertex off the vertex set")
-        moves = format(form.nonorth(r), spec)
-        for x, row in row_of.items():
-            fixed = moves[top - x] == "0"
-            if not fixed and x > x ^ r:
-                continue  # x and x^r swap, and the reflection is an involution: x^r covers both
-            if form.reflect(row, r) != (row if fixed else row_of[x ^ r]):
-                how = "moves" if fixed else "maps"  # a fixed x keeps its row, a moved x takes x^r's
-                raise _NotCertified(f"the reflection in {r} {how} the row of {x} wrongly")
+        for coord in coords:
+            image, functional = form.reflect(coord, r), 0
+            for b, other in enumerate(coords):
+                if image >> (1 << b) & 1:  # the image holds the point e_b
+                    functional ^= other
+            if image != functional:
+                raise _NotCertified(f"the reflection in {r} is not linear")
     if _orbit(form, 1 << labels[0], reflections) != vmask:
         raise _NotCertified("the reflections are not transitive on the vertices")
 
     first = point_rows[0]
     k = first.bit_count()
-    if first & ~vmask or k == 0 or k == v - 1:
-        raise _NotCertified("the first row leaves the vertex set or is empty or full")
+    if k == 0 or k == v - 1:
+        raise _NotCertified("the first row is empty or full")
     adjacent = format(first, spec)
     lam = mu = None
     for y, row in zip(labels[1:], point_rows[1:]):
@@ -300,8 +337,10 @@ def certify_gamma(form: QuadraticForm, point_rows) -> GammaCertificate:
     point rows, as build_gamma_rows returns them.
 
     The parameters are what verify_srg returns for the graph the rows
-    describe, by the certificate of the module docstring, or else from
-    verify_srg itself.  Raises GeometryError unless there is one row per vertex.
+    describe: from the three steps of the module docstring, which check each
+    row once against N & translate(N, x) and each reflection on n + 3 masks
+    before one vertex's pairs are counted, or else from verify_srg itself.
+    Raises GeometryError unless there is one row per vertex.
     """
     v = len(form.labels)
     if len(point_rows) != v:

@@ -173,6 +173,18 @@ def is_subspace_of(sub, other):
 # --- graph oracles ----------------------------------------------------------------
 
 
+def reflection_maps_rows(form, point_rows, r):
+    """Oracle: the reflection certificate's former row check, every row
+    reflected in full.  Does the reflection in r keep the vertex set and map
+    the point row of every vertex x to the row of its image, x^r if x is in
+    nonorth(r) and x otherwise?"""
+    if form.reflect(form.off, r) != form.off:
+        return False
+    row_of = dict(zip(form.labels, point_rows))
+    moves = form.nonorth(r)
+    return all(form.reflect(row, r) == row_of[x ^ r if moves >> x & 1 else x] for x, row in row_of.items())
+
+
 def check_well_formed(g):
     """Raise ValueError unless g has strictly increasing labels and loopless,
     symmetric rows with no bit at or past v."""

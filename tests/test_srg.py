@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_well_formed, form, gamma, legal_cases, switch_case
+from conftest import check_well_formed, form, gamma, legal_cases, reflection_maps_rows, switch_case
 from quadswitch import srg
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, PARABOLIC, GeometryError, canonical_form, set_bits
 from quadswitch.srg import (
@@ -564,27 +564,33 @@ def test_flipped_pair_is_rejected_by_every_checker(case, data):
 
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 def test_each_reflection_checks_fixed_and_moved_rows(n, kind):
-    # one reflection alone: a row it fixes and a row it moves, each with one
-    # point of nonorth(r) toggled, fail the row step before the orbit step is reached
+    # a row the reflection r fixes and a row it moves, each with one point of
+    # nonorth(r) toggled: the former per-row check fails r on them, and step 1
+    # refuses the row itself, before any reflection is looked at
     f, g, rows, good = certificate_case(n, kind)
     r = good[0]
     h = f.nonorth(r)
     fixed = next(i for i, x in enumerate(g.labels) if not (h >> x) & 1)
     moved = next(i for i, x in enumerate(g.labels) if (h >> x) & 1 and x < x ^ r)
     y = next(p for p in g.labels if (h >> p) & 1)
-    for i, message in ((fixed, "moves the row"), (moved, "maps the row")):
+    assert reflection_maps_rows(f, rows, r)
+    for i in (fixed, moved):
         bad = list(rows)
         bad[i] ^= 1 << y
-        with pytest.raises(srg._NotCertified, match=message):
+        assert not reflection_maps_rows(f, bad, r)
+        with pytest.raises(srg._NotCertified, match=f"the row of {g.labels[i]} is not"):
             srg._certificate(f, bad, [r])
 
 
 def test_certificate_ignores_no_point_outside_the_vertex_set():
     # point 0 added to every row is fixed by every reflection, so the rows stay
-    # equivariant; the graph (which has no vertex 0) is untouched
+    # equivariant and pass the former per-row check; step 1 holds each row to
+    # N & translate(N, x) and refuses the first, and verify_srg decides on the
+    # graph, which has no vertex 0 and is untouched
     f, g, rows, good = certificate_case(5, ELLIPTIC)
     with_zero = [row | 1 for row in rows]
-    with pytest.raises(srg._NotCertified, match="first row"):
+    assert all(reflection_maps_rows(f, with_zero, r) for r in good)
+    with pytest.raises(srg._NotCertified, match=f"the row of {g.labels[0]} is not"):
         srg._certificate(f, with_zero, good)
     assert certify_gamma(f, with_zero).params == verify_srg(g) == expected_params(5, ELLIPTIC)
     assert certify_gamma(f, with_zero).reflections == ()
@@ -602,23 +608,126 @@ def test_certify_gamma_falls_back_on_the_graph_its_rows_describe(monkeypatch, st
     assert seen == [build_gamma(f)]
 
 
-@pytest.mark.parametrize("connection,broken", [((1, 2, 3, 4), "lambda"), ((1, 2), "mu")])
+def gf64_times(a, b):
+    """a * b in GF(64) = F_2[X] / (X^6 + X + 1), in which 2 (the class of X) is primitive."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+        if a >> 6:
+            a ^= 0b1000011
+    return out
+
+
+def gf64_powers_of_2():
+    powers = [1]
+    for _ in range(62):
+        powers.append(gf64_times(powers[-1], 2))
+    return powers
+
+
+GF64_UNITS = gf64_powers_of_2()
+GF64_CUBES = sorted(GF64_UNITS[::3])
+GF64_NON_CUBES = sorted(set(GF64_UNITS) - set(GF64_CUBES))
+
+
+@pytest.mark.parametrize("connection,broken", [(GF64_CUBES, "lambda"), (GF64_NON_CUBES, "mu")])
 def test_certificate_checks_every_pair_through_the_first_vertex(connection, broken):
-    # a Cayley graph on F_2^4 with the translations as "reflections" (H = all
-    # points): every row check and the orbit walk pass, but the vertex
-    # stabiliser is trivial, so only the pair counts through point 0 can tell
-    size = 16
-    rows = tuple(sum(1 << (x ^ d) for d in connection) for x in range(size))
-    g = Graph(tuple(range(size)), rows)
-    everything = (1 << size) - 1
-    stand_in = canonical_form(3, HYPERBOLIC)  # a form on F_2^4 of its own ...
-    stand_in.off, stand_in.labels = everything, g.labels  # ... with every vector a vertex, 0 included
-    stand_in.reflect = stand_in.translate  # ... whose "reflection" in r is the translation by r,
-    stand_in.nonorth = lambda r: everything  # which moves every point
-    with pytest.raises(srg._NotCertified, match=broken):
-        srg._certificate(stand_in, rows, (1, 2, 4, 8))
+    # a Cayley graph on F_2^6 = GF(64) cut down to its connection set N, the
+    # cubes or the non-cubes of GF(64)*: x ~ y iff x + y is in N, which are
+    # the rows N & translate(N, x) that step 1 asks for.  The "reflections"
+    # x -> r x^2 for r = 1 and r = 2^3 are linear bit permutations that keep N,
+    # and together they are transitive on it.  So every check before the pair
+    # counts passes, but the graph is not strongly regular, and only the pair
+    # counts through the first vertex can tell
+    stand_in = canonical_form(5, HYPERBOLIC)  # a form on F_2^6 of its own ...
+    stand_in.off, stand_in.labels = sum(1 << x for x in connection), tuple(connection)  # ... with N as vertices,
+    stand_in.reflect = lambda mask, r: sum(1 << gf64_times(r, gf64_times(p, p)) for p in set_bits(mask))
+    rows = [stand_in.off & stand_in.translate(stand_in.off, x) for x in connection]
+    assert [set_bits(row) for row in rows] == [[y for y in connection if (x ^ y) in connection] for x in connection]
+    assert srg._orbit(stand_in, 1 << connection[0], (1, 8)) == stand_in.off
+    with pytest.raises(srg._NotCertified, match=f"breaks {broken}"):
+        srg._certificate(stand_in, rows, (1, 8))
     with pytest.raises(NotStronglyRegular):
-        verify_srg(g)
+        verify_srg(Graph(stand_in.labels, tuple(map(stand_in.vertices, rows))))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_certified_reflections_pass_the_former_row_check(monkeypatch, n, kind):
+    # differential: every reflection step 1 accepts on a base graph also maps
+    # each of its rows, reflected in full, to the row of the image vertex, and
+    # the certificate, made without the fallback, is verify_srg's answer
+    f = form(n, kind)
+    g, rows = build_gamma_rows(f)
+    with monkeypatch.context() as m:
+        m.setattr(srg, "verify_srg", refuse_pair_check)
+        certificate = certify_gamma(f, rows)
+    assert certificate.reflections
+    assert all(reflection_maps_rows(f, rows, r) for r in certificate.reflections)
+    assert certificate.params == verify_srg(g)
+
+
+def assert_verify_srg_decides(monkeypatch, f, g, rows, reflections):
+    """certify_gamma on these rows, with these reflections chosen, falls back
+    to verify_srg, which sees g and accepts it."""
+    calls = []
+    monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: list(reflections))
+    monkeypatch.setattr(srg, "verify_srg", lambda h: calls.append(h) or verify_srg(h))
+    assert certify_gamma(f, rows) == srg.GammaCertificate(f, expected_params(f.n, f.kind), ())
+    assert calls == [g]
+
+
+@pytest.mark.parametrize("b", range(6))
+def test_certificate_checks_every_block_swap(monkeypatch, b):
+    # the translations behind the rows and the reflections are the block swaps
+    # of halves: halves[b] one point short no longer splits the points with
+    # its shift by 2^b, so step 1 refuses the translation by e_b
+    f = canonical_form(5, ELLIPTIC)  # a form of its own, whose halves are edited
+    g, rows = build_gamma_rows(f)
+    good = srg._transitive_reflections(canonical_form(5, ELLIPTIC))
+    halves = list(f.halves)
+    halves[b] ^= 1  # point 0 has coordinate b 0
+    f.halves = tuple(halves)
+    with pytest.raises(srg._NotCertified, match=f"block swap of coordinate {b} is not"):
+        srg._certificate(f, rows, good)
+    assert_verify_srg_decides(monkeypatch, f, g, rows, good)
+
+
+def test_certificate_refuses_a_reflection_that_is_no_permutation(monkeypatch):
+    # nonorth(r) one point short is not closed under the translation by r, so
+    # the reflection in r drops a point: step 1 refuses it
+    f = canonical_form(5, HYPERBOLIC)  # a form of its own, whose nonorth is edited
+    g, rows = build_gamma_rows(f)
+    good = srg._transitive_reflections(canonical_form(5, HYPERBOLIC))
+    r, nonorth = good[0], f.nonorth
+    short = nonorth(r) & (nonorth(r) - 1)
+    monkeypatch.setattr(f, "nonorth", lambda y: short if y == r else nonorth(y))
+    with pytest.raises(srg._NotCertified, match=f"reflection in {r} is not a permutation"):
+        srg._certificate(f, rows, good)
+    assert_verify_srg_decides(monkeypatch, f, g, rows, good)
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_certificate_refuses_a_transitive_map_that_is_not_linear(monkeypatch, kind):
+    # a "reflection" that moves each vertex to the next label is a bit
+    # permutation, keeps N and is transitive on it by itself, but is not linear:
+    # step 1 refuses it before the orbit walk could accept it
+    f = canonical_form(5, kind)  # a form of its own, whose reflect is replaced
+    g, rows = build_gamma_rows(f)
+    v, r = g.v, g.labels[0]
+
+    def turn(mask, _):
+        inside = f.vertices(mask)
+        return mask & ~f.off | f.points(inside << 1 | inside >> (v - 1))
+
+    f.reflect = turn
+    assert turn(f.ones, r) == f.ones and turn(f.off, r) == f.off
+    assert srg._orbit(f, 1 << r, [r]) == f.off
+    with pytest.raises(srg._NotCertified, match=f"reflection in {r} is not linear"):
+        srg._certificate(f, rows, [r])
+    assert_verify_srg_decides(monkeypatch, f, g, rows, [r])
 
 
 def test_certify_gamma_needs_one_row_per_vertex():
