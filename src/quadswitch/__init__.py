@@ -21,7 +21,6 @@ from .srg import (
     NotStronglyRegular,
     SrgParams,
     build_gamma,
-    build_gamma_rows,
     certified_gamma,
     certify_gamma,
     expected_params,

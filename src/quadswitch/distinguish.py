@@ -6,7 +6,7 @@ the minimum-weight codewords.  All three survive vertex relabelling, so
 differing signatures certify non-isomorphism.
 
 The quadric graph's words are profiled once per orbit.  The reflections
-certify_gamma checked against its rows are automorphisms of the graph, so
+in certify_gamma's certificate are automorphisms of the graph it returned, so
 they permute its rows, its code and its minimum-weight words, and keep every
 induced degree: the words of one orbit share one profile, and the orbit's
 size is added to its multiplicity.  The orbits are walked in point space,
@@ -107,7 +107,7 @@ def signature(
 ) -> GraphSignature:
     """Signature from the graph's code and that code's minimum-weight words:
     rank, minimum weight, min-word support shapes with their multiplicities.
-    With the certificate that certify_gamma gave for g's point rows, each
+    With the certificate that certify_gamma gave with g, each
     orbit of words under its reflections is profiled once (see the module
     docstring); otherwise, or when the walk fails, every word is."""
     if not words:

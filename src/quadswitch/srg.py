@@ -8,28 +8,28 @@ A^2 = kI + lam*A + mu*(J - I - A) is checked exactly over the integers.
 
 Rows are built whole on the form's point masks (see gf2geom): with N the
 points off the quadric, the neighbours of x are N & translate(N, x),
-gathered into vertex order.
+gathered into vertex order as each row is made.
 
 verify_srg checks all v(v-1)/2 pairs and is the reference.  The quadric
-graph itself is checked by certify_gamma from the point-indexed rows that
-build_gamma_rows computes, in three steps.  N = form.off is the vertex mask
-and translate(M, x) moves bit p to bit p^x.
+graph itself is built and checked by certify_gamma, in three steps, and the
+certificate is about the graph it returns.  N = form.off is the vertex mask
+and translate(M, x) moves bit p to bit p^x, so the row of every vertex x is
+N & translate(N, x) by construction.
 
   1. automorphisms: for nonsingular r the reflection x -> x + B(x,r) r
      preserves Q.  It is named by its point r, and form.reflect(M, r)
      applies it to a point mask M: the translation by r on a mask H, the
-     identity off it.  Three checks show that each reflection used maps
-     the graph the rows describe to itself:
+     identity off it.  Two checks show that each reflection used maps
+     the graph to itself:
      a. translations: for each coordinate b, translate trades the bits
         of halves[b] with those 2^b above them, C_b = halves[b] << 2^b.
         The two masks must split the points.  Going up from point 0 in
         blocks of 2^b, that forces halves[b] to be the points whose
         coordinate b is 0 and C_b those whose coordinate b is 1, so the
-        swap is the translation by e_b = 2^b.  The C_b separate points:
-        a point is the one bit in C_b exactly for its set coordinates b.
-     b. rows: the row of every vertex x is N & translate(N, x), in one
-        walk over the labels in order, each translate made from the last.
-     c. reflections: each one keeps the mask of all points, so H is
+        swap is the translation by e_b = 2^b, and each row is N & (N + x).
+        The C_b separate points: a point is the one bit in C_b exactly
+        for its set coordinates b.
+     b. reflections: each one keeps the mask of all points, so H is
         closed under the translation by r and the map is a bit
         permutation; it keeps N; and it is linear: the image of each C_b
         is where a linear functional is 1, the XOR of the C_c whose e_c it
@@ -41,9 +41,9 @@ and translate(M, x) moves bit p to bit p^x.
      lightest that still enlarges the orbit.  They generate the orthogonal
      group of Q, which is transitive on the nonsingular points, so the
      walk succeeds after a few of them (n+1 or n+2 here).
-  3. one vertex: the degree of vertex 0 and the counts of its v-1 pairs
-     give k, lambda and mu, followed by verify_srg's closing identity and
-     spectral checks.
+  3. one vertex: the degree of vertex 0 and the counts of its v-1 pairs,
+     read off the graph's rows, give k, lambda and mu, followed by
+     verify_srg's closing identity and spectral checks.
 
 By step 2 any pair {x, y} is carried by a product of checked automorphisms
 onto a pair through vertex 0, and by step 1 that product keeps both the
@@ -51,10 +51,10 @@ adjacency and the common-neighbour count.  So step 3 covers every pair and
 the result is exactly verify_srg's.  Nothing rests on the group theory or
 on what a reflection is meant to be, only on the maps that translate and
 reflect apply: if the reflections fail to give transitivity, or a check
-fails, verify_srg decides, and a rejection carries a vertex or pair whose
-count is wrong.  Step 1 costs one translate per row and n + 3 reflects of
-one mask per reflection, where reflecting every row in every reflection
-would cost v reflects per reflection.
+fails, verify_srg decides on the same graph, and a rejection carries a
+vertex or pair whose count is wrong.  Step 1 costs n + 3 reflects of one
+mask per reflection, where reflecting every row in every reflection would
+cost v reflects per reflection.
 
 A graph that differs from an already verified one only in the rows and
 columns of a small vertex set, such as a Godsil-McKay switch at S, is
@@ -65,8 +65,7 @@ It reaches the same decision as verify_srg.
 
 Every switch of one (n, kind) starts from the same quadric graph, so
 certified_gamma builds and certifies it once per process and hands out that
-immutable graph and certificate again; the point rows are dropped once the
-certificate is made.
+immutable graph and certificate again.
 """
 
 from __future__ import annotations
@@ -79,7 +78,8 @@ from typing import Iterator
 from .gf2geom import (ELLIPTIC, HYPERBOLIC, GeometryError, QuadraticForm, QuadswitchError,
                       canonical_form, set_bits)
 
-# The point rows of a quadric graph, v * 2^(n+1) bits: ~257 MiB at n = 15, ~4 GiB at n = 17
+# The point rows the build walks one at a time, v * 2^(n+1) bits in all: ~257 MiB
+# at n = 15, ~4 GiB at n = 17.  Only one row is held, so this bounds the walk's work.
 MAX_POINT_ROW_BYTES = 1 << 30
 
 
@@ -114,33 +114,20 @@ class Graph:
 
 
 def _point_rows(form: QuadraticForm) -> Iterator[int]:
-    """The row of each vertex in order, indexed by point: bit p set iff the
-    point p is a neighbour.  Made one at a time, so a caller that keeps only
-    the vertex-order rows never holds them all."""
+    """The row of each vertex in order, indexed by point: N & translate(N, x)
+    for each label x, N = form.off, since y is a neighbour of x iff y and x^y
+    are both off the quadric.  Made one at a time, so a caller that keeps only
+    the vertex-order rows never holds them all; labels in order differ in few
+    bits, so each translate of N starts from the last."""
     expected_params(form.n, form.kind)  # refuses a form with no quadric graph
     size = form.off.bit_count() << (form.n + 1) >> 3
     if size > MAX_POINT_ROW_BYTES:
         raise GeometryError(f"PG({form.n},2) is out of reach: its point rows take {size >> 20} MiB")
-    yield from _translate_meets(form)
-
-
-def _translate_meets(form: QuadraticForm) -> Iterator[int]:
-    """N & translate(N, x) for each label x in order, N = form.off: y is a
-    neighbour of x iff y and x^y are both off the quadric.  Labels in order
-    differ in few bits, so each translate of N starts from the last."""
     off = form.off
     moved, last = off, 0
     for x in form.labels:
         moved, last = form.translate(moved, x ^ last), x
         yield off & moved
-
-
-def build_gamma_rows(form: QuadraticForm) -> tuple[Graph, tuple[int, ...]]:
-    """The quadric graph and its rows indexed by point: entry i of the second
-    value has bit p set iff the point p is a neighbour of vertex i.
-    certify_gamma reads the point rows."""
-    rows = tuple(_point_rows(form))
-    return Graph(form.labels, tuple(map(form.vertices, rows))), rows
 
 
 def build_gamma(form: QuadraticForm) -> Graph:
@@ -270,21 +257,17 @@ def _transitive_reflections(form: QuadraticForm) -> list[int]:
     return chosen
 
 
-def _certificate(form: QuadraticForm, point_rows, reflections) -> SrgParams:
-    """The parameters of the graph on form.labels with these point rows,
-    from the three steps of the module docstring, or _NotCertified."""
+def _certificate(form: QuadraticForm, g: Graph, reflections) -> SrgParams:
+    """The parameters of g, the graph build_gamma makes on form, from the
+    three steps of the module docstring, or _NotCertified."""
     labels, vmask, v = form.labels, form.off, len(form.labels)
-    size = 1 << len(form.halves)
-    spec, top, ones = f"0{size}b", size - 1, (1 << size) - 1
+    ones = (1 << (1 << len(form.halves))) - 1
     coords = []  # coords[b]: the points whose coordinate b is 1
     for b, half in enumerate(form.halves):
         coord = half << (1 << b)
         if half & coord or half | coord != ones:
             raise _NotCertified(f"the block swap of coordinate {b} is not the translation by {1 << b}")
         coords.append(coord)
-    for x, row, meet in zip(labels, point_rows, _translate_meets(form)):
-        if row != meet:
-            raise _NotCertified(f"the row of {x} is not the vertex set's meet with its translate by {x}")
     for r in reflections:
         if form.reflect(ones, r) != ones:
             raise _NotCertified(f"the reflection in {r} is not a permutation of the points")
@@ -300,15 +283,15 @@ def _certificate(form: QuadraticForm, point_rows, reflections) -> SrgParams:
     if _orbit(form, 1 << labels[0], reflections) != vmask:
         raise _NotCertified("the reflections are not transitive on the vertices")
 
-    first = point_rows[0]
+    first = g.rows[0]
     k = first.bit_count()
     if k == 0 or k == v - 1:
         raise _NotCertified("the first row is empty or full")
-    adjacent = format(first, spec)
+    adjacent = format(first, f"0{v}b")[::-1]  # adjacent[j] is "1" iff vertex j is a neighbour
     lam = mu = None
-    for y, row in zip(labels[1:], point_rows[1:]):
+    for y, row, bit in zip(labels[1:], g.rows[1:], adjacent[1:]):
         common = (first & row).bit_count()
-        if adjacent[top - y] == "1":
+        if bit == "1":
             if lam is None:
                 lam = common
             elif common != lam:
@@ -322,47 +305,41 @@ def _certificate(form: QuadraticForm, point_rows, reflections) -> SrgParams:
 
 @dataclass(frozen=True)
 class GammaCertificate:
-    """What certify_gamma proved about the graph of its point rows: the
-    parameters, and the reflections it checked as automorphisms of that graph,
-    each named by its point r for form.reflect.  No reflections after the
-    verify_srg fallback."""
+    """What certify_gamma proved about the graph it returned: the parameters,
+    and the reflections it checked as automorphisms of that graph, each named
+    by its point r for form.reflect.  No reflections after the verify_srg
+    fallback."""
 
     form: QuadraticForm
     params: SrgParams
     reflections: tuple[int, ...] = ()
 
 
-def certify_gamma(form: QuadraticForm, point_rows) -> GammaCertificate:
-    """Exact strong-regularity check of the quadric graph of form from its
-    point rows, as build_gamma_rows returns them.
+def certify_gamma(form: QuadraticForm) -> tuple[Graph, GammaCertificate]:
+    """The quadric graph of form, from build_gamma, and an exact
+    strong-regularity check of that graph.
 
-    The parameters are what verify_srg returns for the graph the rows
-    describe: from the three steps of the module docstring, which check each
-    row once against N & translate(N, x) and each reflection on n + 3 masks
-    before one vertex's pairs are counted, or else from verify_srg itself.
-    Raises GeometryError unless there is one row per vertex.
+    The parameters are what verify_srg returns for the graph: from the three
+    steps of the module docstring, which check each reflection on n + 3 masks
+    before one vertex's pairs are counted, or else from verify_srg itself on
+    the same graph.  Raises GeometryError where build_gamma does.
     """
-    v = len(form.labels)
-    if len(point_rows) != v:
-        raise GeometryError(f"{len(point_rows)} point rows for the {v} vertices of the form")
+    g = build_gamma(form)
     reflections = tuple(_transitive_reflections(form))
     try:
-        return GammaCertificate(form, _certificate(form, point_rows, reflections), reflections)
+        return g, GammaCertificate(form, _certificate(form, g, reflections), reflections)
     except _NotCertified:
-        return GammaCertificate(form, verify_srg(Graph(form.labels, tuple(map(form.vertices, point_rows)))))
+        return g, GammaCertificate(form, verify_srg(g))
 
 
 # One entry per kind: a batch of requests at one n alternates between the two.
 @functools.lru_cache(maxsize=2)
 def certified_gamma(n: int, kind: str) -> tuple[Graph, GammaCertificate]:
-    """The quadric graph of the canonical form of (n, kind) and its
-    certify_gamma certificate, whose form is the one the graph was built on.
-    Made once per process for each of the last two (n, kind) asked for; the
-    point rows are not kept.  Raises GeometryError, and caches nothing, where
-    build_gamma_rows does."""
-    form = canonical_form(n, kind)
-    gamma, point_rows = build_gamma_rows(form)
-    return gamma, certify_gamma(form, point_rows)
+    """certify_gamma of the canonical form of (n, kind): the quadric graph and
+    its certificate, whose form is the one the graph was built on.  Made once
+    per process for each of the last two (n, kind) asked for.  Raises
+    GeometryError, and caches nothing, where build_gamma does."""
+    return certify_gamma(canonical_form(n, kind))
 
 
 def _wrong_count(rows, i: int, j: int, lam: int, mu: int):
@@ -399,8 +376,10 @@ def verify_srg_near(g: Graph, base: Graph, base_params: SrgParams, changed: int)
     is wrong in g.
     """
     v = g.v
-    if v != base.v or v != base_params.v:
+    if v != base.v:
         raise NotStronglyRegular(f"{v} vertices, but the base graph has {base.v}")
+    if v != base_params.v:
+        raise NotStronglyRegular(f"{v} vertices, but the base parameters have v = {base_params.v}")
     k, lam, mu = base_params.k, base_params.lam, base_params.mu
     rows, base_rows = g.rows, base.rows
     cmask, rest = changed, ~changed

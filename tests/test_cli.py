@@ -199,7 +199,7 @@ def test_base_graphs_are_certified_without_the_pair_check(monkeypatch, capsys, a
     certified = []
     certify = srg.certify_gamma
     monkeypatch.setattr(srg, "verify_srg", refuse)
-    monkeypatch.setattr(srg, "certify_gamma", lambda f, rows: certified.append(f.kind) or certify(f, rows))
+    monkeypatch.setattr(srg, "certify_gamma", lambda f: certified.append(f.kind) or certify(f))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert all(json.loads(out)["checks"].values())
@@ -248,8 +248,8 @@ def run_request(capsys, argv):
 
 def test_a_batch_builds_and_certifies_each_base_graph_once(monkeypatch, capsys):
     builds, flag_forms = [], []
-    build, make_config = srg.build_gamma_rows, switching.make_config
-    monkeypatch.setattr(srg, "build_gamma_rows", lambda f: builds.append(f.kind) or build(f))
+    build, make_config = srg.build_gamma, switching.make_config
+    monkeypatch.setattr(srg, "build_gamma", lambda f: builds.append(f.kind) or build(f))
     monkeypatch.setattr(switching, "make_config", lambda f, *a: flag_forms.append(f) or make_config(f, *a))
     batch = [run_request(capsys, argv) for argv in BATCH_N7]
     assert [code for code, _ in batch] == [0, 0, 1, 0, 2, 0, 0, 0]
@@ -766,9 +766,9 @@ def test_the_package_exports_only_what_the_pipeline_uses():
         BinaryCode CodeError ELLIPTIC Family FamilyReport GammaCertificate GeometryError Graph
         GraphSignature HYPERBOLIC NotStronglyRegular NotSwitchingSet PARABOLIC QuadraticForm
         QuadswitchError SearchExhausted SrgParams Subspace Switch SwitchCertificate SwitchConfig
-        SwitchingError T_formula are_isomorphic build_S build_family build_gamma build_gamma_rows
-        build_switch canonical_form certified_gamma certify_gamma classify_family code_from_graph
-        contains count_external_lines_through expected_params gm_switch make_config
-        min_weight_codewords perp quadric_size signature span validate_switching_set verify_srg
-        verify_srg_near weight_distribution
+        SwitchingError T_formula are_isomorphic build_S build_family build_gamma build_switch
+        canonical_form certified_gamma certify_gamma classify_family code_from_graph contains
+        count_external_lines_through expected_params gm_switch make_config min_weight_codewords
+        perp quadric_size signature span validate_switching_set verify_srg verify_srg_near
+        weight_distribution
     """.split()

@@ -24,7 +24,7 @@ from quadswitch.distinguish import (
     signature,
 )
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, canonical_form
-from quadswitch.srg import GammaCertificate, Graph, build_gamma, build_gamma_rows, certify_gamma
+from quadswitch.srg import GammaCertificate, Graph, build_gamma, certify_gamma
 from quadswitch.switching import build_S, gm_switch, make_config
 
 from conftest import form, graph_signature, random_graph, relabel, to_nx
@@ -81,9 +81,9 @@ def test_signature_invariant_under_relabelling():
 
 def certified_words(n, kind):
     """Graph, certificate, code and minimum words of one quadric graph."""
-    g, rows = build_gamma_rows(form(n, kind))
+    g, certificate = certify_gamma(form(n, kind))
     code = code_from_graph(g)
-    return g, certify_gamma(form(n, kind), rows), code, tuple(min_weight_codewords(code))
+    return g, certificate, code, tuple(min_weight_codewords(code))
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
@@ -133,7 +133,7 @@ def test_orbit_signature_needs_certified_reflections(monkeypatch, n, kind):
     g, _, code, words = certified_words(n, kind)
     good = srg._transitive_reflections(form(n, kind))
     monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: good[:-1])
-    fell_back = certify_gamma(form(n, kind), build_gamma_rows(form(n, kind))[1])
+    fell_back = certify_gamma(form(n, kind))[1]
     assert fell_back.reflections == ()
     assert_direct(g, code, words, fell_back)
     other = certified_words(n, HYPERBOLIC if kind == ELLIPTIC else ELLIPTIC)[1]

@@ -18,6 +18,7 @@ from conftest import (
     is_subspace_of,
     poly_eval,
 )
+from quadswitch import srg
 from quadswitch.gf2geom import (
     ELLIPTIC,
     HYPERBOLIC,
@@ -36,7 +37,6 @@ from quadswitch.gf2geom import (
     set_bits,
     span,
 )
-from quadswitch.srg import build_gamma_rows
 
 
 def monomials(form):
@@ -486,8 +486,7 @@ def test_vertices_matches_the_string_gather_on_random_forms(n):
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_gamma_rows_match_the_string_gather(n, kind):
     f = canonical_form(n, kind)
-    g, point_rows = build_gamma_rows(f)
-    assert g.rows == tuple(itemgetter_gather(f, row) for row in point_rows)
+    assert srg.build_gamma(f).rows == tuple(itemgetter_gather(f, row) for row in srg._point_rows(f))
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,6 +1,7 @@
 """Graph construction and exact strong-regularity verification."""
 
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +15,6 @@ from quadswitch.srg import (
     NotStronglyRegular,
     SrgParams,
     build_gamma,
-    build_gamma_rows,
     certified_gamma,
     certify_gamma,
     expected_params,
@@ -366,8 +366,11 @@ def test_any_changed_mask_gives_the_same_decision(i, j, changed):
 
 def test_verify_srg_near_rejects_a_vertex_count_mismatch():
     base = gamma(5, ELLIPTIC)
-    with pytest.raises(NotStronglyRegular):
-        verify_srg_near(gamma(5, HYPERBOLIC), base, verify_srg(base), 0)
+    params = verify_srg(base)
+    with pytest.raises(NotStronglyRegular, match="36 vertices, but the base graph has 28"):
+        verify_srg_near(base, gamma(5, HYPERBOLIC), params, 0)
+    with pytest.raises(NotStronglyRegular, match="36 vertices, but the base parameters have v = 40"):
+        verify_srg_near(base, base, replace(params, v=40), 0)
 
 
 # --- the reflection certificate of the quadric graph ---------------------------------
@@ -389,29 +392,47 @@ def refuse_pair_check(g):
 
 
 def certificate_case(n, kind):
-    """Form, graph, point rows and the chosen reflections."""
+    """Form, graph and the chosen reflections."""
     f = form(n, kind)
-    g, rows = build_gamma_rows(f)
+    g = gamma(n, kind)
     assert f.off == sum(1 << x for x in g.labels)
-    return f, g, rows, srg._transitive_reflections(f)
+    return f, g, srg._transitive_reflections(f)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_certify_gamma_matches_verify_srg(monkeypatch, n, kind):
+    # differential: the certificate, made without the fallback, is verify_srg's
+    # answer on the graph it returns
     f = form(n, kind)
-    g, rows = build_gamma_rows(f)
-    assert g == gamma(n, kind)
     with monkeypatch.context() as m:
         m.setattr(srg, "verify_srg", refuse_pair_check)
-        got = certify_gamma(f, rows)
+        g, got = certify_gamma(f)
+    assert g == gamma(n, kind)
     assert got.params == verify_srg(g) == expected_params(n, kind)
     assert got.form is f and got.reflections == tuple(srg._transitive_reflections(f))
 
 
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_certified_reflections_pass_the_former_row_check(monkeypatch, n, kind):
+    # differential: every reflection the certificate accepts, without the
+    # fallback, also maps each point row, reflected in full, to the row of the
+    # image vertex; the certificate's params were checked against verify_srg
+    # above, so verify_srg is not run here a second time
+    f = form(n, kind)
+    with monkeypatch.context() as m:
+        m.setattr(srg, "verify_srg", refuse_pair_check)
+        _, certificate = certify_gamma(f)
+    assert certificate.reflections
+    assert certificate.params == expected_params(n, kind)
+    rows = list(srg._point_rows(f))
+    assert all(reflection_maps_rows(f, rows, r) for r in certificate.reflections)
+
+
 def test_build_gamma_rows_are_the_point_rows():
     f = form(7, HYPERBOLIC)
-    g, rows = build_gamma_rows(f)
+    g, rows = build_gamma(f), list(srg._point_rows(f))
     for i, row in enumerate(rows):
         assert [y for y in g.labels if (row >> y) & 1] == [g.labels[j] for j in g.neighbors(i)]
     assert not any(row & ~sum(1 << x for x in g.labels) for row in rows)
@@ -419,18 +440,20 @@ def test_build_gamma_rows_are_the_point_rows():
 
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_build_gamma_never_holds_all_point_rows(kind):
-    # each row is gathered into vertex order as it is made, so the peak stays
-    # below the v * 2^(n+1) bits that the point rows take together
+    # each row is gathered into vertex order as it is made, so neither the
+    # build nor the certificate of the built graph gets near the
+    # v * 2^(n+1) bits that the point rows take together
     n = 11
     f = canonical_form(n, kind)
-    tracemalloc.start()
-    try:
-        g = build_gamma(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < g.v << (n + 1) >> 3
-    assert g == build_gamma_rows(f)[0]
+    for build in (build_gamma, lambda f: certify_gamma(f)[0]):
+        tracemalloc.start()
+        try:
+            g = build(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.v << (n + 1) >> 3
+        assert g == gamma(n, kind)
 
 
 def test_neighbors_lists_the_row_bits_below_v():
@@ -444,10 +467,11 @@ def test_neighbors_lists_the_row_bits_below_v():
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_one_form_keeps_one_label_tuple_and_one_gather(kind):
     f = canonical_form(7, kind)  # a form of its own, nothing made on it yet
-    g, rows = build_gamma_rows(f)
+    g = build_gamma(f)
     assert g.labels is f.labels
     made = {name: f.__dict__[name] for name in ("labels", "_gather")}
-    assert certify_gamma(f, rows).params == expected_params(7, kind)
+    certified, certificate = certify_gamma(f)
+    assert certified.labels is f.labels and certificate.params == expected_params(7, kind)
     sw = build_switch(g, make_config(f, 1, "tt", 5))
     assert sw.graph.labels is f.labels
     assert sw.t_set == sw.certificate.half_class
@@ -486,77 +510,58 @@ def test_certified_reflections_are_vertices(n, kind):
     assert set(reflections) <= set(certificate.form.labels)
 
 
+def assert_verify_srg_decides(monkeypatch, f, reflections):
+    """certify_gamma(f), with these reflections chosen, falls back to verify_srg
+    on the graph it built, the one build_gamma makes on f, and ends as
+    verify_srg decides there: the same certificate, or the same error."""
+    seen = []
+    monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: list(reflections))
+    monkeypatch.setattr(srg, "verify_srg", lambda h: seen.append(h) or verify_srg(h))
+    built = build_gamma(f)
+    try:
+        want = srg.GammaCertificate(f, verify_srg(built), ())
+    except NotStronglyRegular as exc:
+        with pytest.raises(NotStronglyRegular) as got:
+            certify_gamma(f)
+        assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
+    else:
+        g, certificate = certify_gamma(f)
+        assert certificate == want and seen[0] is g
+    assert seen == [built]
+
+
 @pytest.mark.parametrize("n,kind", [(5, HYPERBOLIC), (7, ELLIPTIC)])
 def test_certificate_rejects_a_singular_reflection(monkeypatch, n, kind):
-    f, g, rows, good = certificate_case(n, kind)
-    assert srg._certificate(f, rows, good) == expected_params(n, kind)
+    f, g, good = certificate_case(n, kind)
+    assert srg._certificate(f, g, good) == expected_params(n, kind)
     bad = next(p for p in range(1, 1 << (n + 1)) if f.contains(p))
     assert f.reflect(f.nonorth(bad), bad) == f.nonorth(bad)  # still a permutation of the points
     with pytest.raises(srg._NotCertified, match="off the vertex set"):
-        srg._certificate(f, rows, [bad, *good])
-    calls = []
-    monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: [bad, *good])
-    monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
-    assert certify_gamma(f, rows) == srg.GammaCertificate(f, expected_params(n, kind), ())
-    assert calls == [g]
+        srg._certificate(f, g, [bad, *good])
+    assert_verify_srg_decides(monkeypatch, f, [bad, *good])
 
 
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 def test_certificate_needs_a_transitive_set(monkeypatch, n, kind):
-    f, g, rows, good = certificate_case(n, kind)
+    f, g, good = certificate_case(n, kind)
     with pytest.raises(srg._NotCertified, match="not transitive"):
-        srg._certificate(f, rows, good[:-1])
-    calls = []
-    monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: good[:-1])
-    monkeypatch.setattr(srg, "verify_srg", lambda g: calls.append(g) or verify_srg(g))
-    assert certify_gamma(f, rows) == srg.GammaCertificate(f, expected_params(n, kind), ())
-    assert calls == [g]
-
-
-@pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
-@pytest.mark.parametrize("edit", ["symmetric_flip", "one_row"])
-def test_certificate_rejects_a_corrupted_row(n, kind, edit):
-    f, g, rows, good = certificate_case(n, kind)
-    params = expected_params(n, kind)
-    rows, vrows = list(rows), list(g.rows)
-    last = g.v - 1
-    if edit == "symmetric_flip":
-        i, j = 3, last
-        rows[i] ^= 1 << g.labels[j]
-        rows[j] ^= 1 << g.labels[i]
-        vrows[i] ^= 1 << j
-        vrows[j] ^= 1 << i
-    else:  # the last row alone trades a neighbour for a non-neighbour: degrees stay k
-        a = g.neighbors(last)[-1]
-        b = next(j for j in range(last - 1, 0, -1) if not (g.rows[last] >> j) & 1)
-        rows[last] ^= (1 << g.labels[a]) | (1 << g.labels[b])
-        vrows[last] ^= (1 << a) | (1 << b)
-    bad = Graph(g.labels, tuple(vrows))
-    with pytest.raises(srg._NotCertified, match="row of"):
-        srg._certificate(f, rows, good)
-    with pytest.raises(NotStronglyRegular) as exc:
-        certify_gamma(f, rows)
-    assert_real_srg_witness(bad, params, exc.value)
+        srg._certificate(f, g, good[:-1])
+    assert_verify_srg_decides(monkeypatch, f, good[:-1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(5, ELLIPTIC), (5, HYPERBOLIC), (7, ELLIPTIC), (7, HYPERBOLIC)]), st.data())
 def test_flipped_pair_is_rejected_by_every_checker(case, data):
     n, kind = case
-    f = form(n, kind)
-    g, rows = build_gamma_rows(f)
+    g = gamma(n, kind)
     i = data.draw(st.integers(0, g.v - 1))
     j = data.draw(st.integers(0, g.v - 1))
     assume(i != j)
     params = expected_params(n, kind)
     bad = flip(g, i, j)
-    bad_rows = list(rows)
-    bad_rows[i] ^= 1 << g.labels[j]
-    bad_rows[j] ^= 1 << g.labels[i]
-    for check in (verify_srg, lambda b: certify_gamma(f, bad_rows)):
-        with pytest.raises(NotStronglyRegular) as exc:
-            check(bad)
-        assert_real_srg_witness(bad, params, exc.value)
+    with pytest.raises(NotStronglyRegular) as exc:
+        verify_srg(bad)
+    assert_real_srg_witness(bad, params, exc.value)
     with pytest.raises(NotStronglyRegular) as exc:
         verify_srg_near(bad, g, params, 1 << i)
     assert_real_witness(bad, params, exc.value)
@@ -565,9 +570,10 @@ def test_flipped_pair_is_rejected_by_every_checker(case, data):
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 def test_each_reflection_checks_fixed_and_moved_rows(n, kind):
     # a row the reflection r fixes and a row it moves, each with one point of
-    # nonorth(r) toggled: the former per-row check fails r on them, and step 1
-    # refuses the row itself, before any reflection is looked at
-    f, g, rows, good = certificate_case(n, kind)
+    # nonorth(r) toggled: the former per-row check, kept as the tests' oracle,
+    # fails r on either
+    f, g, good = certificate_case(n, kind)
+    rows = list(srg._point_rows(f))
     r = good[0]
     h = f.nonorth(r)
     fixed = next(i for i, x in enumerate(g.labels) if not (h >> x) & 1)
@@ -578,34 +584,6 @@ def test_each_reflection_checks_fixed_and_moved_rows(n, kind):
         bad = list(rows)
         bad[i] ^= 1 << y
         assert not reflection_maps_rows(f, bad, r)
-        with pytest.raises(srg._NotCertified, match=f"the row of {g.labels[i]} is not"):
-            srg._certificate(f, bad, [r])
-
-
-def test_certificate_ignores_no_point_outside_the_vertex_set():
-    # point 0 added to every row is fixed by every reflection, so the rows stay
-    # equivariant and pass the former per-row check; step 1 holds each row to
-    # N & translate(N, x) and refuses the first, and verify_srg decides on the
-    # graph, which has no vertex 0 and is untouched
-    f, g, rows, good = certificate_case(5, ELLIPTIC)
-    with_zero = [row | 1 for row in rows]
-    assert all(reflection_maps_rows(f, with_zero, r) for r in good)
-    with pytest.raises(srg._NotCertified, match=f"the row of {g.labels[0]} is not"):
-        srg._certificate(f, with_zero, good)
-    assert certify_gamma(f, with_zero).params == verify_srg(g) == expected_params(5, ELLIPTIC)
-    assert certify_gamma(f, with_zero).reflections == ()
-
-
-@pytest.mark.parametrize("stray", [1, 1 << 64], ids=["point 0", "past the points"])
-def test_certify_gamma_falls_back_on_the_graph_its_rows_describe(monkeypatch, stray):
-    # a bit off the vertex set in every row forces the fallback; verify_srg
-    # must then see the graph the rows describe, which is gamma
-    f = form(5, HYPERBOLIC)
-    rows = build_gamma_rows(f)[1]
-    seen = []
-    monkeypatch.setattr(srg, "verify_srg", lambda h: seen.append(h) or verify_srg(h))
-    assert certify_gamma(f, [row | stray for row in rows]).params == expected_params(5, HYPERBOLIC)
-    assert seen == [build_gamma(f)]
 
 
 def gf64_times(a, b):
@@ -636,7 +614,7 @@ GF64_NON_CUBES = sorted(set(GF64_UNITS) - set(GF64_CUBES))
 def test_certificate_checks_every_pair_through_the_first_vertex(connection, broken):
     # a Cayley graph on F_2^6 = GF(64) cut down to its connection set N, the
     # cubes or the non-cubes of GF(64)*: x ~ y iff x + y is in N, which are
-    # the rows N & translate(N, x) that step 1 asks for.  The "reflections"
+    # the rows N & translate(N, x) that build_gamma makes.  The "reflections"
     # x -> r x^2 for r = 1 and r = 2^3 are linear bit permutations that keep N,
     # and together they are transitive on it.  So every check before the pair
     # counts passes, but the graph is not strongly regular, and only the pair
@@ -644,69 +622,45 @@ def test_certificate_checks_every_pair_through_the_first_vertex(connection, brok
     stand_in = canonical_form(5, HYPERBOLIC)  # a form on F_2^6 of its own ...
     stand_in.off, stand_in.labels = sum(1 << x for x in connection), tuple(connection)  # ... with N as vertices,
     stand_in.reflect = lambda mask, r: sum(1 << gf64_times(r, gf64_times(p, p)) for p in set_bits(mask))
-    rows = [stand_in.off & stand_in.translate(stand_in.off, x) for x in connection]
-    assert [set_bits(row) for row in rows] == [[y for y in connection if (x ^ y) in connection] for x in connection]
+    g = build_gamma(stand_in)
+    assert [[connection[j] for j in g.neighbors(i)] for i in range(g.v)] == [
+        [y for y in connection if (x ^ y) in connection] for x in connection
+    ]
     assert srg._orbit(stand_in, 1 << connection[0], (1, 8)) == stand_in.off
     with pytest.raises(srg._NotCertified, match=f"breaks {broken}"):
-        srg._certificate(stand_in, rows, (1, 8))
+        srg._certificate(stand_in, g, (1, 8))
     with pytest.raises(NotStronglyRegular):
-        verify_srg(Graph(stand_in.labels, tuple(map(stand_in.vertices, rows))))
-
-
-@pytest.mark.parametrize("n", [5, 7, 9, 11])
-@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
-def test_certified_reflections_pass_the_former_row_check(monkeypatch, n, kind):
-    # differential: every reflection step 1 accepts on a base graph also maps
-    # each of its rows, reflected in full, to the row of the image vertex, and
-    # the certificate, made without the fallback, is verify_srg's answer
-    f = form(n, kind)
-    g, rows = build_gamma_rows(f)
-    with monkeypatch.context() as m:
-        m.setattr(srg, "verify_srg", refuse_pair_check)
-        certificate = certify_gamma(f, rows)
-    assert certificate.reflections
-    assert all(reflection_maps_rows(f, rows, r) for r in certificate.reflections)
-    assert certificate.params == verify_srg(g)
-
-
-def assert_verify_srg_decides(monkeypatch, f, g, rows, reflections):
-    """certify_gamma on these rows, with these reflections chosen, falls back
-    to verify_srg, which sees g and accepts it."""
-    calls = []
-    monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: list(reflections))
-    monkeypatch.setattr(srg, "verify_srg", lambda h: calls.append(h) or verify_srg(h))
-    assert certify_gamma(f, rows) == srg.GammaCertificate(f, expected_params(f.n, f.kind), ())
-    assert calls == [g]
+        verify_srg(g)
 
 
 @pytest.mark.parametrize("b", range(6))
 def test_certificate_checks_every_block_swap(monkeypatch, b):
     # the translations behind the rows and the reflections are the block swaps
     # of halves: halves[b] one point short no longer splits the points with
-    # its shift by 2^b, so step 1 refuses the translation by e_b
+    # its shift by 2^b, so step 1 refuses the translation by e_b.  The edit
+    # also changes the graph build_gamma makes, and verify_srg judges that one
     f = canonical_form(5, ELLIPTIC)  # a form of its own, whose halves are edited
-    g, rows = build_gamma_rows(f)
     good = srg._transitive_reflections(canonical_form(5, ELLIPTIC))
     halves = list(f.halves)
     halves[b] ^= 1  # point 0 has coordinate b 0
     f.halves = tuple(halves)
     with pytest.raises(srg._NotCertified, match=f"block swap of coordinate {b} is not"):
-        srg._certificate(f, rows, good)
-    assert_verify_srg_decides(monkeypatch, f, g, rows, good)
+        srg._certificate(f, build_gamma(f), good)
+    assert_verify_srg_decides(monkeypatch, f, good)
 
 
 def test_certificate_refuses_a_reflection_that_is_no_permutation(monkeypatch):
     # nonorth(r) one point short is not closed under the translation by r, so
     # the reflection in r drops a point: step 1 refuses it
     f = canonical_form(5, HYPERBOLIC)  # a form of its own, whose nonorth is edited
-    g, rows = build_gamma_rows(f)
+    g = build_gamma(f)
     good = srg._transitive_reflections(canonical_form(5, HYPERBOLIC))
     r, nonorth = good[0], f.nonorth
     short = nonorth(r) & (nonorth(r) - 1)
     monkeypatch.setattr(f, "nonorth", lambda y: short if y == r else nonorth(y))
     with pytest.raises(srg._NotCertified, match=f"reflection in {r} is not a permutation"):
-        srg._certificate(f, rows, good)
-    assert_verify_srg_decides(monkeypatch, f, g, rows, good)
+        srg._certificate(f, g, good)
+    assert_verify_srg_decides(monkeypatch, f, good)
 
 
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
@@ -715,7 +669,7 @@ def test_certificate_refuses_a_transitive_map_that_is_not_linear(monkeypatch, ki
     # permutation, keeps N and is transitive on it by itself, but is not linear:
     # step 1 refuses it before the orbit walk could accept it
     f = canonical_form(5, kind)  # a form of its own, whose reflect is replaced
-    g, rows = build_gamma_rows(f)
+    g = build_gamma(f)
     v, r = g.v, g.labels[0]
 
     def turn(mask, _):
@@ -726,13 +680,5 @@ def test_certificate_refuses_a_transitive_map_that_is_not_linear(monkeypatch, ki
     assert turn(f.ones, r) == f.ones and turn(f.off, r) == f.off
     assert srg._orbit(f, 1 << r, [r]) == f.off
     with pytest.raises(srg._NotCertified, match=f"reflection in {r} is not linear"):
-        srg._certificate(f, rows, [r])
-    assert_verify_srg_decides(monkeypatch, f, g, rows, [r])
-
-
-def test_certify_gamma_needs_one_row_per_vertex():
-    f = form(5, ELLIPTIC)
-    rows = build_gamma_rows(f)[1]
-    for wrong in ((), rows[:-1], rows + rows[-1:]):
-        with pytest.raises(GeometryError, match="36 vertices"):
-            certify_gamma(f, wrong)
+        srg._certificate(f, g, [r])
+    assert_verify_srg_decides(monkeypatch, f, [r])
