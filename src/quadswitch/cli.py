@@ -144,15 +144,16 @@ def cmd_switch(args, runner: _Runner) -> dict:
         "find_flag", lambda: switching.make_config(form, args.t, args.variant, args.seed_choice)
     )
     sw = switching.build_switch(gamma, cfg)
+    graph = sw.graph
     report = {"switching": _switch_report(sw)}
     runner.check("t_formula_equals_half_class", report["switching"]["t_formula_equals_half_class"])
     if args.verify:
-        swp = runner.time("verify_srg", lambda: verify_srg_near(sw.graph, gamma, base, sw.s))
+        swp = runner.time("verify_srg", lambda: verify_srg_near(graph, gamma, base, sw.s))
         report["srg"] = _params_dict(swp)
         runner.check("switched_srg_parameters_unchanged", swp == base)
     if args.code:
-        report["code"] = runner.time("code", lambda: _code_report(sw.graph))
-    _export(args, sw.graph, report)
+        report["code"] = runner.time("code", lambda: _code_report(graph))
+    _export(args, graph, report)
     return report
 
 
@@ -218,8 +219,9 @@ def _check_quadric_size(form, runner: _Runner, report: dict) -> None:
 
 
 def _verify_family(n: int, kind: str, runner: _Runner, report: dict) -> None:
-    """Build kind's family at n and write its checks into report's sections;
-    the family is dropped on return, before the next kind is built."""
+    """Build kind's family at n and write its checks into report's sections.
+    build_family has checked each switched graph and dropped it, and the
+    family is dropped on return, before the next kind is built."""
     family = runner.time(f"build_family_{kind}", lambda: distinguish.build_family(n, kind))
     form, params, gamma = family.certificate.form, family.certificate.params, family.members[0]
 
@@ -242,8 +244,7 @@ def _verify_family(n: int, kind: str, runner: _Runner, report: dict) -> None:
         runner.check(f"induced_degree_{tag}", sw.certificate.induced_degree == induced_degree)
         runner.check(f"s_size_{tag}", sw.s.bit_count() == s_size)
         runner.check(f"t_size_{tag}", sw.t_set.bit_count() == t_size)
-        switched = verify_srg_near(sw.graph, gamma.graph, params, sw.s)
-        runner.check(f"switched_srg_{tag}", switched == params)
+        runner.check(f"switched_srg_{tag}", m.params == params)
 
         v_s, v_t = sw.s, sw.t_set
         entry["code"] = {
@@ -257,7 +258,7 @@ def _verify_family(n: int, kind: str, runner: _Runner, report: dict) -> None:
         runner.check(f"v_s_in_switched_code_{tag}", codes.contains(code, v_s))
         runner.check(f"v_t_in_switched_code_{tag}", codes.contains(code, v_t))
         runner.check(f"v_t_not_in_base_code_{tag}", not codes.contains(gamma.code, v_t))
-        joined = codes.from_vectors(gamma.graph.v, gamma.code.basis + (v_s, v_t))
+        joined = codes.from_vectors(family.gamma.v, gamma.code.basis + (v_s, v_t))
         runner.check(f"switched_code_is_augmented_base_{tag}", joined.basis == code.basis)
         report["switches"][tag] = entry
 

@@ -25,12 +25,17 @@ non-isomorphism with no search.  Only when the profiles are equal does
 _isomorphic run its colour-refinement / individualization backtracking
 search, and every "yes" it gives comes from an explicit mapping.
 
-classify_family profiles each member at most once, on the first pair that
-needs it.  The quadric graph's profile is read off vertex 0 alone when its
-certificate has reflections: they are automorphisms transitive on the
-vertices, so every vertex sees the pairs through it as vertex 0 does, and
-summing over all v vertices counts each pair twice.  So the profile is the
-multiset over y != 0 of (A_0y, sorted counts), each multiplicity times v/2.
+build_family makes each switched graph once: it is checked strongly
+regular, its code, minimum words and signature are read off it, and it is
+dropped, so a family holds the rows of its quadric graph only.  The
+cross-check of classify_family makes each switched member's graph again,
+once per call, from its Switch, and profiles each member at most once, on
+the first pair that needs it.  The quadric graph's profile is read off
+vertex 0 alone when its certificate has reflections: they are automorphisms
+transitive on the vertices, so every vertex sees the pairs through it as
+vertex 0 does, and summing over all v vertices counts each pair twice.  So
+the profile is the multiset over y != 0 of (A_0y, sorted counts), each
+multiplicity times v/2.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from typing import Optional
 
 from .codes import BinaryCode, CodeError, code_from_graph, min_weight_codewords
 from .gf2geom import GeometryError, QuadswitchError, set_bits
-from .srg import GammaCertificate, Graph, certified_gamma
+from .srg import GammaCertificate, Graph, SrgParams, certified_gamma, verify_srg_near
 from .switching import Switch, build_switch, legal_t_range, make_config
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -248,12 +253,13 @@ def _isomorphic(g1: Graph, g2: Graph, same_profiles, budget: int = DEFAULT_NODE_
 
 @dataclass(frozen=True)
 class FamilyMember:
-    """One graph of a family with its code data, each computed once."""
+    """One graph of a family with what was read off it, each computed once.
+    The graph itself is not held: it is the family's gamma, or switch.graph."""
 
     name: str
     t: int  # 0 for the unswitched graph
     variant: str  # "", "t" or "tt"
-    graph: Graph
+    params: SrgParams  # the certificate's, or what verify_srg_near returned for the switch
     code: BinaryCode
     words: tuple[int, ...]  # the minimum-weight codewords, sorted
     sig: GraphSignature
@@ -265,7 +271,8 @@ class Family:
     """The quadric graph of one (n, kind) and every legal switch of it."""
 
     members: tuple[FamilyMember, ...]  # the unswitched graph first
-    certificate: GammaCertificate  # of the unswitched graph, from certify_gamma
+    gamma: Graph  # the unswitched graph, the only one whose rows are held
+    certificate: GammaCertificate  # of gamma, from certify_gamma
 
 
 @dataclass(frozen=True)
@@ -304,29 +311,38 @@ def _member(
     name: str,
     t: int,
     variant: str,
-    graph: Graph,
-    switch: Optional[Switch],
-    certificate: Optional[GammaCertificate] = None,
+    gamma: Graph,
+    certificate: GammaCertificate,
+    switch: Optional[Switch] = None,
 ) -> FamilyMember:
+    """gamma's member, or switch's: its graph made here, checked strongly
+    regular by verify_srg_near, read, and dropped on return."""
+    if switch is None:
+        graph, params = gamma, certificate.params
+    else:
+        graph = switch.graph
+        params = verify_srg_near(graph, gamma, certificate.params, switch.s)
     code = code_from_graph(graph)
     words = tuple(min_weight_codewords(code))
-    sig = signature(graph, code, words, certificate)
-    return FamilyMember(name, t, variant, graph, code, words, sig, switch)
+    sig = signature(graph, code, words, certificate if switch is None else None)
+    return FamilyMember(name, t, variant, params, code, words, sig, switch)
 
 
 def build_family(n: int, kind: str) -> Family:
     """The unswitched graph, certified strongly regular, plus every legal
-    switch of both shapes, first flag each."""
+    switch of both shapes, first flag each.  Each switched graph is made
+    once, checked strongly regular, read for its code, minimum words and
+    signature, and dropped; raises NotStronglyRegular (with a witness) for a
+    switch that fails the check."""
     if n % 2 == 0 or not 5 <= n <= 9:
         raise GeometryError(f"families are classified for odd n in [5, 9], got {n}")
     gamma, certificate = certified_gamma(n, kind)
-    form = certificate.form
-    members = [_member("gamma", 0, "", gamma, None, certificate)]
+    members = [_member("gamma", 0, "", gamma, certificate)]
     for variant in ("t", "tt"):
         for t in legal_t_range(n, kind, variant):
-            sw = build_switch(gamma, make_config(form, t, variant))
-            members.append(_member(f"gamma_{variant}{t}", t, variant, sw.graph, sw))
-    return Family(tuple(members), certificate)
+            sw = build_switch(gamma, make_config(certificate.form, t, variant))
+            members.append(_member(f"gamma_{variant}{t}", t, variant, gamma, certificate, sw))
+    return Family(tuple(members), gamma, certificate)
 
 
 def classify_family(family: Family, cross_check: Optional[bool] = None) -> FamilyReport:
@@ -342,10 +358,13 @@ def classify_family(family: Family, cross_check: Optional[bool] = None) -> Famil
     # isomorphism, both equivalences.  So a member is new unless an earlier
     # member is equivalent to it.
     profiles: dict[int, Counter] = {}  # by member index, made on first use
+    graphs: list[Graph] = []  # the cross-check's, each switched one made once for this call
+    if cross_check:
+        graphs = [family.gamma if m.switch is None else m.switch.graph for m in members]
 
     def profile(i: int) -> Counter:
         if i not in profiles:
-            g = members[i].graph
+            g = graphs[i]
             profiles[i] = _certified_pair_profile(g, certificate) if i == 0 else _pair_profile(g)
         return profiles[i]
 
@@ -356,7 +375,7 @@ def classify_family(family: Family, cross_check: Optional[bool] = None) -> Famil
             inv = _separating_invariant(a.sig, b.sig)
             iso = None
             if cross_check:
-                iso = _isomorphic(a.graph, b.graph, lambda: profile(i) == profile(j))
+                iso = _isomorphic(graphs[i], graphs[j], lambda: profile(i) == profile(j))
             if inv == "none":
                 distinct_pair = None if iso is None else not iso
             else:  # an isomorphism that an invariant contradicts leaves the pair unknown

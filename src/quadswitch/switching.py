@@ -352,25 +352,33 @@ def expected_switch(n: int, kind: str, t: int, variant: str) -> tuple[int, int, 
 @dataclass(frozen=True)
 class Switch:
     """One Godsil-McKay switch of the canonical quadric graph: the flag, the
-    certificate that S is a switching set, the switched graph and the
-    closed-form T-set.  Make it with build_switch, which checks S once."""
+    certificate that S is a switching set, the graph base it was checked on
+    and the closed-form T-set.  The switched graph is not held: each read of
+    graph makes it from base and the certificate.  Make a Switch with
+    build_switch, which checks S once."""
 
     config: SwitchConfig
     certificate: SwitchCertificate
-    graph: Graph
+    base: Graph
     t_set: int
 
     @property
     def s(self) -> int:
         return self.certificate.s_vertices
 
+    @property
+    def graph(self) -> Graph:
+        """The switched graph, made anew on each read."""
+        return _complement_edges(self.base, self.certificate)
+
 
 def build_switch(gamma: Graph, config: SwitchConfig) -> Switch:
-    """Switch the canonical graph of config.form at the flag's switching set.
+    """The switch of gamma, the canonical graph of config.form, at the flag's
+    switching set; its graph is made on demand.
 
     Raises NotSwitchingSet (with a witness) if S fails the none/half/all
     partition on gamma; T_formula is reported, not asserted, against the
     certificate's half-class.
     """
     cert = validate_switching_set(gamma, build_S(config))
-    return Switch(config, cert, _complement_edges(gamma, cert), T_formula(config))
+    return Switch(config, cert, gamma, T_formula(config))

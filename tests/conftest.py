@@ -14,7 +14,7 @@ import functools
 import networkx as nx
 import pytest
 
-from quadswitch import srg
+from quadswitch import srg, switching
 from quadswitch.codes import CodeError, code_from_graph, min_weight_codewords
 from quadswitch.distinguish import signature
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, canonical_form
@@ -49,11 +49,29 @@ def gamma(n, kind):
 
 
 def switch_case(n, kind, t, variant):
-    """The Switch record (config, certificate, graph, T) of one legal request."""
+    """The Switch record (config, certificate, base, T) of one legal request."""
     key = (n, kind, t, variant)
     if key not in _SWITCHED:
         _SWITCHED[key] = build_switch(gamma(n, kind), make_config(form(n, kind), t, variant))
     return _SWITCHED[key]
+
+
+def flip_switched_edge(monkeypatch):
+    """Make every switched graph with the edge between vertices 0 and 1 flipped."""
+    complement = switching._complement_edges
+
+    def flipped(g, cert):
+        rows = list(complement(g, cert).rows)
+        rows[0] ^= 0b10
+        rows[1] ^= 0b01
+        return Graph(g.labels, tuple(rows))
+
+    monkeypatch.setattr(switching, "_complement_edges", flipped)
+
+
+def member_graph(family, m):
+    """The graph of a family member: the family's gamma, or its switch's graph."""
+    return family.gamma if m.switch is None else m.switch.graph
 
 
 def graph_signature(g):
@@ -216,6 +234,11 @@ def characteristic_vector(g, points):
         except ValueError as exc:
             raise CodeError(f"point {p} is not a vertex of the graph") from exc
     return vec
+
+
+def relabel_mask(mask, perm):
+    """Image of a vertex mask under vertex permutation i -> perm[i]."""
+    return sum(1 << perm[i] for i in range(len(perm)) if (mask >> i) & 1)
 
 
 def relabel(g, perm):

@@ -30,7 +30,7 @@ from quadswitch.gf2geom import (
 )
 from quadswitch.srg import expected_params, verify_srg
 
-from conftest import form, gamma, graph_signature, legal_cases, relabel, switch_case
+from conftest import form, gamma, graph_signature, legal_cases, member_graph, relabel, switch_case
 
 
 def test_criterion_1_quadric_sizes():
@@ -159,8 +159,9 @@ def test_criterion_10_isomorphism_cross_checks():
     rng = random.Random(2024)
     slowest = 0.0
     for kind in (ELLIPTIC, HYPERBOLIC):
-        rep = classify_family(build_family(5, kind), cross_check=False)
-        graphs = {m.name: m.graph for m in rep.members}
+        family = build_family(5, kind)
+        rep = classify_family(family, cross_check=False)
+        graphs = {m.name: member_graph(family, m) for m in rep.members}
         sigs = {m.name: m.sig for m in rep.members}
         for pair in rep.pairs:
             assert sigs[pair.first] != sigs[pair.second]

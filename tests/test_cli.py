@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import from_nx, random_graph, read_export, read_labels, relabel, switch_case, to_nx
+from conftest import flip_switched_edge, from_nx, random_graph, read_export, read_labels, relabel, switch_case, to_nx
 import quadswitch
 from quadswitch import cli, distinguish, graph6, srg, switching
 from quadswitch.codes import code_from_graph, min_weight_codewords
@@ -164,6 +164,49 @@ def test_verify_all_holds_one_family_at_a_time(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify-all", "--n", "7")
     assert code == 0
     assert alive_at_build == [[], [False]]  # the elliptic family is gone before the hyperbolic one
+
+
+def test_no_switched_graph_outlives_its_checks(capsys, monkeypatch):
+    complement = switching._complement_edges
+    graphs, alive_at_call = [], []
+
+    def tracked(g, cert):
+        gc.collect()
+        alive_at_call.append([ref() is not None for ref in graphs])
+        out = complement(g, cert)
+        graphs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(switching, "_complement_edges", tracked)
+    code, _, _ = run_cli(capsys, "verify-all", "--n", "7")
+    assert code == 0
+    assert len(graphs) == 7  # one per switched member: 4 elliptic and 3 hyperbolic
+    assert alive_at_call == [[False] * i for i in range(7)]  # each checked, read and freed
+    gc.collect()
+    assert all(ref() is None for ref in graphs)
+
+
+def test_a_switch_request_makes_its_graph_once(tmp_path, capsys, monkeypatch):
+    complement, calls = switching._complement_edges, []
+    monkeypatch.setattr(switching, "_complement_edges", lambda g, cert: calls.append(g) or complement(g, cert))
+    argv = ["switch", "--n", "7", "--kind", ELLIPTIC, "--t", "1", "--verify", "--code"]
+    code, _, _ = run_cli(capsys, *argv, "--export-graph", str(tmp_path / "g.g6"))
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify-all", "--n", "5"], ["classify-family", "--n", "5", "--kind", ELLIPTIC]]
+)
+def test_a_switched_graph_that_is_not_strongly_regular_is_a_json_error(capsys, monkeypatch, argv):
+    flip_switched_edge(monkeypatch)
+    with pytest.raises(srg.NotStronglyRegular) as exc:
+        distinguish.build_family(5, ELLIPTIC)  # verify-all builds the elliptic family first
+    assert exc.value.witness is not None
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == str(exc.value)
+    assert "Traceback" not in err
 
 
 def test_out_flag_writes_report(tmp_path, capsys):

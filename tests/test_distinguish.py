@@ -24,10 +24,10 @@ from quadswitch.distinguish import (
     signature,
 )
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, canonical_form
-from quadswitch.srg import GammaCertificate, Graph, build_gamma, certify_gamma
+from quadswitch.srg import GammaCertificate, Graph, build_gamma, certify_gamma, verify_srg
 from quadswitch.switching import build_S, gm_switch, make_config
 
-from conftest import form, graph_signature, random_graph, relabel, to_nx
+from conftest import flip_switched_edge, form, graph_signature, member_graph, random_graph, relabel, relabel_mask, to_nx
 
 E5 = canonical_form(5, ELLIPTIC)
 H5 = canonical_form(5, HYPERBOLIC)
@@ -163,13 +163,15 @@ def test_every_family_member_self_isomorphic():
     rng = random.Random(13)
     for n in (5, 7):
         for kind in (ELLIPTIC, HYPERBOLIC):
-            for m in build_family(n, kind).members:
-                assert are_isomorphic(m.graph, m.graph), (n, kind, m.name)
+            family = build_family(n, kind)
+            for m in family.members:
+                g = member_graph(family, m)
+                assert are_isomorphic(g, g), (n, kind, m.name)
                 if n == 5:
                     for _ in range(2):
-                        perm = list(range(m.graph.v))
+                        perm = list(range(g.v))
                         rng.shuffle(perm)
-                        assert are_isomorphic(m.graph, relabel(m.graph, perm)), (kind, m.name)
+                        assert are_isomorphic(g, relabel(g, perm)), (kind, m.name)
 
 
 def test_switched_graphs_not_isomorphic_n5():
@@ -252,10 +254,12 @@ def test_the_search_agrees_with_networkx(v, rng):
 
 
 def family_pairs(n):
+    """(kind, (name, graph), (name, graph)) for each pair of members at n."""
     for kind in (ELLIPTIC, HYPERBOLIC):
-        members = build_family(n, kind).members
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
+        family = build_family(n, kind)
+        named = [(m.name, member_graph(family, m)) for m in family.members]
+        for i, a in enumerate(named):
+            for b in named[i + 1 :]:
                 yield kind, a, b
 
 
@@ -263,15 +267,15 @@ def test_pair_profile_settles_n5_family_pairs_without_search():
     # budget=0 raises at the first search node, so False means no search ran
     pairs = list(family_pairs(5))
     assert len(pairs) == 4
-    for kind, a, b in pairs:
-        assert are_isomorphic(a.graph, b.graph, budget=0) is False, (kind, a.name, b.name)
+    for kind, (a, ga), (b, gb) in pairs:
+        assert are_isomorphic(ga, gb, budget=0) is False, (kind, a, b)
 
 
 def test_pair_profile_settles_n7_family_pairs_without_search():
     pairs = list(family_pairs(7))
     assert len(pairs) == 16
-    for kind, a, b in pairs:
-        assert are_isomorphic(a.graph, b.graph, budget=0) is False, (kind, a.name, b.name)
+    for kind, (a, ga), (b, gb) in pairs:
+        assert are_isomorphic(ga, gb, budget=0) is False, (kind, a, b)
 
 
 def z4_cayley_graph(connection):
@@ -318,10 +322,12 @@ def test_pair_profile_invariant_under_relabelling(v, rng):
 @given(st.randoms(use_true_random=False))
 def test_pair_profile_invariant_on_n5_family(rng):
     for kind in (ELLIPTIC, HYPERBOLIC):
-        for m in build_family(5, kind).members:
-            perm = list(range(m.graph.v))
+        family = build_family(5, kind)
+        for m in family.members:
+            g = member_graph(family, m)
+            perm = list(range(g.v))
             rng.shuffle(perm)
-            assert _pair_profile(relabel(m.graph, perm)) == _pair_profile(m.graph), m.name
+            assert _pair_profile(relabel(g, perm)) == _pair_profile(g), m.name
 
 
 def counted_pair_profiles(monkeypatch):
@@ -338,7 +344,7 @@ def test_the_cross_check_profiles_each_switched_member_once(monkeypatch, n, kind
     calls = counted_pair_profiles(monkeypatch)
     rep = classify_family(family, cross_check=True)
     assert len(calls) == direct == len(family.members) - 1
-    assert {id(g) for g in calls} == {id(m.graph) for m in family.members[1:]}
+    assert [sum(g == m.switch.graph for g in calls) for m in family.members[1:]] == [1] * direct
     assert all(p.distinct is True and p.cross_checked is False for p in rep.pairs)
     assert rep.distinct_count == len(family.members)
 
@@ -369,13 +375,20 @@ def test_a_relabelled_member_is_cross_checked_as_isomorphic_and_merged(monkeypat
     family = build_family(5, kind)
     base = classify_family(family, cross_check=True)
     last = family.members[-1]
-    perm = list(range(last.graph.v))
+    sw = last.switch
+    perm = list(range(family.gamma.v))
     random.Random(3).shuffle(perm)
-    copy = replace(last, name="copy", graph=relabel(last.graph, perm))
+    # switching commutes with relabelling: relabel the base and every mask
+    masks = ("s_vertices", "none_class", "half_class", "all_class")
+    cert = replace(sw.certificate, **{f: relabel_mask(getattr(sw.certificate, f), perm) for f in masks})
+    moved = replace(sw, certificate=cert, base=relabel(sw.base, perm), t_set=relabel_mask(sw.t_set, perm))
+    copy_graph = relabel(sw.graph, perm)
+    assert moved.graph == copy_graph
+    copy = replace(last, name="copy", switch=moved)
     calls = counted_pair_profiles(monkeypatch)
-    rep = classify_family(Family(family.members + (copy,), family.certificate), cross_check=True)
+    rep = classify_family(Family(family.members + (copy,), family.gamma, family.certificate), cross_check=True)
     assert len(calls) == len(family.members)  # the switched members and the copy, once each
-    assert sum(g is copy.graph for g in calls) == 1
+    assert sum(g == copy_graph for g in calls) == 1
     # the copy is paired as its original is, and with its original it is isomorphic
     expected = {(p.first, p.second): p for p in base.pairs}
     expected.update({(p.first, "copy"): replace(p, second="copy") for p in base.pairs if p.second == last.name})
@@ -389,10 +402,10 @@ def test_a_relabelled_member_is_cross_checked_as_isomorphic_and_merged(monkeypat
 def test_a_certificate_without_reflections_profiles_gamma_directly(monkeypatch, kind):
     family = build_family(5, kind)
     base = classify_family(family, cross_check=True)
-    stripped = Family(family.members, replace(family.certificate, reflections=()))
+    stripped = Family(family.members, family.gamma, replace(family.certificate, reflections=()))
     calls = counted_pair_profiles(monkeypatch)
     assert classify_family(stripped, cross_check=True) == base
-    assert sum(g is family.members[0].graph for g in calls) == 1
+    assert sum(g is family.gamma for g in calls) == 1
     assert len(calls) == len(family.members)
 
 
@@ -474,7 +487,7 @@ def test_a_repeated_member_is_merged_unless_the_cross_check_separates_it(monkeyp
     # every real pair is separated by an invariant, so only a copy reaches the merge;
     # at n = 5 hyperbolic both copies are of gamma_t1: three equal members count once
     family = build_family(5, kind)
-    twice = Family(family.members + family.members[1:2] + family.members[-1:], family.certificate)
+    twice = Family(family.members + family.members[1:2] + family.members[-1:], family.gamma, family.certificate)
     rep = classify_family(twice, cross_check=False)
     assert rep.distinct_count == len(family.members)
     assert all((p.invariant == "none") == (p.distinct is None) == (p.first == p.second) for p in rep.pairs)
@@ -482,6 +495,14 @@ def test_a_repeated_member_is_merged_unless_the_cross_check_separates_it(monkeyp
     rep = classify_family(twice, cross_check=True)
     assert rep.distinct_count == len(twice.members)
     assert all(p.distinct is True and p.cross_checked is False for p in rep.pairs)
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_family_rejects_a_switched_graph_that_is_not_strongly_regular(monkeypatch, kind):
+    flip_switched_edge(monkeypatch)
+    with pytest.raises(srg.NotStronglyRegular) as exc:
+        build_family(5, kind)
+    assert exc.value.witness is not None
 
 
 def test_family_rejects_out_of_range():
@@ -492,11 +513,15 @@ def test_family_rejects_out_of_range():
 
 
 def test_family_members_share_parameters():
-    from quadswitch.srg import verify_srg
-
-    members = build_family(5, ELLIPTIC).members
-    params = [verify_srg(m.graph) for m in members]
-    assert {(p.v, p.k, p.lam, p.mu) for p in params} == {(36, 20, 10, 12)}
+    # each member's params are what the reference check gives for its graph
+    for n in (5, 7):
+        for kind in (ELLIPTIC, HYPERBOLIC):
+            family = build_family(n, kind)
+            params = [verify_srg(member_graph(family, m)) for m in family.members]
+            assert [m.params for m in family.members] == params, (n, kind)
+            assert len(set(params)) == 1, (n, kind)
+            if (n, kind) == (5, ELLIPTIC):
+                assert {(p.v, p.k, p.lam, p.mu) for p in params} == {(36, 20, 10, 12)}
 
 
 def test_alternative_flag_choices_give_isomorphic_switches():
