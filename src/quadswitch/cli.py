@@ -7,6 +7,9 @@ passed.  A refusal (a QuadswitchError) or an OSError is a JSON error with exit
 to stdout, then to --out, as the text of json.dumps(indent=2, sort_keys=True);
 one that cannot be written is an error line on stderr and exit 1.  Graphs are
 exported as headerless graph6 plus a .labels sidecar of vertex points.
+
+Every command takes the quadric graph and its certificate from certified_gamma
+(cached per process); --verify chooses what a report checks, not the builder.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .gf2geom import (
 )
 from .srg import (
     SrgParams,
-    build_gamma,
     certified_gamma,
     expected_params,
     verify_srg_near,
@@ -63,10 +65,12 @@ class _Runner:
         return bool(ok)
 
     def time(self, name: str, fn):
+        """fn(), its time recorded under name even if it raises."""
         t0 = time.perf_counter()
-        out = fn()
-        self.timings[name] = round(time.perf_counter() - t0, 6)
-        return out
+        try:
+            return fn()
+        finally:
+            self.timings[name] = round(time.perf_counter() - t0, 6)
 
     @property
     def failures(self) -> list[str]:
@@ -86,16 +90,10 @@ def _code_report(graph) -> dict:
     }
 
 
-def _base_graph(args, runner: _Runner, verify: bool):
-    """The form, the quadric graph on it, and, when verify is set, its
-    parameters (else None).  A checked graph comes from certified_gamma, with
-    the form it was built on, so "certified_gamma" times the build and the
+def _gamma(args, runner: _Runner):
+    """certified_gamma(n, kind), timed as "certified_gamma": a build and its
     certificate, or a lookup once the process has made them."""
-    if not verify:
-        form = canonical_form(args.n, args.kind)
-        return form, runner.time("build_gamma", lambda: build_gamma(form)), None
-    gamma, certificate = runner.time("certified_gamma", lambda: certified_gamma(args.n, args.kind))
-    return certificate.form, gamma, certificate.params
+    return runner.time("certified_gamma", lambda: certified_gamma(args.n, args.kind))
 
 
 def _switch_report(sw: switching.Switch) -> dict:
@@ -129,17 +127,18 @@ def _export(args, graph, report: dict) -> None:
 
 
 def cmd_construct(args, runner: _Runner) -> dict:
-    _, gamma, params = _base_graph(args, runner, args.verify)
+    gamma, certificate = _gamma(args, runner)
     report: dict = {"graph": {"vertices": gamma.v, "edges": gamma.edge_count()}}
     if args.verify:
-        report["srg"] = _params_dict(params)
-        runner.check("srg_matches_expected", params == expected_params(args.n, args.kind))
+        report["srg"] = _params_dict(certificate.params)
+        runner.check("srg_matches_expected", certificate.params == expected_params(args.n, args.kind))
     _export(args, gamma, report)
     return report
 
 
 def cmd_switch(args, runner: _Runner) -> dict:
-    form, gamma, base = _base_graph(args, runner, args.verify)
+    gamma, certificate = _gamma(args, runner)
+    form, base = certificate.form, certificate.params
     cfg = runner.time(
         "find_flag", lambda: switching.make_config(form, args.t, args.variant, args.seed_choice)
     )
@@ -158,7 +157,7 @@ def cmd_switch(args, runner: _Runner) -> dict:
 
 
 def cmd_code(args, runner: _Runner) -> dict:
-    graph = _base_graph(args, runner, False)[1]
+    graph, _ = _gamma(args, runner)
     report = {"code": runner.time("code", lambda: _code_report(graph))}
     expected = codes.expected_gamma_weight_distribution(args.n, args.kind)
     got = dict((w, c) for w, c in report["code"]["weight_distribution"])

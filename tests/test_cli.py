@@ -146,7 +146,9 @@ def test_verify_all_refuses_an_unclassified_n_before_any_check(capsys, n):
     assert code == 1
     rep = json.loads(out)
     assert rep["error"] == f"families are classified for odd n in [5, 9], got {n}"
-    assert rep["checks"] == {} and rep["timings"] == {}
+    assert rep["checks"] == {}
+    # a stage that raises is still timed: the run and the family build it refused
+    assert set(rep["timings"]) == {"verify_all", "build_family_elliptic"}
 
 
 def test_verify_all_holds_one_family_at_a_time(capsys, monkeypatch):
@@ -307,6 +309,31 @@ def test_a_batch_builds_and_certifies_each_base_graph_once(monkeypatch, capsys):
         assert run_request(capsys, argv) == got
 
 
+GAMMA_N7 = [
+    ["construct", "--n", "7", "--kind", ELLIPTIC],
+    ["construct", "--n", "7", "--kind", ELLIPTIC, "--verify"],
+    ["code", "--n", "7", "--kind", ELLIPTIC],
+    ["switch", "--n", "7", "--kind", ELLIPTIC, "--t", "1"],
+    ["switch", "--n", "7", "--kind", ELLIPTIC, "--t", "1", "--verify", "--code"],
+]
+
+
+def test_one_interpreter_builds_the_base_graph_once(monkeypatch, capsys):
+    # counted in _point_rows, which every build_gamma call walks, so a build
+    # under any other name is counted too
+    builds = []
+    point_rows = srg._point_rows
+    monkeypatch.setattr(srg, "_point_rows", lambda f: builds.append(f.kind) or point_rows(f))
+    batch = [run_request(capsys, argv) for argv in GAMMA_N7]
+    assert [code for code, _ in batch] == [0] * len(GAMMA_N7)
+    assert builds == [ELLIPTIC]
+    assert srg.certified_gamma.cache_info().misses == 1
+    # verified or not, each request gives the report it gives alone
+    for argv, got in zip(GAMMA_N7, batch):
+        srg.certified_gamma.cache_clear()
+        assert run_request(capsys, argv) == got
+
+
 def test_certified_base_graphs_are_kept_per_n(capsys):
     reports = []
     for n in ("5", "7"):
@@ -328,7 +355,8 @@ def test_error_report_keeps_timings(capsys):
     rep = json.loads(out)
     assert "fewer than 64261 flags" in rep["error"]
     assert rep["checks"] == {}
-    assert "build_gamma" in rep["timings"]
+    # the flag search raised after walking every flag, and is timed all the same
+    assert {"certified_gamma", "find_flag"} <= set(rep["timings"])
 
 
 def test_negative_seed_choice_is_a_json_error(capsys):
@@ -383,7 +411,7 @@ def test_main_reports_every_package_error_as_json(monkeypatch, capsys, name):
     def refuse(form):
         raise REFUSALS[name]("refused")
 
-    monkeypatch.setattr(cli, "build_gamma", refuse)
+    monkeypatch.setattr(srg, "build_gamma", refuse)
     code, out, err = run_cli(capsys, "construct", "--n", "5", "--kind", "elliptic")
     assert code == 1
     rep = json.loads(out)
@@ -395,7 +423,7 @@ def test_main_lets_any_other_exception_through(monkeypatch):
     def fail(form):
         raise srg._NotCertified("leaked")
 
-    monkeypatch.setattr(cli, "build_gamma", fail)
+    monkeypatch.setattr(srg, "build_gamma", fail)
     with pytest.raises(srg._NotCertified):
         main(["construct", "--n", "5", "--kind", "elliptic"])
 

@@ -271,11 +271,21 @@ def test_pair_profile_settles_n5_family_pairs_without_search():
         assert are_isomorphic(ga, gb, budget=0) is False, (kind, a, b)
 
 
-def test_pair_profile_settles_n7_family_pairs_without_search():
+def test_pair_profile_settles_n7_family_pairs_without_search(monkeypatch):
+    # each member is in several pairs: its profile is computed once, keyed by its rows
+    profiles = {}
+
+    def pair_profile(g):
+        if g.rows not in profiles:
+            profiles[g.rows] = _pair_profile(g)
+        return profiles[g.rows]
+
+    monkeypatch.setattr(distinguish, "_pair_profile", pair_profile)
     pairs = list(family_pairs(7))
     assert len(pairs) == 16
     for kind, (a, ga), (b, gb) in pairs:
         assert are_isomorphic(ga, gb, budget=0) is False, (kind, a, b)
+    assert len(profiles) == 9  # one per member: 5 elliptic, 4 hyperbolic
 
 
 def z4_cayley_graph(connection):
