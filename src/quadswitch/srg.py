@@ -50,11 +50,13 @@ onto a pair through vertex 0, and by step 1 that product keeps both the
 adjacency and the common-neighbour count.  So step 3 covers every pair and
 the result is exactly verify_srg's.  Nothing rests on the group theory or
 on what a reflection is meant to be, only on the maps that translate and
-reflect apply: if the reflections fail to give transitivity, or a check
-fails, verify_srg decides on the same graph, and a rejection carries a
-vertex or pair whose count is wrong.  Step 1 costs n + 3 reflects of one
-mask per reflection, where reflecting every row in every reflection would
-cost v reflects per reflection.
+reflect apply: if the reflections fail a check of step 1 or 2, verify_srg
+decides on the same graph.  Once those steps hold, every row has vertex 0's
+degree, so a rejection in step 3 is the one verify_srg makes, with the same
+message and the same pair through vertex 0, and it is raised without
+verify_srg.  Step 1 costs n + 3 reflects of one mask per reflection, where
+reflecting every row in every reflection would cost v reflects per
+reflection.
 
 A graph that differs from an already verified one only in the rows and
 columns of a small vertex set, such as a Godsil-McKay switch at S, is
@@ -259,7 +261,8 @@ def _transitive_reflections(form: QuadraticForm) -> list[int]:
 
 def _certificate(form: QuadraticForm, g: Graph, reflections) -> SrgParams:
     """The parameters of g, the graph build_gamma makes on form, from the
-    three steps of the module docstring, or _NotCertified."""
+    three steps of the module docstring: _NotCertified if step 1 or 2 fails,
+    and verify_srg's NotStronglyRegular if step 3 does."""
     labels, vmask, v = form.labels, form.off, len(form.labels)
     ones = (1 << (1 << len(form.halves))) - 1
     coords = []  # coords[b]: the points whose coordinate b is 1
@@ -283,23 +286,25 @@ def _certificate(form: QuadraticForm, g: Graph, reflections) -> SrgParams:
     if _orbit(form, 1 << labels[0], reflections) != vmask:
         raise _NotCertified("the reflections are not transitive on the vertices")
 
+    # steps 1-2 hold, so every row has the first row's degree, and verify_srg
+    # would reach the same rejection from the pairs through vertex 0
     first = g.rows[0]
     k = first.bit_count()
     if k == 0 or k == v - 1:
-        raise _NotCertified("the first row is empty or full")
+        raise NotStronglyRegular("complete and empty graphs are excluded")
     adjacent = format(first, f"0{v}b")[::-1]  # adjacent[j] is "1" iff vertex j is a neighbour
     lam = mu = None
-    for y, row, bit in zip(labels[1:], g.rows[1:], adjacent[1:]):
+    for j, (row, bit) in enumerate(zip(g.rows[1:], adjacent[1:]), 1):
         common = (first & row).bit_count()
         if bit == "1":
             if lam is None:
                 lam = common
             elif common != lam:
-                raise _NotCertified(f"pair of {labels[0]} and {y} breaks lambda")
+                raise _wrong_count(g.rows, 0, j, lam, mu)
         elif mu is None:
             mu = common
         elif common != mu:
-            raise _NotCertified(f"pair of {labels[0]} and {y} breaks mu")
+            raise _wrong_count(g.rows, 0, j, lam, mu)
     return _srg_params(v, k, lam, mu)
 
 
@@ -321,8 +326,10 @@ def certify_gamma(form: QuadraticForm) -> tuple[Graph, GammaCertificate]:
 
     The parameters are what verify_srg returns for the graph: from the three
     steps of the module docstring, which check each reflection on n + 3 masks
-    before one vertex's pairs are counted, or else from verify_srg itself on
-    the same graph.  Raises GeometryError where build_gamma does.
+    before one vertex's pairs are counted, or else, when the reflections fail
+    their checks, from verify_srg itself on the same graph.  A graph that
+    passes those checks but fails one vertex's pairs raises the error
+    verify_srg raises.  Raises GeometryError where build_gamma does.
     """
     g = build_gamma(form)
     reflections = tuple(_transitive_reflections(form))

@@ -12,11 +12,11 @@ S, its none/half/all classes and T are vertex masks, ints with bit i for
 vertex i like the graph's rows, so v^S and v^T are S and T themselves and
 the switch XORs S into the rows of T and T into the rows of S.
 
-There is one flag walk, with three views: make_config (the k-th flag,
-as a checked SwitchConfig), iter_flags (every flag, as plain tuples) and
-iter_singular_subspaces (the alphas).  All three refuse a form with no
-quadric graph.  It is deterministic: candidates are scanned in increasing
-point order, so the "first" flag and the k-th are reproducible.
+make_config is the one way to a flag: the k-th flag of one walk, as a
+checked SwitchConfig.  It refuses a form with no quadric graph and a t
+outside legal_t_range before the walk starts.  The walk is deterministic:
+candidates are scanned in increasing point order, so the "first" flag and
+the k-th are reproducible.
 
 The walk works on the form's point masks (see gf2geom).  It rests on two
 identities of Q(x+y) = Q(x) + Q(y) + B(x,y):
@@ -88,10 +88,16 @@ def _off_perp(form: QuadraticForm, space: Subspace) -> int:
 def _singular_chains(form: QuadraticForm, t: int) -> Iterator[tuple[list[int], int]]:
     """(chain, candidates) for each singular t-space in lexicographic order:
     its basis as an increasing chain, and the pivot-free points of its perp
-    off the quadric."""
-    expected_params(form.n, form.kind)  # GeometryError where the form has no quadric graph
-    if t < 0:
-        raise SwitchingError(f"t must be >= 0, got {t}")
+    off the quadric.
+
+    A subspace lies in the quadric iff its basis points are singular and
+    pairwise orthogonal under the polarization, so the walk extends
+    increasing chains of such points, backtracking when stuck.  A chain is
+    extended by q only when q is the least point of its coset q + <chain>,
+    i.e. q holds none of the chain's top bits.  The chains are then exactly
+    the reduced echelon bases in increasing order, so each space is reached
+    once, through its lexicographically first chain.
+    """
     zeros, halves, off = form.zero_mask, form.halves, form.off
 
     def extend(chain: list[int], perp: int, free: int):
@@ -117,36 +123,6 @@ def _flag_groups(
         else:
             for y in _bits(cand):
                 yield chain, y, cand & form.nonorth(y)
-
-
-def _extend(alpha: Subspace, x: int) -> Subspace:
-    """The space <alpha, x>."""
-    return span(alpha.n, [*alpha.basis, x])
-
-
-def _flag(
-    n: int, chain: list[int], y: Optional[int], x: int
-) -> tuple[Subspace, Subspace, Optional[Subspace]]:
-    """The flag (alpha, Pi, Pi' or None) that point x of a flag group picks."""
-    alpha = Subspace(n, tuple(reversed(chain)))
-    if y is None:
-        return alpha, _extend(alpha, x), None
-    return alpha, _extend(alpha, y), _extend(alpha, x)
-
-
-def iter_singular_subspaces(form: QuadraticForm, t: int) -> Iterator[Subspace]:
-    """Projective t-spaces inside the quadric, in lexicographic order.
-
-    A subspace lies in the quadric iff its basis points are singular and
-    pairwise orthogonal under the polarization, so the search extends
-    increasing chains of such points, backtracking when stuck.  A chain is
-    extended by q only when q is the least point of its coset q + <chain>,
-    i.e. q holds none of the chain's top bits.  The chains are then exactly
-    the reduced echelon bases in increasing order, so each space is reached
-    once, through its lexicographically first chain.
-    """
-    chains = _singular_chains(form, t)
-    return (Subspace(form.n, tuple(reversed(chain))) for chain, _ in chains)
 
 
 # --- configurations ------------------------------------------------------------
@@ -208,16 +184,6 @@ def legal_t_range(n: int, kind: str, variant: str) -> range:
     raise SwitchingError(f"unknown variant {variant!r}")
 
 
-def iter_flags(
-    form: QuadraticForm, t: int, variant: str
-) -> Iterator[tuple[Subspace, Subspace, Optional[Subspace]]]:
-    """All switching flags (alpha, Pi, Pi' or None) for (t, variant) in nested
-    lexicographic order.  Plain tuples, so flags skipped over cost no validation."""
-    for chain, y, points in _flag_groups(form, t, variant):
-        for x in _bits(points):
-            yield _flag(form.n, chain, y, x)
-
-
 def make_config(form: QuadraticForm, t: int, variant: str, choice: int = 0) -> SwitchConfig:
     """The choice-th switching flag, after checking the existence bounds.
 
@@ -241,7 +207,10 @@ def make_config(form: QuadraticForm, t: int, variant: str, choice: int = 0) -> S
         count = points.bit_count()
         if left < count:
             x = next(islice(_bits(points), left, None))
-            return SwitchConfig(form, *_flag(form.n, chain, y, x))
+            alpha = Subspace(form.n, tuple(reversed(chain)))
+            # Pi = <alpha, x>, or Pi = <alpha, y> and Pi' = <alpha, x>
+            tangents = (x,) if y is None else (y, x)
+            return SwitchConfig(form, alpha, *(span(form.n, [*alpha.basis, p]) for p in tangents))
         left -= count
     raise SearchExhausted(f"fewer than {choice + 1} flags exist for t={t}, variant {variant}")
 
@@ -376,9 +345,12 @@ def build_switch(gamma: Graph, config: SwitchConfig) -> Switch:
     """The switch of gamma, the canonical graph of config.form, at the flag's
     switching set; its graph is made on demand.
 
-    Raises NotSwitchingSet (with a witness) if S fails the none/half/all
-    partition on gamma; T_formula is reported, not asserted, against the
-    certificate's half-class.
+    Raises SwitchingError if gamma's vertices are not config.form's points,
+    since S is read in that form's vertex order, and NotSwitchingSet (with a
+    witness) if S fails the none/half/all partition on gamma; T_formula is
+    reported, not asserted, against the certificate's half-class.
     """
+    if gamma.labels is not config.form.labels and gamma.labels != config.form.labels:
+        raise SwitchingError("the graph's vertices are not the points of the flag's form")
     cert = validate_switching_set(gamma, build_S(config))
     return Switch(config, cert, gamma, T_formula(config))

@@ -610,6 +610,15 @@ GF64_CUBES = sorted(GF64_UNITS[::3])
 GF64_NON_CUBES = sorted(set(GF64_UNITS) - set(GF64_CUBES))
 
 
+def gf64_stand_in(connection):
+    """A form on F_2^6 = GF(64) whose vertices are the connection set N, with
+    x -> r x^2 as its reflection in r, and the graph build_gamma makes on it."""
+    stand_in = canonical_form(5, HYPERBOLIC)  # a form on F_2^6 of its own ...
+    stand_in.off, stand_in.labels = sum(1 << x for x in connection), tuple(connection)  # ... with N as vertices,
+    stand_in.reflect = lambda mask, r: sum(1 << gf64_times(r, gf64_times(p, p)) for p in set_bits(mask))
+    return stand_in, build_gamma(stand_in)
+
+
 @pytest.mark.parametrize("connection,broken", [(GF64_CUBES, "lambda"), (GF64_NON_CUBES, "mu")])
 def test_certificate_checks_every_pair_through_the_first_vertex(connection, broken):
     # a Cayley graph on F_2^6 = GF(64) cut down to its connection set N, the
@@ -618,19 +627,46 @@ def test_certificate_checks_every_pair_through_the_first_vertex(connection, brok
     # x -> r x^2 for r = 1 and r = 2^3 are linear bit permutations that keep N,
     # and together they are transitive on it.  So every check before the pair
     # counts passes, but the graph is not strongly regular, and only the pair
-    # counts through the first vertex can tell
-    stand_in = canonical_form(5, HYPERBOLIC)  # a form on F_2^6 of its own ...
-    stand_in.off, stand_in.labels = sum(1 << x for x in connection), tuple(connection)  # ... with N as vertices,
-    stand_in.reflect = lambda mask, r: sum(1 << gf64_times(r, gf64_times(p, p)) for p in set_bits(mask))
-    g = build_gamma(stand_in)
+    # counts through the first vertex can tell: they reject it as verify_srg does
+    stand_in, g = gf64_stand_in(connection)
     assert [[connection[j] for j in g.neighbors(i)] for i in range(g.v)] == [
         [y for y in connection if (x ^ y) in connection] for x in connection
     ]
     assert srg._orbit(stand_in, 1 << connection[0], (1, 8)) == stand_in.off
-    with pytest.raises(srg._NotCertified, match=f"breaks {broken}"):
-        srg._certificate(stand_in, g, (1, 8))
-    with pytest.raises(NotStronglyRegular):
+    with pytest.raises(NotStronglyRegular) as want:
         verify_srg(g)
+    with pytest.raises(NotStronglyRegular) as got:
+        srg._certificate(stand_in, g, (1, 8))
+    assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
+    what = "adjacent" if broken == "lambda" else "non-adjacent"
+    assert str(got.value).startswith(f"{what} pair (0,") and got.value.witness[0] == 0
+
+
+def test_certify_gamma_rejects_from_the_first_vertex_without_verify_srg(monkeypatch):
+    # the pair counts through vertex 0 decide once the reflections are checked:
+    # certify_gamma raises verify_srg's error without running verify_srg
+    stand_in, g = gf64_stand_in(GF64_CUBES)
+    with pytest.raises(NotStronglyRegular) as want:
+        verify_srg(g)
+    monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: (1, 8))
+    monkeypatch.setattr(srg, "verify_srg", refuse_pair_check)
+    with pytest.raises(NotStronglyRegular) as got:
+        certify_gamma(stand_in)
+    assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
+
+
+@pytest.mark.parametrize("row", ["empty", "full"])
+def test_certificate_refuses_an_empty_or_full_graph_as_verify_srg_does(row):
+    # step 3 reads only the graph's rows: on rows that are all empty or all
+    # full it gives verify_srg's rejection, though the reflections pass
+    f, g, good = certificate_case(5, ELLIPTIC)
+    everyone = (1 << g.v) - 1
+    rows = tuple(0 if row == "empty" else everyone ^ 1 << i for i in range(g.v))
+    bad = Graph(g.labels, rows)
+    with pytest.raises(NotStronglyRegular, match="^complete and empty graphs are excluded$"):
+        verify_srg(bad)
+    with pytest.raises(NotStronglyRegular, match="^complete and empty graphs are excluded$"):
+        srg._certificate(f, bad, good)
 
 
 @pytest.mark.parametrize("b", range(6))

@@ -19,8 +19,11 @@ from quadswitch.gf2geom import (
     set_bits,
     span,
 )
-from quadswitch.srg import Graph, build_gamma, verify_srg
+from quadswitch import switching
+from quadswitch.srg import Graph, build_gamma, certified_gamma, verify_srg
 from quadswitch.switching import (
+    _flag_groups,
+    _singular_chains,
     NotSwitchingSet,
     SearchExhausted,
     SwitchConfig,
@@ -30,8 +33,6 @@ from quadswitch.switching import (
     build_switch,
     expected_switch,
     gm_switch,
-    iter_flags,
-    iter_singular_subspaces,
     legal_t_range,
     make_config,
     validate_switching_set,
@@ -42,12 +43,27 @@ H5 = canonical_form(5, HYPERBOLIC)
 WHOLE5 = Subspace(5, (32, 16, 8, 4, 2, 1))  # all of PG(5,2)
 
 
+def walk_singular_subspaces(form, t):
+    """The singular t-spaces in the order the flag walk visits them."""
+    return (Subspace(form.n, tuple(reversed(chain))) for chain, _ in _singular_chains(form, t))
+
+
+def walk_flags(form, t, variant):
+    """Every flag (alpha, Pi, Pi' or None) of the walk, in the order make_config counts them."""
+    for chain, y, points in _flag_groups(form, t, variant):
+        alpha = Subspace(form.n, tuple(reversed(chain)))
+        pi = None if y is None else span(form.n, [*alpha.basis, y])
+        for x in set_bits(points):
+            other = span(form.n, [*alpha.basis, x])
+            yield (alpha, other, None) if pi is None else (alpha, pi, other)
+
+
 # --- singular subspace search -----------------------------------------------------
 
 
 def test_singular_point_is_lex_least_quadric_point():
     for form in (E5, H5):
-        sub = next(iter_singular_subspaces(form, 0))
+        sub = next(walk_singular_subspaces(form, 0))
         assert sub.points() == [set_bits(form.zero_mask)[0]]
 
 
@@ -61,14 +77,14 @@ def test_singular_line_n5_elliptic_exhaustive():
     ]
     assert contained  # the elliptic quadric of PG(5,2) does carry lines
     best = min(contained)
-    got = next(iter_singular_subspaces(E5, 1))
+    got = next(walk_singular_subspaces(E5, 1))
     assert tuple(got.points()) == best
     assert all(E5.contains(p) for p in got.points())
 
 
 def test_singular_plane_n5_elliptic_not_found():
     # planes would need t = 2 > (n-3)/2; confirmed by exhaustive plane search
-    assert list(iter_singular_subspaces(E5, 2)) == []
+    assert list(walk_singular_subspaces(E5, 2)) == []
     planes = set()
     qpts = set_bits(E5.zero_mask)
     for a in qpts:
@@ -85,14 +101,9 @@ def test_singular_plane_n5_elliptic_not_found():
 
 
 def test_singular_search_is_deterministic():
-    a = next(iter_singular_subspaces(E5, 1))
-    b = next(iter_singular_subspaces(E5, 1))
+    a = next(walk_singular_subspaces(E5, 1))
+    b = next(walk_singular_subspaces(E5, 1))
     assert a == b == span(5, [4, 16, 20])
-
-
-def test_singular_search_rejects_negative_t():
-    with pytest.raises(SwitchingError, match="t must be >= 0"):
-        iter_singular_subspaces(E5, -1)
 
 
 def reference_singular_subspaces(form, t):
@@ -162,7 +173,7 @@ def singular_space_count(n, kind, t):
 def test_singular_space_counts_match_closed_form(n, kind):
     r, _ = polar_rank(n, kind)
     for t in range(r + 1):
-        spaces = list(iter_singular_subspaces(canonical_form(n, kind), t))
+        spaces = list(walk_singular_subspaces(canonical_form(n, kind), t))
         assert len(spaces) == singular_space_count(n, kind, t), (n, kind, t)
         assert len(set(spaces)) == len(spaces)
 
@@ -177,7 +188,7 @@ def test_singular_search_matches_reference_order(n, kind):
         # seconds from t = 2 at n = 7, so only a prefix is compared there
         limit = None if n == 5 or t <= 1 else 100
         want = list(islice(reference_singular_subspaces(form, t), limit))
-        assert list(islice(iter_singular_subspaces(form, t), limit)) == want, (n, kind, t)
+        assert list(islice(walk_singular_subspaces(form, t), limit)) == want, (n, kind, t)
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -187,16 +198,16 @@ def test_singular_search_matches_greedy_walk(n, kind):
     r, _ = polar_rank(n, kind)
     for t in range(r):
         want = list(greedy_singular_subspaces(form, t))
-        assert list(iter_singular_subspaces(form, t)) == want, (n, kind, t)
+        assert list(walk_singular_subspaces(form, t)) == want, (n, kind, t)
 
 
 # --- tangent spaces, as the flag walk yields them ------------------------------------
 
 
 def flags_by_alpha(form, t, variant):
-    """iter_flags grouped by alpha, each group in walk order."""
+    """The walk's flags grouped by alpha, each group in walk order."""
     groups = {}
-    for flag in iter_flags(form, t, variant):
+    for flag in walk_flags(form, t, variant):
         groups.setdefault(flag[0], []).append(flag)
     return groups
 
@@ -223,7 +234,7 @@ def brute_force_tangent_spaces(form, alpha, pi=None):
 
 @pytest.mark.parametrize("form", [E5, H5], ids=["elliptic", "hyperbolic"])
 def test_tangent_space_structure(form):
-    alpha = next(iter_singular_subspaces(form, 1))
+    alpha = next(walk_singular_subspaces(form, 1))
     pi = tangent_spaces(form, alpha)[0]
     assert pi.projective_dim == 2
     assert is_subspace_of(alpha, pi)
@@ -235,16 +246,16 @@ def test_tangent_space_structure(form):
 
 @pytest.mark.parametrize("form", [E5, H5], ids=["elliptic", "hyperbolic"])
 def test_tangent_space_is_lex_least(form):
-    alpha = next(iter_singular_subspaces(form, 1))
+    alpha = next(walk_singular_subspaces(form, 1))
     oracle = brute_force_tangent_spaces(form, alpha)
     assert oracle
     assert tangent_spaces(form, alpha)[0] == oracle[0]
 
 
 def test_second_tangent_space_n5_elliptic():
-    alpha = next(iter_singular_subspaces(E5, 1))
+    alpha = next(walk_singular_subspaces(E5, 1))
     pi = tangent_spaces(E5, alpha)[0]
-    first_alpha, first_pi, pi2 = next(iter_flags(E5, 1, "tt"))
+    first_alpha, first_pi, pi2 = next(walk_flags(E5, 1, "tt"))
     assert (first_alpha, first_pi) == (alpha, pi)
     assert pi2 != pi
     joint = span(5, list(pi.basis) + list(pi2.basis))
@@ -260,9 +271,9 @@ def test_second_tangent_space_n5_elliptic():
 
 
 def test_second_tangent_space_n5_hyperbolic_not_found():
-    alpha = next(iter_singular_subspaces(H5, 1))
+    alpha = next(walk_singular_subspaces(H5, 1))
     pi = tangent_spaces(H5, alpha)[0]
-    assert list(iter_flags(H5, 1, "tt")) == []  # no Pi' under any Pi
+    assert list(walk_flags(H5, 1, "tt")) == []  # no Pi' under any Pi
     # the unpruned oracle agrees that nothing exists
     assert brute_force_tangent_spaces(H5, alpha, pi) == []
 
@@ -338,7 +349,7 @@ def test_every_flag_matches_reference_n5(n, kind, t, variant):
     form = canonical_form(n, kind)
     flags = reference_flag_prefix(n, kind, t, variant)
     assert len(flags) == FLAG_COUNTS[n, kind, t, variant]
-    assert list(iter_flags(form, t, variant)) == list(flags)
+    assert list(walk_flags(form, t, variant)) == list(flags)
     for k, flag in enumerate(flags):
         assert make_config(form, t, variant, k) == SwitchConfig(form, *flag), k
 
@@ -348,7 +359,7 @@ def test_first_flags_match_reference_n7(n, kind, t, variant):
     form = canonical_form(n, kind)
     flags = reference_flag_prefix(n, kind, t, variant)
     assert len(flags) == 2000
-    assert list(islice(iter_flags(form, t, variant), 2000)) == list(flags)
+    assert list(islice(walk_flags(form, t, variant), 2000)) == list(flags)
     for k in list(range(0, 2000, 97)) + [1999]:
         assert make_config(form, t, variant, k) == SwitchConfig(form, *flags[k]), k
 
@@ -357,7 +368,7 @@ def test_first_flags_match_reference_n7(n, kind, t, variant):
 def test_flag_count_and_last_flag(n, kind, t, variant):
     form = canonical_form(n, kind)
     count = FLAG_COUNTS[n, kind, t, variant]
-    assert sum(1 for _ in iter_flags(form, t, variant)) == count
+    assert sum(1 for _ in walk_flags(form, t, variant)) == count
     last = reference_last_flag(form, t, variant)
     assert make_config(form, t, variant, count - 1) == SwitchConfig(form, *last)
     with pytest.raises(SearchExhausted):
@@ -398,9 +409,9 @@ def test_config_rejects_bad_flags_with_their_messages():
     cfg = make_config(E5, 1, "tt")
     alpha, pi, pi2 = cfg.alpha, cfg.pi, cfg.pi2
     not_singular = span(5, [1, 2])  # a line off the quadric
-    alpha7 = next(iter_singular_subspaces(canonical_form(7, ELLIPTIC), 1))
+    alpha7 = next(walk_singular_subspaces(canonical_form(7, ELLIPTIC), 1))
     outside = next(p for p in set_bits(E5.zero_mask) if p not in alpha.points())
-    other = next(a for a in iter_singular_subspaces(E5, 1) if a != alpha)
+    other = next(a for a in walk_singular_subspaces(E5, 1) if a != alpha)
     bad_pis = {
         "meets the quadric beyond alpha": span(5, list(alpha.basis) + [outside]),
         "does not contain alpha": tangent_spaces(E5, other)[0],
@@ -420,9 +431,9 @@ def test_config_rejects_bad_flags_with_their_messages():
         SwitchConfig(E5, alpha, pi, pi)
     # at n = 7, <alpha, x> and <alpha, y> with B(x, y) = 0 span a space beyond alpha
     f7 = canonical_form(7, ELLIPTIC)
-    alpha, pi, _ = next(iter_flags(f7, 1, "t"))
+    alpha, pi, _ = next(walk_flags(f7, 1, "t"))
     beyond = "span(pi, pi2) meets the quadric beyond alpha"
-    partners = [p for a, p, _ in islice(iter_flags(f7, 1, "t"), 50) if a == alpha]
+    partners = [p for a, p, _ in islice(walk_flags(f7, 1, "t"), 50) if a == alpha]
     bad = next(p for p in partners if reference_config_error(f7, alpha, pi, p) == beyond)
     with pytest.raises(SwitchingError, match=r"^span\(pi, pi2\) meets the quadric beyond alpha$"):
         SwitchConfig(f7, alpha, pi, bad)
@@ -482,7 +493,7 @@ def test_mask_checks_match_the_point_list_checks_on_every_n5_flag(kind):
     # flag (elliptic), or have t outside the range of variant tt (hyperbolic)
     form = canonical_form(5, kind)
     for variant in ("t", "tt"):
-        for flag in iter_flags(form, 1, variant):
+        for flag in walk_flags(form, 1, variant):
             assert config_error(form, *flag) is None
             assert reference_config_error(form, *flag) is None
     seen = set()
@@ -500,7 +511,7 @@ def test_mask_checks_match_the_point_list_checks_on_every_n5_flag(kind):
 
 @lru_cache(maxsize=None)
 def flag_prefix(n, kind, t, variant, limit=300):
-    return tuple(islice(iter_flags(canonical_form(n, kind), t, variant), limit))
+    return tuple(islice(walk_flags(canonical_form(n, kind), t, variant), limit))
 
 
 CORRUPTIONS = (
@@ -585,7 +596,7 @@ def reference_T_formula(config):
 def test_build_S_and_T_formula_match_the_point_list_reference(n, kind, t, variant):
     # every flag at n = 5, every 97th at n = 7
     form = canonical_form(n, kind)
-    for flag in islice(iter_flags(form, t, variant), 0, None, 1 if n == 5 else 97):
+    for flag in islice(walk_flags(form, t, variant), 0, None, 1 if n == 5 else 97):
         cfg = SwitchConfig(form, *flag)
         assert build_S(cfg) == reference_build_S(cfg)
         assert T_formula(cfg) == reference_T_formula(cfg)
@@ -642,14 +653,22 @@ def test_the_switch_layer_refuses_a_form_with_no_quadric_graph():
         legal_t_range(7, "foo", "tt")
 
 
-def test_the_flag_walks_refuse_a_form_with_no_quadric_graph():
-    # iter_flags and iter_singular_subspaces ask expected_params before they walk, as make_config does
+def test_make_config_refuses_a_bad_t_or_form_before_the_walk(monkeypatch):
+    # the walk checks neither t nor the form: make_config's legal_t_range calls
+    # refuse both before _singular_chains is entered
+    def no_walk(*_):
+        raise AssertionError("the flag walk was entered")
+
+    monkeypatch.setattr(switching, "_singular_chains", no_walk)
     p8 = canonical_form(8, PARABOLIC)
     for variant in ("t", "tt"):
+        for t in (0, -1):
+            with pytest.raises(SearchExhausted, match=f"^no flag: t={t} outside the existence range"):
+                make_config(E5, t, variant)
         with pytest.raises(GeometryError, match=NO_QUADRIC_GRAPH):
-            next(iter_flags(p8, 1, variant))
-    with pytest.raises(GeometryError, match=NO_QUADRIC_GRAPH):
-        next(iter_singular_subspaces(p8, 1))
+            make_config(p8, 1, variant)
+        with pytest.raises(AssertionError, match="walk was entered"):  # a legal request does walk
+            make_config(E5, 1, variant)
 
 
 @pytest.mark.parametrize(
@@ -663,7 +682,7 @@ def test_expected_switch_refuses_a_t_outside_the_legal_range(n, kind, t, variant
 
 
 def test_make_config_choice_indexes_flags():
-    flags = list(iter_flags(E5, 1, "t"))
+    flags = list(walk_flags(E5, 1, "t"))
     assert len(flags) > 1
     assert make_config(E5, 1, "t", choice=1) == SwitchConfig(E5, *flags[1])
     with pytest.raises(SearchExhausted):
@@ -907,6 +926,28 @@ def test_switch_record_matches_reference_path(n, kind, t, variant):
     assert sw.certificate == validate_switching_set(g, s)
     assert sw.graph == gm_switch(g, s)
     assert sw.t_set == T_formula(cfg)
+
+
+@pytest.mark.parametrize(
+    "graph,flag",
+    [
+        ((9, HYPERBOLIC), (7, HYPERBOLIC, 1, "t", 0)),
+        ((5, ELLIPTIC), (5, HYPERBOLIC, 1, "t", 7)),
+        ((5, HYPERBOLIC), (5, ELLIPTIC, 1, "tt", 0)),
+        ((7, ELLIPTIC), (7, HYPERBOLIC, 2, "t", 35)),
+        ((7, HYPERBOLIC), (5, ELLIPTIC, 1, "t", 14)),
+        ((9, ELLIPTIC), (7, ELLIPTIC, 1, "tt", 21)),
+    ],
+    ids=lambda case: "".join(map(str, case)),
+)
+def test_build_switch_refuses_a_graph_of_another_form(graph, flag):
+    # S is read in the vertex order of the flag's form, so on a graph of another
+    # form it would name other points: refused before S is built or checked
+    gamma_other = certified_gamma(*graph)[0]
+    n, kind, t, variant, choice = flag
+    config = make_config(canonical_form(n, kind), t, variant, choice)
+    with pytest.raises(SwitchingError, match="^the graph's vertices are not the points of the flag's form$"):
+        build_switch(gamma_other, config)
 
 
 @pytest.mark.parametrize("kind,variant", [(ELLIPTIC, "t"), (ELLIPTIC, "tt"), (HYPERBOLIC, "t")])
