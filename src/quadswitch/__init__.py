@@ -40,6 +40,7 @@ from .switching import (
     gm_switch,
     make_config,
     validate_switching_set,
+    verify_switch,
 )
 from .codes import (
     BinaryCode,

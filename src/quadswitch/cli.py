@@ -32,12 +32,7 @@ from .gf2geom import (
     count_external_lines_through,
     quadric_size,
 )
-from .srg import (
-    SrgParams,
-    certified_gamma,
-    expected_params,
-    verify_srg_near,
-)
+from .srg import SrgParams, certified_gamma, expected_params
 
 
 def _params_dict(p: SrgParams) -> dict:
@@ -147,7 +142,7 @@ def cmd_switch(args, runner: _Runner) -> dict:
     report = {"switching": _switch_report(sw)}
     runner.check("t_formula_equals_half_class", report["switching"]["t_formula_equals_half_class"])
     if args.verify:
-        swp = runner.time("verify_srg", lambda: verify_srg_near(graph, gamma, base, sw.s))
+        swp = runner.time("verify_srg", lambda: switching.verify_switch(sw, certificate, graph))
         report["srg"] = _params_dict(swp)
         runner.check("switched_srg_parameters_unchanged", swp == base)
     if args.code:

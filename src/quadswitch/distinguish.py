@@ -46,8 +46,8 @@ from typing import Optional
 
 from .codes import BinaryCode, CodeError, code_from_graph, min_weight_codewords
 from .gf2geom import GeometryError, QuadswitchError, set_bits
-from .srg import GammaCertificate, Graph, SrgParams, certified_gamma, verify_srg_near
-from .switching import Switch, build_switch, legal_t_range, make_config
+from .srg import GammaCertificate, Graph, SrgParams, certified_gamma
+from .switching import Switch, build_switch, legal_t_range, make_config, verify_switch
 
 DEFAULT_NODE_BUDGET = 10_000_000
 MAX_EXACT_VERTICES = 600
@@ -259,7 +259,7 @@ class FamilyMember:
     name: str
     t: int  # 0 for the unswitched graph
     variant: str  # "", "t" or "tt"
-    params: SrgParams  # the certificate's, or what verify_srg_near returned for the switch
+    params: SrgParams  # the certificate's, or what verify_switch returned for the switch
     code: BinaryCode
     words: tuple[int, ...]  # the minimum-weight codewords, sorted
     sig: GraphSignature
@@ -316,12 +316,12 @@ def _member(
     switch: Optional[Switch] = None,
 ) -> FamilyMember:
     """gamma's member, or switch's: its graph made here, checked strongly
-    regular by verify_srg_near, read, and dropped on return."""
+    regular by verify_switch, read, and dropped on return."""
     if switch is None:
         graph, params = gamma, certificate.params
     else:
         graph = switch.graph
-        params = verify_srg_near(graph, gamma, certificate.params, switch.s)
+        params = verify_switch(switch, certificate, graph)
     code = code_from_graph(graph)
     words = tuple(min_weight_codewords(code))
     sig = signature(graph, code, words, certificate if switch is None else None)

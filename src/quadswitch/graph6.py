@@ -29,15 +29,19 @@ def _encode_size(v: int) -> bytes:
 # place of the base64 alphabet, so binascii does the packing in C
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+# Bit i of a byte goes to bit 7 - i: the stream is held with its first bit
+# lowest, and base64 reads each byte from its top bit.
+_REVERSE = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
 # Bits per base64 call: a multiple of 24 (4 characters), so every call but
-# the last ends on a whole group, and small enough that the bit string of a
-# graph with thousands of vertices never exists at once.
+# the last ends on a whole group, and small enough that the int holding the
+# stream of a graph with thousands of vertices stays small.
 _CHUNK_BITS = 24 * 1366
 
 
-def _pack(bits: str) -> bytes:
-    """graph6 characters of a '0'/'1' string whose length is a multiple of 24."""
-    raw = int(bits, 2).to_bytes(len(bits) // 8, "big")
+def _pack(bits: int, count: int) -> bytes:
+    """graph6 characters of the first count bits of a stream held with its
+    first bit lowest; count is a multiple of 24."""
+    raw = bits.to_bytes(count // 8, "little").translate(_REVERSE)
     return binascii.b2a_base64(raw, newline=False).translate(_TO_GRAPH6)
 
 
@@ -45,20 +49,18 @@ def encode(g: Graph) -> bytes:
     """graph6 bytes of the adjacency structure (labels are not encoded)."""
     v = g.v
     out = [_encode_size(v)]
-    pending: list[str] = []
-    held = 0
+    acc = held = 0
     for j in range(1, v):
-        # column j: x_0j, x_1j, ..., x_(j-1)j
-        pending.append(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1])
+        # column j: x_0j, x_1j, ..., x_(j-1)j, so bit i of the row is the i-th bit
+        acc |= (g.rows[j] & ((1 << j) - 1)) << held
         held += j
         if held >= _CHUNK_BITS:
-            bits = "".join(pending)
             cut = held - held % 24
-            out.append(_pack(bits[:cut]))
-            pending = [bits[cut:]]
+            out.append(_pack(acc & ((1 << cut) - 1), cut))
+            acc >>= cut
             held -= cut
     if held:
-        out.append(_pack("".join(pending) + "0" * (-held % 24))[: (held + 5) // 6])
+        out.append(_pack(acc, held + -held % 24)[: (held + 5) // 6])
     return b"".join(out)
 
 

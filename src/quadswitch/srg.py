@@ -65,6 +65,37 @@ all other rows through the exact identity for how their common-neighbour
 counts move, once per pair of classes of vertices that meet the set alike.
 It reaches the same decision as verify_srg.
 
+A switch of the quadric graph is checked by verify_srg_orbit from one row
+of S, given maps that keep S and its half-class T (for the switching
+module's flags: reflections and Siegel maps rho_{a,w} = sigma_w sigma_{w+a},
+x -> x + B(x,a) w + B(x,w) a + B(x,a) a, a word of two reflections in the
+vertices w and w + a when Q(a) = B(w,a) = 0).  The base graph must be the
+one certify_gamma returned, so that its rows are N & (N + x).  Five steps:
+
+  1. each reflection in the maps passes step 1b above, after step 1a,
+     unless certify_gamma already checked it on this form;
+  2. each map keeps the point masks of S and of T;
+  3. the graph is GM(base, S): row i differs from the base row by T for i
+     in S, by S for i in T, and not at all elsewhere; each row of T meets S
+     in |S|/2 vertices, and each other row outside S in none or all of S;
+  4. the orbit of S's first vertex s0 under the maps is S; maps are taken
+     in order while they enlarge it;
+  5. the row of s0 has degree k and lambda or mu common neighbours with
+     every other vertex.
+
+By steps 1 and 2 each map is an automorphism of the base graph that keeps
+S and T, so by step 3 an automorphism of the switched graph; by step 4 each
+pair through a vertex of S is carried onto a pair through s0, so step 5
+covers every check verify_srg_near makes on the rows of S.  For rows i, j
+outside S, step 3 leaves p_i = p'_i (the rows restricted to S, before and
+after) unless i is in T, where p'_i = S - p_i with |p_i| = |S|/2, and every
+other p_j is empty or S; so |p_i| = |p'_i| and |p_i & p_j| = |p'_i & p'_j|
+for every pair, which is verify_srg_near's class-pair identity.  So the
+decision is verify_srg_near's.  If any step fails, verify_srg_near itself
+decides, so an error is the one it raises, with its witness.  Below 1,024
+pairs through S (|S| * v) verify_srg_near decides at once: it counts the
+few rows of S faster than the maps can be checked.
+
 Every switch of one (n, kind) starts from the same quadric graph, so
 certified_gamma builds and certifies it once per process and hands out that
 immutable graph and certificate again.
@@ -75,7 +106,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from operator import eq
+from typing import Iterable, Iterator
 
 from .gf2geom import (ELLIPTIC, HYPERBOLIC, GeometryError, QuadraticForm, QuadswitchError,
                       canonical_form, set_bits)
@@ -229,13 +261,25 @@ class _NotCertified(Exception):
     """The reflection certificate could not be completed; verify_srg decides."""
 
 
+def _apply(form: QuadraticForm, mask: int, word) -> int:
+    """Image of a point mask under a word in reflection points, applied in order."""
+    for r in word:
+        mask = form.reflect(mask, r)
+    return mask
+
+
 def _orbit(form: QuadraticForm, orbit: int, reflections) -> int:
     """Point mask of the union of the orbits of a point mask's points under
     the group the reflections in these points generate."""
+    return _word_orbit(form, orbit, [(r,) for r in reflections])
+
+
+def _word_orbit(form: QuadraticForm, orbit: int, words) -> int:
+    """_orbit for the group generated by words in reflection points."""
     while True:
         grown = orbit
-        for r in reflections:
-            grown |= form.reflect(grown, r)
+        for word in words:
+            grown |= _apply(form, grown, word)
         if grown == orbit:
             return orbit
         orbit = grown
@@ -259,30 +303,45 @@ def _transitive_reflections(form: QuadraticForm) -> list[int]:
     return chosen
 
 
-def _certificate(form: QuadraticForm, g: Graph, reflections) -> SrgParams:
-    """The parameters of g, the graph build_gamma makes on form, from the
-    three steps of the module docstring: _NotCertified if step 1 or 2 fails,
-    and verify_srg's NotStronglyRegular if step 3 does."""
-    labels, vmask, v = form.labels, form.off, len(form.labels)
+def _coordinate_masks(form: QuadraticForm) -> list[int]:
+    """Step 1a: coords[b], the points whose coordinate b is 1, once the block
+    swap of each coordinate b is shown to be the translation by 2^b."""
     ones = (1 << (1 << len(form.halves))) - 1
-    coords = []  # coords[b]: the points whose coordinate b is 1
+    coords = []
     for b, half in enumerate(form.halves):
         coord = half << (1 << b)
         if half & coord or half | coord != ones:
             raise _NotCertified(f"the block swap of coordinate {b} is not the translation by {1 << b}")
         coords.append(coord)
+    return coords
+
+
+def _check_reflection(form: QuadraticForm, coords: list[int], r: int) -> None:
+    """Step 1b: the reflection in r, as form.reflect applies it, is a bit
+    permutation of the points that keeps the vertex mask and is linear."""
+    ones = (1 << (1 << len(coords))) - 1
+    units = [1 << (1 << b) for b in range(len(coords))]  # the points e_b
+    if form.reflect(ones, r) != ones:
+        raise _NotCertified(f"the reflection in {r} is not a permutation of the points")
+    if form.reflect(form.off, r) != form.off:
+        raise _NotCertified(f"the reflection in {r} moves a vertex off the vertex set")
+    for coord in coords:
+        image, functional = form.reflect(coord, r), 0
+        for unit, other in zip(units, coords):
+            if image & unit:  # the image holds the point e_b
+                functional ^= other
+        if image != functional:
+            raise _NotCertified(f"the reflection in {r} is not linear")
+
+
+def _certificate(form: QuadraticForm, g: Graph, reflections) -> SrgParams:
+    """The parameters of g, the graph build_gamma makes on form, from the
+    three steps of the module docstring: _NotCertified if step 1 or 2 fails,
+    and verify_srg's NotStronglyRegular if step 3 does."""
+    labels, vmask, v = form.labels, form.off, len(form.labels)
+    coords = _coordinate_masks(form)
     for r in reflections:
-        if form.reflect(ones, r) != ones:
-            raise _NotCertified(f"the reflection in {r} is not a permutation of the points")
-        if form.reflect(vmask, r) != vmask:
-            raise _NotCertified(f"the reflection in {r} moves a vertex off the vertex set")
-        for coord in coords:
-            image, functional = form.reflect(coord, r), 0
-            for b, other in enumerate(coords):
-                if image >> (1 << b) & 1:  # the image holds the point e_b
-                    functional ^= other
-            if image != functional:
-                raise _NotCertified(f"the reflection in {r} is not linear")
+        _check_reflection(form, coords, r)
     if _orbit(form, 1 << labels[0], reflections) != vmask:
         raise _NotCertified("the reflections are not transitive on the vertices")
 
@@ -421,6 +480,98 @@ def verify_srg_near(g: Graph, base: Graph, base_params: SrgParams, changed: int)
                 i, j = sorted((members[0], others[-1]))
                 raise _wrong_count(rows, i, j, lam, mu)
     return base_params
+
+
+def verify_srg_orbit(
+    g: Graph, base: Graph, certificate: GammaCertificate, s: int, t: int, words: Iterable[tuple[int, ...]]
+) -> SrgParams:
+    """verify_srg_near(g, base, certificate.params, s), decided from the row
+    of S's first vertex s0 by the five steps of the module docstring.
+
+    s and t are vertex masks: a switching set S on base and its half-class
+    T.  words are candidate maps, each a tuple of reflection points applied
+    in order (see form.reflect); they are taken in order while they enlarge
+    the orbit of s0, and each reflection in them is checked once.  Below
+    _ORBIT_MIN_PAIRS pairs through S, verify_srg_near, the cheaper check
+    there, decides without them.
+
+    Precondition: base is the graph certify_gamma returned with certificate,
+    so its rows are N & (N + x) on certificate.form, as verify_srg_near
+    needs base verified with the parameters.  A base whose vertices are not
+    the form's points, sets that do not fit, or any failed step leaves the
+    decision to verify_srg_near, so an error is the one it raises, with its
+    witness.
+    """
+    if s.bit_count() * g.v >= _ORBIT_MIN_PAIRS:
+        try:
+            return _orbit_certificate(g, base, certificate, s, t, words)
+        except _NotCertified:
+            pass
+    return verify_srg_near(g, base, certificate.params, s)
+
+
+# |S| * v from which checking the maps costs less than verify_srg_near's
+# count of the rows of S: at n = 7 (v = 120 or 136) the two cross near |S| = 8
+_ORBIT_MIN_PAIRS = 1024
+
+
+def _orbit_certificate(g: Graph, base: Graph, certificate: GammaCertificate, s: int, t: int, words) -> SrgParams:
+    """The parameters from steps 1-5 of the module docstring's switch
+    certificate, or _NotCertified if one fails."""
+    form, params = certificate.form, certificate.params
+    v, rows, base_rows = g.v, g.rows, base.rows
+    if v != base.v or v != params.v or not s or not t or s & t or (s | t) >> v:
+        raise _NotCertified("the graphs or the sets do not fit")
+    if base.labels is not form.labels and base.labels != form.labels:
+        raise _NotCertified("the base graph's vertices are not the form's points")
+
+    # step 3: row i moves by T for i in S, by S for i in T, and not at all
+    # elsewhere; a row of T meets S in half of it, any other row outside S in
+    # none or all of it
+    members, half = set_bits(s), set_bits(t)
+    if (
+        sum(map(eq, rows, base_rows)) != v - len(members) - len(half)
+        or {rows[i] ^ base_rows[i] for i in members} != {t}
+        or {rows[i] ^ base_rows[i] for i in half} != {s}
+    ):
+        raise _NotCertified("the graph is not the switch of the base graph at S and T")
+    if {2 * (base_rows[i] & s).bit_count() for i in half} != {len(members)} or not {
+        base_rows[i] & s for i in set_bits(((1 << v) - 1) ^ s ^ t)
+    } <= {0, s}:
+        raise _NotCertified("a row outside S meets S in other than none, half or all of it")
+
+    # steps 1, 2 and 4: maps that keep S and T, chosen while they enlarge the orbit of s0
+    s_points, t_points = form.points(s), form.points(t)
+    s0 = members[0]
+    orbit, chosen, coords = 1 << form.labels[s0], [], None
+    checked = set(certificate.reflections)  # certify_gamma checked these on this form
+    for word in words:
+        if orbit == s_points:
+            break
+        image = _apply(form, orbit, word)
+        if not image & ~orbit:
+            continue
+        for r in set(word) - checked:
+            coords = coords or _coordinate_masks(form)
+            _check_reflection(form, coords, r)
+            checked.add(r)
+        if _apply(form, s_points, word) != s_points or _apply(form, t_points, word) != t_points:
+            raise _NotCertified(f"the map {word} moves S or T")
+        chosen.append(word)
+        orbit |= image  # within the orbit of s0, which the closure below completes
+    if orbit != s_points and _word_orbit(form, orbit, chosen) != s_points:
+        raise _NotCertified("the maps are not transitive on S")
+
+    # step 5: the row of s0 in full
+    first = rows[s0]
+    counts = list(map(int.bit_count, map(first.__and__, rows)))
+    counts[s0] = params.mu  # s0's pair with itself is not one
+    if first.bit_count() != params.k or not {*zip(format(first, f"0{v}b")[::-1], counts)} <= {
+        ("1", params.lam),
+        ("0", params.mu),
+    }:
+        raise _NotCertified(f"a pair through vertex {s0} has a wrong count")
+    return params
 
 
 def expected_params(n: int, kind: str) -> SrgParams:

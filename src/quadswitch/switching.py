@@ -37,16 +37,29 @@ construction), and make_config skips them without building anything.
 A SwitchConfig checks its flag on point masks too: each of Pi, Pi' and
 span(Pi, Pi') has the right dimension, holds alpha, and meets the quadric
 (the form's zero mask) in alpha's points and no others.
+
+verify_switch checks a switched graph from the flag's symmetries, with
+srg.verify_srg_orbit.  For y on Pi off alpha (y' on Pi'), S is y + alpha
+(or that and y' + alpha), and for a vertex w with B(w,a) = 0 the Siegel map
+rho_{a,w} = sigma_w sigma_{w+a} acts on a point x of alpha-perp as
+x -> x + B(x,w) a.  So with w in alpha-perp and B(w,y) = 1 it translates S
+by a, and the reflection in u = y + y' swaps its two cosets; alpha's basis
+points then carry S's first vertex over all of S.  When alpha-perp has no
+such w (hyperbolic, t = (n-3)/2, where alpha-perp/alpha is a hyperbolic
+line whose one nonsingular point is y + alpha), w is taken off alpha-perp
+for each point a of alpha, and the maps of points beyond the basis close
+the orbit.  Below srg's size rule (_ORBIT_MIN_PAIRS pairs through S)
+verify_srg_near, the cheaper check there, decides without the maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Optional
 
 from .gf2geom import HYPERBOLIC, QuadraticForm, QuadswitchError, Subspace, span
-from .srg import Graph, expected_params
+from .srg import GammaCertificate, Graph, SrgParams, expected_params, verify_srg_orbit
 
 
 class SwitchingError(QuadswitchError, ValueError):
@@ -354,3 +367,36 @@ def build_switch(gamma: Graph, config: SwitchConfig) -> Switch:
         raise SwitchingError("the graph's vertices are not the points of the flag's form")
     cert = validate_switching_set(gamma, build_S(config))
     return Switch(config, cert, gamma, T_formula(config))
+
+
+def _flag_words(config: SwitchConfig) -> Iterator[tuple[int, ...]]:
+    """The maps of the module docstring that keep the flag's S, as words in
+    reflection points for srg.verify_srg_orbit: for the two-space
+    construction the reflection in u = y + y', then rho_{a,w} as the word
+    (w + a, w) for each point a of alpha, basis first.  y, y' are the least
+    points of Pi and Pi' off alpha, and w is u, or else the least vertex of
+    alpha-perp with B(w,y) = 1, or where there is none the least vertex with
+    B(w,a) = 0 and B(w,y) = 1."""
+    form, alpha = config.form, config.alpha
+    off_alpha = ~alpha.point_mask()
+    y = next(_bits(config.pi.point_mask() & off_alpha))
+    if config.pi2 is not None:
+        u = y ^ next(_bits(config.pi2.point_mask() & off_alpha))
+        yield (u,)
+        inside = 1 << u
+    else:
+        inside = form.off & form.nonorth(y) & ~_off_perp(form, alpha)
+    for a in chain(alpha.basis, (p for p in alpha.points() if p not in alpha.basis)):
+        for w in islice(_bits(inside or form.off & form.nonorth(y) & ~form.nonorth(a)), 1):
+            yield w ^ a, w
+
+
+def verify_switch(sw: Switch, certificate: GammaCertificate, graph: Graph) -> SrgParams:
+    """verify_srg_near(graph, sw.base, certificate.params, sw.s), decided by
+    srg.verify_srg_orbit from the row of S's first vertex and the flag's
+    symmetries, or for a small S by verify_srg_near itself; graph is the
+    switched graph, sw.graph as made.  sw.base must
+    be the graph certify_gamma returned with certificate, as it is for every
+    Switch built on certified_gamma."""
+    half = sw.certificate.half_class
+    return verify_srg_orbit(graph, sw.base, certificate, sw.s, half, _flag_words(sw.config))

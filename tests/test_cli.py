@@ -252,6 +252,26 @@ def test_base_graphs_are_certified_without_the_pair_check(monkeypatch, capsys, a
     assert certified == ([argv[4]] if argv[0] == "switch" else [ELLIPTIC, HYPERBOLIC])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("switch", "--n", "9", "--kind", "hyperbolic", "--t", "3", "--verify"),
+        ("switch", "--n", "7", "--kind", "elliptic", "--t", "2", "--variant", "tt", "--verify"),
+        ("verify-all", "--n", "9"),
+    ],
+)
+def test_switched_graphs_are_checked_by_the_flag_certificate(monkeypatch, capsys, argv):
+    # switch --verify and the family build both reach verify_switch, which
+    # decides every switch without verify_srg_near
+    def refuse(*args):
+        raise AssertionError("verify_srg_near ran on a switched graph")
+
+    monkeypatch.setattr(srg, "verify_srg_near", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert all(json.loads(out)["checks"].values())
+
+
 def test_switch_verify_times_the_base_check(capsys):
     code, out, _ = run_cli(
         capsys, "switch", "--n", "5", "--kind", "elliptic", "--t", "1", "--verify",
@@ -771,6 +791,17 @@ def test_graph6_matches_networkx_encoder():
         assert data == bit_loop_encode(g), v
 
 
+def test_graph6_matches_oracle_at_group_and_chunk_ends():
+    # 120 bits at v = 16 end on a whole 24-bit group, with no padding; the
+    # first v past one chunk cuts its stream and leaves a few bits after the cut
+    past_chunk = next(v for v in range(2, 1000) if v * (v - 1) // 2 > graph6._CHUNK_BITS)
+    assert 16 * 15 // 2 % 24 == 0 and past_chunk * (past_chunk - 1) // 2 % 24
+    rng = random.Random(37)
+    for v in (16, past_chunk):
+        g = random_graph(rng, v, 0.5)
+        assert graph6.encode(g) == bit_loop_encode(g), v
+
+
 def test_graph6_round_trip_random():
     rng = random.Random(29)
     for _ in range(20):
@@ -841,5 +872,5 @@ def test_the_package_exports_only_what_the_pipeline_uses():
         canonical_form certified_gamma certify_gamma classify_family code_from_graph contains
         count_external_lines_through expected_params gm_switch make_config min_weight_codewords
         perp quadric_size signature span validate_switching_set verify_srg verify_srg_near
-        weight_distribution
+        verify_switch weight_distribution
     """.split()

@@ -1,5 +1,6 @@
 """Graph construction and exact strong-regularity verification."""
 
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_well_formed, form, gamma, legal_cases, reflection_maps_rows, switch_case
-from quadswitch import srg
+from conftest import (check_well_formed, form, gamma, legal_cases, reflection_maps_rows, relabel, relabel_mask,
+                      switch_case)
+from quadswitch import srg, switching
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, PARABOLIC, GeometryError, canonical_form, set_bits
 from quadswitch.srg import (
     Graph,
@@ -21,7 +23,7 @@ from quadswitch.srg import (
     verify_srg,
     verify_srg_near,
 )
-from quadswitch.switching import build_switch, make_config
+from quadswitch.switching import Switch, build_switch, make_config, verify_switch
 
 
 def graph_from_edges(v, edges):
@@ -718,3 +720,233 @@ def test_certificate_refuses_a_transitive_map_that_is_not_linear(monkeypatch, ki
     with pytest.raises(srg._NotCertified, match=f"reflection in {r} is not linear"):
         srg._certificate(f, g, [r])
     assert_verify_srg_decides(monkeypatch, f, [r])
+
+
+# --- the flag-symmetry certificate of a switched graph --------------------------------
+
+
+def count_fallbacks(monkeypatch):
+    """Record each call verify_srg_orbit makes to verify_srg_near, which still
+    answers it; every switch tries its maps, however small."""
+    calls = []
+    monkeypatch.setattr(srg, "verify_srg_near", lambda *a: calls.append(a) or verify_srg_near(*a))
+    monkeypatch.setattr(srg, "_ORBIT_MIN_PAIRS", 0)
+    return calls
+
+
+def certify_switch(n, kind, t, variant):
+    """A switch of a form of its own, its base graph from certify_gamma, and that certificate."""
+    f = canonical_form(n, kind)
+    base, certificate = certify_gamma(f)
+    return build_switch(base, make_config(f, t, variant)), certificate
+
+
+def assert_near_decides(monkeypatch, sw, certificate, g):
+    """verify_switch on g calls verify_srg_near once and ends as it does: the
+    same parameters, or the same error with the same witness."""
+    params = certificate.params
+    calls = count_fallbacks(monkeypatch)
+    try:
+        want = verify_srg_near(g, sw.base, params, sw.s)
+    except NotStronglyRegular as exc:
+        with pytest.raises(NotStronglyRegular) as got:
+            verify_switch(sw, certificate, g)
+        assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
+    else:
+        assert verify_switch(sw, certificate, g) == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n,kind,t,variant", list(legal_cases((5, 7, 9, 11))))
+def test_switch_certificate_decides_as_verify_srg_near(monkeypatch, n, kind, t, variant):
+    # differential: every legal switch up to n = 11, three flags each, is decided
+    # without the fallback, as verify_srg_near and (up to n = 9) verify_srg decide
+    base, certificate = certified_gamma(n, kind)
+    params = certificate.params
+    calls = count_fallbacks(monkeypatch)
+    for k in (0, 7, 21):
+        sw = build_switch(base, make_config(certificate.form, t, variant, k))
+        g = sw.graph
+        assert verify_switch(sw, certificate, g) == params
+        assert calls == [], k
+        assert verify_srg_near(g, base, params, sw.s) == params
+        if n <= 9:
+            assert verify_srg(g) == params
+
+
+@pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "tt"), (7, HYPERBOLIC, 2, "t"), (7, ELLIPTIC, 2, "t")])
+def test_small_switches_go_to_verify_srg_near_without_their_maps(monkeypatch, n, kind, t, variant):
+    # below _ORBIT_MIN_PAIRS pairs through S verify_srg_near, which counts
+    # those rows faster than the maps are checked, decides without reading a map
+    sw, certificate = certify_switch(n, kind, t, variant)
+    small = sw.s.bit_count() * sw.base.v < srg._ORBIT_MIN_PAIRS
+    assert small == (n == 5 or kind == HYPERBOLIC)
+
+    def maps():
+        raise AssertionError("a map was read")
+        yield
+
+    calls = []
+    monkeypatch.setattr(srg, "verify_srg_near", lambda *a: calls.append(a) or verify_srg_near(*a))
+    params = certificate.params
+    if small:
+        assert srg.verify_srg_orbit(sw.graph, sw.base, certificate, sw.s, sw.certificate.half_class, maps()) == params
+    assert verify_switch(sw, certificate, sw.graph) == params
+    assert len(calls) == 2 * small
+
+
+@pytest.mark.parametrize("n,kind,t,variant", list(legal_cases((5, 7, 9, 11))))
+def test_only_hyperbolic_top_t_needs_points_beyond_alpha_basis(n, kind, t, variant):
+    # the maps of alpha's basis (and u for tt) carry s0 over S, except at
+    # hyperbolic t = (n-3)/2, where alpha-perp has no vertex w with B(w,y) = 1:
+    # there the maps of the further points of alpha close the orbit
+    base, certificate = certified_gamma(n, kind)
+    form = certificate.form
+    sw = build_switch(base, make_config(form, t, variant))
+    words = list(switching._flag_words(sw.config))
+    basis = words[: t + 1 + (variant == "tt")]
+    s_points = form.points(sw.s)
+    start = 1 << form.labels[set_bits(sw.s)[0]]
+    assert srg._word_orbit(form, start, words) == s_points
+    top = kind == HYPERBOLIC and variant == "t" and t == (n - 3) // 2
+    assert (srg._word_orbit(form, start, basis) != s_points) == top
+    assert len(words) == 2 ** (t + 1) - 1 + (variant == "tt")  # one map per point of alpha, and u's
+
+
+@pytest.mark.parametrize("n,kind,t,variant", [(5, HYPERBOLIC, 1, "t"), (7, ELLIPTIC, 2, "tt")])
+def test_switch_certificate_checks_each_reflection_once(monkeypatch, n, kind, t, variant):
+    # each reflection the chosen maps use is checked once, and none that
+    # certify_gamma already checked on the form
+    sw, certificate = certify_switch(n, kind, t, variant)
+    checked, check = [], srg._check_reflection
+    monkeypatch.setattr(srg, "_check_reflection", lambda f, coords, r: checked.append(r) or check(f, coords, r))
+    monkeypatch.setattr(srg, "_ORBIT_MIN_PAIRS", 0)
+    assert verify_switch(sw, certificate, sw.graph) == certificate.params
+    assert checked and len(set(checked)) == len(checked)
+    assert not set(checked) & set(certificate.reflections)
+
+
+def test_switch_certificate_refuses_a_reflection_that_is_not_linear(monkeypatch):
+    # the reflection in one of the flag's points, made to swap two vertices
+    # outside S and T as well: a bit permutation that keeps N, S and T, but
+    # not linear, so step 1 refuses it and verify_srg_near decides
+    sw, certificate = certify_switch(7, ELLIPTIC, 1, "t")
+    f, half = certificate.form, sw.certificate.half_class
+    words = list(switching._flag_words(sw.config))
+    r = next(r for word in words for r in word if r not in certificate.reflections)
+    p, q = set_bits(f.points(((1 << sw.base.v) - 1) & ~(sw.s | half)))[:2]
+    reflect = f.reflect
+
+    def swapped(mask, x):
+        image = reflect(mask, x)
+        if x == r and (image >> p & 1) != (image >> q & 1):
+            image ^= 1 << p | 1 << q
+        return image
+
+    monkeypatch.setattr(f, "reflect", swapped)
+    with pytest.raises(srg._NotCertified, match=f"reflection in {r} is not linear"):
+        srg._orbit_certificate(sw.graph, sw.base, certificate, sw.s, half, words)
+    assert_near_decides(monkeypatch, sw, certificate, sw.graph)
+
+
+@pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "t"), (7, HYPERBOLIC, 1, "tt")])
+@pytest.mark.parametrize("bad", ["moves S", "fixes S"])
+def test_switch_certificate_refuses_maps_that_do_not_carry_s0_over_s(monkeypatch, n, kind, t, variant, bad):
+    # the reflection in a vertex w with B(w,y) = 1 moves y off S: step 2
+    # refuses it.  Siegel maps rho_{a,w} with w in alpha-perp and B(w,y) = 0
+    # fix S pointwise: no orbit grows, and step 4 refuses them
+    sw, certificate = certify_switch(n, kind, t, variant)
+    f, alpha, half = certificate.form, sw.config.alpha, sw.certificate.half_class
+    y = f.labels[set_bits(sw.s)[0]]
+    if bad == "moves S":
+        w = set_bits(f.off & f.nonorth(y))[0]
+        words, refusal = [(w,), *switching._flag_words(sw.config)], "moves S or T"
+    else:
+        perp = f.off & ~f.nonorth(y) & ~switching._off_perp(f, alpha)
+        w = set_bits(perp)[0]
+        words, refusal = [(w ^ a, w) for a in alpha.basis], "not transitive on S"
+    with pytest.raises(srg._NotCertified, match=refusal):
+        srg._orbit_certificate(sw.graph, sw.base, certificate, sw.s, half, words)
+    monkeypatch.setattr(switching, "_flag_words", lambda config: iter(words))
+    assert_near_decides(monkeypatch, sw, certificate, sw.graph)
+
+
+@pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "tt"), (7, HYPERBOLIC, 2, "t")])
+@pytest.mark.parametrize("where", ["s0_row", "other_s_row", "between_classes"])
+def test_switch_certificate_leaves_a_flipped_edge_to_verify_srg_near(monkeypatch, n, kind, t, variant, where):
+    # a flipped edge moves two rows off GM(base, S): step 3 refuses the graph,
+    # and verify_srg_near rejects it with its own message and witness
+    sw, certificate = certify_switch(n, kind, t, variant)
+    members, half = set_bits(sw.s), set_bits(sw.certificate.half_class)
+    if where == "s0_row":
+        i, j = members[0], half[0]
+    elif where == "other_s_row":
+        i, j = members[1], half[-1]
+    else:
+        outside = set_bits(((1 << sw.base.v) - 1) & ~sw.s)  # two of these in different classes
+        i = outside[0]
+        j = next(j for j in outside if sw.base.rows[j] & sw.s != sw.base.rows[i] & sw.s)
+    bad = flip(sw.graph, i, j)
+    with pytest.raises(srg._NotCertified, match="not the switch of the base graph"):
+        srg._orbit_certificate(bad, sw.base, certificate, sw.s, sw.certificate.half_class, [])
+    with pytest.raises(NotStronglyRegular):
+        verify_srg_near(bad, sw.base, certificate.params, sw.s)
+    assert_near_decides(monkeypatch, sw, certificate, bad)
+
+
+@pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "t"), (7, ELLIPTIC, 1, "tt")])
+@pytest.mark.parametrize("which", ["short", "wide"])
+def test_switch_certificate_refuses_a_half_class_it_does_not_switch(monkeypatch, n, kind, t, variant, which):
+    # T short of one vertex of the half-class, or with the all-class added: the
+    # graph is GM(base, S, T) as built, but a row outside S meets S in half of
+    # it without being switched, or in all of it while switched, so step 3
+    # refuses it, and verify_srg_near decides
+    sw, certificate = certify_switch(n, kind, t, variant)
+    cert = sw.certificate
+    assert cert.all_class
+    half = cert.half_class & (cert.half_class - 1) if which == "short" else cert.half_class | cert.all_class
+    other = Switch(sw.config, replace(cert, half_class=half), sw.base, sw.t_set)
+    g = other.graph
+    with pytest.raises(srg._NotCertified, match="meets S in other than none, half or all"):
+        srg._orbit_certificate(g, sw.base, certificate, sw.s, half, switching._flag_words(sw.config))
+    assert_near_decides(monkeypatch, other, certificate, g)
+
+
+@pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "t"), (7, HYPERBOLIC, 1, "tt")])
+@pytest.mark.parametrize("field", ["k", "lam", "mu"])
+def test_switch_certificate_counts_the_row_of_s0(monkeypatch, n, kind, t, variant, field):
+    # steps 1-4 pass on a true switch; with one parameter off by one, the
+    # count of the row of s0 refuses it, and verify_srg_near rejects the graph
+    # with its own message and witness
+    sw, certificate = certify_switch(n, kind, t, variant)
+    params = certificate.params
+    wrong = replace(certificate, params=replace(params, **{field: getattr(params, field) + 1}))
+    s0 = set_bits(sw.s)[0]
+    with pytest.raises(srg._NotCertified, match=f"through vertex {s0} has a wrong count"):
+        srg._orbit_certificate(sw.graph, sw.base, wrong, sw.s, sw.certificate.half_class,
+                               switching._flag_words(sw.config))
+    assert_near_decides(monkeypatch, sw, wrong, sw.graph)
+
+
+def test_switch_certificate_needs_the_certified_base_graph(monkeypatch):
+    # a base whose vertices are not the form's points is refused up front; an
+    # isomorphic copy of gamma on the same points, switched at the image of S,
+    # is one whose S the flag's maps do not keep: either way verify_srg_near decides
+    sw, certificate = certify_switch(5, ELLIPTIC, 1, "t")
+    base, params = sw.base, certificate.params
+    half = sw.certificate.half_class
+    renamed = Graph(tuple(x + 64 for x in base.labels), base.rows)
+    g = Graph(renamed.labels, sw.graph.rows)
+    with pytest.raises(srg._NotCertified, match="not the form's points"):
+        srg._orbit_certificate(g, renamed, certificate, sw.s, half, switching._flag_words(sw.config))
+
+    perm = list(range(base.v))
+    random.Random(3).shuffle(perm)
+    moved_base, moved = relabel(base, perm), relabel(sw.graph, perm)
+    s, t = relabel_mask(sw.s, perm), relabel_mask(half, perm)
+    with pytest.raises(srg._NotCertified):
+        srg._orbit_certificate(moved, moved_base, certificate, s, t, switching._flag_words(sw.config))
+    calls = count_fallbacks(monkeypatch)
+    words = switching._flag_words(sw.config)
+    assert srg.verify_srg_orbit(moved, moved_base, certificate, s, t, words) == params
+    assert len(calls) == 1
