@@ -148,11 +148,15 @@ class QuadraticForm:
         return tuple(rounds)
 
     def vertices(self, mask: int) -> int:
-        """The mask in vertex order: bit i for the point labels[i]."""
+        """The mask in vertex order: bit i for the point labels[i].  Each round
+        XORs the moved bits into place, where the compress leaves those bits
+        clear, so XOR and OR agree; built of ANDs, XORs and shifts alone, it
+        is linear, vertices(a ^ b) = vertices(a) ^ vertices(b), for any masks
+        and whatever the gather holds."""
         x = mask & self.off
         for mv, s in self._gather:
             t = x & mv
-            x = (x ^ t) | (t >> s)
+            x ^= t ^ (t >> s)
         return x
 
     def points(self, vmask: int) -> int:

@@ -6,15 +6,37 @@ the quadric).  Adjacency rows are bit-packed ints, so common-neighbour
 counts are popcounts of row ANDs and the whole strong-regularity identity
 A^2 = kI + lam*A + mu*(J - I - A) is checked exactly over the integers.
 
-Rows are built whole on the form's point masks (see gf2geom): with N the
-points off the quadric, the neighbours of x are N & translate(N, x),
-gathered into vertex order as each row is made.
+Rows are built by linearity on the form's point masks (see gf2geom).  With
+N = form.off the points off the quadric, the neighbours of a vertex x are
+N & translate(N, x), and for two vertices Q(x + y) = B(x, y), so that row
+is N & L(x), L(x) the XOR of L_i = nonorth(e_i) over the bits i of x.  So
+build_gamma gathers the n + 1 words W_i = vertices(N & L_i), XORs each half
+of them into a span table of 2^ceil((n+1)/2) entries, and makes the row of
+x as one XOR of two entries, picked by the low and high bits of x.  It
+first checks, in O(n) mask operations, what the identity rests on:
+
+  a. each block swap of translate is the translation by e_b (step 1a below);
+  b. each L_i is the XOR of the coordinate masks C_b at the points e_b it
+     holds, so it is where a linear functional is 1;
+  c. N ^ translate(N, e_i) is L_i, complemented if e_i is in N: that is,
+     Q(p + e_i) = Q(p) + Q(e_i) + [p in L_i] for every vector p;
+  d. N holds neither point 0 nor a bit above the points, so Q(0) = 0.
+
+Then Q(x + y) = Q(x) + Q(y) + [x in L(y)] for all x and y, by induction on
+y from d: c at p = x + y and at p = y, with L_i(x + y) = L_i(x) + L_i(y) by
+b, carry it from y to y + e_i.  For vertices x and p this is Q(p + x) =
+[p in L(x)], so N & translate(N, x) = N & L(x).  The gather is ANDs, XORs
+and shifts, so vertices is linear, and the rows are exactly those of the
+reference path, _point_rows, which makes each N & translate(N, x) and
+gathers it.  A form that fails a check gets the reference rows; only an
+edited form does.
 
 verify_srg checks all v(v-1)/2 pairs and is the reference.  The quadric
 graph itself is built and checked by certify_gamma, in three steps, and the
 certificate is about the graph it returns.  N = form.off is the vertex mask
-and translate(M, x) moves bit p to bit p^x, so the row of every vertex x is
-N & translate(N, x) by construction.
+and translate(M, x) moves bit p to bit p^x, and the row of every vertex x is
+N & translate(N, x): on the reference path by construction, and on the
+polar path by checks a-d.
 
   1. automorphisms: for nonsingular r the reflection x -> x + B(x,r) r
      preserves Q.  It is named by its point r, and form.reflect(M, r)
@@ -112,8 +134,10 @@ from typing import Iterable, Iterator
 from .gf2geom import (ELLIPTIC, HYPERBOLIC, GeometryError, QuadraticForm, QuadswitchError,
                       canonical_form, set_bits)
 
-# The point rows the build walks one at a time, v * 2^(n+1) bits in all: ~257 MiB
-# at n = 15, ~4 GiB at n = 17.  Only one row is held, so this bounds the walk's work.
+# The point rows the reference build (_point_rows) walks one at a time, v * 2^(n+1)
+# bits in all: ~257 MiB at n = 15, ~4 GiB at n = 17.  Only one row is held, so this
+# bounds the walk's work; build_gamma refuses a form above it before either path
+# starts, so both serve the same forms.
 MAX_POINT_ROW_BYTES = 1 << 30
 
 
@@ -147,16 +171,21 @@ class Graph:
         return set_bits(self.rows[i] & ((1 << self.v) - 1))
 
 
-def _point_rows(form: QuadraticForm) -> Iterator[int]:
-    """The row of each vertex in order, indexed by point: N & translate(N, x)
-    for each label x, N = form.off, since y is a neighbour of x iff y and x^y
-    are both off the quadric.  Made one at a time, so a caller that keeps only
-    the vertex-order rows never holds them all; labels in order differ in few
-    bits, so each translate of N starts from the last."""
+def _refuse_out_of_reach(form: QuadraticForm) -> None:
+    """GeometryError for a form with no quadric graph, or whose point rows
+    would take more than MAX_POINT_ROW_BYTES.  Every build starts here."""
     expected_params(form.n, form.kind)  # refuses a form with no quadric graph
     size = form.off.bit_count() << (form.n + 1) >> 3
     if size > MAX_POINT_ROW_BYTES:
         raise GeometryError(f"PG({form.n},2) is out of reach: its point rows take {size >> 20} MiB")
+
+
+def _point_rows(form: QuadraticForm) -> Iterator[int]:
+    """The reference rows: the row of each vertex in order, indexed by point,
+    N & translate(N, x) for each label x, N = form.off, since y is a neighbour
+    of x iff y and x^y are both off the quadric.  Made one at a time, so a
+    caller that keeps only the vertex-order rows never holds them all; labels
+    in order differ in few bits, so each translate of N starts from the last."""
     off = form.off
     moved, last = off, 0
     for x in form.labels:
@@ -164,10 +193,49 @@ def _point_rows(form: QuadraticForm) -> Iterator[int]:
         yield off & moved
 
 
+def _polar_words(form: QuadraticForm) -> list[int] | None:
+    """W_i = vertices(N & nonorth(e_i)) for each coordinate i, once checks a-d
+    of the module docstring show that the row of every vertex x is the XOR of
+    the W_i over the bits i of x; None if one fails."""
+    try:
+        coords = _coordinate_masks(form)  # a
+    except _NotCertified:
+        return None
+    off, ones = form.off, (1 << (1 << len(coords))) - 1
+    if off & 1 or off & ~ones:  # d
+        return None
+    words = []
+    for i in range(len(coords)):
+        unit = 1 << i  # the point e_i
+        polar = form.nonorth(unit)
+        if polar != _functional(coords, polar):  # b
+            return None
+        if off ^ form.translate(off, unit) != polar ^ (ones if off >> unit & 1 else 0):  # c
+            return None
+        words.append(form.vertices(off & polar))
+    return words
+
+
+def _span(words: list[int]) -> list[int]:
+    """table[y], the XOR of words[i] over the bits i of y, for y < 2^len(words)."""
+    table = [0]
+    for word in words:
+        table += [t ^ word for t in table]
+    return table
+
+
 def build_gamma(form: QuadraticForm) -> Graph:
     """Graph on the non-quadric points, adjacency = joining line is external.
-    Each row is gathered into vertex order as it is made."""
-    return Graph(form.labels, tuple(map(form.vertices, _point_rows(form))))
+    Each row is one XOR of two span tables of the words W_i, split on the low
+    and high half of the vertex's bits; a form that fails the checks behind
+    that build gets the reference rows, each gathered as it is made."""
+    _refuse_out_of_reach(form)
+    words = _polar_words(form)
+    if words is None:
+        return Graph(form.labels, tuple(map(form.vertices, _point_rows(form))))
+    half = (len(words) + 1) // 2
+    low, high, mask = _span(words[:half]), _span(words[half:]), (1 << half) - 1
+    return Graph(form.labels, tuple(high[x >> half] ^ low[x & mask] for x in form.labels))
 
 
 @dataclass(frozen=True)
@@ -316,21 +384,27 @@ def _coordinate_masks(form: QuadraticForm) -> list[int]:
     return coords
 
 
+def _functional(coords: list[int], mask: int) -> int:
+    """The XOR of the coordinate masks C_b over the points e_b that mask holds:
+    mask itself exactly when mask is where a linear functional is 1."""
+    functional = 0
+    for b, coord in enumerate(coords):
+        if mask & 1 << (1 << b):  # mask holds the point e_b
+            functional ^= coord
+    return functional
+
+
 def _check_reflection(form: QuadraticForm, coords: list[int], r: int) -> None:
     """Step 1b: the reflection in r, as form.reflect applies it, is a bit
     permutation of the points that keeps the vertex mask and is linear."""
     ones = (1 << (1 << len(coords))) - 1
-    units = [1 << (1 << b) for b in range(len(coords))]  # the points e_b
     if form.reflect(ones, r) != ones:
         raise _NotCertified(f"the reflection in {r} is not a permutation of the points")
     if form.reflect(form.off, r) != form.off:
         raise _NotCertified(f"the reflection in {r} moves a vertex off the vertex set")
     for coord in coords:
-        image, functional = form.reflect(coord, r), 0
-        for unit, other in zip(units, coords):
-            if image & unit:  # the image holds the point e_b
-                functional ^= other
-        if image != functional:
+        image = form.reflect(coord, r)
+        if image != _functional(coords, image):
             raise _NotCertified(f"the reflection in {r} is not linear")
 
 

@@ -339,11 +339,11 @@ GAMMA_N7 = [
 
 
 def test_one_interpreter_builds_the_base_graph_once(monkeypatch, capsys):
-    # counted in _point_rows, which every build_gamma call walks, so a build
-    # under any other name is counted too
+    # counted in _refuse_out_of_reach, where every build_gamma call starts on
+    # either path, so a build under any other name is counted too
     builds = []
-    point_rows = srg._point_rows
-    monkeypatch.setattr(srg, "_point_rows", lambda f: builds.append(f.kind) or point_rows(f))
+    refuse = srg._refuse_out_of_reach
+    monkeypatch.setattr(srg, "_refuse_out_of_reach", lambda f: builds.append(f.kind) or refuse(f))
     batch = [run_request(capsys, argv) for argv in GAMMA_N7]
     assert [code for code, _ in batch] == [0] * len(GAMMA_N7)
     assert builds == [ELLIPTIC]

@@ -489,6 +489,20 @@ def test_gamma_rows_match_the_string_gather(n, kind):
     assert srg.build_gamma(f).rows == tuple(itemgetter_gather(f, row) for row in srg._point_rows(f))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([5, 7, 9]), kind=st.sampled_from([ELLIPTIC, HYPERBOLIC]), stale=st.booleans(), data=st.data())
+def test_vertices_is_linear_whatever_the_masks(n, kind, stale, data):
+    # the gather is ANDs, XORs and shifts, so vertices(a ^ b) = vertices(a) ^
+    # vertices(b) for any masks, even on a form whose off was edited after its
+    # gather was made; srg's polar build of the rows rests on this
+    f = canonical_form(n, kind)
+    if stale:
+        f.vertices(0)  # the gather is made on the real off ...
+        f.off ^= data.draw(st.integers(0, f.ones))  # ... and off is then edited
+    a, b = (data.draw(st.integers(-(f.ones << 8), f.ones << 8)) for _ in range(2))
+    assert f.vertices(a ^ b) == f.vertices(a) ^ f.vertices(b)
+
+
 @settings(max_examples=80, deadline=None)
 @given(n=st.sampled_from([5, 7, 9]), kind=st.sampled_from([ELLIPTIC, HYPERBOLIC]), data=st.data())
 def test_points_is_the_inverse_of_vertices(n, kind, data):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (check_well_formed, form, gamma, legal_cases, reflection_maps_rows, relabel, relabel_mask,
                       switch_case)
 from quadswitch import srg, switching
-from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, PARABOLIC, GeometryError, canonical_form, set_bits
+from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, MAX_N, PARABOLIC, GeometryError, canonical_form, set_bits
 from quadswitch.srg import (
     Graph,
     NotStronglyRegular,
@@ -442,9 +442,9 @@ def test_build_gamma_rows_are_the_point_rows():
 
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_build_gamma_never_holds_all_point_rows(kind):
-    # each row is gathered into vertex order as it is made, so neither the
-    # build nor the certificate of the built graph gets near the
-    # v * 2^(n+1) bits that the point rows take together
+    # each row is read off two span tables of the n + 1 polar words, already
+    # in vertex order, so neither the build nor the certificate of the built
+    # graph gets near the v * 2^(n+1) bits that the point rows take together
     n = 11
     f = canonical_form(n, kind)
     for build in (build_gamma, lambda f: certify_gamma(f)[0]):
@@ -456,6 +456,100 @@ def test_build_gamma_never_holds_all_point_rows(kind):
             tracemalloc.stop()
         assert peak < g.v << (n + 1) >> 3
         assert g == gamma(n, kind)
+
+
+def reference_gamma(f):
+    """The graph the reference path makes on f: each point row, gathered."""
+    return Graph(f.labels, tuple(map(f.vertices, srg._point_rows(f))))
+
+
+def refuse_point_rows(f):
+    raise AssertionError("build_gamma walked the point rows")
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_build_gamma_by_linearity_is_the_reference(monkeypatch, n, kind):
+    # differential: the polar build, with the reference path refused, makes the
+    # rows that the reference path makes on the same form
+    f = canonical_form(n, kind)
+    with monkeypatch.context() as m:
+        m.setattr(srg, "_point_rows", refuse_point_rows)
+        g = build_gamma(f)
+    assert g == reference_gamma(f) and g.labels is f.labels
+
+
+@pytest.mark.parametrize("n", range(5, MAX_N + 1, 2))
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_every_canonical_form_passes_the_polar_check(n, kind):
+    # no real form falls back to the reference path unseen
+    words = srg._polar_words(canonical_form(n, kind))
+    assert words is not None and len(words) == n + 1
+
+
+def doctored_form(n, kind, edit, data):
+    """A fresh canonical form with one mask edited: a bit of one nonorth(e_i),
+    of off (its labels made to match) or of one halves[b]."""
+    f = canonical_form(n, kind)
+    if edit == "nonorth":
+        i = data.draw(st.integers(0, n), label="i")
+        bad = f.nonorth(1 << i) ^ 1 << data.draw(st.integers(0, (2 << n) - 1), label="point")
+        nonorth = f.nonorth
+        f.nonorth = lambda y: bad if y == 1 << i else nonorth(y)
+    elif edit == "off":
+        f.off ^= 1 << data.draw(st.integers(0, (2 << n) - 1), label="point")
+        f.labels = tuple(set_bits(f.off))
+    else:
+        b = data.draw(st.integers(0, n), label="b")
+        halves = list(f.halves)
+        halves[b] ^= 1 << data.draw(st.integers(0, (2 << n) - 1), label="bit")
+        f.halves = tuple(halves)
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from([(5, ELLIPTIC), (5, HYPERBOLIC), (7, ELLIPTIC), (7, HYPERBOLIC)]),
+    edit=st.sampled_from(["nonorth", "off", "halves"]),
+    data=st.data(),
+)
+def test_one_toggled_bit_fails_the_polar_check(case, edit, data):
+    # a linear functional with one point toggled is no longer one (b); a vertex
+    # mask with one point toggled breaks Q(p + e_i) = Q(p) + Q(e_i) + L_i(p)
+    # (c, or d at point 0); a halves mask with one bit toggled no longer splits
+    # the points with its shift (a).  build_gamma then makes exactly the
+    # reference graph of the edited form
+    f = doctored_form(*case, edit, data)
+    assert srg._polar_words(f) is None
+    assert build_gamma(f) == reference_gamma(f)
+
+
+@pytest.mark.parametrize("edit", ["nonorth", "off", "point 0", "halves"])
+def test_each_doctored_form_gets_the_reference_graph(edit):
+    # one case of each edit, point 0 in off (check d) among them: the check
+    # fails and the reference rows are built, which differ from the real graph
+    # wherever the edit is one the reference path reads
+    f, real = canonical_form(7, HYPERBOLIC), gamma(7, HYPERBOLIC)
+    if edit == "nonorth":
+        nonorth, bad = f.nonorth, f.nonorth(4) ^ 1 << 3
+        f.nonorth = lambda y: bad if y == 4 else nonorth(y)
+    elif edit in ("off", "point 0"):
+        f.off ^= 1 << (0 if edit == "point 0" else f.labels[5])
+        f.labels = tuple(set_bits(f.off))
+    else:
+        halves = list(f.halves)
+        halves[2] ^= 1
+        f.halves = tuple(halves)
+    assert srg._polar_words(f) is None
+    g = build_gamma(f)
+    assert g == reference_gamma(f)
+    assert (g == real) is (edit == "nonorth")  # nonorth is not read by the reference path
+
+
+def test_a_vertex_above_the_points_fails_the_polar_check():
+    f = canonical_form(7, ELLIPTIC)
+    f.off |= f.ones + 1  # the bit just above the points
+    assert srg._polar_words(f) is None
 
 
 def test_neighbors_lists_the_row_bits_below_v():
@@ -655,6 +749,21 @@ def test_certify_gamma_rejects_from_the_first_vertex_without_verify_srg(monkeypa
     with pytest.raises(NotStronglyRegular) as got:
         certify_gamma(stand_in)
     assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
+
+
+@pytest.mark.parametrize("connection", [GF64_CUBES, GF64_NON_CUBES])
+def test_polar_masks_that_are_not_linear_fail_the_polar_check(monkeypatch, connection):
+    # the GF(64) stand-in's N is no quadric.  With nonorth(e_i) patched to
+    # N ^ translate(N, e_i), complemented when e_i is in N, check c holds by
+    # construction, but these masks are not linear functionals: check b alone
+    # refuses them, and build_gamma makes the reference rows
+    stand_in, g = gf64_stand_in(connection)
+    off, ones, coords = stand_in.off, stand_in.ones, srg._coordinate_masks(stand_in)
+    polar = {1 << i: off ^ stand_in.translate(off, 1 << i) ^ (ones if off >> (1 << i) & 1 else 0) for i in range(6)}
+    monkeypatch.setattr(stand_in, "nonorth", polar.__getitem__)
+    assert any(mask != srg._functional(coords, mask) for mask in polar.values())
+    assert srg._polar_words(stand_in) is None
+    assert build_gamma(stand_in) == g == reference_gamma(stand_in)
 
 
 @pytest.mark.parametrize("row", ["empty", "full"])
