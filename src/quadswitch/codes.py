@@ -4,12 +4,23 @@ Codewords are ints, bit i = coordinate of vertex i in the graph's canonical
 order; a graph and its switch share that order, so their codes are directly
 comparable.  Weight enumeration walks the 2^dim message space along a Gray
 code, one basis-row XOR per codeword, and is exact by construction.
+
+A code C' = C + <s, h>, with s and h independent modulo C, is the union of
+the four cosets C, C + h, C + s and C + s + h, and augmented_min_words finds
+its minimum words from C's least nonzero weight m and a walk of only the
+cosets that can hold one.  Each walked coset is a Gray walk over C's basis
+from its offset.  C + s needs no walk when m > 2|s|: for c in C,
+|c + s| >= |c| - |s| >= m - |s| > |s| unless c = 0, so s is the only word of
+that coset of weight |s| or less, and the least weight of C' is at most |s|.
+So two cosets of 2^dim(C) words are walked, or three when the bound fails.
+When the least weight found reaches m, C's own nonzero words would count
+too, and the walk gives no answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .gf2geom import QuadswitchError, echelonize
 from .srg import Graph, expected_params
@@ -62,11 +73,12 @@ def contains(code: BinaryCode, vector: int) -> bool:
     return vector == 0
 
 
-def iter_codewords(code: BinaryCode) -> Iterator[int]:
-    """All 2^dim codewords, Gray-code order (starts at 0, one XOR per step)."""
+def iter_codewords(code: BinaryCode, offset: int = 0) -> Iterator[int]:
+    """All 2^dim words of the coset code + offset, Gray-code order (starts at
+    offset, one XOR per step); the codewords themselves for offset 0."""
     if code.dim > ENUMERATION_GUARD:
         raise CodeError(f"dim {code.dim} exceeds the exact-enumeration guard {ENUMERATION_GUARD}")
-    word = 0
+    word = offset
     yield word
     for m in range(1, 1 << code.dim):
         word ^= code.basis[(m & -m).bit_length() - 1]
@@ -98,6 +110,28 @@ def min_weight_codewords(code: BinaryCode) -> list[int]:
         elif wt == best:
             words.append(w)
     return sorted(words)
+
+
+def augmented_min_words(code: BinaryCode, min_weight: int, s: int, h: int) -> Optional[list[int]]:
+    """The minimum-weight words of code + <s, h>, sorted, by the coset walk of
+    the module docstring; None when their weight reaches min_weight.
+
+    Preconditions: min_weight is the least weight of a nonzero word of code,
+    and s and h are independent modulo code, so the four cosets are distinct
+    and none but code holds the zero word."""
+    bound = s.bit_count()
+    if min_weight > 2 * bound:  # s is the one word of code + s this light
+        best, words, offsets = bound, [s], (h, s ^ h)
+    else:
+        best, words, offsets = None, [], (s, h, s ^ h)
+    for offset in offsets:
+        for w in iter_codewords(code, offset):
+            wt = w.bit_count()
+            if best is None or wt < best:
+                best, words = wt, [w]
+            elif wt == best:
+                words.append(w)
+    return sorted(words) if best < min_weight else None
 
 
 def expected_gamma_weight_distribution(n: int, kind: str) -> dict[int, int]:

@@ -5,15 +5,35 @@ and the multiset of (weight, induced degree sequence on the support) over
 the minimum-weight codewords.  All three survive vertex relabelling, so
 differing signatures certify non-isomorphism.
 
-The quadric graph's words are profiled once per orbit.  The reflections
-in certify_gamma's certificate are automorphisms of the graph it returned, so
-they permute its rows, its code and its minimum-weight words, and keep every
-induced degree: the words of one orbit share one profile, and the orbit's
-size is added to its multiplicity.  The orbits are walked in point space,
-each word expanded once and moved by form.reflect in each reflection's
-point, and every image must be a word.  If one is not, or
-no reflections were certified (the verify_srg fallback, and every switched
-graph), each word is profiled on its own.
+The quadric graph's code and signature are read off its form.  Its
+certificate holds the polar words W_i, and the row of each vertex x is
+word(x), the XOR of the W_i over the bits i of x; a -> word(a) is linear,
+and word(a) = vertices(N & {p : B(p, a) = 1}) (see srg.GammaCertificate).
+So the rows span the image of a -> word(a) once the labels span
+F_2^(n+1), which an (n+1)-bit echelon of the labels, lightest first, shows
+as soon as it reaches full rank.  The code is then from_vectors(v, W), and
+its dimension n + 1 makes a -> word(a) one-to-one: the nonzero words are
+the word(a) for the points a, each once.  A certified reflection s maps
+word(a) onto word(s(a)) as a graph automorphism, so weight and profile are
+constant on the orbits of the points.  The vertices are one orbit (the
+certificate's step 2), and one walk from the least singular point must
+cover the singular points; then the two point classes give the weight
+distribution, the minimum words are word(P) for the lighter class P, and
+the signature is one profile with multiplicity |P|.  No word is listed.
+
+A switched graph's code is gamma's code C plus v_S and v_H, H the
+half-class.  The switched row of x is word(x) + [x in S] v_H + [x in H] v_S,
+which srg.is_switch_of checks row by row, so the rows are the images of the
+lifts (x, [x in S], [x in H]) under the linear map (a, b, c) -> word(a) +
+b v_H + c v_S.  When the lifts reach rank n + 3 (S's vertices first, so the
+echelon stops early), the rows span the image of that map, which is
+from_vectors(v, C + (v_S, v_H)), of dimension n + 3.  Its minimum words
+come from codes.augmented_min_words, a walk of the cosets C + v_H and
+C + v_S + v_H only, and of C + v_S when min|C - 0| <= 2|v_S|.  Where a
+precondition fails, or the walk's minimum reaches min|C - 0|, the code and
+words are read off the rows by code_from_graph and min_weight_codewords,
+as are gamma's, whose signature then profiles every word.  A switched
+member's signature profiles each of its words.
 
 The exact tester `are_isomorphic` is an independent cross-check.  It first
 compares the pair profiles of the two graphs: for every vertex pair x, y,
@@ -26,8 +46,8 @@ _isomorphic run its colour-refinement / individualization backtracking
 search, and every "yes" it gives comes from an explicit mapping.
 
 build_family makes each switched graph once: it is checked strongly
-regular, its code, minimum words and signature are read off it, and it is
-dropped, so a family holds the rows of its quadric graph only.  The
+regular, its code, minimum words and signature are read as above, and it
+is dropped, so a family holds the rows of its quadric graph only.  The
 cross-check of classify_family makes each switched member's graph again,
 once per call, from its Switch, and profiles each member at most once, on
 the first pair that needs it.  The quadric graph's profile is read off
@@ -42,11 +62,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain, combinations
+from typing import Iterator, Optional
 
-from .codes import BinaryCode, CodeError, code_from_graph, min_weight_codewords
-from .gf2geom import GeometryError, QuadswitchError, set_bits
-from .srg import GammaCertificate, Graph, SrgParams, certified_gamma
+from .codes import (BinaryCode, CodeError, augmented_min_words, code_from_graph, from_vectors,
+                    min_weight_codewords)
+from .gf2geom import GeometryError, QuadraticForm, QuadswitchError, set_bits
+from .srg import GammaCertificate, Graph, SrgParams, certified_gamma, is_switch_of
 from .switching import Switch, build_switch, legal_t_range, make_config, verify_switch
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -77,49 +99,13 @@ def _profile(g: Graph, w: int) -> tuple[int, tuple[int, ...]]:
     return len(supp), tuple(sorted((g.rows[i] & w).bit_count() for i in supp))
 
 
-def _orbit_profiles(g: Graph, words, certificate: GammaCertificate) -> Optional[Counter]:
-    """The profiles of the words with their multiplicities, one computed per
-    orbit of the certificate's reflections, or None unless there are
-    reflections and they map every word to a word."""
-    form, reflections = certificate.form, certificate.reflections
-    if not reflections:
-        return None
-    expanded = list(map(form.points, words))  # the walk stays in point space
-    unseen = Counter(expanded)  # a word listed twice counts twice
-    profiles: Counter = Counter()
-    for w, start in zip(words, expanded):
-        size = unseen[start]
-        if not size:
-            continue
-        unseen[start], frontier = 0, [start]
-        while frontier:
-            mask = frontier.pop()
-            for r in reflections:
-                image = form.reflect(mask, r)
-                count = unseen.get(image)
-                if count is None:
-                    return None  # not an automorphism of the word set: profile every word
-                if count:
-                    unseen[image] = 0
-                    size += count
-                    frontier.append(image)
-        profiles[_profile(g, w)] += size
-    return profiles
-
-
-def signature(
-    g: Graph, code: BinaryCode, words, certificate: Optional[GammaCertificate] = None
-) -> GraphSignature:
+def signature(g: Graph, code: BinaryCode, words) -> GraphSignature:
     """Signature from the graph's code and that code's minimum-weight words:
-    rank, minimum weight, min-word support shapes with their multiplicities.
-    With the certificate that certify_gamma gave with g, each
-    orbit of words under its reflections is profiled once (see the module
-    docstring); otherwise, or when the walk fails, every word is."""
+    rank, minimum weight, min-word support shapes with their multiplicities,
+    each word profiled."""
     if not words:
         raise CodeError("a signature needs the code's minimum-weight words, got none")
-    profiles = _orbit_profiles(g, words, certificate) if certificate is not None else None
-    if profiles is None:
-        profiles = Counter(_profile(g, w) for w in words)
+    profiles = Counter(_profile(g, w) for w in words)
     return GraphSignature(code.dim, words[0].bit_count(), tuple(sorted(profiles.items())))
 
 
@@ -261,7 +247,7 @@ class FamilyMember:
     variant: str  # "", "t" or "tt"
     params: SrgParams  # the certificate's, or what verify_switch returned for the switch
     code: BinaryCode
-    words: tuple[int, ...]  # the minimum-weight codewords, sorted
+    words: tuple[int, ...]  # the minimum-weight codewords, sorted; () for the unswitched graph
     sig: GraphSignature
     switch: Optional[Switch]  # None for the unswitched graph
 
@@ -307,25 +293,87 @@ def _separating_invariant(a: GraphSignature, b: GraphSignature) -> str:
     return "none"
 
 
-def _member(
-    name: str,
-    t: int,
-    variant: str,
-    gamma: Graph,
-    certificate: GammaCertificate,
-    switch: Optional[Switch] = None,
-) -> FamilyMember:
-    """gamma's member, or switch's: its graph made here, checked strongly
-    regular by verify_switch, read, and dropped on return."""
-    if switch is None:
-        graph, params = gamma, certificate.params
-    else:
-        graph = switch.graph
-        params = verify_switch(switch, certificate, graph)
-    code = code_from_graph(graph)
-    words = tuple(min_weight_codewords(code))
-    sig = signature(graph, code, words, certificate if switch is None else None)
-    return FamilyMember(name, t, variant, params, code, words, sig, switch)
+def _word(words, a: int) -> int:
+    """word(a): the XOR of the polar words over the bits of the vector a."""
+    out = 0
+    for i, w in enumerate(words):
+        if a >> i & 1:
+            out ^= w
+    return out
+
+
+def _full_rank(vectors, dim: int) -> bool:
+    """Whether the vectors, of dim bits, span F_2^dim; stops at full rank."""
+    pivots: dict[int, int] = {}
+    for x in vectors:
+        while x:
+            top = x.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = x
+                if len(pivots) == dim:
+                    return True
+                break
+            x ^= pivots[top]
+    return False
+
+
+def _light_first(points: int, width: int) -> Iterator[int]:
+    """The points of a point mask over F_2^width, fewest set bits first."""
+    for weight in range(1, width + 1):
+        for bits in combinations(range(width), weight):
+            p = sum(1 << b for b in bits)
+            if points >> p & 1:
+                yield p
+
+
+def _lifts(form: QuadraticForm, s: int, h: int) -> Iterator[int]:
+    """The lift x + [x in S] 2^(n+1) + [x in H] 2^(n+2) of each vertex x, for
+    the vertex masks S and H: S's vertices first, then every vertex, fewest
+    set bits first."""
+    width, s_points, h_points = form.n + 1, form.points(s), form.points(h)
+    for x in chain((form.labels[i] for i in set_bits(s)), _light_first(form.off, width)):
+        yield x | (s_points >> x & 1) << width | (h_points >> x & 1) << (width + 1)
+
+
+def _read_gamma(gamma: Graph, certificate: GammaCertificate) -> Optional[tuple[BinaryCode, GraphSignature]]:
+    """gamma's code and signature, read off the certificate's polar words with
+    one orbit walk (see the module docstring), or None where a precondition
+    fails.  gamma is the graph certify_gamma returned with certificate."""
+    form, words = certificate.form, certificate.words
+    width, singular = form.n + 1, form.zero_mask
+    if not words or not certificate.reflections:
+        return None
+    if gamma.labels is not form.labels and gamma.labels != form.labels:
+        return None
+    code = from_vectors(gamma.v, words)
+    if code.dim != width or not _full_rank(_light_first(form.off, width), width):
+        return None
+    if not certificate.covers(singular):
+        return None
+    on, off = _word(words, (singular & -singular).bit_length() - 1), _word(words, form.labels[0])
+    if on.bit_count() == off.bit_count():
+        return None
+    word, size = (on, singular.bit_count()) if on.bit_count() < off.bit_count() else (off, gamma.v)
+    return code, GraphSignature(code.dim, word.bit_count(), ((_profile(gamma, word), size),))
+
+
+def _read_switch(
+    graph: Graph, gamma: Graph, sw: Switch, base: Optional[tuple[BinaryCode, GraphSignature]]
+) -> Optional[tuple[BinaryCode, list[int]]]:
+    """The code of sw's graph as C + <v_S, v_H>, and its minimum words from a
+    walk of its cosets (see the module docstring), or None where a
+    precondition fails.  base is _read_gamma's code C and signature, if any."""
+    if base is None:
+        return None
+    (code, sig), s, h = base, sw.s, sw.certificate.half_class
+    width = code.dim + 2
+    if not is_switch_of(graph, gamma, s, h) or not _full_rank(_lifts(sw.config.form, s, h), width):
+        return None
+    switched = from_vectors(graph.v, code.basis + (s, h))
+    if switched.dim != width:
+        return None
+    words = augmented_min_words(code, sig.min_weight, s, h)
+    return None if words is None else (switched, words)
 
 
 def build_family(n: int, kind: str) -> Family:
@@ -333,16 +381,46 @@ def build_family(n: int, kind: str) -> Family:
     switch of both shapes, first flag each.  Each switched graph is made
     once, checked strongly regular, read for its code, minimum words and
     signature, and dropped; raises NotStronglyRegular (with a witness) for a
-    switch that fails the check."""
+    switch that fails the check.  The codes and minimum words are read off
+    the form where the module docstring's preconditions hold, and otherwise
+    by code_from_graph and min_weight_codewords."""
     if n % 2 == 0 or not 5 <= n <= 9:
         raise GeometryError(f"families are classified for odd n in [5, 9], got {n}")
     gamma, certificate = certified_gamma(n, kind)
-    members = [_member("gamma", 0, "", gamma, certificate)]
+    base = _read_gamma(gamma, certificate)
+    if base is None:
+        code = code_from_graph(gamma)
+        base_sig = signature(gamma, code, min_weight_codewords(code))
+    else:
+        code, base_sig = base
+    members = [FamilyMember("gamma", 0, "", certificate.params, code, (), base_sig, None)]
     for variant in ("t", "tt"):
         for t in legal_t_range(n, kind, variant):
             sw = build_switch(gamma, make_config(certificate.form, t, variant))
-            members.append(_member(f"gamma_{variant}{t}", t, variant, gamma, certificate, sw))
+            members.append(_switch_member(f"gamma_{variant}{t}", t, variant, gamma, certificate, sw, base))
     return Family(tuple(members), gamma, certificate)
+
+
+def _switch_member(
+    name: str,
+    t: int,
+    variant: str,
+    gamma: Graph,
+    certificate: GammaCertificate,
+    sw: Switch,
+    base: Optional[tuple[BinaryCode, GraphSignature]],
+) -> FamilyMember:
+    """The switch's member: its graph made here, checked strongly regular by
+    verify_switch, read, and dropped on return."""
+    graph = sw.graph
+    params = verify_switch(sw, certificate, graph)
+    read = _read_switch(graph, gamma, sw, base)
+    if read is None:
+        code = code_from_graph(graph)
+        words = tuple(min_weight_codewords(code))
+    else:
+        code, words = read[0], tuple(read[1])
+    return FamilyMember(name, t, variant, params, code, words, signature(graph, code, words), sw)
 
 
 def classify_family(family: Family, cross_check: Optional[bool] = None) -> FamilyReport:

@@ -357,8 +357,8 @@ def _transitive_reflections(form: QuadraticForm) -> list[int]:
     """Vertices to reflect in until the orbit of the first vertex is
     form.off: each time the lightest one that enlarges the orbit, as a light
     r moves a mask in few block swaps, here in the orbit walk and the checks
-    of step 1 and in distinguish's orbit signatures.  Stops early when none
-    does."""
+    of step 1 and in the walk of the singular points (covers).  Stops early
+    when none does."""
     lightest_first = sorted(form.labels, key=int.bit_count)
     chosen: list[int] = []
     orbit = 1 << form.labels[0]
@@ -444,13 +444,26 @@ def _certificate(form: QuadraticForm, g: Graph, reflections) -> SrgParams:
 @dataclass(frozen=True)
 class GammaCertificate:
     """What certify_gamma proved about the graph it returned: the parameters,
-    and the reflections it checked as automorphisms of that graph, each named
-    by its point r for form.reflect.  No reflections after the verify_srg
-    fallback."""
+    the reflections it checked as automorphisms of that graph, each named by
+    its point r for form.reflect, and the polar words W_i = vertices(N &
+    nonorth(e_i)) the graph was built from.  By checks a-d of the module
+    docstring, the row of each vertex x is word(x), the XOR of the W_i over
+    the bits i of x, and word(a) = vertices(N & {p : B(p, a) = 1}) for every
+    vector a, B the polarization of the Q whose ones are N; so a -> word(a)
+    is linear.  A certified reflection s is linear and keeps N, so it keeps Q
+    and B and maps word(a) onto word(s(a)), as an automorphism of the graph.
+    No words after the reference build, and neither words nor reflections
+    after the verify_srg fallback."""
 
     form: QuadraticForm
     params: SrgParams
     reflections: tuple[int, ...] = ()
+    words: tuple[int, ...] = ()
+
+    def covers(self, mask: int) -> bool:
+        """Whether the reflections carry the least point of a nonempty point
+        mask over exactly that mask."""
+        return bool(mask) and _orbit(self.form, mask & -mask, self.reflections) == mask
 
 
 def certify_gamma(form: QuadraticForm) -> tuple[Graph, GammaCertificate]:
@@ -462,14 +475,18 @@ def certify_gamma(form: QuadraticForm) -> tuple[Graph, GammaCertificate]:
     before one vertex's pairs are counted, or else, when the reflections fail
     their checks, from verify_srg itself on the same graph.  A graph that
     passes those checks but fails one vertex's pairs raises the error
-    verify_srg raises.  Raises GeometryError where build_gamma does.
+    verify_srg raises.  A certified graph built by linearity also gets its
+    polar words, which _polar_words makes again in O(n) mask operations.
+    Raises GeometryError where build_gamma does.
     """
     g = build_gamma(form)
     reflections = tuple(_transitive_reflections(form))
     try:
-        return g, GammaCertificate(form, _certificate(form, g, reflections), reflections)
+        params = _certificate(form, g, reflections)
     except _NotCertified:
         return g, GammaCertificate(form, verify_srg(g))
+    words = _polar_words(form)  # build_gamma's, as it took the polar path iff they exist
+    return g, GammaCertificate(form, params, reflections, () if words is None else tuple(words))
 
 
 # One entry per kind: a batch of requests at one n alternates between the two.
@@ -602,21 +619,16 @@ def _orbit_certificate(g: Graph, base: Graph, certificate: GammaCertificate, s: 
     # step 3: row i moves by T for i in S, by S for i in T, and not at all
     # elsewhere; a row of T meets S in half of it, any other row outside S in
     # none or all of it
-    members, half = set_bits(s), set_bits(t)
-    if (
-        sum(map(eq, rows, base_rows)) != v - len(members) - len(half)
-        or {rows[i] ^ base_rows[i] for i in members} != {t}
-        or {rows[i] ^ base_rows[i] for i in half} != {s}
-    ):
+    if not is_switch_of(g, base, s, t):
         raise _NotCertified("the graph is not the switch of the base graph at S and T")
-    if {2 * (base_rows[i] & s).bit_count() for i in half} != {len(members)} or not {
+    if {2 * (base_rows[i] & s).bit_count() for i in set_bits(t)} != {s.bit_count()} or not {
         base_rows[i] & s for i in set_bits(((1 << v) - 1) ^ s ^ t)
     } <= {0, s}:
         raise _NotCertified("a row outside S meets S in other than none, half or all of it")
 
     # steps 1, 2 and 4: maps that keep S and T, chosen while they enlarge the orbit of s0
     s_points, t_points = form.points(s), form.points(t)
-    s0 = members[0]
+    s0 = (s & -s).bit_length() - 1
     orbit, chosen, coords = 1 << form.labels[s0], [], None
     checked = set(certificate.reflections)  # certify_gamma checked these on this form
     for word in words:
@@ -646,6 +658,21 @@ def _orbit_certificate(g: Graph, base: Graph, certificate: GammaCertificate, s: 
     }:
         raise _NotCertified(f"a pair through vertex {s0} has a wrong count")
     return params
+
+
+def is_switch_of(g: Graph, base: Graph, s: int, t: int) -> bool:
+    """Whether g is base switched at the vertex mask s against t, row by row:
+    row i of g is base's row XOR t for i in s, XOR s for i in t, and base's
+    row elsewhere.  False unless s and t are nonempty, disjoint and fit."""
+    rows, base_rows, v = g.rows, base.rows, g.v
+    if v != base.v or not s or not t or s & t or (s | t) >> v:
+        return False
+    members, half = set_bits(s), set_bits(t)
+    return (  # rows of S and T differ from base's, so every other row must equal it
+        sum(map(eq, rows, base_rows)) == v - len(members) - len(half)
+        and {rows[i] ^ base_rows[i] for i in members} == {t}
+        and {rows[i] ^ base_rows[i] for i in half} == {s}
+    )
 
 
 def expected_params(n: int, kind: str) -> SrgParams:

@@ -10,13 +10,14 @@ graph6 reader is the oracle that reads an export back (`read_export`).
 """
 
 import functools
+from collections import Counter
 
 import networkx as nx
 import pytest
 
 from quadswitch import srg, switching
 from quadswitch.codes import CodeError, code_from_graph, min_weight_codewords
-from quadswitch.distinguish import signature
+from quadswitch.distinguish import _profile, signature
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, canonical_form
 from quadswitch.srg import Graph, build_gamma
 from quadswitch.switching import build_switch, legal_t_range, make_config
@@ -201,6 +202,38 @@ def reflection_maps_rows(form, point_rows, r):
     row_of = dict(zip(form.labels, point_rows))
     moves = form.nonorth(r)
     return all(form.reflect(row, r) == row_of[x ^ r if moves >> x & 1 else x] for x, row in row_of.items())
+
+
+def orbit_profiles(g, words, certificate):
+    """Oracle: the profiles of the words with their multiplicities, one
+    computed per orbit of the certificate's reflections, walked over the
+    words themselves: each word is expanded once into point space and moved
+    by form.reflect.  None unless there are reflections and they map every
+    word to a word."""
+    form, reflections = certificate.form, certificate.reflections
+    if not reflections:
+        return None
+    expanded = list(map(form.points, words))
+    unseen = Counter(expanded)  # a word listed twice counts twice
+    profiles = Counter()
+    for w, start in zip(words, expanded):
+        size = unseen[start]
+        if not size:
+            continue
+        unseen[start], frontier = 0, [start]
+        while frontier:
+            mask = frontier.pop()
+            for r in reflections:
+                image = form.reflect(mask, r)
+                count = unseen.get(image)
+                if count is None:
+                    return None  # not an automorphism of the word set
+                if count:
+                    unseen[image] = 0
+                    size += count
+                    frontier.append(image)
+        profiles[_profile(g, w)] += size
+    return profiles
 
 
 def check_well_formed(g):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import flip_switched_edge, from_nx, random_graph, read_export, read_labels, relabel, switch_case, to_nx
 import quadswitch
-from quadswitch import cli, distinguish, graph6, srg, switching
+from quadswitch import cli, codes, distinguish, graph6, srg, switching
 from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.cli import _write_json, main
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, QuadswitchError, canonical_form
@@ -149,6 +149,20 @@ def test_verify_all_refuses_an_unclassified_n_before_any_check(capsys, n):
     assert rep["checks"] == {}
     # a stage that raises is still timed: the run and the family build it refused
     assert set(rep["timings"]) == {"verify_all", "build_family_elliptic"}
+
+
+def test_verify_all_n9_reads_every_family_code_off_the_form(capsys, monkeypatch):
+    # every member's code and minimum words come from the polar words and the
+    # coset walks: no member's rows are echelonized and no code is walked whole
+    def refuse(*args):
+        raise AssertionError("a family member was read off its rows")
+
+    for module in (codes, distinguish):
+        monkeypatch.setattr(module, "code_from_graph", refuse)
+        monkeypatch.setattr(module, "min_weight_codewords", refuse)
+    code, out, _ = run_cli(capsys, "verify-all", "--n", "9")
+    assert code == 0 and all(json.loads(out)["checks"].values())
+    assert not hasattr(distinguish, "_orbit_profiles")
 
 
 def test_verify_all_holds_one_family_at_a_time(capsys, monkeypatch):

@@ -1,10 +1,15 @@
 """Row-space codes: rank, membership, weight data, minimum words."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import characteristic_vector
 from quadswitch.codes import (
+    ENUMERATION_GUARD,
+    BinaryCode,
     CodeError,
+    augmented_min_words,
     code_from_graph,
     contains,
     expected_gamma_weight_distribution,
@@ -248,6 +253,42 @@ def test_every_base_codeword_weight_large():
     for form, floor in ((E5, 16), (H5, 12)):
         code = code_from_graph(build_gamma(form))
         assert all(w.bit_count() >= floor for w in iter_codewords(code) if w)
+
+
+def test_a_coset_walk_starts_at_its_offset():
+    code = code_from_graph(build_gamma(H5))
+    offset = 0b1011 << 20
+    words = list(iter_codewords(code, offset))
+    assert words[0] == offset
+    assert set(words) == {w ^ offset for w in iter_codewords(code)} and len(words) == 1 << code.dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    basis=st.lists(st.integers(1, (1 << 12) - 1), min_size=1, max_size=5),
+    s=st.integers(1, (1 << 12) - 1),
+    h=st.integers(1, (1 << 12) - 1),
+)
+@example(basis=[(1 << 12) - 1], s=0b1, h=0b110)  # min|C - 0| > 2|s|: C + s is not walked
+@example(basis=[(1 << 12) - 1], s=0b111, h=0b1000)  # and the lightest word lies in C + h
+def test_augmented_min_words_equal_the_whole_walk(basis, s, h):
+    # the walk of two or three cosets gives the minimum words of C + <s, h>
+    # whenever they are lighter than C's, and no answer otherwise
+    code = from_vectors(12, basis)
+    joined = from_vectors(12, code.basis + (s, h))
+    if joined.dim != code.dim + 2:
+        return  # s and h are not independent modulo C
+    min_weight = min_weight_codewords(code)[0].bit_count()
+    want = min_weight_codewords(joined)
+    got = augmented_min_words(code, min_weight, s, h)
+    assert got == (want if want[0].bit_count() < min_weight else None)
+
+
+def test_augmented_min_words_respect_the_enumeration_guard():
+    dim = ENUMERATION_GUARD + 1
+    code = BinaryCode(dim + 2, tuple(1 << i for i in reversed(range(dim))))
+    with pytest.raises(CodeError, match="enumeration guard"):
+        augmented_min_words(code, 1, 1 << dim, 2 << dim)
 
 
 def test_echelonize_round_trip_with_from_vectors():

@@ -1,6 +1,7 @@
 """Signatures, the exact isomorphism tester, and family classification."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import networkx as nx
@@ -8,26 +9,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadswitch import distinguish, srg
-from quadswitch.codes import CodeError, code_from_graph, min_weight_codewords
+from quadswitch import codes, distinguish, srg
+from quadswitch.codes import (
+    CodeError,
+    augmented_min_words,
+    code_from_graph,
+    expected_gamma_weight_distribution,
+    min_weight_codewords,
+)
 from quadswitch.distinguish import (
     Family,
     IsomorphismBudgetExceeded,
     PairEvidence,
     _certified_pair_profile,
-    _orbit_profiles,
     _pair_profile,
     _profile,
+    _read_gamma,
+    _read_switch,
     are_isomorphic,
     build_family,
     classify_family,
     signature,
 )
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, canonical_form
-from quadswitch.srg import GammaCertificate, Graph, build_gamma, certify_gamma, verify_srg
-from quadswitch.switching import build_S, gm_switch, make_config
+from quadswitch.srg import Graph, build_gamma, certified_gamma, certify_gamma, verify_srg
+from quadswitch.switching import build_S, build_switch, gm_switch, legal_t_range, make_config
 
-from conftest import flip_switched_edge, form, graph_signature, member_graph, random_graph, relabel, relabel_mask, to_nx
+from conftest import (
+    flip_switched_edge,
+    form,
+    graph_signature,
+    member_graph,
+    orbit_profiles,
+    random_graph,
+    relabel,
+    relabel_mask,
+    to_nx,
+)
 
 E5 = canonical_form(5, ELLIPTIC)
 H5 = canonical_form(5, HYPERBOLIC)
@@ -89,43 +107,55 @@ def certified_words(n, kind):
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_orbit_signature_equals_the_direct_signature(monkeypatch, n, kind):
+    # gamma's code from its n + 1 polar words and its signature from one orbit
+    # walk on points equal the code of its rows, the orbit walk over the words
+    # (the oracle) and every word profiled on its own
     g, certificate, code, words = certified_words(n, kind)
-    assert certificate.reflections
+    assert certificate.reflections and len(certificate.words) == n + 1
     calls = []
     monkeypatch.setattr(distinguish, "_profile", lambda g, w: calls.append(w) or _profile(g, w))
-    orbit = signature(g, code, words, certificate)
-    # the words form one orbit: one profile computed, its multiplicity the word count
-    assert len(calls) == 1
-    assert orbit.min_word_profiles == ((_profile(g, words[0]), len(words)),)
-    assert orbit == signature(g, code, words)
+    read_code, sig = _read_gamma(g, certificate)
+    # one profile computed, of a minimum word; its multiplicity the word count
+    assert len(calls) == 1 and calls[0] in words
+    assert read_code == code
+    assert sig.min_word_profiles == ((_profile(g, words[0]), len(words)),)
+    assert sig.min_word_profiles == tuple(sorted(orbit_profiles(g, words, certificate).items()))
+    assert sig == signature(g, code, words)
+    expected = expected_gamma_weight_distribution(n, kind)
+    assert expected[sig.min_weight] == len(words) and sig.min_weight == min(w for w in expected if w)
 
 
-def assert_direct(g, code, words, certificate):
-    """The mutated case ends in the direct path, with the direct profiles."""
-    assert _orbit_profiles(g, words, certificate) is None
-    assert signature(g, code, words, certificate) == signature(g, code, words)
+def assert_direct(g, words, certificate):
+    """The oracle's walk refuses the mutated case."""
+    assert orbit_profiles(g, words, certificate) is None
 
 
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 def test_orbit_signature_needs_every_image_to_be_a_word(n, kind):
     g, certificate, code, words = certified_words(n, kind)
     for drop in (0, len(words) // 2, len(words) - 1):
-        assert_direct(g, code, words[:drop] + words[drop + 1 :], certificate)
+        assert_direct(g, words[:drop] + words[drop + 1 :], certificate)
     w = words[0]
     low_set, low_clear = w & -w, ~w & (w + 1)  # a vector of the same weight that is no word
     assert w ^ low_set ^ low_clear not in words
-    assert_direct(g, code, words + (w ^ low_set ^ low_clear,), certificate)
-    twice = words + (words[0],)  # counted twice, as the direct loop counts it
-    assert signature(g, code, twice, certificate) == signature(g, code, twice)
+    assert_direct(g, words + (w ^ low_set ^ low_clear,), certificate)
+    twice = words + (words[0],)  # counted twice, as the direct Counter counts it
+    assert orbit_profiles(g, twice, certificate) == Counter(_profile(g, w) for w in twice)
+    # the read takes no word list: it profiles one word of the point class
+    assert _read_gamma(g, certificate)[1] == signature(g, code, words)
 
 
 @pytest.mark.parametrize("n,kind", [(5, HYPERBOLIC), (7, ELLIPTIC)])
 def test_orbit_signature_rejects_a_singular_reflection(n, kind):
-    # x -> x + B(x,r) r with Q(r) = 0 keeps B but not Q: it moves words off the vertex set
+    # x -> x + B(x,r) r with Q(r) = 0 keeps B but not Q: it moves words off the
+    # vertex set, and singular points off the quadric, so the orbit of the
+    # least singular point is not the singular points and the read declines
     g, certificate, code, words = certified_words(n, kind)
     bad = next(p for p in range(1, 1 << (n + 1)) if certificate.form.contains(p))
-    forged = GammaCertificate(certificate.form, certificate.params, (bad, *certificate.reflections))
-    assert_direct(g, code, words, forged)
+    forged = replace(certificate, reflections=(bad, *certificate.reflections))
+    assert_direct(g, words, forged)
+    assert not forged.covers(forged.form.zero_mask)
+    assert _read_gamma(g, forged) is None
 
 
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
@@ -134,10 +164,171 @@ def test_orbit_signature_needs_certified_reflections(monkeypatch, n, kind):
     good = srg._transitive_reflections(form(n, kind))
     monkeypatch.setattr(srg, "_transitive_reflections", lambda *a: good[:-1])
     fell_back = certify_gamma(form(n, kind))[1]
-    assert fell_back.reflections == ()
-    assert_direct(g, code, words, fell_back)
+    assert fell_back.reflections == () and fell_back.words == ()
+    assert_direct(g, words, fell_back)
+    assert _read_gamma(g, fell_back) is None
     other = certified_words(n, HYPERBOLIC if kind == ELLIPTIC else ELLIPTIC)[1]
-    assert_direct(g, code, words, other)  # reflections of another form
+    assert_direct(g, words, other)  # reflections of another form
+    assert _read_gamma(g, other) is None  # and its vertices
+
+
+# --- codes read off the form ----------------------------------------------------
+
+
+def reference_member(graph):
+    """Oracle: a graph's code, minimum words and signature from its rows."""
+    code = code_from_graph(graph)
+    words = tuple(min_weight_codewords(code))
+    return code, words, signature(graph, code, words)
+
+
+def count_walks(monkeypatch):
+    """Record the number of words each coset or code walk yields."""
+    walks, walk = [], codes.iter_codewords
+
+    def counted(code, offset=0):
+        walks.append(0)
+        for w in walk(code, offset):
+            walks[-1] += 1
+            yield w
+
+    monkeypatch.setattr(codes, "iter_codewords", counted)
+    return walks
+
+
+def read_switch_case(n, kind, t, variant, choice):
+    """One switch of the certified gamma, its graph, and the read of its code
+    and minimum words, or None."""
+    gamma, certificate = certified_gamma(n, kind)
+    sw = build_switch(gamma, make_config(certificate.form, t, variant, choice))
+    graph = sw.graph
+    return sw, graph, _read_switch(graph, gamma, sw, _read_gamma(gamma, certificate))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_switched_codes_read_off_the_form_equal_the_reference(monkeypatch, n, kind):
+    walks = count_walks(monkeypatch)
+    certified_gamma(n, kind)
+    for variant in ("t", "tt"):
+        for t in legal_t_range(n, kind, variant):
+            for choice in (0, 7, 21):
+                walks.clear()
+                sw, graph, (code, words) = read_switch_case(n, kind, t, variant, choice)
+                walked = list(walks)
+                case = (t, variant, choice)
+                assert (code, tuple(words)) == reference_member(graph)[:2], case
+                assert code.dim == n + 3 and sw.s in words, case
+                cert = sw.certificate
+                if kind == HYPERBOLIC and variant == "t" and t == (n - 3) // 2:
+                    # no vertex outside S and its half-class: no row is unchanged
+                    assert not cert.none_class and not cert.all_class, case
+                # the walk took two cosets of C, or three at n = 5 elliptic tt,
+                # where C's least weight 16 is not more than 2|v_S| = 16
+                cosets = 3 if (n, kind, variant) == (5, ELLIPTIC, "tt") else 2
+                assert walked == [1 << (n + 1)] * cosets, case
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_switched_codes_read_off_the_form_at_n11(kind):
+    for variant in ("t", "tt"):
+        for t in legal_t_range(11, kind, variant):
+            sw, graph, (code, words) = read_switch_case(11, kind, t, variant, 0)
+            assert (code, tuple(words)) == reference_member(graph)[:2], (t, variant)
+            assert words == [sw.s], (t, variant)
+
+
+def test_augmented_walk_declines_at_the_base_codes_weight():
+    # with min_weight at most the lightest coset word, C's own words would
+    # count: the walk gives no answer, and the family reads the rows instead
+    sw, graph, (code, words) = read_switch_case(7, ELLIPTIC, 1, "t", 0)
+    gamma, certificate = certified_gamma(7, ELLIPTIC)
+    base, sig = _read_gamma(gamma, certificate)
+    h = sw.certificate.half_class
+    assert augmented_min_words(base, sig.min_weight, sw.s, h) == words
+    assert augmented_min_words(base, words[0].bit_count(), sw.s, h) is None
+
+
+def family_data(family):
+    return [(m.code, m.words, m.sig, m.params) for m in family.members]
+
+
+def assert_falls_back(monkeypatch, n, kind, honest, switches_only=False):
+    """build_family(n, kind) gives the honest family's data through the
+    reference path: code_from_graph runs on every member, or every switch."""
+    calls, reference = [], code_from_graph
+    monkeypatch.setattr(distinguish, "code_from_graph", lambda g: calls.append(g) or reference(g))
+    family = build_family(n, kind)
+    assert family_data(family) == honest
+    assert len(calls) == len(family.members) - switches_only
+    return family
+
+
+@pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
+def test_family_falls_back_when_the_orbit_misses_a_singular_point(monkeypatch, n, kind):
+    honest = family_data(build_family(n, kind))
+    gamma, certificate = certified_gamma(n, kind)  # certified before the orbit is broken
+    orbit, singular = srg._orbit, certificate.form.zero_mask
+
+    def short(f, mask, reflections):
+        got = orbit(f, mask, reflections)
+        return got & ~(1 << got.bit_length() - 1) if mask & singular else got
+
+    monkeypatch.setattr(srg, "_orbit", short)
+    assert not certificate.covers(singular)
+    assert _read_gamma(gamma, certificate) is None
+    assert_falls_back(monkeypatch, n, kind, honest)
+
+
+def test_family_falls_back_on_a_form_that_fails_the_polar_check(monkeypatch):
+    # nonorth(e_2) one point off fails check b: the graph gets the reference
+    # rows (the same graph, as they do not read nonorth), and its certificate
+    # holds no polar words, so every code is read off the rows
+    honest = family_data(build_family(7, HYPERBOLIC))
+    f = canonical_form(7, HYPERBOLIC)
+    nonorth, bad = f.nonorth, f.nonorth(4) ^ 1 << 3
+    f.nonorth = lambda y: bad if y == 4 else nonorth(y)
+    gamma, certificate = certify_gamma(f)
+    assert certificate.reflections and certificate.words == () and srg._polar_words(f) is None
+    assert _read_gamma(gamma, certificate) is None
+    monkeypatch.setattr(distinguish, "certified_gamma", lambda n, kind: (gamma, certificate))
+    assert_falls_back(monkeypatch, 7, HYPERBOLIC, honest)
+
+
+@pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
+def test_family_falls_back_when_the_lifts_fall_short(monkeypatch, n, kind):
+    # lifts without their H coordinate span at most n + 2 dimensions
+    honest = family_data(build_family(n, kind))
+    lifts, width = distinguish._lifts, n + 1
+    monkeypatch.setattr(distinguish, "_lifts", lambda *a: (x & ~(2 << width) for x in lifts(*a)))
+    assert_falls_back(monkeypatch, n, kind, honest, switches_only=True)
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_family_falls_back_on_a_row_that_breaks_the_switch_identity(monkeypatch, kind):
+    # with the switched check bypassed, a switched graph with one edge flipped
+    # is read off its rows: its code is not C + <v_S, v_H>
+    flip_switched_edge(monkeypatch)
+    monkeypatch.setattr(distinguish, "verify_switch", lambda sw, certificate, graph: certificate.params)
+    gamma, certificate = certified_gamma(5, kind)
+    for m in build_family(5, kind).members[1:]:
+        graph = m.switch.graph
+        assert not srg.is_switch_of(graph, gamma, m.switch.s, m.switch.certificate.half_class)
+        assert (m.code, m.words, m.sig) == reference_member(graph)
+
+
+def test_family_reads_the_codes_at_n9_with_two_coset_walks(monkeypatch):
+    # gamma walks no word, and each switch two cosets of its 2^(n+1)-word base code
+    walks = count_walks(monkeypatch)
+    for kind in (ELLIPTIC, HYPERBOLIC):
+        family = build_family(9, kind)
+        assert walks == [1 << 10] * 2 * (len(family.members) - 1), kind
+        assert family.members[0].words == ()
+        for m in family.members:
+            graph = member_graph(family, m)
+            code, words, sig = reference_member(graph)
+            assert (m.code, m.sig) == (code, sig) and m.words in ((), words), (kind, m.name)
+        walks.clear()
 
 
 # --- exact isomorphism ------------------------------------------------------------

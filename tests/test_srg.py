@@ -487,6 +487,34 @@ def test_every_canonical_form_passes_the_polar_check(n, kind):
     assert words is not None and len(words) == n + 1
 
 
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_the_certificate_keeps_the_polar_words_of_the_rows(n, kind):
+    # gamma's row of each vertex x is the XOR of the certificate's words at
+    # the bits of x, and each word is the vertices off the quadric where B(., e_i) = 1
+    g, certificate = certified_gamma(n, kind)
+    f, words = certificate.form, certificate.words
+    assert words == tuple(srg._polar_words(f)) and len(words) == n + 1
+    assert all(w == f.vertices(f.off & f.nonorth(1 << i)) for i, w in enumerate(words))
+    word = [0]
+    for w in words:
+        word += [u ^ w for u in word]  # word[a], the XOR of the words at the bits of a
+    assert g.rows == tuple(word[x] for x in f.labels)
+    assert certificate.covers(f.off) and certificate.covers(f.zero_mask)
+
+
+@pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "tt"), (7, HYPERBOLIC, 1, "t")])
+def test_is_switch_of_checks_every_row(n, kind, t, variant):
+    sw = switch_case(n, kind, t, variant)
+    graph, base, s, h = sw.graph, sw.base, sw.s, sw.certificate.half_class
+    assert srg.is_switch_of(graph, base, s, h)
+    outside = set_bits(((1 << graph.v) - 1) & ~s & ~h)
+    for i, j in ((set_bits(s)[0], set_bits(h)[0]), (outside[0], outside[1]), (set_bits(h)[0], outside[-1])):
+        assert not srg.is_switch_of(flip(graph, i, j), base, s, h), (i, j)
+    assert not srg.is_switch_of(graph, base, s, 0) and not srg.is_switch_of(graph, base, s, h | s)
+    assert not srg.is_switch_of(base, base, s, h) and not srg.is_switch_of(graph, base, s, h ^ h & -h)
+
+
 def doctored_form(n, kind, edit, data):
     """A fresh canonical form with one mask edited: a bit of one nonorth(e_i),
     of off (its labels made to match) or of one halves[b]."""
