@@ -72,9 +72,14 @@ class _Runner:
         return sorted(name for name, ok in self.checks.items() if not ok)
 
 
-def _code_report(graph) -> dict:
-    code = codes.code_from_graph(graph)
-    dist = codes.weight_distribution(code)
+def _code_report(graph, code=None, dist=None) -> dict:
+    """graph's code and weight enumerator: code and dist where they were read
+    off the form, and otherwise the code of graph's rows and a walk of every
+    word of that code."""
+    if code is None:
+        code = codes.code_from_graph(graph)
+    if dist is None:
+        dist = codes.weight_distribution(code)
     min_weight = min(w for w in dist if w)
     return {
         "dimension": code.dim,
@@ -145,15 +150,18 @@ def cmd_switch(args, runner: _Runner) -> dict:
         swp = runner.time("verify_srg", lambda: switching.verify_switch(sw, certificate, graph))
         report["srg"] = _params_dict(swp)
         runner.check("switched_srg_parameters_unchanged", swp == base)
-    if args.code:
-        report["code"] = runner.time("code", lambda: _code_report(graph))
+    if args.code:  # read off the form, or off the rows where a precondition fails
+        read = functools.partial(distinguish.switched_weights, graph, gamma, sw, certificate)
+        report["code"] = runner.time("code", lambda: _code_report(graph, *(read() or ())))
     _export(args, graph, report)
     return report
 
 
 def cmd_code(args, runner: _Runner) -> dict:
-    graph, _ = _gamma(args, runner)
-    report = {"code": runner.time("code", lambda: _code_report(graph))}
+    graph, certificate = _gamma(args, runner)
+    report = {
+        "code": runner.time("code", lambda: _code_report(graph, distinguish.gamma_code(graph, certificate)))
+    }
     expected = codes.expected_gamma_weight_distribution(args.n, args.kind)
     got = dict((w, c) for w, c in report["code"]["weight_distribution"])
     runner.check("weight_distribution_matches_table", got == expected)
@@ -256,7 +264,8 @@ def _verify_family(n: int, kind: str, runner: _Runner, report: dict) -> None:
         runner.check(f"switched_code_is_augmented_base_{tag}", joined.basis == code.basis)
         report["switches"][tag] = entry
 
-    dist = codes.weight_distribution(gamma.code)
+    # gamma's weights read off its point classes, or a walk of its code
+    dist = dict(family.weights) if family.weights else codes.weight_distribution(gamma.code)
     report["codes"][kind] = {
         "dimension": gamma.code.dim,
         "weight_distribution": [[w, c] for w, c in sorted(dist.items())],

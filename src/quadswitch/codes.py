@@ -15,10 +15,18 @@ that coset of weight |s| or less, and the least weight of C' is at most |s|.
 So two cosets of 2^dim(C) words are walked, or three when the bound fails.
 When the least weight found reaches m, C's own nonzero words would count
 too, and the walk gives no answer.
+
+The whole weight enumerator of C' needs no coset walked when s and h are
+also disjoint: for c in C, |c + s| = |c| + |s| - 2|c & s|, and as
+c & (s + h) = (c & s) + (c & h), |c + s + h| = |c| + |s| + |h| - 2|c & s|
+- 2|c & h|.  So augmented_weight_distribution counts the triples
+(|c|, |c & s|, |c & h|) over one Gray walk of C's 2^dim words and reads
+all 4 * 2^dim weights of C' off them, exactly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -132,6 +140,23 @@ def augmented_min_words(code: BinaryCode, min_weight: int, s: int, h: int) -> Op
             elif wt == best:
                 words.append(w)
     return sorted(words) if best < min_weight else None
+
+
+def augmented_weight_distribution(code: BinaryCode, s: int, h: int) -> dict[int, int]:
+    """The weight enumerator of code + <s, h>, from one walk of code (see the
+    module docstring).  s and h must be disjoint, and are refused otherwise;
+    the caller shows them independent modulo code, so that the four cosets
+    are distinct."""
+    if s & h:
+        raise CodeError("the coset weights need s and h disjoint")
+    words = iter_codewords(code)
+    triples = Counter((c.bit_count(), (c & s).bit_count(), (c & h).bit_count()) for c in words)
+    ws, wh = s.bit_count(), h.bit_count()
+    dist: Counter = Counter()
+    for (w, a, b), count in triples.items():
+        for weight in (w, w + ws - 2 * a, w + wh - 2 * b, w + ws + wh - 2 * a - 2 * b):
+            dist[weight] += count
+    return dict(sorted(dist.items()))
 
 
 def expected_gamma_weight_distribution(n: int, kind: str) -> dict[int, int]:

@@ -18,8 +18,9 @@ word(a) onto word(s(a)) as a graph automorphism, so weight and profile are
 constant on the orbits of the points.  The vertices are one orbit (the
 certificate's step 2), and one walk from the least singular point must
 cover the singular points; then the two point classes give the weight
-distribution, the minimum words are word(P) for the lighter class P, and
-the signature is one profile with multiplicity |P|.  No word is listed.
+distribution (Family.weights), the minimum words are word(P) for the
+lighter class P, and the signature is one profile with multiplicity |P|.
+No word is listed.
 
 A switched graph's code is gamma's code C plus v_S and v_H, H the
 half-class.  The switched row of x is word(x) + [x in S] v_H + [x in H] v_S,
@@ -27,13 +28,18 @@ which srg.is_switch_of checks row by row, so the rows are the images of the
 lifts (x, [x in S], [x in H]) under the linear map (a, b, c) -> word(a) +
 b v_H + c v_S.  When the lifts reach rank n + 3 (S's vertices first, so the
 echelon stops early), the rows span the image of that map, which is
-from_vectors(v, C + (v_S, v_H)), of dimension n + 3.  Its minimum words
-come from codes.augmented_min_words, a walk of the cosets C + v_H and
-C + v_S + v_H only, and of C + v_S when min|C - 0| <= 2|v_S|.  Where a
-precondition fails, or the walk's minimum reaches min|C - 0|, the code and
-words are read off the rows by code_from_graph and min_weight_codewords,
-as are gamma's, whose signature then profiles every word.  A switched
-member's signature profiles each of its words.
+from_vectors(v, C + (v_S, v_H)), of dimension n + 3.  One reader,
+_switched_code, checks these preconditions for both of its users.  For
+build_family the minimum words come from codes.augmented_min_words, a walk
+of the cosets C + v_H and C + v_S + v_H only, and of C + v_S when
+min|C - 0| <= 2|v_S|.  For switch --code, switched_weights takes the whole
+weight enumerator from codes.augmented_weight_distribution, one walk of
+C's 2^(n+1) words, as S and H are disjoint; it needs only C, from
+gamma_code, and not gamma's signature.  Where a precondition fails, or the
+walk's minimum reaches min|C - 0|, the code and words are read off the rows
+by code_from_graph and min_weight_codewords, as are gamma's, whose
+signature then profiles every word.  A switched member's signature
+profiles each of its words.
 
 The exact tester `are_isomorphic` is an independent cross-check.  It first
 compares the pair profiles of the two graphs: for every vertex pair x, y,
@@ -65,8 +71,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator, Optional
 
-from .codes import (BinaryCode, CodeError, augmented_min_words, code_from_graph, from_vectors,
-                    min_weight_codewords)
+from .codes import (BinaryCode, CodeError, augmented_min_words, augmented_weight_distribution,
+                    code_from_graph, from_vectors, min_weight_codewords)
 from .gf2geom import GeometryError, QuadraticForm, QuadswitchError, set_bits
 from .srg import GammaCertificate, Graph, SrgParams, certified_gamma, is_switch_of
 from .switching import Switch, build_switch, legal_t_range, make_config, verify_switch
@@ -259,6 +265,9 @@ class Family:
     members: tuple[FamilyMember, ...]  # the unswitched graph first
     gamma: Graph  # the unswitched graph, the only one whose rows are held
     certificate: GammaCertificate  # of gamma, from certify_gamma
+    # gamma's weight distribution as sorted (weight, count) pairs, read off its
+    # two point classes; None where gamma's code was read off its rows
+    weights: Optional[tuple[tuple[int, int], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -335,45 +344,87 @@ def _lifts(form: QuadraticForm, s: int, h: int) -> Iterator[int]:
         yield x | (s_points >> x & 1) << width | (h_points >> x & 1) << (width + 1)
 
 
-def _read_gamma(gamma: Graph, certificate: GammaCertificate) -> Optional[tuple[BinaryCode, GraphSignature]]:
-    """gamma's code and signature, read off the certificate's polar words with
-    one orbit walk (see the module docstring), or None where a precondition
-    fails.  gamma is the graph certify_gamma returned with certificate."""
+def gamma_code(gamma: Graph, certificate: GammaCertificate) -> Optional[BinaryCode]:
+    """gamma's code, from_vectors(v, W) of the certificate's polar words, once
+    W has dimension n + 1 and the labels span F_2^(n+1) (see the module
+    docstring); None where a precondition fails.  gamma is the graph
+    certify_gamma returned with certificate."""
     form, words = certificate.form, certificate.words
-    width, singular = form.n + 1, form.zero_mask
-    if not words or not certificate.reflections:
+    width = form.n + 1
+    if not words:
         return None
     if gamma.labels is not form.labels and gamma.labels != form.labels:
         return None
     code = from_vectors(gamma.v, words)
     if code.dim != width or not _full_rank(_light_first(form.off, width), width):
         return None
-    if not certificate.covers(singular):
+    return code
+
+
+def _class_words(certificate: GammaCertificate) -> tuple[tuple[int, int], tuple[int, int]]:
+    """word(a) for one point a of each point class, the least singular point
+    and vertex 0, each with the size of its class."""
+    form, words = certificate.form, certificate.words
+    singular = form.zero_mask
+    return (
+        (_word(words, (singular & -singular).bit_length() - 1), singular.bit_count()),
+        (_word(words, form.labels[0]), len(form.labels)),
+    )
+
+
+def _read_gamma(gamma: Graph, certificate: GammaCertificate) -> Optional[tuple[BinaryCode, GraphSignature]]:
+    """gamma's code and signature, read off the certificate's polar words with
+    one orbit walk (see the module docstring), or None where a precondition
+    fails.  gamma is the graph certify_gamma returned with certificate."""
+    code = gamma_code(gamma, certificate)
+    if code is None or not certificate.reflections or not certificate.covers(certificate.form.zero_mask):
         return None
-    on, off = _word(words, (singular & -singular).bit_length() - 1), _word(words, form.labels[0])
-    if on.bit_count() == off.bit_count():
+    (word, size), (heavy, _) = sorted(_class_words(certificate), key=lambda c: c[0].bit_count())
+    if word.bit_count() == heavy.bit_count():
         return None
-    word, size = (on, singular.bit_count()) if on.bit_count() < off.bit_count() else (off, gamma.v)
     return code, GraphSignature(code.dim, word.bit_count(), ((_profile(gamma, word), size),))
+
+
+def _switched_code(
+    graph: Graph, gamma: Graph, sw: Switch, code: Optional[BinaryCode]
+) -> Optional[BinaryCode]:
+    """The code of sw's graph, from_vectors(v, C + (v_S, v_H)) for gamma's code
+    C, once the switch identity holds and the lifts reach rank n + 3 (see the
+    module docstring); None where a precondition fails or C is None."""
+    if code is None:
+        return None
+    s, h, width = sw.s, sw.certificate.half_class, code.dim + 2
+    if not is_switch_of(graph, gamma, s, h) or not _full_rank(_lifts(sw.config.form, s, h), width):
+        return None
+    switched = from_vectors(graph.v, code.basis + (s, h))
+    return switched if switched.dim == width else None
 
 
 def _read_switch(
     graph: Graph, gamma: Graph, sw: Switch, base: Optional[tuple[BinaryCode, GraphSignature]]
 ) -> Optional[tuple[BinaryCode, list[int]]]:
-    """The code of sw's graph as C + <v_S, v_H>, and its minimum words from a
-    walk of its cosets (see the module docstring), or None where a
+    """The code of sw's graph as _switched_code reads it, and its minimum words
+    from a walk of its cosets (see the module docstring), or None where a
     precondition fails.  base is _read_gamma's code C and signature, if any."""
-    if base is None:
+    switched = None if base is None else _switched_code(graph, gamma, sw, base[0])
+    if switched is None:
         return None
-    (code, sig), s, h = base, sw.s, sw.certificate.half_class
-    width = code.dim + 2
-    if not is_switch_of(graph, gamma, s, h) or not _full_rank(_lifts(sw.config.form, s, h), width):
-        return None
-    switched = from_vectors(graph.v, code.basis + (s, h))
-    if switched.dim != width:
-        return None
-    words = augmented_min_words(code, sig.min_weight, s, h)
+    words = augmented_min_words(base[0], base[1].min_weight, sw.s, sw.certificate.half_class)
     return None if words is None else (switched, words)
+
+
+def switched_weights(
+    graph: Graph, gamma: Graph, sw: Switch, certificate: GammaCertificate
+) -> Optional[tuple[BinaryCode, dict[int, int]]]:
+    """The code of sw's graph as _switched_code reads it, and its weight
+    enumerator from one walk of gamma's code (codes.augmented_weight_distribution),
+    or None where a precondition fails.  graph is sw.graph, and gamma and
+    certificate are certify_gamma's."""
+    code = gamma_code(gamma, certificate)
+    switched = _switched_code(graph, gamma, sw, code)
+    if switched is None:
+        return None
+    return switched, augmented_weight_distribution(code, sw.s, sw.certificate.half_class)
 
 
 def build_family(n: int, kind: str) -> Family:
@@ -390,15 +441,17 @@ def build_family(n: int, kind: str) -> Family:
     base = _read_gamma(gamma, certificate)
     if base is None:
         code = code_from_graph(gamma)
-        base_sig = signature(gamma, code, min_weight_codewords(code))
+        base_sig, weights = signature(gamma, code, min_weight_codewords(code)), None
     else:
         code, base_sig = base
+        classes = {word.bit_count(): size for word, size in _class_words(certificate)}
+        weights = tuple(sorted({0: 1, **classes}.items()))
     members = [FamilyMember("gamma", 0, "", certificate.params, code, (), base_sig, None)]
     for variant in ("t", "tt"):
         for t in legal_t_range(n, kind, variant):
             sw = build_switch(gamma, make_config(certificate.form, t, variant))
             members.append(_switch_member(f"gamma_{variant}{t}", t, variant, gamma, certificate, sw, base))
-    return Family(tuple(members), gamma, certificate)
+    return Family(tuple(members), gamma, certificate, weights)
 
 
 def _switch_member(

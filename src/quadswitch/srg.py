@@ -363,7 +363,7 @@ def _transitive_reflections(form: QuadraticForm) -> list[int]:
     chosen: list[int] = []
     orbit = 1 << form.labels[0]
     while orbit != form.off:
-        r = next((r for r in lightest_first if form.reflect(orbit, r) != orbit), None)
+        r = next((r for r in lightest_first if form.reflect(orbit, r) & ~orbit), None)
         if r is None:
             break
         chosen.append(r)

@@ -26,7 +26,7 @@ from quadswitch import cli, codes, distinguish, graph6, srg, switching
 from quadswitch.codes import code_from_graph, min_weight_codewords
 from quadswitch.cli import _write_json, main
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, QuadswitchError, canonical_form
-from quadswitch.srg import Graph, build_gamma, expected_params
+from quadswitch.srg import Graph, build_gamma, certified_gamma, certify_gamma, expected_params
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +67,115 @@ def test_switch_code_report_matches_the_minimum_word_walk(capsys, case):
     rep = json.loads(out)["code"]
     words = min_weight_codewords(code_from_graph(switch_case(*case).graph))
     assert (rep["min_weight"], rep["min_word_count"]) == (words[0].bit_count(), len(words))
+
+
+def rows_code_report(graph):
+    """Oracle: the code report of a graph from its rows, every word walked."""
+    code = code_from_graph(graph)
+    dist = codes.weight_distribution(code)
+    least = min(w for w in dist if w)
+    return {
+        "dimension": code.dim,
+        "length": code.length,
+        "min_weight": least,
+        "min_word_count": dist[least],
+        "weight_distribution": [[w, c] for w, c in sorted(dist.items())],
+    }
+
+
+def switched_graph(n, kind, t, variant, choice=0):
+    gamma, certificate = certified_gamma(n, kind)
+    return switching.build_switch(gamma, switching.make_config(certificate.form, t, variant, choice)).graph
+
+
+def without_timings(out):
+    report = json.loads(out)
+    del report["timings"]
+    return report
+
+
+def count_fallbacks(monkeypatch):
+    calls, reference = [], codes.code_from_graph
+    monkeypatch.setattr(codes, "code_from_graph", lambda g: calls.append(g) or reference(g))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n,kind,t,variant,choice",
+    [(9, ELLIPTIC, 1, "tt", 7), (9, HYPERBOLIC, 3, "t", 0), (11, ELLIPTIC, 4, "t", 0), (11, HYPERBOLIC, 1, "tt", 0)],
+)
+def test_switch_code_is_read_off_the_form(capsys, monkeypatch, n, kind, t, variant, choice):
+    # switch --code takes the switched code and its weights from gamma's polar
+    # words and one walk of gamma's code: no rows echelonized, no fallback
+    argv = ["switch", "--n", str(n), "--kind", kind, "--t", str(t), "--variant", variant,
+            "--seed-choice", str(choice), "--verify", "--code"]
+    honest = rows_code_report(switched_graph(n, kind, t, variant, choice))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["code"] == honest
+
+    def refuse(*args):
+        raise AssertionError("the switched code was read off its rows or walked whole")
+
+    for module in (codes, distinguish):
+        monkeypatch.setattr(module, "code_from_graph", refuse)
+    monkeypatch.setattr(codes, "weight_distribution", refuse)
+    code, patched, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert without_timings(patched) == without_timings(out)
+
+
+def test_switch_code_falls_back_on_a_flipped_switched_edge(capsys, monkeypatch):
+    # without --verify nothing else checks the switch: the switch identity
+    # fails, and the code is read off the rows of the graph as it is
+    flip_switched_edge(monkeypatch)
+    graph = switched_graph(7, ELLIPTIC, 1, "t")
+    fallbacks = count_fallbacks(monkeypatch)
+    code, out, _ = run_cli(capsys, "switch", "--n", "7", "--kind", ELLIPTIC, "--t", "1", "--code")
+    assert code == 0 and len(fallbacks) == 1
+    assert json.loads(out)["code"] == rows_code_report(graph)
+
+
+def test_switch_code_falls_back_when_the_lifts_fall_short(capsys, monkeypatch):
+    # lifts without their H coordinate span at most n + 2 dimensions
+    argv = ["switch", "--n", "7", "--kind", HYPERBOLIC, "--t", "2", "--verify", "--code"]
+    code, honest, _ = run_cli(capsys, *argv)
+    lifts, width = distinguish._lifts, 8
+    monkeypatch.setattr(distinguish, "_lifts", lambda *a: (x & ~(2 << width) for x in lifts(*a)))
+    fallbacks = count_fallbacks(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(fallbacks) == 1
+    assert without_timings(out) == without_timings(honest)
+
+
+@pytest.mark.parametrize("argv", [
+    ["switch", "--n", "7", "--kind", HYPERBOLIC, "--t", "1", "--variant", "tt", "--verify", "--code"],
+    ["code", "--n", "7", "--kind", HYPERBOLIC],
+])
+def test_code_reports_fall_back_on_a_form_that_fails_the_polar_check(capsys, monkeypatch, argv):
+    # nonorth(e_2) one point off fails the polar check: the same graph, from
+    # the reference rows, and a certificate without polar words
+    code, honest, _ = run_cli(capsys, *argv)
+    f = canonical_form(7, HYPERBOLIC)
+    nonorth, bad = f.nonorth, f.nonorth(4) ^ 1 << 3
+    f.nonorth = lambda y: bad if y == 4 else nonorth(y)
+    gamma, certificate = certify_gamma(f)
+    assert gamma == certified_gamma(7, HYPERBOLIC)[0] and certificate.words == ()
+    monkeypatch.setattr(cli, "certified_gamma", lambda n, kind: (gamma, certificate))
+    fallbacks = count_fallbacks(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(fallbacks) == 1
+    assert without_timings(out) == without_timings(honest)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_code_command_reads_gamma_code_off_the_polar_words(capsys, monkeypatch, n, kind):
+    # the code is from_vectors of the n + 1 polar words, walked whole: its
+    # weights are checked against the closed form, not read off it
+    honest = rows_code_report(certified_gamma(n, kind)[0])
+    monkeypatch.setattr(codes, "code_from_graph", lambda g: pytest.fail("gamma's rows were echelonized"))
+    code, out, _ = run_cli(capsys, "code", "--n", str(n), "--kind", kind)
+    assert code == 0 and json.loads(out)["code"] == honest
 
 
 def test_switch_impossible_double_exits_1(capsys):
@@ -153,16 +262,35 @@ def test_verify_all_refuses_an_unclassified_n_before_any_check(capsys, n):
 
 def test_verify_all_n9_reads_every_family_code_off_the_form(capsys, monkeypatch):
     # every member's code and minimum words come from the polar words and the
-    # coset walks: no member's rows are echelonized and no code is walked whole
+    # coset walks, and gamma's weights from its point classes: no member's rows
+    # are echelonized and no code is walked whole
     def refuse(*args):
         raise AssertionError("a family member was read off its rows")
 
     for module in (codes, distinguish):
         monkeypatch.setattr(module, "code_from_graph", refuse)
         monkeypatch.setattr(module, "min_weight_codewords", refuse)
+    monkeypatch.setattr(codes, "weight_distribution", refuse)
     code, out, _ = run_cli(capsys, "verify-all", "--n", "9")
     assert code == 0 and all(json.loads(out)["checks"].values())
     assert not hasattr(distinguish, "_orbit_profiles")
+
+
+def test_verify_all_walks_gamma_code_when_its_orbit_misses_a_point(capsys, monkeypatch):
+    # where gamma is read off its rows, its weights come from the walk as before
+    honest = without_timings(run_cli(capsys, "verify-all", "--n", "5")[1])
+    orbit = srg._orbit
+
+    def short(f, mask, reflections):
+        got = orbit(f, mask, reflections)
+        return got & ~(1 << got.bit_length() - 1) if mask & f.zero_mask else got
+
+    monkeypatch.setattr(srg, "_orbit", short)
+    walks, walk = [], codes.weight_distribution
+    monkeypatch.setattr(codes, "weight_distribution", lambda code: walks.append(code) or walk(code))
+    code, out, _ = run_cli(capsys, "verify-all", "--n", "5")
+    assert code == 0 and without_timings(out) == honest
+    assert len(walks) == 2  # gamma's code, once per kind
 
 
 def test_verify_all_holds_one_family_at_a_time(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """Row-space codes: rank, membership, weight data, minimum words."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import characteristic_vector
@@ -10,6 +10,7 @@ from quadswitch.codes import (
     BinaryCode,
     CodeError,
     augmented_min_words,
+    augmented_weight_distribution,
     code_from_graph,
     contains,
     expected_gamma_weight_distribution,
@@ -289,6 +290,34 @@ def test_augmented_min_words_respect_the_enumeration_guard():
     code = BinaryCode(dim + 2, tuple(1 << i for i in reversed(range(dim))))
     with pytest.raises(CodeError, match="enumeration guard"):
         augmented_min_words(code, 1, 1 << dim, 2 << dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    basis=st.lists(st.integers(1, (1 << 12) - 1), max_size=5),
+    s=st.integers(1, (1 << 12) - 1),
+    h=st.integers(1, (1 << 12) - 1),
+)
+def test_augmented_weight_distribution_equals_the_whole_walk(basis, s, h):
+    # one walk of C gives the weights of all four cosets of C + <s, h>
+    h &= ~s
+    code = from_vectors(12, basis)
+    joined = from_vectors(12, code.basis + (s, h))
+    assume(joined.dim == code.dim + 2)  # s and h independent modulo C
+    assert augmented_weight_distribution(code, s, h) == weight_distribution(joined)
+
+
+def test_augmented_weight_distribution_refuses_overlapping_cosets():
+    code = from_vectors(12, [0b111 << 6])
+    with pytest.raises(CodeError, match="disjoint"):
+        augmented_weight_distribution(code, 0b011, 0b110)
+
+
+def test_augmented_weight_distribution_respects_the_enumeration_guard():
+    dim = ENUMERATION_GUARD + 1
+    code = BinaryCode(dim + 2, tuple(1 << i for i in reversed(range(dim))))
+    with pytest.raises(CodeError, match="enumeration guard"):
+        augmented_weight_distribution(code, 1 << dim, 2 << dim)
 
 
 def test_echelonize_round_trip_with_from_vectors():

@@ -16,6 +16,7 @@ from quadswitch.codes import (
     code_from_graph,
     expected_gamma_weight_distribution,
     min_weight_codewords,
+    weight_distribution,
 )
 from quadswitch.distinguish import (
     Family,
@@ -30,6 +31,7 @@ from quadswitch.distinguish import (
     build_family,
     classify_family,
     signature,
+    switched_weights,
 )
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, canonical_form
 from quadswitch.srg import Graph, build_gamma, certified_gamma, certify_gamma, verify_srg
@@ -182,6 +184,12 @@ def reference_member(graph):
     return code, words, signature(graph, code, words)
 
 
+def reference_weights(graph):
+    """Oracle: a graph's code and weight distribution from its rows."""
+    code = code_from_graph(graph)
+    return code, weight_distribution(code)
+
+
 def count_walks(monkeypatch):
     """Record the number of words each coset or code walk yields."""
     walks, walk = [], codes.iter_codewords
@@ -209,7 +217,7 @@ def read_switch_case(n, kind, t, variant, choice):
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_switched_codes_read_off_the_form_equal_the_reference(monkeypatch, n, kind):
     walks = count_walks(monkeypatch)
-    certified_gamma(n, kind)
+    gamma, certificate = certified_gamma(n, kind)
     for variant in ("t", "tt"):
         for t in legal_t_range(n, kind, variant):
             for choice in (0, 7, 21):
@@ -227,15 +235,31 @@ def test_switched_codes_read_off_the_form_equal_the_reference(monkeypatch, n, ki
                 # where C's least weight 16 is not more than 2|v_S| = 16
                 cosets = 3 if (n, kind, variant) == (5, ELLIPTIC, "tt") else 2
                 assert walked == [1 << (n + 1)] * cosets, case
+                # switch --code's weight enumerator: one walk of C, no coset
+                walks.clear()
+                read = switched_weights(graph, gamma, sw, certificate)
+                assert walks == [1 << (n + 1)], case
+                assert read == reference_weights(graph), case
 
 
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_switched_codes_read_off_the_form_at_n11(kind):
+    gamma, certificate = certified_gamma(11, kind)
     for variant in ("t", "tt"):
         for t in legal_t_range(11, kind, variant):
             sw, graph, (code, words) = read_switch_case(11, kind, t, variant, 0)
             assert (code, tuple(words)) == reference_member(graph)[:2], (t, variant)
             assert words == [sw.s], (t, variant)
+            assert switched_weights(graph, gamma, sw, certificate) == reference_weights(graph), (t, variant)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_gamma_weights_are_read_off_the_point_classes(n, kind):
+    # the two point classes give the whole weight distribution of gamma's code
+    family = build_family(n, kind)
+    assert dict(family.weights) == weight_distribution(code_from_graph(family.gamma))
+    assert dict(family.weights) == expected_gamma_weight_distribution(n, kind)
 
 
 def test_augmented_walk_declines_at_the_base_codes_weight():
@@ -277,7 +301,7 @@ def test_family_falls_back_when_the_orbit_misses_a_singular_point(monkeypatch, n
     monkeypatch.setattr(srg, "_orbit", short)
     assert not certificate.covers(singular)
     assert _read_gamma(gamma, certificate) is None
-    assert_falls_back(monkeypatch, n, kind, honest)
+    assert assert_falls_back(monkeypatch, n, kind, honest).weights is None
 
 
 def test_family_falls_back_on_a_form_that_fails_the_polar_check(monkeypatch):

@@ -838,6 +838,26 @@ def test_certificate_refuses_a_reflection_that_is_no_permutation(monkeypatch):
     assert_verify_srg_decides(monkeypatch, f, good)
 
 
+def test_the_greedy_choice_ends_on_reflections_that_drop_points(monkeypatch):
+    # nonorth(1) with point 6 toggled: the reflection in the vertex 1 is no
+    # permutation, so it changes the orbit of vertex 0 without enlarging it.
+    # A reflection is chosen only when it adds a point to the orbit, so the
+    # choice ends, the certificate fails step 1, and verify_srg decides.
+    f = canonical_form(7, ELLIPTIC)  # a form of its own, whose nonorth is edited
+    nonorth, reflect, calls = f.nonorth, f.reflect, []
+    monkeypatch.setattr(f, "nonorth", lambda y: nonorth(y) ^ 1 << 6 if y == 1 else nonorth(y))
+
+    def capped(mask, r):
+        calls.append(r)
+        assert len(calls) <= 10_000, "the choice of reflections does not end"
+        return reflect(mask, r)
+
+    monkeypatch.setattr(f, "reflect", capped)
+    g, certificate = certify_gamma(f)
+    assert certificate.reflections == () and certificate.words == ()
+    assert certificate.params == verify_srg(g) == expected_params(7, ELLIPTIC)
+
+
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_certificate_refuses_a_transitive_map_that_is_not_linear(monkeypatch, kind):
     # a "reflection" that moves each vertex to the next label is a bit
