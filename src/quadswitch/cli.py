@@ -72,14 +72,8 @@ class _Runner:
         return sorted(name for name, ok in self.checks.items() if not ok)
 
 
-def _code_report(graph, code=None, dist=None) -> dict:
-    """graph's code and weight enumerator: code and dist where they were read
-    off the form, and otherwise the code of graph's rows and a walk of every
-    word of that code."""
-    if code is None:
-        code = codes.code_from_graph(graph)
-    if dist is None:
-        dist = codes.weight_distribution(code)
+def _code_report(code: codes.BinaryCode, dist: dict[int, int]) -> dict:
+    """A code and its weight enumerator dist, as the report shows them."""
     min_weight = min(w for w in dist if w)
     return {
         "dimension": code.dim,
@@ -143,25 +137,33 @@ def cmd_switch(args, runner: _Runner) -> dict:
         "find_flag", lambda: switching.make_config(form, args.t, args.variant, args.seed_choice)
     )
     sw = switching.build_switch(gamma, cfg)
-    graph = sw.graph
+    graph = sw.graph if args.verify or args.export_graph else None  # the code reads no graph
     report = {"switching": _switch_report(sw)}
     runner.check("t_formula_equals_half_class", report["switching"]["t_formula_equals_half_class"])
     if args.verify:
         swp = runner.time("verify_srg", lambda: switching.verify_switch(sw, certificate, graph))
         report["srg"] = _params_dict(swp)
         runner.check("switched_srg_parameters_unchanged", swp == base)
-    if args.code:  # read off the form, or off the rows where a precondition fails
-        read = functools.partial(distinguish.switched_weights, graph, gamma, sw, certificate)
-        report["code"] = runner.time("code", lambda: _code_report(graph, *(read() or ())))
+    if args.code:
+
+        def read() -> dict:
+            c = distinguish.gamma_code(gamma, certificate)
+            switched = distinguish.switched_code(sw, gamma, c)
+            return _code_report(switched, codes.augmented_weight_distribution(c, sw.s, sw.certificate.half_class))
+
+        report["code"] = runner.time("code", read)
     _export(args, graph, report)
     return report
 
 
 def cmd_code(args, runner: _Runner) -> dict:
     graph, certificate = _gamma(args, runner)
-    report = {
-        "code": runner.time("code", lambda: _code_report(graph, distinguish.gamma_code(graph, certificate)))
-    }
+
+    def read() -> dict:
+        code, _, dist = distinguish.read_gamma(graph, certificate)
+        return _code_report(code, dist)
+
+    report = {"code": runner.time("code", read)}
     expected = codes.expected_gamma_weight_distribution(args.n, args.kind)
     got = dict((w, c) for w, c in report["code"]["weight_distribution"])
     runner.check("weight_distribution_matches_table", got == expected)
@@ -264,8 +266,7 @@ def _verify_family(n: int, kind: str, runner: _Runner, report: dict) -> None:
         runner.check(f"switched_code_is_augmented_base_{tag}", joined.basis == code.basis)
         report["switches"][tag] = entry
 
-    # gamma's weights read off its point classes, or a walk of its code
-    dist = dict(family.weights) if family.weights else codes.weight_distribution(gamma.code)
+    dist = dict(family.weights)
     report["codes"][kind] = {
         "dimension": gamma.code.dim,
         "weight_distribution": [[w, c] for w, c in sorted(dist.items())],

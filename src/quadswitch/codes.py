@@ -5,6 +5,11 @@ order; a graph and its switch share that order, so their codes are directly
 comparable.  Weight enumeration walks the 2^dim message space along a Gray
 code, one basis-row XOR per codeword, and is exact by construction.
 
+The pipeline reads every code off the quadratic form (see distinguish).
+code_from_graph, weight_distribution and min_weight_codewords read a
+graph's rows and walk a whole code; they are the reference the form's reads
+are tested against, and no pipeline code calls them.
+
 A code C' = C + <s, h>, with s and h independent modulo C, is the union of
 the four cosets C, C + h, C + s and C + s + h, and augmented_min_words finds
 its minimum words from C's least nonzero weight m and a walk of only the
@@ -14,7 +19,7 @@ from its offset.  C + s needs no walk when m > 2|s|: for c in C,
 that coset of weight |s| or less, and the least weight of C' is at most |s|.
 So two cosets of 2^dim(C) words are walked, or three when the bound fails.
 When the least weight found reaches m, C's own nonzero words would count
-too, and the walk gives no answer.
+too, and the walk refuses with CodeError.
 
 The whole weight enumerator of C' needs no coset walked when s and h are
 also disjoint: for c in C, |c + s| = |c| + |s| - 2|c & s|, and as
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .gf2geom import QuadswitchError, echelonize
 from .srg import Graph, expected_params
@@ -120,9 +125,9 @@ def min_weight_codewords(code: BinaryCode) -> list[int]:
     return sorted(words)
 
 
-def augmented_min_words(code: BinaryCode, min_weight: int, s: int, h: int) -> Optional[list[int]]:
+def augmented_min_words(code: BinaryCode, min_weight: int, s: int, h: int) -> list[int]:
     """The minimum-weight words of code + <s, h>, sorted, by the coset walk of
-    the module docstring; None when their weight reaches min_weight.
+    the module docstring; CodeError when their weight reaches min_weight.
 
     Preconditions: min_weight is the least weight of a nonzero word of code,
     and s and h are independent modulo code, so the four cosets are distinct
@@ -139,7 +144,9 @@ def augmented_min_words(code: BinaryCode, min_weight: int, s: int, h: int) -> Op
                 best, words = wt, [w]
             elif wt == best:
                 words.append(w)
-    return sorted(words) if best < min_weight else None
+    if best >= min_weight:
+        raise CodeError(f"the cosets' least weight {best} reaches the base code's {min_weight}")
+    return sorted(words)
 
 
 def augmented_weight_distribution(code: BinaryCode, s: int, h: int) -> dict[int, int]:

@@ -5,41 +5,39 @@ and the multiset of (weight, induced degree sequence on the support) over
 the minimum-weight codewords.  All three survive vertex relabelling, so
 differing signatures certify non-isomorphism.
 
-The quadric graph's code and signature are read off its form.  Its
-certificate holds the polar words W_i, and the row of each vertex x is
-word(x), the XOR of the W_i over the bits i of x; a -> word(a) is linear,
-and word(a) = vertices(N & {p : B(p, a) = 1}) (see srg.GammaCertificate).
-So the rows span the image of a -> word(a) once the labels span
-F_2^(n+1), which an (n+1)-bit echelon of the labels, lightest first, shows
-as soon as it reaches full rank.  The code is then from_vectors(v, W), and
+Every code is read off the form, and a failed precondition raises CodeError
+naming it; no code is read off a graph's rows.  gamma's certificate holds
+the polar words W_i, and the row of each vertex x is word(x), the XOR of
+the W_i over the bits i of x; a -> word(a) is linear, and word(a) =
+vertices(N & {p : B(p, a) = 1}) (see srg.GammaCertificate).  So the rows
+span the image of a -> word(a) once the labels span F_2^(n+1), which an
+(n+1)-bit echelon of the labels, lightest first, shows as soon as it
+reaches full rank.  The code is then from_vectors(v, W) (gamma_code), and
 its dimension n + 1 makes a -> word(a) one-to-one: the nonzero words are
 the word(a) for the points a, each once.  A certified reflection s maps
 word(a) onto word(s(a)) as a graph automorphism, so weight and profile are
 constant on the orbits of the points.  The vertices are one orbit (the
 certificate's step 2), and one walk from the least singular point must
 cover the singular points; then the two point classes give the weight
-distribution (Family.weights), the minimum words are word(P) for the
-lighter class P, and the signature is one profile with multiplicity |P|.
-No word is listed.
+distribution, the minimum words are word(P) for the lighter class P, and
+the signature is one profile with multiplicity |P| (read_gamma).  No word
+is listed.
 
 A switched graph's code is gamma's code C plus v_S and v_H, H the
-half-class.  The switched row of x is word(x) + [x in S] v_H + [x in H] v_S,
-which srg.is_switch_of checks row by row, so the rows are the images of the
-lifts (x, [x in S], [x in H]) under the linear map (a, b, c) -> word(a) +
-b v_H + c v_S.  When the lifts reach rank n + 3 (S's vertices first, so the
+half-class.  A Switch makes its graph from gamma's rows by XOR of v_H on S
+and v_S on H (switching._complement_edges), so the switched row of x is
+word(x) + [x in S] v_H + [x in H] v_S by construction, and
+switched_code reads no graph.  The rows are the images of the lifts
+(x, [x in S], [x in H]) under the linear map (a, b, c) -> word(a) + b v_H
++ c v_S.  When the lifts reach rank n + 3 (S's vertices first, so the
 echelon stops early), the rows span the image of that map, which is
-from_vectors(v, C + (v_S, v_H)), of dimension n + 3.  One reader,
-_switched_code, checks these preconditions for both of its users.  For
-build_family the minimum words come from codes.augmented_min_words, a walk
-of the cosets C + v_H and C + v_S + v_H only, and of C + v_S when
-min|C - 0| <= 2|v_S|.  For switch --code, switched_weights takes the whole
-weight enumerator from codes.augmented_weight_distribution, one walk of
-C's 2^(n+1) words, as S and H are disjoint; it needs only C, from
-gamma_code, and not gamma's signature.  Where a precondition fails, or the
-walk's minimum reaches min|C - 0|, the code and words are read off the rows
-by code_from_graph and min_weight_codewords, as are gamma's, whose
-signature then profiles every word.  A switched member's signature
-profiles each of its words.
+from_vectors(v, C + (v_S, v_H)), of dimension n + 3.  For build_family the
+minimum words come from codes.augmented_min_words, a walk of the cosets
+C + v_H and C + v_S + v_H only, and of C + v_S when min|C - 0| <= 2|v_S|;
+for switch --code the whole weight enumerator comes from
+codes.augmented_weight_distribution, one walk of C's 2^(n+1) words, as S
+and H are disjoint.  A switched member's signature profiles each of its
+words.
 
 The exact tester `are_isomorphic` is an independent cross-check.  It first
 compares the pair profiles of the two graphs: for every vertex pair x, y,
@@ -71,10 +69,9 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator, Optional
 
-from .codes import (BinaryCode, CodeError, augmented_min_words, augmented_weight_distribution,
-                    code_from_graph, from_vectors, min_weight_codewords)
+from .codes import BinaryCode, CodeError, augmented_min_words, from_vectors
 from .gf2geom import GeometryError, QuadraticForm, QuadswitchError, set_bits
-from .srg import GammaCertificate, Graph, SrgParams, certified_gamma, is_switch_of
+from .srg import GammaCertificate, Graph, SrgParams, certified_gamma
 from .switching import Switch, build_switch, legal_t_range, make_config, verify_switch
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -266,8 +263,8 @@ class Family:
     gamma: Graph  # the unswitched graph, the only one whose rows are held
     certificate: GammaCertificate  # of gamma, from certify_gamma
     # gamma's weight distribution as sorted (weight, count) pairs, read off its
-    # two point classes; None where gamma's code was read off its rows
-    weights: Optional[tuple[tuple[int, int], ...]] = None
+    # two point classes
+    weights: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -344,20 +341,21 @@ def _lifts(form: QuadraticForm, s: int, h: int) -> Iterator[int]:
         yield x | (s_points >> x & 1) << width | (h_points >> x & 1) << (width + 1)
 
 
-def gamma_code(gamma: Graph, certificate: GammaCertificate) -> Optional[BinaryCode]:
-    """gamma's code, from_vectors(v, W) of the certificate's polar words, once
-    W has dimension n + 1 and the labels span F_2^(n+1) (see the module
-    docstring); None where a precondition fails.  gamma is the graph
-    certify_gamma returned with certificate."""
+def gamma_code(gamma: Graph, certificate: GammaCertificate) -> BinaryCode:
+    """gamma's code, from_vectors(v, W) of the certificate's polar words (see
+    the module docstring).  gamma is the graph certify_gamma returned with
+    certificate; raises CodeError naming the precondition that fails."""
     form, words = certificate.form, certificate.words
     width = form.n + 1
     if not words:
-        return None
+        raise CodeError("gamma's certificate holds no polar words")
     if gamma.labels is not form.labels and gamma.labels != form.labels:
-        return None
+        raise CodeError("gamma's vertices are not the points of its certificate's form")
     code = from_vectors(gamma.v, words)
-    if code.dim != width or not _full_rank(_light_first(form.off, width), width):
-        return None
+    if code.dim != width:
+        raise CodeError(f"the polar words span dimension {code.dim}, not n + 1 = {width}")
+    if not _full_rank(_light_first(form.off, width), width):
+        raise CodeError(f"gamma's vertex points do not span F_2^{width}")
     return code
 
 
@@ -372,86 +370,58 @@ def _class_words(certificate: GammaCertificate) -> tuple[tuple[int, int], tuple[
     )
 
 
-def _read_gamma(gamma: Graph, certificate: GammaCertificate) -> Optional[tuple[BinaryCode, GraphSignature]]:
-    """gamma's code and signature, read off the certificate's polar words with
-    one orbit walk (see the module docstring), or None where a precondition
-    fails.  gamma is the graph certify_gamma returned with certificate."""
+def read_gamma(
+    gamma: Graph, certificate: GammaCertificate
+) -> tuple[BinaryCode, GraphSignature, dict[int, int]]:
+    """gamma's code, signature and weight distribution, read off the
+    certificate's polar words with one orbit walk (see the module docstring).
+    gamma is the graph certify_gamma returned with certificate; raises
+    CodeError naming the precondition that fails."""
     code = gamma_code(gamma, certificate)
-    if code is None or not certificate.reflections or not certificate.covers(certificate.form.zero_mask):
-        return None
-    (word, size), (heavy, _) = sorted(_class_words(certificate), key=lambda c: c[0].bit_count())
-    if word.bit_count() == heavy.bit_count():
-        return None
-    return code, GraphSignature(code.dim, word.bit_count(), ((_profile(gamma, word), size),))
+    if not certificate.covers(certificate.form.zero_mask):  # never, with no reflections
+        raise CodeError("the orbit of the least singular point misses a singular point")
+    (word, size), (heavy, heavy_size) = sorted(_class_words(certificate), key=lambda c: c[0].bit_count())
+    weight = word.bit_count()
+    if weight == heavy.bit_count():
+        raise CodeError("the two point classes have one weight")
+    sig = GraphSignature(code.dim, weight, ((_profile(gamma, word), size),))
+    return code, sig, {0: 1, weight: size, heavy.bit_count(): heavy_size}
 
 
-def _switched_code(
-    graph: Graph, gamma: Graph, sw: Switch, code: Optional[BinaryCode]
-) -> Optional[BinaryCode]:
+def switched_code(sw: Switch, gamma: Graph, code: BinaryCode) -> BinaryCode:
     """The code of sw's graph, from_vectors(v, C + (v_S, v_H)) for gamma's code
-    C, once the switch identity holds and the lifts reach rank n + 3 (see the
-    module docstring); None where a precondition fails or C is None."""
-    if code is None:
-        return None
+    C, once the lifts reach rank n + 3 (see the module docstring); no graph is
+    made.  sw is a switch of gamma; raises CodeError naming the precondition
+    that fails."""
+    if sw.base is not gamma:
+        raise CodeError("the switch is not a switch of this gamma")
     s, h, width = sw.s, sw.certificate.half_class, code.dim + 2
-    if not is_switch_of(graph, gamma, s, h) or not _full_rank(_lifts(sw.config.form, s, h), width):
-        return None
-    switched = from_vectors(graph.v, code.basis + (s, h))
-    return switched if switched.dim == width else None
-
-
-def _read_switch(
-    graph: Graph, gamma: Graph, sw: Switch, base: Optional[tuple[BinaryCode, GraphSignature]]
-) -> Optional[tuple[BinaryCode, list[int]]]:
-    """The code of sw's graph as _switched_code reads it, and its minimum words
-    from a walk of its cosets (see the module docstring), or None where a
-    precondition fails.  base is _read_gamma's code C and signature, if any."""
-    switched = None if base is None else _switched_code(graph, gamma, sw, base[0])
-    if switched is None:
-        return None
-    words = augmented_min_words(base[0], base[1].min_weight, sw.s, sw.certificate.half_class)
-    return None if words is None else (switched, words)
-
-
-def switched_weights(
-    graph: Graph, gamma: Graph, sw: Switch, certificate: GammaCertificate
-) -> Optional[tuple[BinaryCode, dict[int, int]]]:
-    """The code of sw's graph as _switched_code reads it, and its weight
-    enumerator from one walk of gamma's code (codes.augmented_weight_distribution),
-    or None where a precondition fails.  graph is sw.graph, and gamma and
-    certificate are certify_gamma's."""
-    code = gamma_code(gamma, certificate)
-    switched = _switched_code(graph, gamma, sw, code)
-    if switched is None:
-        return None
-    return switched, augmented_weight_distribution(code, sw.s, sw.certificate.half_class)
+    if not _full_rank(_lifts(sw.config.form, s, h), width):
+        raise CodeError(f"the lifts of the vertices do not reach rank {width}")
+    switched = from_vectors(gamma.v, code.basis + (s, h))
+    if switched.dim != width:
+        raise CodeError(f"v_S and v_H add {switched.dim - code.dim} dimensions to gamma's code, not 2")
+    return switched
 
 
 def build_family(n: int, kind: str) -> Family:
     """The unswitched graph, certified strongly regular, plus every legal
     switch of both shapes, first flag each.  Each switched graph is made
-    once, checked strongly regular, read for its code, minimum words and
-    signature, and dropped; raises NotStronglyRegular (with a witness) for a
-    switch that fails the check.  The codes and minimum words are read off
-    the form where the module docstring's preconditions hold, and otherwise
-    by code_from_graph and min_weight_codewords."""
+    once, checked strongly regular, profiled for its signature, and dropped;
+    raises NotStronglyRegular (with a witness) for a switch that fails the
+    check.  Every code and its minimum words are read off the form (see the
+    module docstring), and CodeError names a precondition that fails."""
     if n % 2 == 0 or not 5 <= n <= 9:
         raise GeometryError(f"families are classified for odd n in [5, 9], got {n}")
     gamma, certificate = certified_gamma(n, kind)
-    base = _read_gamma(gamma, certificate)
-    if base is None:
-        code = code_from_graph(gamma)
-        base_sig, weights = signature(gamma, code, min_weight_codewords(code)), None
-    else:
-        code, base_sig = base
-        classes = {word.bit_count(): size for word, size in _class_words(certificate)}
-        weights = tuple(sorted({0: 1, **classes}.items()))
+    code, base_sig, weights = read_gamma(gamma, certificate)
     members = [FamilyMember("gamma", 0, "", certificate.params, code, (), base_sig, None)]
     for variant in ("t", "tt"):
         for t in legal_t_range(n, kind, variant):
             sw = build_switch(gamma, make_config(certificate.form, t, variant))
-            members.append(_switch_member(f"gamma_{variant}{t}", t, variant, gamma, certificate, sw, base))
-    return Family(tuple(members), gamma, certificate, weights)
+            name = f"gamma_{variant}{t}"
+            members.append(_switch_member(name, t, variant, gamma, certificate, sw, code, base_sig.min_weight))
+    return Family(tuple(members), gamma, certificate, tuple(sorted(weights.items())))
 
 
 def _switch_member(
@@ -461,19 +431,17 @@ def _switch_member(
     gamma: Graph,
     certificate: GammaCertificate,
     sw: Switch,
-    base: Optional[tuple[BinaryCode, GraphSignature]],
+    base: BinaryCode,
+    min_weight: int,
 ) -> FamilyMember:
     """The switch's member: its graph made here, checked strongly regular by
-    verify_switch, read, and dropped on return."""
+    verify_switch, profiled, and dropped on return.  base is gamma's code and
+    min_weight its least nonzero weight."""
     graph = sw.graph
     params = verify_switch(sw, certificate, graph)
-    read = _read_switch(graph, gamma, sw, base)
-    if read is None:
-        code = code_from_graph(graph)
-        words = tuple(min_weight_codewords(code))
-    else:
-        code, words = read[0], tuple(read[1])
-    return FamilyMember(name, t, variant, params, code, words, signature(graph, code, words), sw)
+    code = switched_code(sw, gamma, base)
+    words = augmented_min_words(base, min_weight, sw.s, sw.certificate.half_class)
+    return FamilyMember(name, t, variant, params, code, tuple(words), signature(graph, code, words), sw)
 
 
 def classify_family(family: Family, cross_check: Optional[bool] = None) -> FamilyReport:

@@ -20,7 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import flip_switched_edge, from_nx, random_graph, read_export, read_labels, relabel, switch_case, to_nx
+from conftest import (
+    flip_switched_edge, from_nx, legal_cases, random_graph, read_export, read_labels, relabel, switch_case, to_nx,
+)
 import quadswitch
 from quadswitch import cli, codes, distinguish, graph6, srg, switching
 from quadswitch.codes import code_from_graph, min_weight_codewords
@@ -94,10 +96,24 @@ def without_timings(out):
     return report
 
 
-def count_fallbacks(monkeypatch):
-    calls, reference = [], codes.code_from_graph
-    monkeypatch.setattr(codes, "code_from_graph", lambda g: calls.append(g) or reference(g))
-    return calls
+def assert_refused(capsys, argv, reason):
+    """The request exits 1 with a JSON error naming reason, and no traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and reason in json.loads(out)["error"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("choice", [0, 7])
+@pytest.mark.parametrize("case", list(legal_cases((5, 7, 9))))
+def test_switch_code_equals_the_rows_code(capsys, case, choice):
+    # without --verify nothing else checks the switch: the code read off the
+    # form is the code of the switched graph's rows, walked whole
+    n, kind, t, variant = case
+    argv = ["switch", "--n", str(n), "--kind", kind, "--t", str(t), "--variant", variant,
+            "--seed-choice", str(choice), "--code"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["code"] == rows_code_report(switched_graph(n, kind, t, variant, choice))
 
 
 @pytest.mark.parametrize(
@@ -116,35 +132,41 @@ def test_switch_code_is_read_off_the_form(capsys, monkeypatch, n, kind, t, varia
     def refuse(*args):
         raise AssertionError("the switched code was read off its rows or walked whole")
 
-    for module in (codes, distinguish):
-        monkeypatch.setattr(module, "code_from_graph", refuse)
+    monkeypatch.setattr(codes, "code_from_graph", refuse)
     monkeypatch.setattr(codes, "weight_distribution", refuse)
     code, patched, _ = run_cli(capsys, *argv)
     assert code == 0
     assert without_timings(patched) == without_timings(out)
 
 
-def test_switch_code_falls_back_on_a_flipped_switched_edge(capsys, monkeypatch):
-    # without --verify nothing else checks the switch: the switch identity
-    # fails, and the code is read off the rows of the graph as it is
+def test_switch_code_makes_no_switched_graph(capsys, monkeypatch):
+    # switch --code reads the code off gamma's form and the switch's S and H
+    argv = ["switch", "--n", "7", "--kind", ELLIPTIC, "--t", "1", "--variant", "tt", "--code"]
+    code, honest, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("a switched graph was made")
+
+    monkeypatch.setattr(switching, "_complement_edges", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and without_timings(out) == without_timings(honest)
+
+
+def test_switch_verify_rejects_a_flipped_switched_edge(capsys, monkeypatch):
+    # the code is read off the switch, not its graph: --verify is what checks the graph
     flip_switched_edge(monkeypatch)
-    graph = switched_graph(7, ELLIPTIC, 1, "t")
-    fallbacks = count_fallbacks(monkeypatch)
-    code, out, _ = run_cli(capsys, "switch", "--n", "7", "--kind", ELLIPTIC, "--t", "1", "--code")
-    assert code == 0 and len(fallbacks) == 1
-    assert json.loads(out)["code"] == rows_code_report(graph)
+    argv = ["switch", "--n", "7", "--kind", ELLIPTIC, "--t", "1", "--verify", "--code"]
+    assert_refused(capsys, argv, "deg(0) = 71, expected 72")  # the flipped edge's witness
+    assert "code" not in json.loads(run_cli(capsys, *argv)[1])
 
 
 def test_switch_code_falls_back_when_the_lifts_fall_short(capsys, monkeypatch):
-    # lifts without their H coordinate span at most n + 2 dimensions
-    argv = ["switch", "--n", "7", "--kind", HYPERBOLIC, "--t", "2", "--verify", "--code"]
-    code, honest, _ = run_cli(capsys, *argv)
+    # lifts without their H coordinate span at most n + 2 dimensions: refused
     lifts, width = distinguish._lifts, 8
     monkeypatch.setattr(distinguish, "_lifts", lambda *a: (x & ~(2 << width) for x in lifts(*a)))
-    fallbacks = count_fallbacks(monkeypatch)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and len(fallbacks) == 1
-    assert without_timings(out) == without_timings(honest)
+    argv = ["switch", "--n", "7", "--kind", HYPERBOLIC, "--t", "2", "--verify", "--code"]
+    assert_refused(capsys, argv, "lifts of the vertices do not reach rank 10")
 
 
 @pytest.mark.parametrize("argv", [
@@ -153,27 +175,30 @@ def test_switch_code_falls_back_when_the_lifts_fall_short(capsys, monkeypatch):
 ])
 def test_code_reports_fall_back_on_a_form_that_fails_the_polar_check(capsys, monkeypatch, argv):
     # nonorth(e_2) one point off fails the polar check: the same graph, from
-    # the reference rows, and a certificate without polar words
-    code, honest, _ = run_cli(capsys, *argv)
+    # the reference rows, and a certificate without polar words, so no code
+    # can be read off the form and the request is refused
     f = canonical_form(7, HYPERBOLIC)
     nonorth, bad = f.nonorth, f.nonorth(4) ^ 1 << 3
     f.nonorth = lambda y: bad if y == 4 else nonorth(y)
     gamma, certificate = certify_gamma(f)
     assert gamma == certified_gamma(7, HYPERBOLIC)[0] and certificate.words == ()
     monkeypatch.setattr(cli, "certified_gamma", lambda n, kind: (gamma, certificate))
-    fallbacks = count_fallbacks(monkeypatch)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and len(fallbacks) == 1
-    assert without_timings(out) == without_timings(honest)
+    assert_refused(capsys, argv, "no polar words")
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
 def test_code_command_reads_gamma_code_off_the_polar_words(capsys, monkeypatch, n, kind):
-    # the code is from_vectors of the n + 1 polar words, walked whole: its
-    # weights are checked against the closed form, not read off it
+    # the code is from_vectors of the n + 1 polar words and its weights are
+    # read off the two point classes: no row echelonized, no word walked
     honest = rows_code_report(certified_gamma(n, kind)[0])
-    monkeypatch.setattr(codes, "code_from_graph", lambda g: pytest.fail("gamma's rows were echelonized"))
+
+    def refuse(*args):
+        raise AssertionError("gamma's code was read off its rows or walked whole")
+
+    monkeypatch.setattr(codes, "code_from_graph", refuse)
+    monkeypatch.setattr(codes, "weight_distribution", refuse)
+    monkeypatch.setattr(codes, "iter_codewords", refuse)
     code, out, _ = run_cli(capsys, "code", "--n", str(n), "--kind", kind)
     assert code == 0 and json.loads(out)["code"] == honest
 
@@ -267,18 +292,16 @@ def test_verify_all_n9_reads_every_family_code_off_the_form(capsys, monkeypatch)
     def refuse(*args):
         raise AssertionError("a family member was read off its rows")
 
-    for module in (codes, distinguish):
-        monkeypatch.setattr(module, "code_from_graph", refuse)
-        monkeypatch.setattr(module, "min_weight_codewords", refuse)
-    monkeypatch.setattr(codes, "weight_distribution", refuse)
+    for name in ("code_from_graph", "min_weight_codewords", "weight_distribution"):
+        monkeypatch.setattr(codes, name, refuse)
     code, out, _ = run_cli(capsys, "verify-all", "--n", "9")
     assert code == 0 and all(json.loads(out)["checks"].values())
     assert not hasattr(distinguish, "_orbit_profiles")
 
 
 def test_verify_all_walks_gamma_code_when_its_orbit_misses_a_point(capsys, monkeypatch):
-    # where gamma is read off its rows, its weights come from the walk as before
-    honest = without_timings(run_cli(capsys, "verify-all", "--n", "5")[1])
+    # gamma's weights need the orbit of the least singular point to be every
+    # singular point: where it misses one, the request is refused
     orbit = srg._orbit
 
     def short(f, mask, reflections):
@@ -286,11 +309,7 @@ def test_verify_all_walks_gamma_code_when_its_orbit_misses_a_point(capsys, monke
         return got & ~(1 << got.bit_length() - 1) if mask & f.zero_mask else got
 
     monkeypatch.setattr(srg, "_orbit", short)
-    walks, walk = [], codes.weight_distribution
-    monkeypatch.setattr(codes, "weight_distribution", lambda code: walks.append(code) or walk(code))
-    code, out, _ = run_cli(capsys, "verify-all", "--n", "5")
-    assert code == 0 and without_timings(out) == honest
-    assert len(walks) == 2  # gamma's code, once per kind
+    assert_refused(capsys, ["verify-all", "--n", "5"], "misses a singular point")
 
 
 def test_verify_all_holds_one_family_at_a_time(capsys, monkeypatch):

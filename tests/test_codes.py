@@ -274,15 +274,18 @@ def test_a_coset_walk_starts_at_its_offset():
 @example(basis=[(1 << 12) - 1], s=0b111, h=0b1000)  # and the lightest word lies in C + h
 def test_augmented_min_words_equal_the_whole_walk(basis, s, h):
     # the walk of two or three cosets gives the minimum words of C + <s, h>
-    # whenever they are lighter than C's, and no answer otherwise
+    # whenever they are lighter than C's, and refuses otherwise
     code = from_vectors(12, basis)
     joined = from_vectors(12, code.basis + (s, h))
     if joined.dim != code.dim + 2:
         return  # s and h are not independent modulo C
     min_weight = min_weight_codewords(code)[0].bit_count()
     want = min_weight_codewords(joined)
-    got = augmented_min_words(code, min_weight, s, h)
-    assert got == (want if want[0].bit_count() < min_weight else None)
+    if want[0].bit_count() < min_weight:
+        assert augmented_min_words(code, min_weight, s, h) == want
+    else:
+        with pytest.raises(CodeError, match="reaches the base code's"):
+            augmented_min_words(code, min_weight, s, h)
 
 
 def test_augmented_min_words_respect_the_enumeration_guard():

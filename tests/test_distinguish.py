@@ -9,29 +9,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadswitch import codes, distinguish, srg
+from quadswitch import codes, distinguish, srg, switching
 from quadswitch.codes import (
     CodeError,
     augmented_min_words,
+    augmented_weight_distribution,
     code_from_graph,
     expected_gamma_weight_distribution,
     min_weight_codewords,
     weight_distribution,
 )
 from quadswitch.distinguish import (
-    Family,
     IsomorphismBudgetExceeded,
     PairEvidence,
     _certified_pair_profile,
     _pair_profile,
     _profile,
-    _read_gamma,
-    _read_switch,
     are_isomorphic,
     build_family,
     classify_family,
+    gamma_code,
+    read_gamma,
     signature,
-    switched_weights,
+    switched_code,
 )
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, canonical_form
 from quadswitch.srg import Graph, build_gamma, certified_gamma, certify_gamma, verify_srg
@@ -116,10 +116,10 @@ def test_orbit_signature_equals_the_direct_signature(monkeypatch, n, kind):
     assert certificate.reflections and len(certificate.words) == n + 1
     calls = []
     monkeypatch.setattr(distinguish, "_profile", lambda g, w: calls.append(w) or _profile(g, w))
-    read_code, sig = _read_gamma(g, certificate)
+    read_code, sig, weights = read_gamma(g, certificate)
     # one profile computed, of a minimum word; its multiplicity the word count
     assert len(calls) == 1 and calls[0] in words
-    assert read_code == code
+    assert read_code == code and weights == weight_distribution(code)
     assert sig.min_word_profiles == ((_profile(g, words[0]), len(words)),)
     assert sig.min_word_profiles == tuple(sorted(orbit_profiles(g, words, certificate).items()))
     assert sig == signature(g, code, words)
@@ -144,20 +144,21 @@ def test_orbit_signature_needs_every_image_to_be_a_word(n, kind):
     twice = words + (words[0],)  # counted twice, as the direct Counter counts it
     assert orbit_profiles(g, twice, certificate) == Counter(_profile(g, w) for w in twice)
     # the read takes no word list: it profiles one word of the point class
-    assert _read_gamma(g, certificate)[1] == signature(g, code, words)
+    assert read_gamma(g, certificate)[1] == signature(g, code, words)
 
 
 @pytest.mark.parametrize("n,kind", [(5, HYPERBOLIC), (7, ELLIPTIC)])
 def test_orbit_signature_rejects_a_singular_reflection(n, kind):
     # x -> x + B(x,r) r with Q(r) = 0 keeps B but not Q: it moves words off the
     # vertex set, and singular points off the quadric, so the orbit of the
-    # least singular point is not the singular points and the read declines
+    # least singular point is not the singular points and the read refuses
     g, certificate, code, words = certified_words(n, kind)
     bad = next(p for p in range(1, 1 << (n + 1)) if certificate.form.contains(p))
     forged = replace(certificate, reflections=(bad, *certificate.reflections))
     assert_direct(g, words, forged)
     assert not forged.covers(forged.form.zero_mask)
-    assert _read_gamma(g, forged) is None
+    with pytest.raises(CodeError, match="misses a singular point"):
+        read_gamma(g, forged)
 
 
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
@@ -168,10 +169,12 @@ def test_orbit_signature_needs_certified_reflections(monkeypatch, n, kind):
     fell_back = certify_gamma(form(n, kind))[1]
     assert fell_back.reflections == () and fell_back.words == ()
     assert_direct(g, words, fell_back)
-    assert _read_gamma(g, fell_back) is None
+    with pytest.raises(CodeError, match="no polar words"):
+        read_gamma(g, fell_back)
     other = certified_words(n, HYPERBOLIC if kind == ELLIPTIC else ELLIPTIC)[1]
     assert_direct(g, words, other)  # reflections of another form
-    assert _read_gamma(g, other) is None  # and its vertices
+    with pytest.raises(CodeError, match="no polar words"):  # certified under the same patch
+        read_gamma(g, other)
 
 
 # --- codes read off the form ----------------------------------------------------
@@ -206,11 +209,18 @@ def count_walks(monkeypatch):
 
 def read_switch_case(n, kind, t, variant, choice):
     """One switch of the certified gamma, its graph, and the read of its code
-    and minimum words, or None."""
+    and minimum words, as build_family reads them."""
     gamma, certificate = certified_gamma(n, kind)
     sw = build_switch(gamma, make_config(certificate.form, t, variant, choice))
-    graph = sw.graph
-    return sw, graph, _read_switch(graph, gamma, sw, _read_gamma(gamma, certificate))
+    base, sig, _ = read_gamma(gamma, certificate)
+    code = switched_code(sw, gamma, base)
+    return sw, sw.graph, (code, augmented_min_words(base, sig.min_weight, sw.s, sw.certificate.half_class))
+
+
+def read_weights(gamma, certificate, sw):
+    """The code of sw's graph and its weight enumerator, as switch --code reads them."""
+    base = gamma_code(gamma, certificate)
+    return switched_code(sw, gamma, base), augmented_weight_distribution(base, sw.s, sw.certificate.half_class)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -237,7 +247,7 @@ def test_switched_codes_read_off_the_form_equal_the_reference(monkeypatch, n, ki
                 assert walked == [1 << (n + 1)] * cosets, case
                 # switch --code's weight enumerator: one walk of C, no coset
                 walks.clear()
-                read = switched_weights(graph, gamma, sw, certificate)
+                read = read_weights(gamma, certificate, sw)
                 assert walks == [1 << (n + 1)], case
                 assert read == reference_weights(graph), case
 
@@ -250,7 +260,7 @@ def test_switched_codes_read_off_the_form_at_n11(kind):
             sw, graph, (code, words) = read_switch_case(11, kind, t, variant, 0)
             assert (code, tuple(words)) == reference_member(graph)[:2], (t, variant)
             assert words == [sw.s], (t, variant)
-            assert switched_weights(graph, gamma, sw, certificate) == reference_weights(graph), (t, variant)
+            assert read_weights(gamma, certificate, sw) == reference_weights(graph), (t, variant)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -264,33 +274,25 @@ def test_gamma_weights_are_read_off_the_point_classes(n, kind):
 
 def test_augmented_walk_declines_at_the_base_codes_weight():
     # with min_weight at most the lightest coset word, C's own words would
-    # count: the walk gives no answer, and the family reads the rows instead
+    # count: the walk refuses to answer
     sw, graph, (code, words) = read_switch_case(7, ELLIPTIC, 1, "t", 0)
     gamma, certificate = certified_gamma(7, ELLIPTIC)
-    base, sig = _read_gamma(gamma, certificate)
+    base, sig, _ = read_gamma(gamma, certificate)
     h = sw.certificate.half_class
     assert augmented_min_words(base, sig.min_weight, sw.s, h) == words
-    assert augmented_min_words(base, words[0].bit_count(), sw.s, h) is None
+    with pytest.raises(CodeError, match="reaches the base code's"):
+        augmented_min_words(base, words[0].bit_count(), sw.s, h)
 
 
-def family_data(family):
-    return [(m.code, m.words, m.sig, m.params) for m in family.members]
-
-
-def assert_falls_back(monkeypatch, n, kind, honest, switches_only=False):
-    """build_family(n, kind) gives the honest family's data through the
-    reference path: code_from_graph runs on every member, or every switch."""
-    calls, reference = [], code_from_graph
-    monkeypatch.setattr(distinguish, "code_from_graph", lambda g: calls.append(g) or reference(g))
-    family = build_family(n, kind)
-    assert family_data(family) == honest
-    assert len(calls) == len(family.members) - switches_only
-    return family
+def assert_refuses(n, kind, reason):
+    """build_family(n, kind) raises CodeError naming the failed precondition."""
+    with pytest.raises(CodeError, match=reason):
+        build_family(n, kind)
 
 
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 def test_family_falls_back_when_the_orbit_misses_a_singular_point(monkeypatch, n, kind):
-    honest = family_data(build_family(n, kind))
+    # the point-class read is gamma's only path: it refuses
     gamma, certificate = certified_gamma(n, kind)  # certified before the orbit is broken
     orbit, singular = srg._orbit, certificate.form.zero_mask
 
@@ -300,45 +302,55 @@ def test_family_falls_back_when_the_orbit_misses_a_singular_point(monkeypatch, n
 
     monkeypatch.setattr(srg, "_orbit", short)
     assert not certificate.covers(singular)
-    assert _read_gamma(gamma, certificate) is None
-    assert assert_falls_back(monkeypatch, n, kind, honest).weights is None
+    with pytest.raises(CodeError, match="misses a singular point"):
+        read_gamma(gamma, certificate)
+    assert_refuses(n, kind, "misses a singular point")
 
 
 def test_family_falls_back_on_a_form_that_fails_the_polar_check(monkeypatch):
     # nonorth(e_2) one point off fails check b: the graph gets the reference
     # rows (the same graph, as they do not read nonorth), and its certificate
-    # holds no polar words, so every code is read off the rows
-    honest = family_data(build_family(7, HYPERBOLIC))
+    # holds no polar words, so no code can be read off the form
     f = canonical_form(7, HYPERBOLIC)
     nonorth, bad = f.nonorth, f.nonorth(4) ^ 1 << 3
     f.nonorth = lambda y: bad if y == 4 else nonorth(y)
     gamma, certificate = certify_gamma(f)
     assert certificate.reflections and certificate.words == () and srg._polar_words(f) is None
-    assert _read_gamma(gamma, certificate) is None
+    with pytest.raises(CodeError, match="no polar words"):
+        read_gamma(gamma, certificate)
     monkeypatch.setattr(distinguish, "certified_gamma", lambda n, kind: (gamma, certificate))
-    assert_falls_back(monkeypatch, 7, HYPERBOLIC, honest)
+    assert_refuses(7, HYPERBOLIC, "no polar words")
 
 
 @pytest.mark.parametrize("n,kind", [(5, ELLIPTIC), (7, HYPERBOLIC)])
 def test_family_falls_back_when_the_lifts_fall_short(monkeypatch, n, kind):
-    # lifts without their H coordinate span at most n + 2 dimensions
-    honest = family_data(build_family(n, kind))
+    # lifts without their H coordinate span at most n + 2 dimensions: refused
     lifts, width = distinguish._lifts, n + 1
     monkeypatch.setattr(distinguish, "_lifts", lambda *a: (x & ~(2 << width) for x in lifts(*a)))
-    assert_falls_back(monkeypatch, n, kind, honest, switches_only=True)
+    assert_refuses(n, kind, f"lifts of the vertices do not reach rank {n + 3}")
 
 
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
-def test_family_falls_back_on_a_row_that_breaks_the_switch_identity(monkeypatch, kind):
-    # with the switched check bypassed, a switched graph with one edge flipped
-    # is read off its rows: its code is not C + <v_S, v_H>
-    flip_switched_edge(monkeypatch)
-    monkeypatch.setattr(distinguish, "verify_switch", lambda sw, certificate, graph: certificate.params)
-    gamma, certificate = certified_gamma(5, kind)
-    for m in build_family(5, kind).members[1:]:
-        graph = m.switch.graph
-        assert not srg.is_switch_of(graph, gamma, m.switch.s, m.switch.certificate.half_class)
-        assert (m.code, m.words, m.sig) == reference_member(graph)
+def test_switched_code_makes_no_graph(monkeypatch, kind):
+    # the switched rows are gamma's XOR v_H on S and v_S on H by construction:
+    # the code is read off the switch and gamma's code, and no graph is made
+    gamma, certificate = certified_gamma(7, kind)
+    base = gamma_code(gamma, certificate)
+    switches = [build_switch(gamma, make_config(certificate.form, 1, variant)) for variant in ("t", "tt")]
+    references = [reference_member(sw.graph)[0] for sw in switches]
+
+    def refuse(*args):
+        raise AssertionError("a switched graph was made")
+
+    monkeypatch.setattr(switching, "_complement_edges", refuse)
+    assert [switched_code(sw, gamma, base) for sw in switches] == references
+
+
+def test_switched_code_refuses_a_switch_of_another_graph():
+    gamma, certificate = certified_gamma(5, ELLIPTIC)
+    sw = build_switch(build_gamma(certificate.form), make_config(certificate.form, 1, "t"))
+    with pytest.raises(CodeError, match="not a switch of this gamma"):
+        switched_code(sw, gamma, gamma_code(gamma, certificate))
 
 
 def test_family_reads_the_codes_at_n9_with_two_coset_walks(monkeypatch):
@@ -611,7 +623,7 @@ def test_a_relabelled_member_is_cross_checked_as_isomorphic_and_merged(monkeypat
     assert moved.graph == copy_graph
     copy = replace(last, name="copy", switch=moved)
     calls = counted_pair_profiles(monkeypatch)
-    rep = classify_family(Family(family.members + (copy,), family.gamma, family.certificate), cross_check=True)
+    rep = classify_family(replace(family, members=family.members + (copy,)), cross_check=True)
     assert len(calls) == len(family.members)  # the switched members and the copy, once each
     assert sum(g == copy_graph for g in calls) == 1
     # the copy is paired as its original is, and with its original it is isomorphic
@@ -627,7 +639,7 @@ def test_a_relabelled_member_is_cross_checked_as_isomorphic_and_merged(monkeypat
 def test_a_certificate_without_reflections_profiles_gamma_directly(monkeypatch, kind):
     family = build_family(5, kind)
     base = classify_family(family, cross_check=True)
-    stripped = Family(family.members, family.gamma, replace(family.certificate, reflections=()))
+    stripped = replace(family, certificate=replace(family.certificate, reflections=()))
     calls = counted_pair_profiles(monkeypatch)
     assert classify_family(stripped, cross_check=True) == base
     assert sum(g is family.gamma for g in calls) == 1
@@ -712,7 +724,7 @@ def test_a_repeated_member_is_merged_unless_the_cross_check_separates_it(monkeyp
     # every real pair is separated by an invariant, so only a copy reaches the merge;
     # at n = 5 hyperbolic both copies are of gamma_t1: three equal members count once
     family = build_family(5, kind)
-    twice = Family(family.members + family.members[1:2] + family.members[-1:], family.gamma, family.certificate)
+    twice = replace(family, members=family.members + family.members[1:2] + family.members[-1:])
     rep = classify_family(twice, cross_check=False)
     assert rep.distinct_count == len(family.members)
     assert all((p.invariant == "none") == (p.distinct is None) == (p.first == p.second) for p in rep.pairs)
