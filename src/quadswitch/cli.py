@@ -160,8 +160,7 @@ def cmd_code(args, runner: _Runner) -> dict:
     graph, certificate = _gamma(args, runner)
 
     def read() -> dict:
-        code, _, dist = distinguish.read_gamma(graph, certificate)
-        return _code_report(code, dist)
+        return _code_report(*distinguish.read_gamma_code(graph, certificate))
 
     report = {"code": runner.time("code", read)}
     expected = codes.expected_gamma_weight_distribution(args.n, args.kind)

@@ -17,9 +17,12 @@ cosets that can hold one.  Each walked coset is a Gray walk over C's basis
 from its offset.  C + s needs no walk when m > 2|s|: for c in C,
 |c + s| >= |c| - |s| >= m - |s| > |s| unless c = 0, so s is the only word of
 that coset of weight |s| or less, and the least weight of C' is at most |s|.
-So two cosets of 2^dim(C) words are walked, or three when the bound fails.
-When the least weight found reaches m, C's own nonzero words would count
-too, and the walk refuses with CodeError.
+By the same triangle inequality, with M the greatest weight in C, every
+word of C + x is at least |x| - M heavy, so C + h and C + s + h need no walk
+when |x| - M > |s| for x = h or s + h: none of their words can tie s.  For
+the quadric graph's switches that holds at every n from 7 to 15, where no
+coset is walked.  When the least weight found reaches m, C's own nonzero
+words would count too, and the walk refuses with CodeError.
 
 The whole weight enumerator of C' needs no coset walked when s and h are
 also disjoint: for c in C, |c + s| = |c| + |s| - 2|c & s|, and as
@@ -125,19 +128,22 @@ def min_weight_codewords(code: BinaryCode) -> list[int]:
     return sorted(words)
 
 
-def augmented_min_words(code: BinaryCode, min_weight: int, s: int, h: int) -> list[int]:
+def augmented_min_words(code: BinaryCode, min_weight: int, max_weight: int, s: int, h: int) -> list[int]:
     """The minimum-weight words of code + <s, h>, sorted, by the coset walk of
     the module docstring; CodeError when their weight reaches min_weight.
 
-    Preconditions: min_weight is the least weight of a nonzero word of code,
-    and s and h are independent modulo code, so the four cosets are distinct
-    and none but code holds the zero word."""
+    Preconditions: min_weight and max_weight are the least and the greatest
+    weight of a nonzero word of code, and s and h are independent modulo
+    code, so the four cosets are distinct and none but code holds the zero
+    word."""
     bound = s.bit_count()
     if min_weight > 2 * bound:  # s is the one word of code + s this light
         best, words, offsets = bound, [s], (h, s ^ h)
     else:
         best, words, offsets = None, [], (s, h, s ^ h)
     for offset in offsets:
+        if offset.bit_count() - max_weight > bound:  # every word of the coset is heavier than s
+            continue
         for w in iter_codewords(code, offset):
             wt = w.bit_count()
             if best is None or wt < best:

@@ -32,11 +32,12 @@ switched_code reads no graph.  The rows are the images of the lifts
 + c v_S.  When the lifts reach rank n + 3 (S's vertices first, so the
 echelon stops early), the rows span the image of that map, which is
 from_vectors(v, C + (v_S, v_H)), of dimension n + 3.  For build_family the
-minimum words come from codes.augmented_min_words, a walk of the cosets
-C + v_H and C + v_S + v_H only, and of C + v_S when min|C - 0| <= 2|v_S|;
-for switch --code the whole weight enumerator comes from
-codes.augmented_weight_distribution, one walk of C's 2^(n+1) words, as S
-and H are disjoint.  A switched member's signature profiles each of its
+minimum words come from codes.augmented_min_words, a walk of at most the
+cosets C + v_H and C + v_S + v_H, each skipped when its offset outweighs
+v_S by more than max|C| (max(Family.weights)), and of C + v_S when
+min|C - 0| <= 2|v_S|; for switch --code the whole weight enumerator comes
+from codes.augmented_weight_distribution, one walk of C's 2^(n+1) words,
+as S and H are disjoint.  A switched member's signature profiles each of its
 words.
 
 The exact tester `are_isomorphic` is an independent cross-check.  It first
@@ -54,12 +55,23 @@ regular, its code, minimum words and signature are read as above, and it
 is dropped, so a family holds the rows of its quadric graph only.  The
 cross-check of classify_family makes each switched member's graph again,
 once per call, from its Switch, and profiles each member at most once, on
-the first pair that needs it.  The quadric graph's profile is read off
-vertex 0 alone when its certificate has reflections: they are automorphisms
-transitive on the vertices, so every vertex sees the pairs through it as
-vertex 0 does, and summing over all v vertices counts each pair twice.  So
-the profile is the multiset over y != 0 of (A_0y, sorted counts), each
-multiplicity times v/2.
+the first pair that needs it, from one vertex per orbit of checked
+automorphisms.  An automorphism carries the pairs through x onto those
+through its image, so P(x), the multiset over y != x of (A_xy, sorted
+counts), is constant on an orbit; summing P over all v vertices counts
+each pair twice, so the profile is 1/2 sum_O |O| P(x_O) over the orbits O
+(_orbit_pair_profile).  gamma's certified reflections are transitive, so
+it has one orbit and the profile is P(0) with each multiplicity times v/2.
+A switched member's orbits are switching.switch_orbits: maps chosen from
+reflections in vertices and Siegel words that keep S and its none, half
+and all classes, each reflection checked as srg's certificate checks it
+(step 1b), are automorphisms of gamma that keep S and its half-class H,
+so of gamma switched at S and H.  So they are used only when the Switch's
+base is the family's gamma, whose vertices are the form's points, and the
+graph profiled is gamma switched at S and H (srg.is_switch_of); otherwise,
+or when a chosen reflection fails its check or a summed multiplicity is
+odd, the member is profiled pair by pair (_pair_profile).  are_isomorphic,
+the test for arbitrary graphs, always is.
 """
 
 from __future__ import annotations
@@ -71,8 +83,8 @@ from typing import Iterator, Optional
 
 from .codes import BinaryCode, CodeError, augmented_min_words, from_vectors
 from .gf2geom import GeometryError, QuadraticForm, QuadswitchError, set_bits
-from .srg import GammaCertificate, Graph, SrgParams, certified_gamma
-from .switching import Switch, build_switch, legal_t_range, make_config, verify_switch
+from .srg import GammaCertificate, Graph, SrgParams, certified_gamma, is_switch_of
+from .switching import Switch, build_switch, legal_t_range, make_config, switch_orbits, verify_switch
 
 DEFAULT_NODE_BUDGET = 10_000_000
 MAX_EXACT_VERTICES = 600
@@ -160,19 +172,23 @@ def _pair_profile(g: Graph) -> Counter:
     return profile
 
 
-def _certified_pair_profile(g: Graph, certificate: GammaCertificate) -> Counter:
-    """_pair_profile(g), from the pairs through vertex 0 when the certificate's
-    reflections make g vertex-transitive (see the module docstring)."""
-    rows, v = g.rows, g.v
-    if certificate.reflections:
-        r0 = rows[0]
-        seen = Counter(
-            ((r0 >> y) & 1, tuple(sorted(map(int.bit_count, map((r0 & ry).__and__, rows)))))
-            for y, ry in enumerate(rows)
-            if y
-        )
-        if all(m * v % 2 == 0 for m in seen.values()):
-            return Counter({key: m * v // 2 for key, m in seen.items()})
+def _orbit_pair_profile(g: Graph, orbits: Optional[tuple[int, ...]]) -> Counter:
+    """_pair_profile(g) from one vertex x per orbit O of automorphisms of g,
+    the orbits given as vertex masks that partition the vertices: the
+    multiset over y != x of (A_xy, sorted counts), each multiplicity times
+    |O|, summed over the orbits and halved (see the module docstring).
+    _pair_profile(g) itself when orbits is None or a sum is odd."""
+    if orbits is not None:
+        rows, seen = g.rows, Counter()
+        for orbit in orbits:
+            x = (orbit & -orbit).bit_length() - 1
+            rx, size = rows[x], orbit.bit_count()
+            for y, ry in enumerate(rows):
+                if y != x:
+                    counts = tuple(sorted(map(int.bit_count, map((rx & ry).__and__, rows))))
+                    seen[(rx >> y) & 1, counts] += size
+        if all(m % 2 == 0 for m in seen.values()):
+            return Counter({key: m // 2 for key, m in seen.items()})
     return _pair_profile(g)
 
 
@@ -370,22 +386,29 @@ def _class_words(certificate: GammaCertificate) -> tuple[tuple[int, int], tuple[
     )
 
 
-def read_gamma(
-    gamma: Graph, certificate: GammaCertificate
-) -> tuple[BinaryCode, GraphSignature, dict[int, int]]:
-    """gamma's code, signature and weight distribution, read off the
-    certificate's polar words with one orbit walk (see the module docstring).
-    gamma is the graph certify_gamma returned with certificate; raises
-    CodeError naming the precondition that fails."""
+def read_gamma_code(gamma: Graph, certificate: GammaCertificate) -> tuple[BinaryCode, dict[int, int]]:
+    """gamma's code and weight distribution, read off the certificate's polar
+    words with one orbit walk and no word profiled (see the module
+    docstring).  gamma is the graph certify_gamma returned with certificate;
+    raises CodeError naming the precondition that fails."""
     code = gamma_code(gamma, certificate)
     if not certificate.covers(certificate.form.zero_mask):  # never, with no reflections
         raise CodeError("the orbit of the least singular point misses a singular point")
-    (word, size), (heavy, heavy_size) = sorted(_class_words(certificate), key=lambda c: c[0].bit_count())
-    weight = word.bit_count()
-    if weight == heavy.bit_count():
+    (light, size), (heavy, heavy_size) = sorted(_class_words(certificate), key=lambda c: c[0].bit_count())
+    if light.bit_count() == heavy.bit_count():
         raise CodeError("the two point classes have one weight")
-    sig = GraphSignature(code.dim, weight, ((_profile(gamma, word), size),))
-    return code, sig, {0: 1, weight: size, heavy.bit_count(): heavy_size}
+    return code, {0: 1, light.bit_count(): size, heavy.bit_count(): heavy_size}
+
+
+def read_gamma(
+    gamma: Graph, certificate: GammaCertificate
+) -> tuple[BinaryCode, GraphSignature, dict[int, int]]:
+    """read_gamma_code, and gamma's signature: the profile of word(P) for the
+    lighter point class P, with multiplicity |P|."""
+    code, weights = read_gamma_code(gamma, certificate)
+    word, size = min(_class_words(certificate), key=lambda c: c[0].bit_count())
+    sig = GraphSignature(code.dim, word.bit_count(), ((_profile(gamma, word), size),))
+    return code, sig, weights
 
 
 def switched_code(sw: Switch, gamma: Graph, code: BinaryCode) -> BinaryCode:
@@ -416,11 +439,12 @@ def build_family(n: int, kind: str) -> Family:
     gamma, certificate = certified_gamma(n, kind)
     code, base_sig, weights = read_gamma(gamma, certificate)
     members = [FamilyMember("gamma", 0, "", certificate.params, code, (), base_sig, None)]
+    bounds = base_sig.min_weight, max(weights)
     for variant in ("t", "tt"):
         for t in legal_t_range(n, kind, variant):
             sw = build_switch(gamma, make_config(certificate.form, t, variant))
             name = f"gamma_{variant}{t}"
-            members.append(_switch_member(name, t, variant, gamma, certificate, sw, code, base_sig.min_weight))
+            members.append(_switch_member(name, t, variant, gamma, certificate, sw, code, *bounds))
     return Family(tuple(members), gamma, certificate, tuple(sorted(weights.items())))
 
 
@@ -433,15 +457,30 @@ def _switch_member(
     sw: Switch,
     base: BinaryCode,
     min_weight: int,
+    max_weight: int,
 ) -> FamilyMember:
     """The switch's member: its graph made here, checked strongly regular by
-    verify_switch, profiled, and dropped on return.  base is gamma's code and
-    min_weight its least nonzero weight."""
+    verify_switch, profiled, and dropped on return.  base is gamma's code,
+    min_weight and max_weight its least and greatest nonzero weights."""
     graph = sw.graph
     params = verify_switch(sw, certificate, graph)
     code = switched_code(sw, gamma, base)
-    words = augmented_min_words(base, min_weight, sw.s, sw.certificate.half_class)
+    words = augmented_min_words(base, min_weight, max_weight, sw.s, sw.certificate.half_class)
     return FamilyMember(name, t, variant, params, code, tuple(words), signature(graph, code, words), sw)
+
+
+def _member_orbits(family: Family, m: FamilyMember, g: Graph) -> Optional[tuple[int, ...]]:
+    """The vertex orbits of checked automorphisms of g, the graph of member m
+    as the cross-check made it, or None when a guard fails: gamma's one
+    orbit when its certificate has reflections, and switching.switch_orbits
+    for a switch of family.gamma when g is family.gamma switched at its S
+    and half-class."""
+    gamma, certificate, sw = family.gamma, family.certificate, m.switch
+    if sw is None:
+        return ((1 << g.v) - 1,) if certificate.reflections else None
+    if sw.base is not gamma or not is_switch_of(g, gamma, sw.s, sw.certificate.half_class):
+        return None
+    return switch_orbits(sw, certificate)
 
 
 def classify_family(family: Family, cross_check: Optional[bool] = None) -> FamilyReport:
@@ -463,8 +502,7 @@ def classify_family(family: Family, cross_check: Optional[bool] = None) -> Famil
 
     def profile(i: int) -> Counter:
         if i not in profiles:
-            g = graphs[i]
-            profiles[i] = _certified_pair_profile(g, certificate) if i == 0 else _pair_profile(g)
+            profiles[i] = _orbit_pair_profile(graphs[i], _member_orbits(family, members[i], graphs[i]))
         return profiles[i]
 
     pairs, repeats = [], set()

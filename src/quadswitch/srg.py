@@ -408,6 +408,14 @@ def _check_reflection(form: QuadraticForm, coords: list[int], r: int) -> None:
             raise _NotCertified(f"the reflection in {r} is not linear")
 
 
+def _check_reflections(form: QuadraticForm, word, checked: set) -> None:
+    """Steps 1a and 1b for each reflection in word not in checked, which
+    then holds it; _NotCertified if one fails."""
+    for r in set(word) - checked:
+        _check_reflection(form, _coordinate_masks(form), r)
+        checked.add(r)
+
+
 def _certificate(form: QuadraticForm, g: Graph, reflections) -> SrgParams:
     """The parameters of g, the graph build_gamma makes on form, from the
     three steps of the module docstring: _NotCertified if step 1 or 2 fails,
@@ -629,7 +637,7 @@ def _orbit_certificate(g: Graph, base: Graph, certificate: GammaCertificate, s: 
     # steps 1, 2 and 4: maps that keep S and T, chosen while they enlarge the orbit of s0
     s_points, t_points = form.points(s), form.points(t)
     s0 = (s & -s).bit_length() - 1
-    orbit, chosen, coords = 1 << form.labels[s0], [], None
+    orbit, chosen = 1 << form.labels[s0], []
     checked = set(certificate.reflections)  # certify_gamma checked these on this form
     for word in words:
         if orbit == s_points:
@@ -637,10 +645,7 @@ def _orbit_certificate(g: Graph, base: Graph, certificate: GammaCertificate, s: 
         image = _apply(form, orbit, word)
         if not image & ~orbit:
             continue
-        for r in set(word) - checked:
-            coords = coords or _coordinate_masks(form)
-            _check_reflection(form, coords, r)
-            checked.add(r)
+        _check_reflections(form, word, checked)
         if _apply(form, s_points, word) != s_points or _apply(form, t_points, word) != t_points:
             raise _NotCertified(f"the map {word} moves S or T")
         chosen.append(word)
@@ -658,6 +663,49 @@ def _orbit_certificate(g: Graph, base: Graph, certificate: GammaCertificate, s: 
     }:
         raise _NotCertified(f"a pair through vertex {s0} has a wrong count")
     return params
+
+
+def symmetry_orbits(
+    certificate: GammaCertificate, blocks: Iterable[int], words: Iterable[tuple[int, ...]]
+) -> tuple[int, ...] | None:
+    """The vertex orbits, as vertex masks, of a group of automorphisms of the
+    graph certify_gamma returned with certificate that keep each of the
+    disjoint vertex masks blocks; None if a reflection in a chosen map fails
+    step 1b.
+
+    words are candidate maps, as for verify_srg_orbit.  A map is chosen when
+    it enlarges the orbit of the least vertex not yet covered and keeps the
+    point mask of each block (step 2 of the switch certificate); each
+    reflection in it then passes step 1b (after 1a), unless certify_gamma
+    checked it.  An orbit that fills its block is grown no further.  Every
+    map is chosen before the orbits are taken, so they are the orbits of one
+    group: disjoint, and covering the vertices."""
+    form = certificate.form
+    blocks = [form.points(b) for b in blocks]
+    words, chosen, checked, left = list(words), [], set(certificate.reflections), form.off
+    try:
+        while left:
+            orbit = _word_orbit(form, left & -left, chosen)
+            for i, word in enumerate(words):
+                if orbit in blocks:
+                    break
+                if word is None or not _apply(form, orbit, word) & ~orbit:
+                    continue
+                words[i] = None  # chosen now, or never: it moves a block
+                if any(_apply(form, b, word) != b for b in blocks):
+                    continue
+                _check_reflections(form, word, checked)
+                chosen.append(word)
+                orbit = _word_orbit(form, orbit, chosen)
+            left &= ~orbit
+    except _NotCertified:
+        return None
+    orbits, left = [], form.off
+    while left:
+        orbit = _word_orbit(form, left & -left, chosen)
+        orbits.append(form.vertices(orbit))
+        left &= ~orbit
+    return tuple(orbits)
 
 
 def is_switch_of(g: Graph, base: Graph, s: int, t: int) -> bool:

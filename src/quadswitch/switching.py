@@ -50,6 +50,9 @@ line whose one nonsingular point is y + alpha), w is taken off alpha-perp
 for each point a of alpha, and the maps of points beyond the basis close
 the orbit.  Below srg's size rule (_ORBIT_MIN_PAIRS pairs through S)
 verify_srg_near, the cheaper check there, decides without the maps.
+switch_orbits offers those maps, the reflections in the vertices and the
+Siegel maps of alpha's basis points for every vertex w with B(w,a) = 0 to
+srg.symmetry_orbits, for the vertex orbits of distinguish's cross-check.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from itertools import chain, islice
 from typing import Iterator, Optional
 
 from .gf2geom import HYPERBOLIC, QuadraticForm, QuadswitchError, Subspace, span
-from .srg import GammaCertificate, Graph, SrgParams, expected_params, verify_srg_orbit
+from .srg import GammaCertificate, Graph, SrgParams, expected_params, symmetry_orbits, verify_srg_orbit
 
 
 class SwitchingError(QuadswitchError, ValueError):
@@ -389,6 +392,21 @@ def _flag_words(config: SwitchConfig) -> Iterator[tuple[int, ...]]:
     for a in chain(alpha.basis, (p for p in alpha.points() if p not in alpha.basis)):
         for w in islice(_bits(inside or form.off & form.nonorth(y) & ~form.nonorth(a)), 1):
             yield w ^ a, w
+
+
+def switch_orbits(sw: Switch, certificate: GammaCertificate) -> tuple[int, ...] | None:
+    """srg.symmetry_orbits for S and its none, half and all classes, from the
+    flag's maps, then the reflections in the vertices, lightest first, then
+    the Siegel words (w + a, w) for a in alpha's basis and each vertex w with
+    B(w,a) = 0: the vertex orbits of automorphisms of sw.base, the graph
+    certify_gamma returned with certificate, that keep S and its half-class,
+    and so of sw.graph; None if a chosen reflection fails its check."""
+    form, alpha, cert = certificate.form, sw.config.alpha, sw.certificate
+    vertices = sorted(form.labels, key=int.bit_count)
+    siegel = ((w ^ a, w) for a in alpha.basis for w in vertices if not form.nonorth(a) >> w & 1)
+    words = chain(_flag_words(sw.config), ((r,) for r in vertices), siegel)
+    blocks = cert.s_vertices, cert.none_class, cert.half_class, cert.all_class
+    return symmetry_orbits(certificate, blocks, words)
 
 
 def verify_switch(sw: Switch, certificate: GammaCertificate, graph: Graph) -> SrgParams:

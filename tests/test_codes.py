@@ -269,30 +269,35 @@ def test_a_coset_walk_starts_at_its_offset():
     basis=st.lists(st.integers(1, (1 << 12) - 1), min_size=1, max_size=5),
     s=st.integers(1, (1 << 12) - 1),
     h=st.integers(1, (1 << 12) - 1),
+    slack=st.integers(0, 2),
 )
-@example(basis=[(1 << 12) - 1], s=0b1, h=0b110)  # min|C - 0| > 2|s|: C + s is not walked
-@example(basis=[(1 << 12) - 1], s=0b111, h=0b1000)  # and the lightest word lies in C + h
-def test_augmented_min_words_equal_the_whole_walk(basis, s, h):
-    # the walk of two or three cosets gives the minimum words of C + <s, h>
-    # whenever they are lighter than C's, and refuses otherwise
+@example(basis=[(1 << 12) - 1], s=0b1, h=0b110, slack=0)  # min|C - 0| > 2|s|: C + s is not walked
+@example(basis=[(1 << 12) - 1], s=0b111, h=0b1000, slack=0)  # and the lightest word lies in C + h
+@example(basis=[0b11], s=0b100, h=0b1111 << 4, slack=0)  # |h| - max|C| > |s|: C + h is not walked
+@example(basis=[0b11], s=0b100, h=0b111 << 4, slack=0)  # |h| - max|C| = |s|: C + h is still walked
+def test_augmented_min_words_equal_the_whole_walk(basis, s, h, slack):
+    # the walk of at most three cosets gives the minimum words of C + <s, h>
+    # whenever they are lighter than C's, and refuses otherwise, for any
+    # bound on C's greatest weight
     code = from_vectors(12, basis)
     joined = from_vectors(12, code.basis + (s, h))
     if joined.dim != code.dim + 2:
         return  # s and h are not independent modulo C
     min_weight = min_weight_codewords(code)[0].bit_count()
+    max_weight = max(weight_distribution(code)) + slack
     want = min_weight_codewords(joined)
     if want[0].bit_count() < min_weight:
-        assert augmented_min_words(code, min_weight, s, h) == want
+        assert augmented_min_words(code, min_weight, max_weight, s, h) == want
     else:
         with pytest.raises(CodeError, match="reaches the base code's"):
-            augmented_min_words(code, min_weight, s, h)
+            augmented_min_words(code, min_weight, max_weight, s, h)
 
 
 def test_augmented_min_words_respect_the_enumeration_guard():
     dim = ENUMERATION_GUARD + 1
     code = BinaryCode(dim + 2, tuple(1 << i for i in reversed(range(dim))))
     with pytest.raises(CodeError, match="enumeration guard"):
-        augmented_min_words(code, 1, 1 << dim, 2 << dim)
+        augmented_min_words(code, 1, dim, 1 << dim, 2 << dim)
 
 
 @settings(max_examples=200, deadline=None)

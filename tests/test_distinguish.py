@@ -22,7 +22,8 @@ from quadswitch.codes import (
 from quadswitch.distinguish import (
     IsomorphismBudgetExceeded,
     PairEvidence,
-    _certified_pair_profile,
+    _member_orbits,
+    _orbit_pair_profile,
     _pair_profile,
     _profile,
     are_isomorphic,
@@ -35,7 +36,7 @@ from quadswitch.distinguish import (
 )
 from quadswitch.gf2geom import ELLIPTIC, HYPERBOLIC, GeometryError, canonical_form
 from quadswitch.srg import Graph, build_gamma, certified_gamma, certify_gamma, verify_srg
-from quadswitch.switching import build_S, build_switch, gm_switch, legal_t_range, make_config
+from quadswitch.switching import build_S, build_switch, gm_switch, legal_t_range, make_config, switch_orbits
 
 from conftest import (
     flip_switched_edge,
@@ -212,9 +213,10 @@ def read_switch_case(n, kind, t, variant, choice):
     and minimum words, as build_family reads them."""
     gamma, certificate = certified_gamma(n, kind)
     sw = build_switch(gamma, make_config(certificate.form, t, variant, choice))
-    base, sig, _ = read_gamma(gamma, certificate)
+    base, sig, weights = read_gamma(gamma, certificate)
     code = switched_code(sw, gamma, base)
-    return sw, sw.graph, (code, augmented_min_words(base, sig.min_weight, sw.s, sw.certificate.half_class))
+    words = augmented_min_words(base, sig.min_weight, max(weights), sw.s, sw.certificate.half_class)
+    return sw, sw.graph, (code, words)
 
 
 def read_weights(gamma, certificate, sw):
@@ -241,9 +243,11 @@ def test_switched_codes_read_off_the_form_equal_the_reference(monkeypatch, n, ki
                 if kind == HYPERBOLIC and variant == "t" and t == (n - 3) // 2:
                     # no vertex outside S and its half-class: no row is unchanged
                     assert not cert.none_class and not cert.all_class, case
-                # the walk took two cosets of C, or three at n = 5 elliptic tt,
-                # where C's least weight 16 is not more than 2|v_S| = 16
-                cosets = 3 if (n, kind, variant) == (5, ELLIPTIC, "tt") else 2
+                # the walk took no coset of C from n = 7 on, where every word of
+                # C + v_H and C + v_S + v_H outweighs v_S by the triangle
+                # inequality; at n = 5 elliptic it took C + v_H, and C + v_S for
+                # tt, where C's least weight 16 is not more than 2|v_S| = 16
+                cosets = {(5, ELLIPTIC, "t"): 1, (5, ELLIPTIC, "tt"): 2}.get((n, kind, variant), 0)
                 assert walked == [1 << (n + 1)] * cosets, case
                 # switch --code's weight enumerator: one walk of C, no coset
                 walks.clear()
@@ -277,11 +281,11 @@ def test_augmented_walk_declines_at_the_base_codes_weight():
     # count: the walk refuses to answer
     sw, graph, (code, words) = read_switch_case(7, ELLIPTIC, 1, "t", 0)
     gamma, certificate = certified_gamma(7, ELLIPTIC)
-    base, sig, _ = read_gamma(gamma, certificate)
+    base, sig, weights = read_gamma(gamma, certificate)
     h = sw.certificate.half_class
-    assert augmented_min_words(base, sig.min_weight, sw.s, h) == words
+    assert augmented_min_words(base, sig.min_weight, max(weights), sw.s, h) == words
     with pytest.raises(CodeError, match="reaches the base code's"):
-        augmented_min_words(base, words[0].bit_count(), sw.s, h)
+        augmented_min_words(base, words[0].bit_count(), max(weights), sw.s, h)
 
 
 def assert_refuses(n, kind, reason):
@@ -353,18 +357,21 @@ def test_switched_code_refuses_a_switch_of_another_graph():
         switched_code(sw, gamma, gamma_code(gamma, certificate))
 
 
-def test_family_reads_the_codes_at_n9_with_two_coset_walks(monkeypatch):
-    # gamma walks no word, and each switch two cosets of its 2^(n+1)-word base code
-    walks = count_walks(monkeypatch)
-    for kind in (ELLIPTIC, HYPERBOLIC):
-        family = build_family(9, kind)
-        assert walks == [1 << 10] * 2 * (len(family.members) - 1), kind
+def test_family_reads_the_codes_at_n7_and_n9_with_no_coset_walk(monkeypatch):
+    # gamma walks no word, and no switch a coset of its base code: each coset
+    # is outweighed by v_S through the triangle inequality
+    def refuse(*args):
+        raise AssertionError("a code or coset was walked")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(codes, "iter_codewords", refuse)
+        families = [build_family(n, kind) for n in (7, 9) for kind in (ELLIPTIC, HYPERBOLIC)]
+    for family in families:
         assert family.members[0].words == ()
         for m in family.members:
             graph = member_graph(family, m)
             code, words, sig = reference_member(graph)
-            assert (m.code, m.sig) == (code, sig) and m.words in ((), words), (kind, m.name)
-        walks.clear()
+            assert (m.code, m.sig) == (code, sig) and m.words in ((), words), m.name
 
 
 # --- exact isomorphism ------------------------------------------------------------
@@ -574,14 +581,26 @@ def counted_pair_profiles(monkeypatch):
     return calls
 
 
+def counted_orbit_profiles(monkeypatch):
+    """(graph, orbits) for each profile classify_family takes, one per call."""
+    calls = []
+    monkeypatch.setattr(distinguish, "_orbit_pair_profile", lambda g, o: calls.append((g, o)) or _orbit_pair_profile(g, o))
+    return calls
+
+
 @pytest.mark.parametrize("n, kind, direct", [(5, ELLIPTIC, 2), (5, HYPERBOLIC, 1), (7, ELLIPTIC, 4), (7, HYPERBOLIC, 3)])
 def test_the_cross_check_profiles_each_switched_member_once(monkeypatch, n, kind, direct):
-    # one profile per member, gamma's from one vertex: the switched members only
+    # one profile per member, each from one vertex per orbit: no pair is profiled whole
     family = build_family(n, kind)
     calls = counted_pair_profiles(monkeypatch)
+    orbit_calls = counted_orbit_profiles(monkeypatch)
     rep = classify_family(family, cross_check=True)
-    assert len(calls) == direct == len(family.members) - 1
-    assert [sum(g == m.switch.graph for g in calls) for m in family.members[1:]] == [1] * direct
+    assert calls == []
+    assert len(orbit_calls) == direct + 1 == len(family.members)
+    assert orbit_calls[0] == (family.gamma, ((1 << family.gamma.v) - 1,))
+    graphs = [g for g, _ in orbit_calls]
+    assert [sum(g == m.switch.graph for g in graphs) for m in family.members[1:]] == [1] * direct
+    assert all(orbits is not None and len(orbits) <= 6 for _, orbits in orbit_calls)
     assert all(p.distinct is True and p.cross_checked is False for p in rep.pairs)
     assert rep.distinct_count == len(family.members)
 
@@ -592,19 +611,94 @@ def test_gamma_pair_profile_from_one_vertex(monkeypatch, n, kind):
     gamma, certificate = srg.certified_gamma(n, kind)
     assert certificate.reflections
     calls = counted_pair_profiles(monkeypatch)
-    one_vertex = _certified_pair_profile(gamma, certificate)
+    one_vertex = _orbit_pair_profile(gamma, ((1 << gamma.v) - 1,))
     assert not calls
     assert one_vertex == _pair_profile(gamma)
 
 
 def test_certified_pair_profile_falls_back_on_an_odd_multiplicity(monkeypatch):
     # the path 0 - 1 - 2 is not vertex-transitive; v = 3 times the multiplicity 1
-    # of each pair through vertex 0 is odd, so the reflections are not trusted
+    # of each pair through vertex 0 is odd, so the one orbit is not trusted
     path = Graph((1, 2, 3), (0b010, 0b101, 0b010))
-    certificate = srg.certified_gamma(5, ELLIPTIC)[1]
     calls = counted_pair_profiles(monkeypatch)
-    assert _certified_pair_profile(path, certificate) == _pair_profile(path)
+    assert _orbit_pair_profile(path, (0b111,)) == _pair_profile(path)
     assert calls == [path]
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_orbit_pair_profiles_equal_the_whole_profile(monkeypatch, n, kind):
+    # every member's profile from one vertex per orbit is _pair_profile's; the
+    # orbits partition the vertices into at most six, each inside S or one of
+    # its none, half and all classes
+    family = build_family(n, kind)
+    calls = counted_pair_profiles(monkeypatch)
+    for m in family.members:
+        g = member_graph(family, m)
+        orbits = _member_orbits(family, m, g)
+        assert orbits is not None and len(orbits) <= 6, m.name
+        assert sum(orbits) == (1 << g.v) - 1 and sum(o.bit_count() for o in orbits) == g.v, m.name
+        if m.switch is not None:
+            c = m.switch.certificate
+            blocks = (c.s_vertices, c.none_class, c.half_class, c.all_class)
+            assert all(any(not o & ~b for b in blocks) for o in orbits), m.name
+        assert _orbit_pair_profile(g, orbits) == _pair_profile(g), m.name
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_a_switched_graph_with_a_flipped_edge_is_profiled_whole(monkeypatch, kind):
+    family = build_family(5, kind)
+    flip_switched_edge(monkeypatch)  # after the build, which checks each switch
+    flipped = [m.switch.graph for m in family.members[1:]]
+    for m, g in zip(family.members[1:], flipped):
+        assert _member_orbits(family, m, g) is None, m.name
+    calls = counted_pair_profiles(monkeypatch)
+    orbit_calls = counted_orbit_profiles(monkeypatch)
+    classify_family(family, cross_check=True)
+    # a flipped graph is profiled when the cheap invariants do not separate it first
+    switched = [(g, orbits) for g, orbits in orbit_calls if g is not family.gamma]
+    assert all(g in flipped and orbits is None for g, orbits in switched)
+    assert calls == [g for g, _ in switched]
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_a_reflection_that_fails_its_check_leaves_the_whole_profile(monkeypatch, kind):
+    # form.reflect made to move a vertex off the vertex set in one reflection
+    # the orbits would use, and only on that mask: its step-1b check fails
+    family = build_family(5, kind)
+    certificate, m = family.certificate, family.members[1]
+    checked, check = [], srg._check_reflection
+    monkeypatch.setattr(srg, "_check_reflection", lambda f, c, r: checked.append(r) or check(f, c, r))
+    assert switch_orbits(m.switch, certificate) is not None and checked
+    monkeypatch.undo()
+    f, bad = certificate.form, checked[0]
+    assert bad not in certificate.reflections
+    reflect = f.reflect
+    monkeypatch.setattr(f, "reflect", lambda mask, r: reflect(mask, r) ^ (r == bad and mask == f.off))
+    assert switch_orbits(m.switch, certificate) is None
+    g = m.switch.graph
+    calls = counted_pair_profiles(monkeypatch)
+    assert _orbit_pair_profile(g, _member_orbits(family, m, g)) == _pair_profile(g)
+    assert calls == [g]
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_a_map_that_moves_s_is_never_used(monkeypatch, n, kind):
+    # every map the orbits are taken under keeps S's point mask, though the
+    # candidates include reflections in vertices that move S
+    family = build_family(n, kind)
+    f = family.certificate.form
+    used, word_orbit = [], srg._word_orbit
+    monkeypatch.setattr(srg, "_word_orbit", lambda form, mask, words: used.extend(words) or word_orbit(form, mask, words))
+    for m in family.members[1:]:
+        used.clear()
+        s_points = f.points(m.switch.s)
+        assert any(f.reflect(s_points, r) != s_points for r in f.labels), m.name
+        assert switch_orbits(m.switch, family.certificate) is not None
+        assert used, m.name
+        assert all(srg._apply(f, s_points, word) == s_points for word in used), m.name
 
 
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
@@ -624,8 +718,8 @@ def test_a_relabelled_member_is_cross_checked_as_isomorphic_and_merged(monkeypat
     copy = replace(last, name="copy", switch=moved)
     calls = counted_pair_profiles(monkeypatch)
     rep = classify_family(replace(family, members=family.members + (copy,)), cross_check=True)
-    assert len(calls) == len(family.members)  # the switched members and the copy, once each
-    assert sum(g == copy_graph for g in calls) == 1
+    # the copy's base is not the family's gamma: it alone is profiled whole, once
+    assert calls == [copy_graph]
     # the copy is paired as its original is, and with its original it is isomorphic
     expected = {(p.first, p.second): p for p in base.pairs}
     expected.update({(p.first, "copy"): replace(p, second="copy") for p in base.pairs if p.second == last.name})
@@ -642,8 +736,8 @@ def test_a_certificate_without_reflections_profiles_gamma_directly(monkeypatch, 
     stripped = replace(family, certificate=replace(family.certificate, reflections=()))
     calls = counted_pair_profiles(monkeypatch)
     assert classify_family(stripped, cross_check=True) == base
-    assert sum(g is family.gamma for g in calls) == 1
-    assert len(calls) == len(family.members)
+    # the switched members' orbits check their own reflections: gamma alone is profiled whole
+    assert len(calls) == 1 and calls[0] is family.gamma
 
 
 def test_relabel_rejects_non_permutation():
