@@ -25,20 +25,19 @@ is listed.
 
 A switched graph's code is gamma's code C plus v_S and v_H, H the
 half-class.  A Switch makes its graph from gamma's rows by XOR of v_H on S
-and v_S on H (switching._complement_edges), so the switched row of x is
-word(x) + [x in S] v_H + [x in H] v_S by construction, and
-switched_code reads no graph.  The rows are the images of the lifts
-(x, [x in S], [x in H]) under the linear map (a, b, c) -> word(a) + b v_H
-+ c v_S.  When the lifts reach rank n + 3 (S's vertices first, so the
-echelon stops early), the rows span the image of that map, which is
-from_vectors(v, C + (v_S, v_H)), of dimension n + 3.  For build_family the
-minimum words come from codes.augmented_min_words, a walk of at most the
-cosets C + v_H and C + v_S + v_H, each skipped when its offset outweighs
-v_S by more than max|C| (max(Family.weights)), and of C + v_S when
-min|C - 0| <= 2|v_S|; for switch --code the whole weight enumerator comes
-from codes.augmented_weight_distribution, one walk of C's 2^(n+1) words,
-as S and H are disjoint.  A switched member's signature profiles each of its
-words.
+and v_S on H, so the switched row of x is word(x) + [x in S] v_H + [x in H]
+v_S by construction, and switched_code reads no graph.  The rows are the
+images of the lifts (x, [x in S], [x in H]) under the linear map (a, b, c)
+-> word(a) + b v_H + c v_S.  When the lifts reach rank n + 3 (S's vertices
+first, so the echelon stops early), the rows span the image of that map,
+which is from_vectors(v, C + (v_S, v_H)), of dimension n + 3.  For
+build_family the minimum words come from codes.augmented_min_words, a walk
+of at most the cosets C + v_H and C + v_S + v_H, each skipped when its
+offset outweighs v_S by more than max|C| (max(Family.weights)), and of C +
+v_S when min|C - 0| <= 2|v_S|; for switch --code the whole weight
+enumerator comes from codes.augmented_weight_distribution, one walk of C's
+2^(n+1) words, as S and H are disjoint.  A switched member's signature
+profiles each of its words on those switched rows, read off gamma's.
 
 The exact tester `are_isomorphic` is an independent cross-check.  It first
 compares the pair profiles of the two graphs: for every vertex pair x, y,
@@ -50,28 +49,28 @@ non-isomorphism with no search.  Only when the profiles are equal does
 _isomorphic run its colour-refinement / individualization backtracking
 search, and every "yes" it gives comes from an explicit mapping.
 
-build_family makes each switched graph once: it is checked strongly
-regular, its code, minimum words and signature are read as above, and it
-is dropped, so a family holds the rows of its quadric graph only.  The
-cross-check of classify_family makes each switched member's graph again,
-once per call, from its Switch, and profiles each member at most once, on
-the first pair that needs it, from one vertex per orbit of checked
-automorphisms.  An automorphism carries the pairs through x onto those
-through its image, so P(x), the multiset over y != x of (A_xy, sorted
-counts), is constant on an orbit; summing P over all v vertices counts
-each pair twice, so the profile is 1/2 sum_O |O| P(x_O) over the orbits O
-(_orbit_pair_profile).  gamma's certified reflections are transitive, so
-it has one orbit and the profile is P(0) with each multiplicity times v/2.
-A switched member's orbits are switching.switch_orbits: maps chosen from
-reflections in vertices and Siegel words that keep S and its none, half
-and all classes, each reflection checked as srg's certificate checks it
-(step 1b), are automorphisms of gamma that keep S and its half-class H,
-so of gamma switched at S and H.  So they are used only when the Switch's
-base is the family's gamma, whose vertices are the form's points, and the
-graph profiled is gamma switched at S and H (srg.is_switch_of); otherwise,
-or when a chosen reflection fails its check or a summed multiplicity is
-odd, the member is profiled pair by pair (_pair_profile).  are_isomorphic,
-the test for arbitrary graphs, always is.
+build_family makes no switched graph: each switch is checked strongly
+regular by switching.verify_switch, and its code, minimum words and
+signature are read as above, so a family holds the rows of its quadric
+graph only.  The cross-check of classify_family makes each switched
+member's graph once per call, from its Switch, and profiles each member at
+most once, on the first pair that needs it, from one vertex per orbit of
+checked automorphisms.  An automorphism carries the pairs through x onto
+those through its image, so P(x), the multiset over y != x of (A_xy, sorted
+counts), is constant on an orbit; summing P over all v vertices counts each
+pair twice, so the profile is 1/2 sum_O |O| P(x_O) over the orbits O
+(_orbit_pair_profile).  gamma's certified reflections are transitive, so it
+has one orbit and the profile is P(0) with each multiplicity times v/2.  A
+switched member's orbits are switching.switch_orbits: maps chosen from
+reflections in vertices and Siegel words that keep S and its none, half and
+all classes, each reflection checked as srg's certificate checks it (step
+1b), are automorphisms of gamma that keep S and its half-class H, so of
+gamma switched at S and H.  So they are used only when the Switch's base is
+the family's gamma, whose vertices are the form's points, and the graph
+profiled is gamma switched at S and H (srg.is_switch_of); otherwise, or
+when a chosen reflection fails its check or a summed multiplicity is odd,
+the member is profiled pair by pair (_pair_profile).  are_isomorphic, the
+test for arbitrary graphs, always is.
 """
 
 from __future__ import annotations
@@ -108,19 +107,23 @@ class GraphSignature:
     min_word_profiles: tuple[tuple[tuple[int, tuple[int, ...]], int], ...]
 
 
-def _profile(g: Graph, w: int) -> tuple[int, tuple[int, ...]]:
-    """The support size of w and the sorted degrees of the graph induced on it."""
-    supp = set_bits(w)
-    return len(supp), tuple(sorted((g.rows[i] & w).bit_count() for i in supp))
+def _profile(g: Graph, w: int, s: int = 0, h: int = 0) -> tuple[int, tuple[int, ...]]:
+    """The support size of w and the sorted degrees of the graph induced on
+    it, for g switched at the vertex masks s and h: the row of x is g's XOR
+    [x in s] h XOR [x in h] s (g itself by default)."""
+    supp, on_h, on_s = set_bits(w), h & w, s & w
+    moved = (on_h if s >> i & 1 else on_s if h >> i & 1 else 0 for i in supp)
+    return len(supp), tuple(sorted(((g.rows[i] & w) ^ m).bit_count() for i, m in zip(supp, moved)))
 
 
-def signature(g: Graph, code: BinaryCode, words) -> GraphSignature:
+def signature(g: Graph, code: BinaryCode, words, s: int = 0, h: int = 0) -> GraphSignature:
     """Signature from the graph's code and that code's minimum-weight words:
     rank, minimum weight, min-word support shapes with their multiplicities,
-    each word profiled."""
+    each word profiled.  With vertex masks s and h, the graph is g switched
+    at S against H (switching.Switch.graph), its rows read off g's."""
     if not words:
         raise CodeError("a signature needs the code's minimum-weight words, got none")
-    profiles = Counter(_profile(g, w) for w in words)
+    profiles = Counter(_profile(g, w, s, h) for w in words)
     return GraphSignature(code.dim, words[0].bit_count(), tuple(sorted(profiles.items())))
 
 
@@ -429,44 +432,26 @@ def switched_code(sw: Switch, gamma: Graph, code: BinaryCode) -> BinaryCode:
 
 def build_family(n: int, kind: str) -> Family:
     """The unswitched graph, certified strongly regular, plus every legal
-    switch of both shapes, first flag each.  Each switched graph is made
-    once, checked strongly regular, profiled for its signature, and dropped;
-    raises NotStronglyRegular (with a witness) for a switch that fails the
-    check.  Every code and its minimum words are read off the form (see the
-    module docstring), and CodeError names a precondition that fails."""
+    switch of both shapes, first flag each.  Each switch is checked strongly
+    regular by verify_switch and profiled for its signature off gamma's
+    rows, S and H, with no switched graph; raises NotStronglyRegular (with a
+    witness) for a switch that fails the check.  Every code and its minimum
+    words are read off the form (see the module docstring), and CodeError
+    names a precondition that fails."""
     if n % 2 == 0 or not 5 <= n <= 9:
         raise GeometryError(f"families are classified for odd n in [5, 9], got {n}")
     gamma, certificate = certified_gamma(n, kind)
     code, base_sig, weights = read_gamma(gamma, certificate)
     members = [FamilyMember("gamma", 0, "", certificate.params, code, (), base_sig, None)]
-    bounds = base_sig.min_weight, max(weights)
     for variant in ("t", "tt"):
         for t in legal_t_range(n, kind, variant):
             sw = build_switch(gamma, make_config(certificate.form, t, variant))
-            name = f"gamma_{variant}{t}"
-            members.append(_switch_member(name, t, variant, gamma, certificate, sw, code, *bounds))
+            params, s, h = verify_switch(sw, certificate), sw.s, sw.certificate.half_class
+            switched = switched_code(sw, gamma, code)
+            words = tuple(augmented_min_words(code, base_sig.min_weight, max(weights), s, h))
+            sig = signature(gamma, switched, words, s, h)
+            members.append(FamilyMember(f"gamma_{variant}{t}", t, variant, params, switched, words, sig, sw))
     return Family(tuple(members), gamma, certificate, tuple(sorted(weights.items())))
-
-
-def _switch_member(
-    name: str,
-    t: int,
-    variant: str,
-    gamma: Graph,
-    certificate: GammaCertificate,
-    sw: Switch,
-    base: BinaryCode,
-    min_weight: int,
-    max_weight: int,
-) -> FamilyMember:
-    """The switch's member: its graph made here, checked strongly regular by
-    verify_switch, profiled, and dropped on return.  base is gamma's code,
-    min_weight and max_weight its least and greatest nonzero weights."""
-    graph = sw.graph
-    params = verify_switch(sw, certificate, graph)
-    code = switched_code(sw, gamma, base)
-    words = augmented_min_words(base, min_weight, max_weight, sw.s, sw.certificate.half_class)
-    return FamilyMember(name, t, variant, params, code, tuple(words), signature(graph, code, words), sw)
 
 
 def _member_orbits(family: Family, m: FamilyMember, g: Graph) -> Optional[tuple[int, ...]]:

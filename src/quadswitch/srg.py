@@ -91,32 +91,36 @@ A switch of the quadric graph is checked by verify_srg_orbit from one row
 of S, given maps that keep S and its half-class T (for the switching
 module's flags: reflections and Siegel maps rho_{a,w} = sigma_w sigma_{w+a},
 x -> x + B(x,a) w + B(x,w) a + B(x,a) a, a word of two reflections in the
-vertices w and w + a when Q(a) = B(w,a) = 0).  The base graph must be the
-one certify_gamma returned, so that its rows are N & (N + x).  Five steps:
+vertices w and w + a when Q(a) = B(w,a) = 0).  The switched graph is
+GM(base, S, T): row x is base's XOR [x in S] T XOR [x in T] S, which is how
+switching makes it, so no switched row is held.  Five steps:
 
   1. each reflection in the maps passes step 1b above, after step 1a,
-     unless certify_gamma already checked it on this form;
+     unless it already has on this form with the reflect it calls now;
   2. each map keeps the point masks of S and of T;
-  3. the graph is GM(base, S): row i differs from the base row by T for i
-     in S, by S for i in T, and not at all elsewhere; each row of T meets S
-     in |S|/2 vertices, and each other row outside S in none or all of S;
+  3. the base graph is the one certify_gamma returned with the
+     certificate, so its rows are N & (N + x); and T is S's half-class on
+     it, as switching.validate_switching_set proved in build_switch: each
+     row of T meets S in |S|/2 vertices, each other one outside S none or
+     all of S;
   4. the orbit of S's first vertex s0 under the maps is S; maps are taken
      in order while they enlarge it;
-  5. the row of s0 has degree k and lambda or mu common neighbours with
-     every other vertex.
+  5. s0's switched row, base's XOR T, has degree k and lambda or mu common
+     neighbours with every other switched row.
 
 By steps 1 and 2 each map is an automorphism of the base graph that keeps
-S and T, so by step 3 an automorphism of the switched graph; by step 4 each
-pair through a vertex of S is carried onto a pair through s0, so step 5
-covers every check verify_srg_near makes on the rows of S.  For rows i, j
-outside S, step 3 leaves p_i = p'_i (the rows restricted to S, before and
-after) unless i is in T, where p'_i = S - p_i with |p_i| = |S|/2, and every
-other p_j is empty or S; so |p_i| = |p'_i| and |p_i & p_j| = |p'_i & p'_j|
-for every pair, which is verify_srg_near's class-pair identity.  So the
-decision is verify_srg_near's.  If any step fails, verify_srg_near itself
-decides, so an error is the one it raises, with its witness.  Below 1,024
-pairs through S (|S| * v) verify_srg_near decides at once: it counts the
-few rows of S faster than the maps can be checked.
+S and T, so of GM(base, S, T); by step 4 each pair through a vertex of S
+is carried onto a pair through s0, so step 5 covers every check
+verify_srg_near makes on the rows of S.  For rows i, j outside S, step 3
+leaves p_i = p'_i (the rows restricted to S, before and after) unless i is
+in T, where p'_i = S - p_i with |p_i| = |S|/2, and every other p_j is
+empty or S; so |p_i| = |p'_i| and |p_i & p_j| = |p'_i & p'_j| for every
+pair, which is verify_srg_near's class-pair identity.  So the decision is
+verify_srg_near's.  If any step fails, verify_srg_orbit returns None and
+verify_srg_near itself decides on the switched graph, so an error is the
+one it raises, with its witness.  Below 1,024 pairs through S (|S| * v)
+it returns None at once: verify_srg_near counts the few rows of S faster
+than the maps can be checked.
 
 Every switch of one (n, kind) starts from the same quadric graph, so
 certified_gamma builds and certifies it once per process and hands out that
@@ -127,7 +131,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import eq
 from typing import Iterable, Iterator
 
@@ -408,9 +412,12 @@ def _check_reflection(form: QuadraticForm, coords: list[int], r: int) -> None:
             raise _NotCertified(f"the reflection in {r} is not linear")
 
 
-def _check_reflections(form: QuadraticForm, word, checked: set) -> None:
-    """Steps 1a and 1b for each reflection in word not in checked, which
-    then holds it; _NotCertified if one fails."""
+def _check_reflections(certificate: GammaCertificate, word) -> None:
+    """Steps 1a and 1b on certificate.form for each reflection in word that
+    has not passed them with the reflect the form calls now, which
+    certificate.checked then holds; _NotCertified if one fails."""
+    form = certificate.form
+    checked = certificate.checked.setdefault(form.reflect, set(certificate.reflections))
     for r in set(word) - checked:
         _check_reflection(form, _coordinate_masks(form), r)
         checked.add(r)
@@ -461,12 +468,16 @@ class GammaCertificate:
     is linear.  A certified reflection s is linear and keeps N, so it keeps Q
     and B and maps word(a) onto word(s(a)), as an automorphism of the graph.
     No words after the reference build, and neither words nor reflections
-    after the verify_srg fallback."""
+    after the verify_srg fallback.  graph is the graph certify_gamma
+    returned, and checked the reflections that passed step 1b since, keyed
+    by the form's reflect."""
 
     form: QuadraticForm
     params: SrgParams
     reflections: tuple[int, ...] = ()
     words: tuple[int, ...] = ()
+    graph: Graph | None = field(default=None, repr=False, compare=False)
+    checked: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def covers(self, mask: int) -> bool:
         """Whether the reflections carry the least point of a nonempty point
@@ -492,9 +503,9 @@ def certify_gamma(form: QuadraticForm) -> tuple[Graph, GammaCertificate]:
     try:
         params = _certificate(form, g, reflections)
     except _NotCertified:
-        return g, GammaCertificate(form, verify_srg(g))
+        return g, GammaCertificate(form, verify_srg(g), graph=g)
     words = _polar_words(form)  # build_gamma's, as it took the polar path iff they exist
-    return g, GammaCertificate(form, params, reflections, () if words is None else tuple(words))
+    return g, GammaCertificate(form, params, reflections, () if words is None else tuple(words), g)
 
 
 # One entry per kind: a batch of requests at one n alternates between the two.
@@ -582,31 +593,23 @@ def verify_srg_near(g: Graph, base: Graph, base_params: SrgParams, changed: int)
 
 
 def verify_srg_orbit(
-    g: Graph, base: Graph, certificate: GammaCertificate, s: int, t: int, words: Iterable[tuple[int, ...]]
-) -> SrgParams:
-    """verify_srg_near(g, base, certificate.params, s), decided from the row
-    of S's first vertex s0 by the five steps of the module docstring.
-
-    s and t are vertex masks: a switching set S on base and its half-class
-    T.  words are candidate maps, each a tuple of reflection points applied
-    in order (see form.reflect); they are taken in order while they enlarge
-    the orbit of s0, and each reflection in them is checked once.  Below
-    _ORBIT_MIN_PAIRS pairs through S, verify_srg_near, the cheaper check
-    there, decides without them.
-
-    Precondition: base is the graph certify_gamma returned with certificate,
-    so its rows are N & (N + x) on certificate.form, as verify_srg_near
-    needs base verified with the parameters.  A base whose vertices are not
-    the form's points, sets that do not fit, or any failed step leaves the
-    decision to verify_srg_near, so an error is the one it raises, with its
-    witness.
+    base: Graph, certificate: GammaCertificate, s: int, t: int, words: Iterable[tuple[int, ...]]
+) -> SrgParams | None:
+    """verify_srg_near(GM(base, S, T), base, certificate.params, s), for S
+    and T the vertex masks s and t, decided from the row of S's first vertex
+    s0 by the five steps of the module docstring, with no switched row held;
+    None if a step fails, or below _ORBIT_MIN_PAIRS pairs through S, where
+    verify_srg_near is the cheaper check.  words are candidate maps, each a
+    tuple of reflection points applied in order (see form.reflect), taken
+    while they enlarge the orbit of s0.  Precondition (step 3): T is S's
+    half-class on base, proved as switching.validate_switching_set proves it.
     """
-    if s.bit_count() * g.v >= _ORBIT_MIN_PAIRS:
-        try:
-            return _orbit_certificate(g, base, certificate, s, t, words)
-        except _NotCertified:
-            pass
-    return verify_srg_near(g, base, certificate.params, s)
+    if s.bit_count() * base.v < _ORBIT_MIN_PAIRS:
+        return None
+    try:
+        return _orbit_certificate(base, certificate, s, t, words)
+    except _NotCertified:
+        return None
 
 
 # |S| * v from which checking the maps costs less than verify_srg_near's
@@ -614,38 +617,27 @@ def verify_srg_orbit(
 _ORBIT_MIN_PAIRS = 1024
 
 
-def _orbit_certificate(g: Graph, base: Graph, certificate: GammaCertificate, s: int, t: int, words) -> SrgParams:
+def _orbit_certificate(base: Graph, certificate: GammaCertificate, s: int, t: int, words) -> SrgParams:
     """The parameters from steps 1-5 of the module docstring's switch
     certificate, or _NotCertified if one fails."""
     form, params = certificate.form, certificate.params
-    v, rows, base_rows = g.v, g.rows, base.rows
-    if v != base.v or v != params.v or not s or not t or s & t or (s | t) >> v:
-        raise _NotCertified("the graphs or the sets do not fit")
-    if base.labels is not form.labels and base.labels != form.labels:
-        raise _NotCertified("the base graph's vertices are not the form's points")
-
-    # step 3: row i moves by T for i in S, by S for i in T, and not at all
-    # elsewhere; a row of T meets S in half of it, any other row outside S in
-    # none or all of it
-    if not is_switch_of(g, base, s, t):
-        raise _NotCertified("the graph is not the switch of the base graph at S and T")
-    if {2 * (base_rows[i] & s).bit_count() for i in set_bits(t)} != {s.bit_count()} or not {
-        base_rows[i] & s for i in set_bits(((1 << v) - 1) ^ s ^ t)
-    } <= {0, s}:
-        raise _NotCertified("a row outside S meets S in other than none, half or all of it")
+    v, rows = base.v, base.rows
+    if base is not certificate.graph:  # step 3; build_switch proved T on it
+        raise _NotCertified("the base graph is not the one certify_gamma returned with the certificate")
+    if v != params.v or not s or not t or s & t or (s | t) >> v:
+        raise _NotCertified("the sets do not fit")
 
     # steps 1, 2 and 4: maps that keep S and T, chosen while they enlarge the orbit of s0
     s_points, t_points = form.points(s), form.points(t)
     s0 = (s & -s).bit_length() - 1
     orbit, chosen = 1 << form.labels[s0], []
-    checked = set(certificate.reflections)  # certify_gamma checked these on this form
     for word in words:
         if orbit == s_points:
             break
         image = _apply(form, orbit, word)
         if not image & ~orbit:
             continue
-        _check_reflections(form, word, checked)
+        _check_reflections(certificate, word)
         if _apply(form, s_points, word) != s_points or _apply(form, t_points, word) != t_points:
             raise _NotCertified(f"the map {word} moves S or T")
         chosen.append(word)
@@ -653,9 +645,16 @@ def _orbit_certificate(g: Graph, base: Graph, certificate: GammaCertificate, s: 
     if orbit != s_points and _word_orbit(form, orbit, chosen) != s_points:
         raise _NotCertified("the maps are not transitive on S")
 
-    # step 5: the row of s0 in full
-    first = rows[s0]
+    # step 5: s0's switched row against each switched row, base's XOR T on S
+    # and XOR S on T, where |first & (r ^ S)| = |first & r| + |on_s| - 2|r & on_s|
+    first, on_s = rows[s0] ^ t, rows[s0] & s
     counts = list(map(int.bit_count, map(first.__and__, rows)))
+    for i in set_bits(s):
+        counts[i] = (first & (rows[i] ^ t)).bit_count()
+    if on_s:  # s0's neighbours in S: none when S is a coclique
+        members = set_bits(t)
+        for i, common in zip(members, map(int.bit_count, map(on_s.__and__, map(rows.__getitem__, members)))):
+            counts[i] += on_s.bit_count() - 2 * common
     counts[s0] = params.mu  # s0's pair with itself is not one
     if first.bit_count() != params.k or not {*zip(format(first, f"0{v}b")[::-1], counts)} <= {
         ("1", params.lam),
@@ -676,13 +675,13 @@ def symmetry_orbits(
     words are candidate maps, as for verify_srg_orbit.  A map is chosen when
     it enlarges the orbit of the least vertex not yet covered and keeps the
     point mask of each block (step 2 of the switch certificate); each
-    reflection in it then passes step 1b (after 1a), unless certify_gamma
-    checked it.  An orbit that fills its block is grown no further.  Every
+    reflection in it then passes step 1b (after 1a), unless it already has
+    (step 1 of the switch certificate).  An orbit that fills its block is grown no further.  Every
     map is chosen before the orbits are taken, so they are the orbits of one
     group: disjoint, and covering the vertices."""
     form = certificate.form
     blocks = [form.points(b) for b in blocks]
-    words, chosen, checked, left = list(words), [], set(certificate.reflections), form.off
+    words, chosen, left = list(words), [], form.off
     try:
         while left:
             orbit = _word_orbit(form, left & -left, chosen)
@@ -694,7 +693,7 @@ def symmetry_orbits(
                 words[i] = None  # chosen now, or never: it moves a block
                 if any(_apply(form, b, word) != b for b in blocks):
                     continue
-                _check_reflections(form, word, checked)
+                _check_reflections(certificate, word)
                 chosen.append(word)
                 orbit = _word_orbit(form, orbit, chosen)
             left &= ~orbit

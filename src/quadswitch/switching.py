@@ -38,8 +38,10 @@ A SwitchConfig checks its flag on point masks too: each of Pi, Pi' and
 span(Pi, Pi') has the right dimension, holds alpha, and meets the quadric
 (the form's zero mask) in alpha's points and no others.
 
-verify_switch checks a switched graph from the flag's symmetries, with
-srg.verify_srg_orbit.  For y on Pi off alpha (y' on Pi'), S is y + alpha
+verify_switch checks a switch with srg.verify_srg_orbit from gamma's rows,
+S, its half-class H (proved by build_switch) and the flag's symmetries, and
+makes Switch.graph, gamma's rows XOR v_H on S and v_S on H, only where
+verify_srg_near decides.  For y on Pi off alpha (y' on Pi'), S is y + alpha
 (or that and y' + alpha), and for a vertex w with B(w,a) = 0 the Siegel map
 rho_{a,w} = sigma_w sigma_{w+a} acts on a point x of alpha-perp as
 x -> x + B(x,w) a.  So with w in alpha-perp and B(w,y) = 1 it translates S
@@ -48,20 +50,20 @@ points then carry S's first vertex over all of S.  When alpha-perp has no
 such w (hyperbolic, t = (n-3)/2, where alpha-perp/alpha is a hyperbolic
 line whose one nonsingular point is y + alpha), w is taken off alpha-perp
 for each point a of alpha, and the maps of points beyond the basis close
-the orbit.  Below srg's size rule (_ORBIT_MIN_PAIRS pairs through S)
-verify_srg_near, the cheaper check there, decides without the maps.
-switch_orbits offers those maps, the reflections in the vertices and the
-Siegel maps of alpha's basis points for every vertex w with B(w,a) = 0 to
-srg.symmetry_orbits, for the vertex orbits of distinguish's cross-check.
+the orbit.  switch_orbits offers those maps, the reflections in the
+vertices and the Siegel maps of alpha's basis points for every vertex w
+with B(w,a) = 0 to srg.symmetry_orbits, for the vertex orbits of
+distinguish's cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterator, Optional
 
-from .gf2geom import HYPERBOLIC, QuadraticForm, QuadswitchError, Subspace, span
+from . import srg
+from .gf2geom import HYPERBOLIC, QuadraticForm, QuadswitchError, Subspace, set_bits, span
 from .srg import GammaCertificate, Graph, SrgParams, expected_params, symmetry_orbits, verify_srg_orbit
 
 
@@ -298,9 +300,9 @@ def _complement_edges(g: Graph, cert: SwitchCertificate) -> Graph:
     """Complement the edges between S and its half-class; everything else stays."""
     s, half = cert.s_vertices, cert.half_class
     rows = list(g.rows)
-    for i in _bits(half):
+    for i in set_bits(half):
         rows[i] ^= s
-    for i in _bits(s):
+    for i in set_bits(s):
         rows[i] ^= half
     return Graph(g.labels, tuple(rows))
 
@@ -340,12 +342,14 @@ class Switch:
     certificate that S is a switching set, the graph base it was checked on
     and the closed-form T-set.  The switched graph is not held: each read of
     graph makes it from base and the certificate.  Make a Switch with
-    build_switch, which checks S once."""
+    build_switch, which checks S once and alone sets proved: verify_switch
+    checks the classes of a Switch made any other way, replace() too."""
 
     config: SwitchConfig
     certificate: SwitchCertificate
     base: Graph
     t_set: int
+    proved: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def s(self) -> int:
@@ -368,8 +372,9 @@ def build_switch(gamma: Graph, config: SwitchConfig) -> Switch:
     """
     if gamma.labels is not config.form.labels and gamma.labels != config.form.labels:
         raise SwitchingError("the graph's vertices are not the points of the flag's form")
-    cert = validate_switching_set(gamma, build_S(config))
-    return Switch(config, cert, gamma, T_formula(config))
+    sw = Switch(config, validate_switching_set(gamma, build_S(config)), gamma, T_formula(config))
+    object.__setattr__(sw, "proved", True)  # certificate holds on gamma, just checked
+    return sw
 
 
 def _flag_words(config: SwitchConfig) -> Iterator[tuple[int, ...]]:
@@ -409,12 +414,18 @@ def switch_orbits(sw: Switch, certificate: GammaCertificate) -> tuple[int, ...] 
     return symmetry_orbits(certificate, blocks, words)
 
 
-def verify_switch(sw: Switch, certificate: GammaCertificate, graph: Graph) -> SrgParams:
-    """verify_srg_near(graph, sw.base, certificate.params, sw.s), decided by
-    srg.verify_srg_orbit from the row of S's first vertex and the flag's
-    symmetries, or for a small S by verify_srg_near itself; graph is the
-    switched graph, sw.graph as made.  sw.base must
-    be the graph certify_gamma returned with certificate, as it is for every
-    Switch built on certified_gamma."""
-    half = sw.certificate.half_class
-    return verify_srg_orbit(graph, sw.base, certificate, sw.s, half, _flag_words(sw.config))
+def verify_switch(sw: Switch, certificate: GammaCertificate) -> SrgParams:
+    """verify_srg_near(sw.graph, certificate.graph, certificate.params,
+    sw.s): decided with no switched graph by srg.verify_srg_orbit from the
+    flag's symmetries once S's classes hold on sw.base (proved by
+    build_switch, or here by validate_switching_set again), else on sw.graph
+    (against sw.base if the certificate holds no graph)."""
+    try:
+        proved = sw.proved or validate_switching_set(sw.base, sw.s) == sw.certificate
+    except SwitchingError:
+        proved = False
+    if proved:
+        params = verify_srg_orbit(sw.base, certificate, sw.s, sw.certificate.half_class, _flag_words(sw.config))
+        if params is not None:
+            return params
+    return srg.verify_srg_near(sw.graph, certificate.graph or sw.base, certificate.params, sw.s)

@@ -343,19 +343,46 @@ def test_no_switched_graph_outlives_its_checks(capsys, monkeypatch):
     monkeypatch.setattr(switching, "_complement_edges", tracked)
     code, _, _ = run_cli(capsys, "verify-all", "--n", "7")
     assert code == 0
-    assert len(graphs) == 7  # one per switched member: 4 elliptic and 3 hyperbolic
-    assert alive_at_call == [[False] * i for i in range(7)]  # each checked, read and freed
+    # one per switch that verify_srg_near decides, below 1024 pairs through S:
+    # elliptic t1 and the 3 hyperbolic members; the rest are checked with no graph
+    assert len(graphs) == 4
+    assert alive_at_call == [[False] * i for i in range(4)]  # each checked and freed
     gc.collect()
     assert all(ref() is None for ref in graphs)
 
 
 def test_a_switch_request_makes_its_graph_once(tmp_path, capsys, monkeypatch):
+    # the export makes the graph; --verify makes it again only for a switch
+    # that verify_srg_near decides, here |S| * v = 4 * 136 < 1024, and not
+    # for the tt switch (8 * 136)
     complement, calls = switching._complement_edges, []
     monkeypatch.setattr(switching, "_complement_edges", lambda g, cert: calls.append(g) or complement(g, cert))
     argv = ["switch", "--n", "7", "--kind", ELLIPTIC, "--t", "1", "--verify", "--code"]
-    code, _, _ = run_cli(capsys, *argv, "--export-graph", str(tmp_path / "g.g6"))
+    for variant, made in (("t", 2), ("tt", 1)):
+        calls.clear()
+        code, _, _ = run_cli(capsys, *argv, "--variant", variant, "--export-graph", str(tmp_path / "g.g6"))
+        assert code == 0
+        assert len(calls) == made, variant
+        code, _, _ = run_cli(capsys, *argv, "--variant", variant)
+        assert code == 0
+        assert len(calls) == made + (variant == "t"), variant
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_switch_verify_makes_no_switched_graph(capsys, monkeypatch, kind):
+    # switch --verify at n = 11 checks the switch from gamma's rows and its
+    # masks: without --export-graph no switched graph is made
+    argv = ["switch", "--n", "11", "--kind", kind, "--t", "1", "--variant", "tt", "--verify", "--code"]
+    code, honest, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len(calls) == 1
+
+    def refuse(*args):
+        raise AssertionError("a switched graph was made")
+
+    monkeypatch.setattr(switching, "_complement_edges", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and without_timings(out) == without_timings(honest)
+    assert json.loads(out)["checks"]["switched_srg_parameters_unchanged"]
 
 
 @pytest.mark.parametrize(

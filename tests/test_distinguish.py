@@ -116,7 +116,7 @@ def test_orbit_signature_equals_the_direct_signature(monkeypatch, n, kind):
     g, certificate, code, words = certified_words(n, kind)
     assert certificate.reflections and len(certificate.words) == n + 1
     calls = []
-    monkeypatch.setattr(distinguish, "_profile", lambda g, w: calls.append(w) or _profile(g, w))
+    monkeypatch.setattr(distinguish, "_profile", lambda g, w, *switch: calls.append(w) or _profile(g, w, *switch))
     read_code, sig, weights = read_gamma(g, certificate)
     # one profile computed, of a minimum word; its multiplicity the word count
     assert len(calls) == 1 and calls[0] in words
@@ -348,6 +348,23 @@ def test_switched_code_makes_no_graph(monkeypatch, kind):
 
     monkeypatch.setattr(switching, "_complement_edges", refuse)
     assert [switched_code(sw, gamma, base) for sw in switches] == references
+
+
+@pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])
+def test_the_n9_family_makes_no_switched_graph(monkeypatch, kind):
+    # every n = 9 switch is checked by its flag's symmetries and profiled off
+    # gamma's rows and the masks: the family is the one built with graphs
+    honest = build_family(9, kind)
+
+    def refuse(*args):
+        raise AssertionError("a switched graph was made")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(switching, "_complement_edges", refuse)
+        family = build_family(9, kind)
+    assert family == honest and len(family.members) > 1
+    for m in family.members[1:]:
+        assert m.sig == signature(m.switch.graph, m.code, m.words), m.name
 
 
 def test_switched_code_refuses_a_switch_of_another_graph():
@@ -774,7 +791,7 @@ def test_family_n5_hyperbolic_flags_claim():
 
 def test_family_n7_elliptic(monkeypatch):
     calls = []
-    monkeypatch.setattr(distinguish, "_profile", lambda g, w: calls.append(w) or _profile(g, w))
+    monkeypatch.setattr(distinguish, "_profile", lambda g, w, *switch: calls.append(w) or _profile(g, w, *switch))
     rep = classify_family(build_family(7, ELLIPTIC))
     assert rep.distinct_count == 5
     assert {m.name for m in rep.members} == {

@@ -883,12 +883,20 @@ def test_certificate_refuses_a_transitive_map_that_is_not_linear(monkeypatch, ki
 
 
 def count_fallbacks(monkeypatch):
-    """Record each call verify_srg_orbit makes to verify_srg_near, which still
+    """Record each call verify_switch makes to verify_srg_near, which still
     answers it; every switch tries its maps, however small."""
     calls = []
     monkeypatch.setattr(srg, "verify_srg_near", lambda *a: calls.append(a) or verify_srg_near(*a))
     monkeypatch.setattr(srg, "_ORBIT_MIN_PAIRS", 0)
     return calls
+
+
+def refuse_switched_graphs(monkeypatch):
+    """Make every read of Switch.graph an error."""
+    def refuse(*args):
+        raise AssertionError("a switched graph was made")
+
+    monkeypatch.setattr(switching, "_complement_edges", refuse)
 
 
 def certify_switch(n, kind, t, variant):
@@ -898,34 +906,44 @@ def certify_switch(n, kind, t, variant):
     return build_switch(base, make_config(f, t, variant)), certificate
 
 
-def assert_near_decides(monkeypatch, sw, certificate, g):
-    """verify_switch on g calls verify_srg_near once and ends as it does: the
-    same parameters, or the same error with the same witness."""
-    params = certificate.params
+def fields_of(sw):
+    """The fields of a Switch, to make it again by hand."""
+    return sw.config, sw.certificate, sw.base, sw.t_set
+
+
+def assert_near_decides(monkeypatch, sw, certificate):
+    """verify_switch calls verify_srg_near on sw.graph once and ends as it
+    does: the same parameters, or the same error with the same witness, one
+    whose count is really wrong in sw.graph."""
+    params, g = certificate.params, sw.graph
     calls = count_fallbacks(monkeypatch)
     try:
-        want = verify_srg_near(g, sw.base, params, sw.s)
+        want = verify_srg_near(g, certificate.graph, params, sw.s)
     except NotStronglyRegular as exc:
+        assert_real_witness(g, params, exc)
         with pytest.raises(NotStronglyRegular) as got:
-            verify_switch(sw, certificate, g)
+            verify_switch(sw, certificate)
         assert (str(got.value), got.value.witness) == (str(exc), exc.witness)
     else:
-        assert verify_switch(sw, certificate, g) == want
+        assert verify_switch(sw, certificate) == want
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n,kind,t,variant", list(legal_cases((5, 7, 9, 11))))
 def test_switch_certificate_decides_as_verify_srg_near(monkeypatch, n, kind, t, variant):
     # differential: every legal switch up to n = 11, three flags each, is decided
-    # without the fallback, as verify_srg_near and (up to n = 9) verify_srg decide
+    # without the fallback and without its graph, as verify_srg_near and (up to
+    # n = 9) verify_srg decide on the graph
     base, certificate = certified_gamma(n, kind)
     params = certificate.params
     calls = count_fallbacks(monkeypatch)
     for k in (0, 7, 21):
         sw = build_switch(base, make_config(certificate.form, t, variant, k))
-        g = sw.graph
-        assert verify_switch(sw, certificate, g) == params
+        with monkeypatch.context() as patched:
+            refuse_switched_graphs(patched)
+            assert verify_switch(sw, certificate) == params
         assert calls == [], k
+        g = sw.graph
         assert verify_srg_near(g, base, params, sw.s) == params
         if n <= 9:
             assert verify_srg(g) == params
@@ -947,9 +965,9 @@ def test_small_switches_go_to_verify_srg_near_without_their_maps(monkeypatch, n,
     monkeypatch.setattr(srg, "verify_srg_near", lambda *a: calls.append(a) or verify_srg_near(*a))
     params = certificate.params
     if small:
-        assert srg.verify_srg_orbit(sw.graph, sw.base, certificate, sw.s, sw.certificate.half_class, maps()) == params
-    assert verify_switch(sw, certificate, sw.graph) == params
-    assert len(calls) == 2 * small
+        assert srg.verify_srg_orbit(sw.base, certificate, sw.s, sw.certificate.half_class, maps()) is None
+    assert verify_switch(sw, certificate) == params
+    assert len(calls) == small
 
 
 @pytest.mark.parametrize("n,kind,t,variant", list(legal_cases((5, 7, 9, 11))))
@@ -973,24 +991,36 @@ def test_only_hyperbolic_top_t_needs_points_beyond_alpha_basis(n, kind, t, varia
 @pytest.mark.parametrize("n,kind,t,variant", [(5, HYPERBOLIC, 1, "t"), (7, ELLIPTIC, 2, "tt")])
 def test_switch_certificate_checks_each_reflection_once(monkeypatch, n, kind, t, variant):
     # each reflection the chosen maps use is checked once, and none that
-    # certify_gamma already checked on the form
+    # certify_gamma already checked on the form; the certificate keeps each
+    # pass, so a second check of the switch and its cross-check orbits, which
+    # offer the flag's maps first, check none of them again
     sw, certificate = certify_switch(n, kind, t, variant)
     checked, check = [], srg._check_reflection
     monkeypatch.setattr(srg, "_check_reflection", lambda f, coords, r: checked.append(r) or check(f, coords, r))
     monkeypatch.setattr(srg, "_ORBIT_MIN_PAIRS", 0)
-    assert verify_switch(sw, certificate, sw.graph) == certificate.params
+    assert verify_switch(sw, certificate) == certificate.params
     assert checked and len(set(checked)) == len(checked)
     assert not set(checked) & set(certificate.reflections)
+    first = list(checked)
+    assert verify_switch(sw, certificate) == certificate.params
+    assert checked == first
+    assert switching.switch_orbits(sw, certificate) is not None
+    assert len(set(checked)) == len(checked)
 
 
 def test_switch_certificate_refuses_a_reflection_that_is_not_linear(monkeypatch):
     # the reflection in one of the flag's points, made to swap two vertices
     # outside S and T as well: a bit permutation that keeps N, S and T, but
-    # not linear, so step 1 refuses it and verify_srg_near decides
-    sw, certificate = certify_switch(7, ELLIPTIC, 1, "t")
+    # not linear.  It passed step 1 on the process's certified form before
+    # the swap; with reflect replaced it is checked anew, step 1 refuses it,
+    # and verify_srg_near decides
+    gamma, certificate = certified_gamma(7, ELLIPTIC)
+    sw = build_switch(gamma, make_config(certificate.form, 1, "t"))
     f, half = certificate.form, sw.certificate.half_class
     words = list(switching._flag_words(sw.config))
     r = next(r for word in words for r in word if r not in certificate.reflections)
+    assert srg._orbit_certificate(gamma, certificate, sw.s, half, words) == certificate.params
+    assert r in certificate.checked[f.reflect]
     p, q = set_bits(f.points(((1 << sw.base.v) - 1) & ~(sw.s | half)))[:2]
     reflect = f.reflect
 
@@ -1002,37 +1032,40 @@ def test_switch_certificate_refuses_a_reflection_that_is_not_linear(monkeypatch)
 
     monkeypatch.setattr(f, "reflect", swapped)
     with pytest.raises(srg._NotCertified, match=f"reflection in {r} is not linear"):
-        srg._orbit_certificate(sw.graph, sw.base, certificate, sw.s, half, words)
-    assert_near_decides(monkeypatch, sw, certificate, sw.graph)
+        srg._orbit_certificate(gamma, certificate, sw.s, half, words)
+    assert_near_decides(monkeypatch, sw, certificate)
 
 
 @pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "t"), (7, HYPERBOLIC, 1, "tt")])
 @pytest.mark.parametrize("bad", ["moves S", "fixes S"])
 def test_switch_certificate_refuses_maps_that_do_not_carry_s0_over_s(monkeypatch, n, kind, t, variant, bad):
-    # the reflection in a vertex w with B(w,y) = 1 moves y off S: step 2
-    # refuses it.  Siegel maps rho_{a,w} with w in alpha-perp and B(w,y) = 0
-    # fix S pointwise: no orbit grows, and step 4 refuses them
+    # the reflection in a vertex w with B(w,y) = 1 moves s0's point y off S:
+    # step 2 refuses it.  Siegel maps rho_{a,w} with w in alpha-perp and
+    # B(w,y) = 0 fix S pointwise: no orbit grows, and step 4 refuses them
     sw, certificate = certify_switch(n, kind, t, variant)
     f, alpha, half = certificate.form, sw.config.alpha, sw.certificate.half_class
     y = f.labels[set_bits(sw.s)[0]]
     if bad == "moves S":
         w = set_bits(f.off & f.nonorth(y))[0]
+        assert not f.reflect(1 << y, w) & f.points(sw.s)
         words, refusal = [(w,), *switching._flag_words(sw.config)], "moves S or T"
     else:
         perp = f.off & ~f.nonorth(y) & ~switching._off_perp(f, alpha)
         w = set_bits(perp)[0]
         words, refusal = [(w ^ a, w) for a in alpha.basis], "not transitive on S"
     with pytest.raises(srg._NotCertified, match=refusal):
-        srg._orbit_certificate(sw.graph, sw.base, certificate, sw.s, half, words)
+        srg._orbit_certificate(sw.base, certificate, sw.s, half, words)
     monkeypatch.setattr(switching, "_flag_words", lambda config: iter(words))
-    assert_near_decides(monkeypatch, sw, certificate, sw.graph)
+    assert_near_decides(monkeypatch, sw, certificate)
 
 
 @pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "tt"), (7, HYPERBOLIC, 2, "t")])
 @pytest.mark.parametrize("where", ["s0_row", "other_s_row", "between_classes"])
 def test_switch_certificate_leaves_a_flipped_edge_to_verify_srg_near(monkeypatch, n, kind, t, variant, where):
-    # a flipped edge moves two rows off GM(base, S): step 3 refuses the graph,
-    # and verify_srg_near rejects it with its own message and witness
+    # the flipped edge is in the Switch's base: a graph that is not the
+    # certified gamma, whose switch is the true one with that edge flipped.
+    # Step 3 refuses the base, and verify_srg_near, against the certified
+    # gamma, rejects the graph with its own message and a real witness
     sw, certificate = certify_switch(n, kind, t, variant)
     members, half = set_bits(sw.s), set_bits(sw.certificate.half_class)
     if where == "s0_row":
@@ -1043,30 +1076,48 @@ def test_switch_certificate_leaves_a_flipped_edge_to_verify_srg_near(monkeypatch
         outside = set_bits(((1 << sw.base.v) - 1) & ~sw.s)  # two of these in different classes
         i = outside[0]
         j = next(j for j in outside if sw.base.rows[j] & sw.s != sw.base.rows[i] & sw.s)
-    bad = flip(sw.graph, i, j)
-    with pytest.raises(srg._NotCertified, match="not the switch of the base graph"):
-        srg._orbit_certificate(bad, sw.base, certificate, sw.s, sw.certificate.half_class, [])
+    bad = Switch(sw.config, sw.certificate, flip(sw.base, i, j), sw.t_set)
+    assert bad.graph == flip(sw.graph, i, j)
+    with pytest.raises(srg._NotCertified, match="not the one certify_gamma returned"):
+        srg._orbit_certificate(bad.base, certificate, sw.s, sw.certificate.half_class, [])
     with pytest.raises(NotStronglyRegular):
-        verify_srg_near(bad, sw.base, certificate.params, sw.s)
-    assert_near_decides(monkeypatch, sw, certificate, bad)
+        verify_srg_near(bad.graph, sw.base, certificate.params, sw.s)
+    assert_near_decides(monkeypatch, bad, certificate)
 
 
 @pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "t"), (7, ELLIPTIC, 1, "tt")])
 @pytest.mark.parametrize("which", ["short", "wide"])
 def test_switch_certificate_refuses_a_half_class_it_does_not_switch(monkeypatch, n, kind, t, variant, which):
-    # T short of one vertex of the half-class, or with the all-class added: the
-    # graph is GM(base, S, T) as built, but a row outside S meets S in half of
-    # it without being switched, or in all of it while switched, so step 3
-    # refuses it, and verify_srg_near decides
+    # a hand-made Switch whose half-class is short of one vertex, or has the
+    # all-class added: its graph is switched at that class as given, but
+    # build_switch did not prove it, and validate_switching_set does not give
+    # it again, so verify_srg_near decides on that graph
     sw, certificate = certify_switch(n, kind, t, variant)
     cert = sw.certificate
-    assert cert.all_class
+    assert cert.all_class and sw.proved
     half = cert.half_class & (cert.half_class - 1) if which == "short" else cert.half_class | cert.all_class
     other = Switch(sw.config, replace(cert, half_class=half), sw.base, sw.t_set)
-    g = other.graph
-    with pytest.raises(srg._NotCertified, match="meets S in other than none, half or all"):
-        srg._orbit_certificate(g, sw.base, certificate, sw.s, half, switching._flag_words(sw.config))
-    assert_near_decides(monkeypatch, other, certificate, g)
+    assert not other.proved and not replace(sw, certificate=other.certificate).proved
+    assert switching.validate_switching_set(sw.base, sw.s) == cert != other.certificate
+    with pytest.raises(NotStronglyRegular):
+        verify_srg(other.graph)
+    assert_near_decides(monkeypatch, other, certificate)
+
+
+@pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "t"), (7, ELLIPTIC, 1, "tt")])
+def test_a_switch_made_by_hand_has_its_classes_proved_again(monkeypatch, n, kind, t, variant):
+    # a true Switch made again by hand is not marked proved: its classes are
+    # checked again, once, and the flag's maps then decide it with no graph
+    sw, certificate = certify_switch(n, kind, t, variant)
+    again = Switch(*fields_of(sw))
+    assert not again.proved and again == sw
+    calls = count_fallbacks(monkeypatch)
+    validated, validate = [], switching.validate_switching_set
+    monkeypatch.setattr(switching, "validate_switching_set", lambda g, s: validated.append(s) or validate(g, s))
+    refuse_switched_graphs(monkeypatch)
+    assert verify_switch(sw, certificate) == certificate.params and validated == []
+    assert verify_switch(again, certificate) == certificate.params and validated == [sw.s]
+    assert calls == []
 
 
 @pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "t"), (7, HYPERBOLIC, 1, "tt")])
@@ -1080,30 +1131,32 @@ def test_switch_certificate_counts_the_row_of_s0(monkeypatch, n, kind, t, varian
     wrong = replace(certificate, params=replace(params, **{field: getattr(params, field) + 1}))
     s0 = set_bits(sw.s)[0]
     with pytest.raises(srg._NotCertified, match=f"through vertex {s0} has a wrong count"):
-        srg._orbit_certificate(sw.graph, sw.base, wrong, sw.s, sw.certificate.half_class,
-                               switching._flag_words(sw.config))
-    assert_near_decides(monkeypatch, sw, wrong, sw.graph)
+        srg._orbit_certificate(sw.base, wrong, sw.s, sw.certificate.half_class, switching._flag_words(sw.config))
+    assert_near_decides(monkeypatch, sw, wrong)
 
 
 def test_switch_certificate_needs_the_certified_base_graph(monkeypatch):
-    # a base whose vertices are not the form's points is refused up front; an
-    # isomorphic copy of gamma on the same points, switched at the image of S,
-    # is one whose S the flag's maps do not keep: either way verify_srg_near decides
+    # a base whose vertices are not the form's points, or an isomorphic copy
+    # of gamma on the same points switched at the image of S, is not the graph
+    # certify_gamma returned: step 3 refuses it, and verify_srg_near decides
+    # against the certified gamma
     sw, certificate = certify_switch(5, ELLIPTIC, 1, "t")
     base, params = sw.base, certificate.params
     half = sw.certificate.half_class
     renamed = Graph(tuple(x + 64 for x in base.labels), base.rows)
-    g = Graph(renamed.labels, sw.graph.rows)
-    with pytest.raises(srg._NotCertified, match="not the form's points"):
-        srg._orbit_certificate(g, renamed, certificate, sw.s, half, switching._flag_words(sw.config))
+    with pytest.raises(srg._NotCertified, match="not the one certify_gamma returned"):
+        srg._orbit_certificate(renamed, certificate, sw.s, half, switching._flag_words(sw.config))
+    copy = Graph(base.labels, base.rows)  # equal to gamma, but not the graph certified
+    with pytest.raises(srg._NotCertified, match="not the one certify_gamma returned"):
+        srg._orbit_certificate(copy, certificate, sw.s, half, switching._flag_words(sw.config))
 
     perm = list(range(base.v))
     random.Random(3).shuffle(perm)
-    moved_base, moved = relabel(base, perm), relabel(sw.graph, perm)
-    s, t = relabel_mask(sw.s, perm), relabel_mask(half, perm)
-    with pytest.raises(srg._NotCertified):
-        srg._orbit_certificate(moved, moved_base, certificate, s, t, switching._flag_words(sw.config))
-    calls = count_fallbacks(monkeypatch)
-    words = switching._flag_words(sw.config)
-    assert srg.verify_srg_orbit(moved, moved_base, certificate, s, t, words) == params
-    assert len(calls) == 1
+    cert = sw.certificate
+    masks = ("s_vertices", "none_class", "half_class", "all_class")
+    moved_cert = replace(cert, **{name: relabel_mask(getattr(cert, name), perm) for name in masks})
+    moved = Switch(sw.config, moved_cert, relabel(base, perm), relabel_mask(sw.t_set, perm))
+    assert moved.graph == relabel(sw.graph, perm)
+    with pytest.raises(srg._NotCertified, match="not the one certify_gamma returned"):
+        srg._orbit_certificate(moved.base, certificate, moved.s, moved_cert.half_class, switching._flag_words(sw.config))
+    assert_near_decides(monkeypatch, moved, certificate)
