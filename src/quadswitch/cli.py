@@ -137,10 +137,11 @@ def cmd_switch(args, runner: _Runner) -> dict:
         "find_flag", lambda: switching.make_config(form, args.t, args.variant, args.seed_choice)
     )
     sw = switching.build_switch(gamma, cfg)
+    graph = sw.graph if args.export_graph else None  # --verify and --code read no graph
     report = {"switching": _switch_report(sw)}
     runner.check("t_formula_equals_half_class", report["switching"]["t_formula_equals_half_class"])
     if args.verify:
-        swp = runner.time("verify_srg", lambda: switching.verify_switch(sw, certificate))
+        swp = runner.time("verify_srg", lambda: switching.verify_switch(sw, certificate, graph))
         report["srg"] = _params_dict(swp)
         runner.check("switched_srg_parameters_unchanged", swp == base)
     if args.code:
@@ -151,7 +152,7 @@ def cmd_switch(args, runner: _Runner) -> dict:
             return _code_report(switched, codes.augmented_weight_distribution(c, sw.s, sw.certificate.half_class))
 
         report["code"] = runner.time("code", read)
-    _export(args, sw.graph if args.export_graph else None, report)
+    _export(args, graph, report)
     return report
 
 

@@ -417,7 +417,7 @@ def _check_reflections(certificate: GammaCertificate, word) -> None:
     has not passed them with the reflect the form calls now, which
     certificate.checked then holds; _NotCertified if one fails."""
     form = certificate.form
-    checked = certificate.checked.setdefault(form.reflect, set(certificate.reflections))
+    checked = certificate.checked.setdefault(form.reflect, set())
     for r in set(word) - checked:
         _check_reflection(form, _coordinate_masks(form), r)
         checked.add(r)
@@ -469,8 +469,8 @@ class GammaCertificate:
     and B and maps word(a) onto word(s(a)), as an automorphism of the graph.
     No words after the reference build, and neither words nor reflections
     after the verify_srg fallback.  graph is the graph certify_gamma
-    returned, and checked the reflections that passed step 1b since, keyed
-    by the form's reflect."""
+    returned, and checked the reflections that passed step 1b, keyed by the
+    form's reflect they passed with: certify_gamma's own under its reflect."""
 
     form: QuadraticForm
     params: SrgParams
@@ -505,7 +505,9 @@ def certify_gamma(form: QuadraticForm) -> tuple[Graph, GammaCertificate]:
     except _NotCertified:
         return g, GammaCertificate(form, verify_srg(g), graph=g)
     words = _polar_words(form)  # build_gamma's, as it took the polar path iff they exist
-    return g, GammaCertificate(form, params, reflections, () if words is None else tuple(words), g)
+    certificate = GammaCertificate(form, params, reflections, () if words is None else tuple(words), g)
+    certificate.checked[form.reflect] = set(reflections)  # step 1 passed with this reflect
+    return g, certificate
 
 
 # One entry per kind: a batch of requests at one n alternates between the two.

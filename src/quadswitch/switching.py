@@ -414,18 +414,18 @@ def switch_orbits(sw: Switch, certificate: GammaCertificate) -> tuple[int, ...] 
     return symmetry_orbits(certificate, blocks, words)
 
 
-def verify_switch(sw: Switch, certificate: GammaCertificate) -> SrgParams:
+def verify_switch(sw: Switch, certificate: GammaCertificate, graph: Graph | None = None) -> SrgParams:
     """verify_srg_near(sw.graph, certificate.graph, certificate.params,
     sw.s): decided with no switched graph by srg.verify_srg_orbit from the
     flag's symmetries once S's classes hold on sw.base (proved by
-    build_switch, or here by validate_switching_set again), else on sw.graph
-    (against sw.base if the certificate holds no graph)."""
+    build_switch, or here by validate_switching_set again), else on graph,
+    sw.graph if the caller has made it already."""
     try:
         proved = sw.proved or validate_switching_set(sw.base, sw.s) == sw.certificate
     except SwitchingError:
         proved = False
-    if proved:
+    if proved:  # verify_srg_orbit's precondition: H is S's half-class on sw.base
         params = verify_srg_orbit(sw.base, certificate, sw.s, sw.certificate.half_class, _flag_words(sw.config))
         if params is not None:
             return params
-    return srg.verify_srg_near(sw.graph, certificate.graph or sw.base, certificate.params, sw.s)
+    return srg.verify_srg_near(sw.graph if graph is None else graph, certificate.graph, certificate.params, sw.s)

@@ -352,20 +352,20 @@ def test_no_switched_graph_outlives_its_checks(capsys, monkeypatch):
 
 
 def test_a_switch_request_makes_its_graph_once(tmp_path, capsys, monkeypatch):
-    # the export makes the graph; --verify makes it again only for a switch
-    # that verify_srg_near decides, here |S| * v = 4 * 136 < 1024, and not
-    # for the tt switch (8 * 136)
+    # the export makes the graph, and verify_srg_near decides on that one
+    # for the t switch, |S| * v = 4 * 136 < 1024; without the export,
+    # --verify makes it for the t switch and not for the tt one (8 * 136)
     complement, calls = switching._complement_edges, []
     monkeypatch.setattr(switching, "_complement_edges", lambda g, cert: calls.append(g) or complement(g, cert))
     argv = ["switch", "--n", "7", "--kind", ELLIPTIC, "--t", "1", "--verify", "--code"]
-    for variant, made in (("t", 2), ("tt", 1)):
+    for variant in ("t", "tt"):
         calls.clear()
         code, _, _ = run_cli(capsys, *argv, "--variant", variant, "--export-graph", str(tmp_path / "g.g6"))
         assert code == 0
-        assert len(calls) == made, variant
+        assert len(calls) == 1, variant
         code, _, _ = run_cli(capsys, *argv, "--variant", variant)
         assert code == 0
-        assert len(calls) == made + (variant == "t"), variant
+        assert len(calls) == 1 + (variant == "t"), variant
 
 
 @pytest.mark.parametrize("kind", [ELLIPTIC, HYPERBOLIC])

@@ -1036,6 +1036,33 @@ def test_switch_certificate_refuses_a_reflection_that_is_not_linear(monkeypatch)
     assert_near_decides(monkeypatch, sw, certificate)
 
 
+def test_a_replaced_reflect_checks_the_certificates_own_reflections_anew(monkeypatch):
+    # certify_gamma's reflections count as checked only under the reflect it
+    # called: with reflect replaced by a non-linear bit permutation on one of
+    # them, the orbits of a map through it are refused, not trusted
+    gamma, certificate = certified_gamma(5, ELLIPTIC)
+    f = certificate.form
+    r = next(r for r in certificate.reflections if f.nonorth(r) >> f.labels[0] & 1)
+    blocks, words = ((1 << gamma.v) - 1,), [(r,)]
+    assert srg.symmetry_orbits(certificate, blocks, words) is not None
+    assert r in certificate.checked[f.reflect]
+    p, q = f.labels[1:3]
+    reflect = f.reflect
+
+    def swapped(mask, x):
+        image = reflect(mask, x)
+        if x == r and (image >> p & 1) != (image >> q & 1):
+            image ^= 1 << p | 1 << q
+        return image
+
+    monkeypatch.setattr(f, "reflect", swapped)
+    with pytest.raises(srg._NotCertified, match=f"reflection in {r} is not linear"):
+        srg._check_reflections(certificate, (r,))
+    assert srg.symmetry_orbits(certificate, blocks, words) is None
+    monkeypatch.undo()
+    assert srg.symmetry_orbits(certificate, blocks, words) is not None
+
+
 @pytest.mark.parametrize("n,kind,t,variant", [(5, ELLIPTIC, 1, "t"), (7, HYPERBOLIC, 1, "tt")])
 @pytest.mark.parametrize("bad", ["moves S", "fixes S"])
 def test_switch_certificate_refuses_maps_that_do_not_carry_s0_over_s(monkeypatch, n, kind, t, variant, bad):
